@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .driver import initial_bounds, solve
+from .driver import solve
 from .gen import GenConfig, generate
 from .model import Instance, Job, PlacedJob, Schedule, rat, validate_instance
 from .shelf import ShelfInvariantError
@@ -53,10 +53,13 @@ def instance_to_obj(inst: Instance) -> dict:
 
 
 def instance_from_obj(obj: dict) -> Instance:
+    m = int(obj["m"])
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     jobs = tuple(
         Job(int(j["id"]), tuple(rat(t) for t in j["times"])) for j in obj["jobs"]
     )
-    return Instance(int(obj["m"]), jobs)
+    return Instance(m, jobs)
 
 
 def schedule_to_obj(sched: Schedule, lam: Fraction, accepted_d: Fraction) -> dict:
@@ -102,6 +105,22 @@ def _load_json(path: str) -> dict:
 
 def load_instance(path: str) -> Instance:
     return instance_from_obj(_load_json(path))
+
+
+# Unreadable file, malformed JSON, missing key, bad value or zero denominator.
+_INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _input_error(what: str, exc: Exception) -> int:
+    """Report a bad input file on one stderr line; returns exit code 2."""
+    if isinstance(exc, json.JSONDecodeError):
+        detail = f"malformed JSON at line {exc.lineno}, column {exc.colno}"
+    elif isinstance(exc, OSError):
+        detail = f"cannot read {exc.filename}: {exc.strerror}"
+    else:
+        detail = f"bad {what}: {exc}"
+    print(f"error: {detail}", file=sys.stderr)
+    return 2
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +177,8 @@ def cmd_solve(
     try:
         obj = _load_json(instance_path)
         inst = instance_from_obj(obj)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad instance file: {exc}", file=sys.stderr)
-        return 2
+    except _INPUT_ERRORS as exc:
+        return _input_error("instance file", exc)
     problems = validate_instance(inst)
     if problems:
         for v in problems:
@@ -192,7 +207,11 @@ def cmd_solve(
 
 
 def cmd_gen(n: int, m: int, seed: int, out_path: str) -> int:
-    inst = generate(GenConfig(n=n, m=m, seed=seed))
+    try:
+        inst = generate(GenConfig(n=n, m=m, seed=seed))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _dump_json(instance_to_obj(inst), out_path)
     print(f"wrote {out_path}: n={n} m={m} seed={seed}")
     return 0
@@ -202,12 +221,8 @@ def cmd_verify(instance_path: str, schedule_path: str, contiguous: bool) -> int:
     try:
         inst = load_instance(instance_path)
         sched, _, _ = schedule_from_obj(_load_json(schedule_path))
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad input file: {exc}", file=sys.stderr)
-        return 2
+    except _INPUT_ERRORS as exc:
+        return _input_error("input file", exc)
     placed_ids = {p.job_id for p in sched.placements}
     unknown = placed_ids - set(inst.by_id)
     if unknown:
@@ -232,8 +247,7 @@ def _bench_one(task: tuple[int, int, int, str]) -> dict:
         t0 = time.perf_counter()
         result = solve(inst, rat(eps_str))
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        bounds_lower = initial_bounds(inst).lower
-        lower = max(result.certified_lower, bounds_lower)
+        lower = result.certified_lower
         ratio = result.makespan / lower if lower > 0 else Fraction(0)
         row.update(
             makespan=str(result.makespan),
@@ -262,12 +276,8 @@ def cmd_bench(config_path: str, out_csv: str) -> int:
             eps = str(run.get("epsilon", "1/20"))
             for seed in run["seeds"]:
                 tasks.append((int(run["n"]), int(run["m"]), int(seed), eps))
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad bench config: {exc}", file=sys.stderr)
-        return 2
+    except _INPUT_ERRORS as exc:
+        return _input_error("bench config", exc)
     workers = int(os.environ.get(WORKERS_ENV, "0")) or None
     rows: list[dict] = []
     if len(tasks) <= 1:
@@ -327,7 +337,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             eps = rat(args.epsilon)
         except (ValueError, ZeroDivisionError):
-            print(f"error: bad epsilon {args.epsilon!r}", file=sys.stderr)
+            eps = None
+        if eps is None or not 0 < eps <= 1:
+            print(f"error: epsilon must be a rational in (0, 1], got {args.epsilon!r}", file=sys.stderr)
             return 2
         return cmd_solve(args.instance, eps, args.out, args.gantt)
     if args.command == "gen":

@@ -11,12 +11,14 @@ stays integral; the capacity is 2m.  The DP minimizes total cost subject to
 total size <= 2m, which is exactly the partition feasibility question: the
 guess is workable iff the minimum cost is at most m*d - W_S.
 
-Costs are exact rationals.  Internally the DP rescales them to integers by
-the lcm of their denominators; when the scaled totals fit comfortably in
-int64 a vectorized numpy table is used, otherwise a pure-Python table with
-unbounded ints.  Both paths apply identical tie-breaking (min cost, then min
-total size, then lowest class index per job in input order) so results are
-bit-identical.
+Costs are exact rationals.  The DP rescales them to integers by the lcm of
+their denominators and runs one suffix table over (job, capacity): two
+rolling rows of (cost, size) and an int8 table of the class chosen per cell,
+walked forward once to read off the assignment.  The cost row is int64 while
+the scaled totals fit comfortably, and exact Python ints (numpy object
+dtype) otherwise, so the arithmetic never wraps.  Ties resolve to minimum
+cost, then minimum total size, then the lowest class index per job in input
+order.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import numpy as np
 
 from .model import Instance, gamma, work
 
+# With totals up to 2^59 every int64 sum the DP forms, sentinel included,
+# stays below 2^61.
 _INT64_SAFE_TOTAL = 1 << 59
-_INF = 1 << 61
 
 
 @dataclass(frozen=True)
@@ -96,14 +99,14 @@ def build_items(
     return items
 
 
-def _scaled_costs(items: Sequence[MckpItem]) -> tuple[int, list[list[Optional[int]]]]:
+def _scaled_costs(items: Sequence[MckpItem]) -> list[list[Optional[int]]]:
     """Rescale all option costs to integers by the lcm of their denominators."""
     scale = 1
     for item in items:
         for opt in item.options:
             if opt.cost is not None:
                 scale = math.lcm(scale, opt.cost.denominator)
-    scaled = [
+    return [
         [
             opt.cost.numerator * (scale // opt.cost.denominator)
             if opt.cost is not None
@@ -112,137 +115,84 @@ def _scaled_costs(items: Sequence[MckpItem]) -> tuple[int, list[list[Optional[in
         ]
         for item in items
     ]
-    return scale, scaled
 
 
-def solve_mckp(
-    items: Sequence[MckpItem], m: int, _impl: str = "auto"
-) -> Union[MckpSolution, Infeasible]:
-    """Minimize total cost subject to total size <= 2m; O(n*m) table.
+def _solution(items: Sequence[MckpItem], choice: Sequence[int]) -> MckpSolution:
+    picked = [item.options[cls - 1] for item, cls in zip(items, choice)]
+    return MckpSolution(
+        {item.job_id: cls for item, cls in zip(items, choice)},
+        sum((opt.cost for opt in picked), Fraction(0)),
+        sum(opt.size2 for opt in picked),
+    )
+
+
+def solve_mckp(items: Sequence[MckpItem], m: int) -> Union[MckpSolution, Infeasible]:
+    """Minimize total cost subject to total size <= 2m.
+
+    One DP in O(n*m) time, holding two rows and an n x (2m+1) int8 table.
 
     Among minimum-cost assignments the one with the smallest total size is
     returned; remaining ties resolve to the lowest class index per job,
     scanning jobs in input order.
     """
-    cap = 2 * m
-    if not items:
-        return MckpSolution({}, Fraction(0), 0)
-    scale, scaled = _scaled_costs(items)
-
+    scaled = _scaled_costs(items)
     max_total = 0
     for row in scaled:
         avail = [c for c in row if c is not None]
         if not avail:
             return Infeasible("item-has-no-option")
         max_total += max(avail)
-
-    use_numpy = _impl == "numpy" or (_impl == "auto" and max_total <= _INT64_SAFE_TOTAL)
-    if _impl not in ("auto", "numpy", "python"):
-        raise ValueError(f"unknown _impl {_impl!r}")
-    if use_numpy:
-        choice = _dp_numpy(items, scaled, cap)
-    else:
-        choice = _dp_python(items, scaled, cap)
+    choice = _dp(items, scaled, 2 * m, max_total)
     if choice is None:
         return Infeasible()
-
-    assignment = {item.job_id: cls for item, cls in zip(items, choice)}
-    total_cost = sum(
-        (item.options[cls - 1].cost for item, cls in zip(items, choice)),
-        Fraction(0),
-    )
-    total_size2 = sum(item.options[cls - 1].size2 for item, cls in zip(items, choice))
-    return MckpSolution(assignment, total_cost, total_size2)
+    return _solution(items, choice)
 
 
-def _dp_numpy(
-    items: Sequence[MckpItem], scaled: list[list[Optional[int]]], cap: int
+def _dp(
+    items: Sequence[MckpItem],
+    scaled: list[list[Optional[int]]],
+    cap: int,
+    max_total: int,
 ) -> Optional[list[int]]:
-    # Suffix DP: rows[j] holds, for every capacity c, the lexicographic minimum
-    # of (cost, size) over assignments of items j..n-1 with total size <= c.
-    # Suffix orientation lets the selection pass scan jobs in input order.
-    n = len(items)
-    rows_c: list[np.ndarray] = [np.zeros(cap + 1, dtype=np.int64)] * (n + 1)
-    rows_s: list[np.ndarray] = [np.zeros(cap + 1, dtype=np.int64)] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        prev_c, prev_s = rows_c[j + 1], rows_s[j + 1]
-        best_c = np.full(cap + 1, _INF, dtype=np.int64)
+    """Suffix DP over items n-1..0 with two rolling rows and a choice table.
+
+    After item j, (cost[c], size[c]) is the lexicographic minimum of (total
+    cost, total size) over assignments of items j..n-1 with total size <= c,
+    and choice[j, c] is the lowest class reaching it: a class replaces the
+    current best only when strictly better.  Costs are int64 while every
+    total fits (max_total <= 2^59), otherwise exact Python ints; the sentinel
+    max_total + 1 marks capacities no assignment fits.  The suffix
+    orientation lets the selection walk jobs forward in input order.
+    """
+    dtype = np.int64 if max_total <= _INT64_SAFE_TOTAL else object
+    inf = max_total + 1
+    choice = np.zeros((len(items), cap + 1), dtype=np.int8)
+    cost = np.zeros(cap + 1, dtype=dtype)
+    size = np.zeros(cap + 1, dtype=np.int64)
+    for j in range(len(items) - 1, -1, -1):
+        best_c = np.full(cap + 1, inf, dtype=dtype)
         best_s = np.zeros(cap + 1, dtype=np.int64)
-        for cls in (1, 2, 3):
-            c = scaled[j][cls - 1]
-            s = items[j].options[cls - 1].size2
+        for cls, (c, opt) in enumerate(zip(scaled[j], items[j].options), start=1):
+            s = opt.size2
             if c is None or s > cap:
                 continue
-            cand_c = np.full(cap + 1, _INF, dtype=np.int64)
-            cand_s = np.zeros(cap + 1, dtype=np.int64)
-            cand_c[s:] = prev_c[: cap + 1 - s] + c
-            cand_s[s:] = prev_s[: cap + 1 - s] + s
-            better = (cand_c < best_c) | ((cand_c == best_c) & (cand_s < best_s))
-            best_c = np.where(better, cand_c, best_c)
-            best_s = np.where(better, cand_s, best_s)
-        rows_c[j], rows_s[j] = best_c, best_s
-    if int(rows_c[0][cap]) >= _INF:
+            cand_c = cost[: cap + 1 - s] + c
+            cand_s = size[: cap + 1 - s] + s
+            bc, bs = best_c[s:], best_s[s:]  # views: writes land in the rows
+            better = (cand_c < bc) | ((cand_c == bc) & (cand_s < bs))
+            bc[better] = cand_c[better]
+            bs[better] = cand_s[better]
+            choice[j, s:][better] = cls
+        cost, size = best_c, best_s
+    if cost[cap] >= inf:
         return None
-    return _select(items, scaled, cap, lambda j, c: (int(rows_c[j][c]), int(rows_s[j][c])))
-
-
-def _dp_python(
-    items: Sequence[MckpItem], scaled: list[list[Optional[int]]], cap: int
-) -> Optional[list[int]]:
-    n = len(items)
-    inf = None  # sentinel: no assignment fits
-    rows: list[list[Optional[tuple[int, int]]]] = [[(0, 0)] * (cap + 1)]
-    for j in range(n - 1, -1, -1):
-        prev = rows[-1]
-        cur: list[Optional[tuple[int, int]]] = [inf] * (cap + 1)
-        opts = [
-            (scaled[j][cls - 1], items[j].options[cls - 1].size2)
-            for cls in (1, 2, 3)
-            if scaled[j][cls - 1] is not None
-        ]
-        for c in range(cap + 1):
-            best: Optional[tuple[int, int]] = None
-            for cost, s in opts:
-                if s > c:
-                    continue
-                p = prev[c - s]
-                if p is None:
-                    continue
-                cand = (p[0] + cost, p[1] + s)
-                if best is None or cand < best:
-                    best = cand
-            cur[c] = best
-        rows.append(cur)
-    rows.reverse()  # rows[j] = suffix j..n-1
-    if rows[0][cap] is None:
-        return None
-    return _select(items, scaled, cap, lambda j, c: rows[j][c])
-
-
-def _select(items, scaled, cap, value_at) -> list[int]:
-    """Walk the table forward, taking the lowest class that achieves the optimum."""
-    n = len(items)
-    choice: list[int] = []
+    picks: list[int] = []
     c = cap
-    for j in range(n):
-        target = value_at(j, c)
-        picked = None
-        for cls in (1, 2, 3):
-            cost = scaled[j][cls - 1]
-            s = items[j].options[cls - 1].size2
-            if cost is None or s > c:
-                continue
-            nxt = value_at(j + 1, c - s)
-            if nxt is None:
-                continue
-            if (nxt[0] + cost, nxt[1] + s) == target:
-                picked = cls
-                c -= s
-                break
-        if picked is None:
-            raise AssertionError("DP table inconsistent during selection")
-        choice.append(picked)
-    return choice
+    for j, item in enumerate(items):
+        cls = int(choice[j, c])
+        picks.append(cls)
+        c -= item.options[cls - 1].size2
+    return picks
 
 
 def brute_mckp(
@@ -256,9 +206,7 @@ def brute_mckp(
     if len(items) > 14:
         raise ValueError(f"brute_mckp is capped at 14 items, got {len(items)}")
     cap = 2 * m
-    if not items:
-        return MckpSolution({}, Fraction(0), 0)
-    scale, scaled = _scaled_costs(items)
+    scaled = _scaled_costs(items)
     n = len(items)
     # Admissible per-item lower bounds on the remaining cost let the DFS prune
     # without ever cutting an equal-cost branch (ties matter for size/lex).
@@ -295,12 +243,4 @@ def brute_mckp(
     dfs(0, 0, 0)
     if best_choice is None:
         return Infeasible()
-    assignment = {item.job_id: cls for item, cls in zip(items, best_choice)}
-    total_cost = sum(
-        (item.options[cls - 1].cost for item, cls in zip(items, best_choice)),
-        Fraction(0),
-    )
-    total_size2 = sum(
-        item.options[cls - 1].size2 for item, cls in zip(items, best_choice)
-    )
-    return MckpSolution(assignment, total_cost, total_size2)
+    return _solution(items, best_choice)

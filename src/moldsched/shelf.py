@@ -424,7 +424,7 @@ def repair_s2_small_q(ss: ShelfSchedule) -> Schedule:
     return _place_right_aligned(ss)
 
 
-def repair_s2_large_q(ss: ShelfSchedule, lam: Optional[Fraction] = None) -> Schedule:
+def repair_s2_large_q(ss: ShelfSchedule) -> Schedule:
     """Fit shelf 2 when q > m'/6: a single job slides over a machine suffix.
 
     Shelf 1 is sorted descending, so for each i the m' - i least loaded
@@ -433,8 +433,6 @@ def repair_s2_large_q(ss: ShelfSchedule, lam: Optional[Fraction] = None) -> Sche
     leaves room under lam*d; at the stretch LAMBDA_STAR_UPPER such an i
     always exists while the work budget holds.
     """
-    if lam is not None and lam != ss.lam:
-        raise ValueError(f"lam {lam} does not match the shelf stretch {ss.lam}")
     m_eff = ss.inst.m - ss.m0
     if 6 * ss.q <= m_eff:
         raise ShelfInvariantError("large-q repair called with q <= m'/6", ss)

@@ -2,6 +2,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from moldsched import GenConfig, generate, rat, solve
 from moldsched.cli import (
     gantt_svg,
@@ -90,6 +92,38 @@ class TestSolveCommand:
         p = tmp_path / "i.json"
         run("gen", "-n", 2, "-m", 2, "--seed", 0, "--out", p)
         assert run("solve", p, "--epsilon", "zero") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "zero_den.json"],
+        ["solve", "m0.json"],
+        ["solve", "missing.json"],
+        ["solve", "ok.json", "--epsilon", "2"],
+        ["solve", "ok.json", "--epsilon", "0"],
+        ["verify", "zero_den.json", "sched.json"],
+        ["verify", "missing.json", "sched.json"],
+        ["verify", "ok.json", "missing.json"],
+        ["gen", "-n", "-1", "-m", "3", "--out", "g.json"],
+        ["gen", "-n", "3", "-m", "0", "--out", "g.json"],
+        ["bench", "missing.json", "--out", "rows.csv"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "ok.json": instance_to_obj(instance(2, job(1, 2, 1))),
+        "zero_den.json": {"m": 1, "jobs": [{"id": 1, "times": ["1/0"]}]},
+        "m0.json": {"m": 0, "jobs": [{"id": 1, "times": []}]},
+        "sched.json": {"makespan": "0", "lambda": "10/7", "accepted_d": "0", "placements": []},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestVerifyCommand:

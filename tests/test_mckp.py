@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -94,17 +95,50 @@ class TestSolveMckp:
         ref = brute_mckp(items, 4)
         assert sol.total_cost == ref.total_cost
 
-    def test_paths_agree(self):
+    def test_full_ties_pick_lowest_class_in_input_order(self):
+        same = MckpOption(rat(2), 1)
+        items = [
+            MckpItem(1, (MckpOption(None, 0), same, same)),
+            MckpItem(2, (same, same, same)),
+            # (1, 2) and (2, 1) both total cost 3, size 2: the first job gets class 1.
+            MckpItem(3, (MckpOption(rat(1), 2), MckpOption(rat(2), 0), MckpOption(None, 0))),
+            MckpItem(4, (MckpOption(rat(1), 2), MckpOption(rat(2), 0), MckpOption(None, 0))),
+        ]
+        sol = solve_mckp(items, 2)
+        assert sol.assignment == {1: 2, 2: 1, 3: 1, 4: 2}
+        assert sol == brute_mckp(items, 2)
+
+    def test_overflow_totals_match_oracle(self):
+        # Distinct large-prime denominators push the lcm-scaled cost totals
+        # past 2^59, so the DP runs on exact Python ints instead of int64.
         rng = random.Random(17)
-        for _ in range(60):
-            items = random_items(rng, rng.randint(1, 9), rng.randint(1, 6))
+        feasible = 0
+        primes = (
+            p for p in range(1_000_003, 2_000_000, 2)
+            if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+        )
+        for _ in range(40):
             m = rng.randint(1, 6)
-            a = solve_mckp(items, m, _impl="numpy")
-            b = solve_mckp(items, m, _impl="python")
-            if isinstance(a, Infeasible):
-                assert isinstance(b, Infeasible)
-            else:
-                assert a == b
+            items = []
+            for i in range(rng.randint(4, 9)):
+                q = next(primes)
+                opts = [
+                    MckpOption(None, 0)
+                    if rng.random() < 0.15
+                    else MckpOption(Fraction(rng.randint(q, 400 * q), q), rng.randint(0, m))
+                    for _ in range(3)
+                ]
+                items.append(MckpItem(i + 1, tuple(opts)))
+            scale = math.lcm(*(o.cost.denominator for it in items for o in it.options if o.available))
+            costs = [[o.cost for o in it.options if o.available] for it in items]
+            assert sum(max(row, default=0) * scale for row in costs) > 1 << 59
+            got = solve_mckp(items, m)
+            ref = brute_mckp(items, m)
+            assert type(got) is type(ref)
+            if not isinstance(got, Infeasible):
+                assert got == ref
+                feasible += 1
+        assert feasible >= 20
 
     def test_monotone_in_d(self):
         rng = random.Random(23)
