@@ -9,8 +9,9 @@ on input and converted exactly):
                                    "width": int, "start": "p/q",
                                    "duration": "p/q"}]}
 
-Exit codes: 0 success / feasible, 1 infeasible schedule, 2 invalid input,
-3 internal invariant violation (diagnostic dumped to stderr).
+Exit codes: 0 success / feasible, 1 infeasible schedule, 2 invalid input or
+an unwritable output path, 3 internal invariant violation (diagnostic dumped
+to stderr; for bench, any row that failed on a valid config).
 
 The bench harness runs solves in a process pool (worker count from the
 MOLDSCHED_WORKERS environment variable) and writes one CSV row per
@@ -123,6 +124,23 @@ def _input_error(what: str, exc: Exception) -> int:
     return 2
 
 
+def _output_error(exc: OSError) -> int:
+    """Report an unwritable output file on one stderr line; returns exit code 2."""
+    print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 2
+
+
+def _epsilon(text: str) -> Fraction:
+    """Parse an accuracy; ValueError unless it is a rational in (0, 1]."""
+    try:
+        eps = rat(text)
+    except (ValueError, ZeroDivisionError):
+        eps = None
+    if eps is None or not 0 < eps <= 1:
+        raise ValueError(f"epsilon must be a rational in (0, 1], got {text!r}")
+    return eps
+
+
 # ---------------------------------------------------------------------------
 # gantt
 
@@ -191,13 +209,16 @@ def cmd_solve(
         print(f"internal invariant violation: {exc.diagnostic()}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0
-    if out_path:
-        _dump_json(
-            schedule_to_obj(result.schedule, result.lambda_used, result.accepted_d),
-            out_path,
-        )
-    if gantt_path:
-        Path(gantt_path).write_text(gantt_svg(inst, result.schedule))
+    try:
+        if out_path:
+            _dump_json(
+                schedule_to_obj(result.schedule, result.lambda_used, result.accepted_d),
+                out_path,
+            )
+        if gantt_path:
+            Path(gantt_path).write_text(gantt_svg(inst, result.schedule))
+    except OSError as exc:
+        return _output_error(exc)
     print(f"makespan    {result.makespan}  (~{float(result.makespan):.6g})")
     print(f"accepted_d  {result.accepted_d}  (~{float(result.accepted_d):.6g})")
     print(f"lambda      {result.lambda_used}  (~{float(result.lambda_used):.6g})")
@@ -212,7 +233,10 @@ def cmd_gen(n: int, m: int, seed: int, out_path: str) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _dump_json(instance_to_obj(inst), out_path)
+    try:
+        _dump_json(instance_to_obj(inst), out_path)
+    except OSError as exc:
+        return _output_error(exc)
     print(f"wrote {out_path}: n={n} m={m} seed={seed}")
     return 0
 
@@ -273,26 +297,38 @@ def cmd_bench(config_path: str, out_csv: str) -> int:
         cfg = _load_json(config_path)
         tasks = []
         for run in cfg["runs"]:
+            n, m = int(run["n"]), int(run["m"])
+            if n < 0 or m < 1:
+                raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
             eps = str(run.get("epsilon", "1/20"))
+            _epsilon(eps)
             for seed in run["seeds"]:
-                tasks.append((int(run["n"]), int(run["m"]), int(seed), eps))
+                tasks.append((n, m, int(seed), eps))
     except _INPUT_ERRORS as exc:
         return _input_error("bench config", exc)
+    try:
+        fh = open(out_csv, "w", newline="")
+    except OSError as exc:
+        return _output_error(exc)
     workers = int(os.environ.get(WORKERS_ENV, "0")) or None
     rows: list[dict] = []
-    if len(tasks) <= 1:
-        rows = [_bench_one(t) for t in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_one, tasks))
-    rows.sort(key=lambda r: (r["n"], r["m"], r["seed"]))
-    with open(out_csv, "w", newline="") as fh:
+    with fh:
+        if len(tasks) <= 1:
+            rows = [_bench_one(t) for t in tasks]
+        else:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_bench_one, tasks))
+        rows.sort(key=lambda r: (r["n"], r["m"], r["seed"]))
         writer = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS)
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row.get(k, "") for k in _BENCH_FIELDS})
     failures = sum(1 for r in rows if r["error"])
     print(f"wrote {out_csv}: {len(rows)} rows, {failures} failures")
+    if failures:
+        # The config was checked above, so a failed row is a solver fault.
+        print(f"error: {failures} rows failed, see the error column", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -335,11 +371,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "solve":
         try:
-            eps = rat(args.epsilon)
-        except (ValueError, ZeroDivisionError):
-            eps = None
-        if eps is None or not 0 < eps <= 1:
-            print(f"error: epsilon must be a rational in (0, 1], got {args.epsilon!r}", file=sys.stderr)
+            eps = _epsilon(args.epsilon)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         return cmd_solve(args.instance, eps, args.out, args.gantt)
     if args.command == "gen":

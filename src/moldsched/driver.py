@@ -1,9 +1,10 @@
 """Dual-approximation driver: binary search over the makespan guess.
 
-For each guess d the pipeline either produces a verified contiguous schedule
-of makespan at most lam*d (lam depending on the idle-machine regime of the
-shelf schedule) or certifies d < OPT.  A geometric binary search over d then
-gives makespan <= lam * (1 + eps) * OPT.
+For each guess d the knapsack decision either accepts (a class partition of
+the big jobs within the work budget) or certifies d < OPT.  The search needs
+only these verdicts, so one verified contiguous schedule is built, at the last
+accepted d: makespan at most lam*d, lam depending on the idle-machine regime
+of the shelf schedule, which gives makespan <= lam * (1 + eps) * OPT.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .model import (
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
     Instance,
-    PlacedJob,
+    JobClassification,
     Schedule,
     classify_jobs,
     make_schedule,
@@ -35,7 +36,6 @@ log = logging.getLogger(__name__)
 class SearchBounds:
     lower: Fraction  # certified lower bound on OPT
     upper: Fraction  # guess with a known-feasible schedule
-    best: Schedule   # feasible schedule achieving makespan <= upper (sequential)
 
 
 @dataclass
@@ -45,33 +45,21 @@ class SolveResult:
     lambda_used: Fraction
     makespan: Fraction
     iterations: int
+    # Wall seconds: "mckp" is the whole search, rejected guesses included;
+    # "shelf", "small" and "verify" time the one build at accepted_d.
     timings: dict[str, float] = field(default_factory=dict)
     certified_lower: Fraction = Fraction(0)
     mckp_assignment: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _Accepted:
-    schedule: Schedule
-    lam: Fraction
-    solution: mckp.MckpSolution
-    shelf_q: int
-
-
 def initial_bounds(inst: Instance) -> SearchBounds:
     """Trivial certified bounds: work/m and the fastest full-width job from
-    below, the one-machine sequential schedule from above."""
+    below, the length of the one-machine sequential schedule from above."""
     if not inst.jobs:
-        empty = make_schedule([])
-        return SearchBounds(Fraction(0), Fraction(0), empty)
+        return SearchBounds(Fraction(0), Fraction(0))
     total_seq = sum((j.times[0] for j in inst.jobs), Fraction(0))
     lower = max(total_seq / inst.m, max(j.times[inst.m - 1] for j in inst.jobs))
-    placements = []
-    t = Fraction(0)
-    for job in inst.jobs:
-        placements.append(PlacedJob(job.id, 0, 1, t, job.times[0]))
-        t += job.times[0]
-    return SearchBounds(lower, total_seq, make_schedule(placements))
+    return SearchBounds(lower, total_seq)
 
 
 def try_guess(inst: Instance, d: Fraction) -> Union[Schedule, mckp.Reject]:
@@ -79,15 +67,13 @@ def try_guess(inst: Instance, d: Fraction) -> Union[Schedule, mckp.Reject]:
     outcome = _attempt(inst, d)
     if isinstance(outcome, mckp.Reject):
         return outcome
-    return outcome.schedule
+    return _build(inst, d, *outcome)[0]
 
 
 def _attempt(
-    inst: Instance, d: Fraction, timings: Optional[dict[str, float]] = None
-) -> Union[_Accepted, mckp.Reject]:
-    tick = time.perf_counter
-
-    t0 = tick()
+    inst: Instance, d: Fraction
+) -> Union[tuple[JobClassification, mckp.MckpSolution], mckp.Reject]:
+    """The knapsack decision for d: (classes, partition) or Reject (d < OPT)."""
     cls = classify_jobs(inst, d)
     items = mckp.build_items(inst, cls.big, d)
     if isinstance(items, mckp.Reject):
@@ -103,31 +89,36 @@ def _attempt(
             "d=%s rejected: cost %s > budget %s", d, solution.total_cost, budget
         )
         return mckp.Reject(d, "work-budget")
-    t1 = tick()
+    return cls, solution
 
-    sched, lam, shelf_q = _shelf_pipeline(inst, solution, d)
-    t2 = tick()
+
+def _build(
+    inst: Instance,
+    d: Fraction,
+    cls: JobClassification,
+    solution: mckp.MckpSolution,
+    timings: Optional[dict[str, float]] = None,
+) -> tuple[Schedule, Fraction]:
+    """Schedule and stretch lam for an accepted d, verified within lam*d."""
+    t0 = time.perf_counter()
+    sched, lam = _shelf_pipeline(inst, solution, d)
+    t1 = time.perf_counter()
     sched = shelf.add_small_jobs(sched, inst, cls.small, lam, d)
-    t3 = tick()
-
+    t2 = time.perf_counter()
     report = validate_schedule(inst, sched, require_contiguous=True)
     if not report.ok() or sched.makespan > lam * d:
         raise shelf.ShelfInvariantError(
             f"pipeline output failed verification at d={d}: "
             + "; ".join(v.kind for v in report.violations)
         )
-    t4 = tick()
     if timings is not None:
-        timings["mckp"] = timings.get("mckp", 0.0) + (t1 - t0)
-        timings["shelf"] = timings.get("shelf", 0.0) + (t2 - t1)
-        timings["small"] = timings.get("small", 0.0) + (t3 - t2)
-        timings["verify"] = timings.get("verify", 0.0) + (t4 - t3)
-    return _Accepted(sched, lam, solution, shelf_q)
+        timings.update(shelf=t1 - t0, small=t2 - t1, verify=time.perf_counter() - t2)
+    return sched, lam
 
 
 def _shelf_pipeline(
     inst: Instance, solution: mckp.MckpSolution, d: Fraction
-) -> tuple[Schedule, Fraction, int]:
+) -> tuple[Schedule, Fraction]:
     """Build/transform at 10/7 and escalate the stretch by idle-machine regime.
 
     q == 0 keeps 10/7; 0 < q <= m'/6 rebuilds at 13/9; q > m'/6 rebuilds at
@@ -148,19 +139,19 @@ def _shelf_pipeline(
     ss = build(LAMBDA_Q0)
     r = regime(ss)
     if r == 0:
-        return shelf.repair_s2_small_q(ss), LAMBDA_Q0, ss.q
+        return shelf.repair_s2_small_q(ss), LAMBDA_Q0
     if r == 1:
         ss = build(LAMBDA_SMALL_Q)
         if regime(ss) <= 1:
-            return shelf.repair_s2_small_q(ss), LAMBDA_SMALL_Q, ss.q
+            return shelf.repair_s2_small_q(ss), LAMBDA_SMALL_Q
     ss = build(LAMBDA_STAR_UPPER)
     if regime(ss) == 2:
-        return shelf.repair_s2_large_q(ss), LAMBDA_STAR_UPPER, ss.q
-    return shelf.repair_s2_small_q(ss), LAMBDA_STAR_UPPER, ss.q
+        return shelf.repair_s2_large_q(ss), LAMBDA_STAR_UPPER
+    return shelf.repair_s2_small_q(ss), LAMBDA_STAR_UPPER
 
 
 def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
-    """Binary search on d; returns the best verified schedule.
+    """Binary search on d by knapsack verdicts; one schedule at the last accept.
 
     Guarantee: makespan <= lambda_used * (1 + eps) * OPT, with lambda_used in
     {10/7, 13/9, LAMBDA_STAR_UPPER}.
@@ -174,35 +165,36 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
         )
     bounds = initial_bounds(inst)
     lower, upper = bounds.lower, bounds.upper
-    timings: dict[str, float] = {}
 
-    first = _attempt(inst, upper, timings)
-    if isinstance(first, mckp.Reject):
+    t0 = time.perf_counter()
+    accepted = _attempt(inst, upper)
+    if isinstance(accepted, mckp.Reject):
         raise shelf.ShelfInvariantError(
-            f"guess {upper} >= OPT was rejected ({first.reason}); "
+            f"guess {upper} >= OPT was rejected ({accepted.reason}); "
             "rejection soundness is broken"
         )
-    best, accepted_d = first, upper
-
     iterations = 0
     while upper > (1 + eps) * lower:
         d = _geometric_mid(lower, upper)
         iterations += 1
-        outcome = _attempt(inst, d, timings)
+        outcome = _attempt(inst, d)
         if isinstance(outcome, mckp.Reject):
             lower = d
         else:
-            upper, best, accepted_d = d, outcome, d
+            upper, accepted = d, outcome
+    timings = {"mckp": time.perf_counter() - t0}
 
+    cls, solution = accepted
+    schedule, lam = _build(inst, upper, cls, solution, timings)
     return SolveResult(
-        schedule=best.schedule,
-        accepted_d=accepted_d,
-        lambda_used=best.lam,
-        makespan=best.schedule.makespan,
+        schedule=schedule,
+        accepted_d=upper,
+        lambda_used=lam,
+        makespan=schedule.makespan,
         iterations=iterations,
         timings=timings,
         certified_lower=lower,
-        mckp_assignment=dict(best.solution.assignment),
+        mckp_assignment=dict(solution.assignment),
     )
 
 

@@ -36,7 +36,7 @@ from moldsched import (
     try_guess,
     validate_schedule,
 )
-from moldsched.driver import _attempt
+from moldsched.driver import _attempt, _build
 from moldsched.cli import main as cli_main
 from test_mckp import random_items
 
@@ -81,13 +81,15 @@ def test_criterion_1_dual_approximation_guarantee():
         assert r.makespan <= r.lambda_used * r.accepted_d  # exact Fractions
         branch_counts[r.lambda_used] += 1
         # Re-probe two accepted guesses explicitly, checking the per-guess
-        # contract (the solver also verifies every accepted guess inline).
+        # contract (the solver verifies its returned schedule inline, built
+        # once at the last accepted guess).
         for d in (r.accepted_d, 2 * r.accepted_d):
             out = _attempt(inst, d)
             assert not isinstance(out, Reject)
-            rep = validate_schedule(inst, out.schedule, require_contiguous=True)
+            sched, lam = _build(inst, d, *out)
+            rep = validate_schedule(inst, sched, require_contiguous=True)
             assert rep.feasible and rep.contiguous
-            assert out.schedule.makespan <= out.lam * d
+            assert sched.makespan <= lam * d
             checked += 1
     elapsed = time.perf_counter() - t0
     counts = {f"{lam}": c for lam, c in branch_counts.items()}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from moldsched import GenConfig, generate, rat, solve
+from moldsched import GenConfig, cli, generate, rat, solve
 from moldsched.cli import (
     gantt_svg,
     instance_from_obj,
@@ -108,6 +108,12 @@ class TestSolveCommand:
         ["gen", "-n", "-1", "-m", "3", "--out", "g.json"],
         ["gen", "-n", "3", "-m", "0", "--out", "g.json"],
         ["bench", "missing.json", "--out", "rows.csv"],
+        ["bench", "neg_n.json", "--out", "rows.csv"],
+        ["bench", "eps2.json", "--out", "rows.csv"],
+        ["solve", "ok.json", "--out", "nodir/x"],
+        ["solve", "ok.json", "--gantt", "nodir/x"],
+        ["gen", "-n", "3", "-m", "2", "--out", "nodir/x"],
+        ["bench", "grid.json", "--out", "nodir/x"],
     ],
     ids=" ".join,
 )
@@ -118,6 +124,9 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypat
         "zero_den.json": {"m": 1, "jobs": [{"id": 1, "times": ["1/0"]}]},
         "m0.json": {"m": 0, "jobs": [{"id": 1, "times": []}]},
         "sched.json": {"makespan": "0", "lambda": "10/7", "accepted_d": "0", "placements": []},
+        "grid.json": {"runs": [{"n": 2, "m": 2, "seeds": [1]}]},
+        "neg_n.json": {"runs": [{"n": -1, "m": 2, "seeds": [1]}]},
+        "eps2.json": {"runs": [{"n": 2, "m": 2, "seeds": [1], "epsilon": "2"}]},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -210,6 +219,19 @@ class TestBenchCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
         assert run("bench", cfg, "--out", tmp_path / "o.csv") == 2
+
+    def test_failed_row_exits_3_after_writing_csv(self, tmp_path, monkeypatch, capsys):
+        def broken_solve(inst, eps):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "solve", broken_solve)
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "rows.csv"
+        cfg.write_text(json.dumps({"runs": [{"n": 3, "m": 2, "seeds": [1]}]}))
+        assert run("bench", cfg, "--out", out) == 3
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 2 and lines[1].endswith("RuntimeError: boom")
+        assert "1 rows, 1 failures" in capsys.readouterr().out
 
 
 def test_gantt_svg_counts_rects_directly():

@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from moldsched import (
+    GenConfig,
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
     Reject,
     adversarial_instance,
     brute_force_opt,
+    driver,
+    generate,
     initial_bounds,
     rat,
     solve,
@@ -26,13 +29,11 @@ class TestInitialBounds:
     def test_single_job(self):
         b = initial_bounds(instance(1, job(1, 5)))
         assert (b.lower, b.upper) == (5, 5)
-        assert b.best.makespan == 5
 
     def test_two_jobs(self):
         b = initial_bounds(instance(2, job(1, 4, 2), job(2, 4, 2)))
         assert b.lower == 4  # max(8/2, 2)
         assert b.upper == 8
-        assert validate_schedule(instance(2, job(1, 4, 2), job(2, 4, 2)), b.best).feasible
 
     def test_adversarial_lower_bound_is_opt(self):
         inst = adversarial_instance()
@@ -138,3 +139,29 @@ class TestSolve:
             solve(inst, rat(0))
         with pytest.raises(ValueError):
             solve(inst, rat(2))
+
+    def test_builds_one_schedule_after_the_search(self, monkeypatch):
+        # The search decides each guess by the knapsack alone; the schedule
+        # is built and verified once, at the last accepted guess.
+        verdicts = []
+        verified = []
+        attempt, validate = driver._attempt, driver.validate_schedule
+
+        def counting_attempt(inst, d):
+            out = attempt(inst, d)
+            verdicts.append(not isinstance(out, Reject))
+            return out
+
+        def counting_validate(*args, **kwargs):
+            verified.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "_attempt", counting_attempt)
+        monkeypatch.setattr(driver, "validate_schedule", counting_validate)
+        inst = generate(GenConfig(n=12, m=8, seed=0))
+        r = solve(inst, rat("0.05"))
+        assert sum(verdicts) >= 2
+        assert len(verified) == 1
+        assert verified[0][1] is r.schedule
+        assert set(r.timings) == {"mckp", "shelf", "small", "verify"}
+        assert all(t >= 0 for t in r.timings.values())
