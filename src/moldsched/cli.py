@@ -15,7 +15,8 @@ to stderr; for bench, any row that failed on a valid config).
 
 The bench harness runs solves in a process pool (worker count from the
 MOLDSCHED_WORKERS environment variable) and writes one CSV row per
-(n, m, seed) in deterministic order.
+(n, m, seed) in deterministic order, with the solve's wall time and its
+per-phase times (``SolveResult.timings``) in milliseconds.
 """
 
 from __future__ import annotations
@@ -281,6 +282,7 @@ def _bench_one(task: tuple[int, int, int, str]) -> dict:
             wall_ms=f"{wall_ms:.3f}",
             iterations=result.iterations,
         )
+        row.update({f"{k}_ms": f"{v * 1000.0:.3f}" for k, v in result.timings.items()})
     except Exception as exc:  # recorded per-row, harness keeps going
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -288,7 +290,8 @@ def _bench_one(task: tuple[int, int, int, str]) -> dict:
 
 _BENCH_FIELDS = [
     "n", "m", "seed", "epsilon", "makespan", "accepted_d", "lambda_used",
-    "ratio_vs_lower_bound", "wall_ms", "iterations", "error",
+    "ratio_vs_lower_bound", "wall_ms", "iterations",
+    "mckp_ms", "shelf_ms", "small_ms", "verify_ms", "error",
 ]
 
 

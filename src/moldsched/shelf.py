@@ -36,6 +36,8 @@ shelf-2 width vs m') are taken relative to m'.
 from __future__ import annotations
 
 import heapq
+import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -298,82 +300,116 @@ def _pair_up(
 def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
     """Apply the three shelf-shrinking moves until none applies (in place).
 
-    Each move pushes a job toward shelf 0 (or out of shelf 2), so the loop
-    runs at most twice per job; a generous guard turns any unexpected cycling
-    into a loud error.
+    Each round makes the first move that applies, in this order:
+
+      shrink  the first shelf-1 column, in shelf-1 order, wider than one
+              machine and no taller than (lam/2)d drops to gamma(j, lam*d)
+              machines and moves to shelf 0.
+      stack   among one-machine shelf-1 columns strictly shorter than
+              (lam/2)d, the two first by (not a split lane, taller, lower
+              smallest job id, earlier in shelf 1) share one machine in
+              shelf 0, the first at the bottom.  A split lane may only be
+              the bottom one, so its two machines keep a common start.
+      drain   the first shelf-2 job, in shelf-2 order, with t(j, q) <= lam*d
+              for the q idle machines leaves shelf 2 on gamma(j, lam*d)
+              machines, for shelf 1 if its height is at most d, else shelf 0.
+
+    These rules fix the resulting schedule bit for bit.  Columns only ever
+    leave shelf 1, except for drained ones, which join its end; so the shrink
+    candidates form a FIFO in shelf-1 order and the stack candidates a heap,
+    both built once, and a drained column joins whichever one it qualifies
+    for.  Shelf 1 keeps its order, minus the columns that left.  A shrink
+    costs O(log m) for gamma and a stack O(log n) in the heap, so the loop
+    is O(n (log n + log m)) plus one pass over shelf 2 per drain.  Each move
+    pushes a job toward shelf 0 (or out of shelf 2), so the loop runs at
+    most twice per job; a generous guard turns any unexpected cycling into
+    a loud error.
     """
+    inst, d = ss.inst, ss.d
+    lam_d = ss.lam * d
+    half = lam_d / 2
     n_jobs = sum(len(c.parts) for c in ss.s0 + ss.s1) + len(ss.s2)
     guard = 4 * n_jobs + 16
-    while True:
-        guard -= 1
-        if guard < 0:
-            raise ShelfInvariantError("transformation loop exceeded its bound", ss)
-        if _shrink_wide_short_job(ss) or _stack_two_shorts(ss) or _drain_shelf2(ss):
-            continue
-        break
+    m0, m1_used = ss.m0, ss.m1_used
+    shrinks: deque[ShelfColumn] = deque()
+    stacks: list[tuple[bool, Fraction, int, int, ShelfColumn]] = []
+    arrival = itertools.count()  # shelf-1 order, the last stack tie-break
+    left_s1: set[int] = set()  # id() of the columns that left shelf 1
+
+    def enqueue(col: ShelfColumn, height: Fraction) -> None:
+        if col.width > 1:
+            if height <= half:
+                shrinks.append(col)
+        elif height < half:
+            key = (col.split_of is None, -height, col.min_job_id(), next(arrival))
+            heapq.heappush(stacks, (*key, col))
+
+    for col in ss.s1:
+        enqueue(col, col.height)
+    try:
+        while True:
+            guard -= 1
+            if guard < 0:
+                raise ShelfInvariantError("transformation loop exceeded its bound", ss)
+            if shrinks:
+                col = shrinks.popleft()
+                if len(col.parts) != 1 or col.split_of is not None:
+                    raise ShelfInvariantError(
+                        "composite column met the shrink rule", ss
+                    )
+                job = inst.job(col.parts[0].job_id)
+                g = gamma(job, lam_d, inst.m)
+                if g is None or g > col.width:
+                    raise ShelfInvariantError("shrink would widen a job", ss)
+                m1_used -= col.width
+                m0 += g
+                col.width = g
+                col.parts[0] = ColumnPart(job.id, job.times[g - 1])
+                left_s1.add(id(col))
+                ss.s0.append(col)
+            elif len(stacks) >= 2:
+                bottom = heapq.heappop(stacks)[-1]
+                top = heapq.heappop(stacks)[-1]
+                if top.split_of is not None:
+                    raise ShelfInvariantError("two split lanes on shelf 1", ss)
+                m1_used -= 2
+                m0 += 1
+                left_s1.update((id(bottom), id(top)))
+                ss.s0.append(
+                    ShelfColumn(1, bottom.parts + top.parts, bottom.split_of, bottom.lane)
+                )
+            else:
+                q = inst.m - m0 - m1_used
+                if q < 1:
+                    break
+                i = next(
+                    (i for i, j in enumerate(ss.s2)
+                     if inst.job(j.job_id).times[q - 1] <= lam_d),
+                    None,
+                )
+                if i is None:
+                    break
+                job = inst.job(ss.s2[i].job_id)
+                g = gamma(job, lam_d, inst.m)
+                if g is None or g > q:
+                    raise ShelfInvariantError(
+                        "shelf-2 drain does not fit idle machines", ss
+                    )
+                del ss.s2[i]
+                height = job.times[g - 1]
+                col = ShelfColumn(g, [ColumnPart(job.id, height)])
+                if height <= d:
+                    m1_used += g
+                    ss.s1.append(col)
+                    enqueue(col, height)
+                else:
+                    m0 += g
+                    ss.s0.append(col)
+    finally:
+        # Also on a raise, so the attached shelf shows the state of the failed move.
+        ss.s1[:] = [c for c in ss.s1 if id(c) not in left_s1]
     _check_transformed(ss)
     return ss
-
-
-def _shrink_wide_short_job(ss: ShelfSchedule) -> bool:
-    # A shelf-1 job no taller than (lam/2)d on more than one machine can drop
-    # to gamma(j, lam*d) machines and own them fully in shelf 0.
-    half = ss.lam / 2 * ss.d
-    for col in ss.s1:
-        if col.width > 1 and col.height <= half:
-            if len(col.parts) != 1 or col.split_of is not None:
-                raise ShelfInvariantError("composite column met the shrink rule", ss)
-            job = ss.inst.job(col.parts[0].job_id)
-            g = gamma(job, ss.lam * ss.d, ss.inst.m)
-            if g is None or g > col.width:
-                raise ShelfInvariantError("shrink would widen a job", ss)
-            col.width = g
-            col.parts[0] = ColumnPart(job.id, job.times[g - 1])
-            ss.s1.remove(col)
-            ss.s0.append(col)
-            return True
-    return False
-
-
-def _stack_two_shorts(ss: ShelfSchedule) -> bool:
-    # Two one-machine shelf-1 jobs strictly shorter than (lam/2)d share one
-    # machine in shelf 0, freeing a machine.  A split lane may participate
-    # but must stay at the bottom so its two machines keep a common start.
-    half = ss.lam / 2 * ss.d
-    cands = [c for c in ss.s1 if c.width == 1 and c.height < half]
-    if len(cands) < 2:
-        return False
-    cands.sort(key=lambda c: (c.split_of is None, -c.height, c.min_job_id()))
-    bottom, top = cands[0], cands[1]
-    if top.split_of is not None:
-        raise ShelfInvariantError("two split lanes on shelf 1", ss)
-    merged = ShelfColumn(
-        1, bottom.parts + top.parts, split_of=bottom.split_of, lane=bottom.lane
-    )
-    ss.s1.remove(bottom)
-    ss.s1.remove(top)
-    ss.s0.append(merged)
-    return True
-
-
-def _drain_shelf2(ss: ShelfSchedule) -> bool:
-    # A shelf-2 job that would finish within lam*d on the q idle machines
-    # leaves shelf 2 for gamma(j, lam*d) machines in shelf 1 or 0.
-    q = ss.q
-    if q < 1:
-        return False
-    lam_d = ss.lam * ss.d
-    for j in ss.s2:
-        job = ss.inst.job(j.job_id)
-        if job.times[q - 1] <= lam_d:
-            g = gamma(job, lam_d, ss.inst.m)
-            if g is None or g > q:
-                raise ShelfInvariantError("shelf-2 drain does not fit idle machines", ss)
-            col = ShelfColumn(g, [ColumnPart(j.job_id, job.times[g - 1])])
-            ss.s2.remove(j)
-            (ss.s1 if col.height <= ss.d else ss.s0).append(col)
-            return True
-    return False
 
 
 def _check_transformed(ss: ShelfSchedule) -> None:

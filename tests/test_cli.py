@@ -202,8 +202,12 @@ class TestBenchCommand:
         assert run("bench", cfg, "--out", out) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 rows
-        assert lines[0].startswith("n,m,seed,epsilon,makespan")
+        assert lines[0] == (
+            "n,m,seed,epsilon,makespan,accepted_d,lambda_used,ratio_vs_lower_bound,"
+            "wall_ms,iterations,mckp_ms,shelf_ms,small_ms,verify_ms,error"
+        )
         first = lines[1].split(",")
+        assert all(float(ms) >= 0 for ms in first[10:14])  # per-phase times filled
         assert (first[0], first[1], first[2]) == ("4", "6", "1")  # sorted rows
         assert all(row.endswith(",") or row.split(",")[-1] == "" for row in lines[1:])
 

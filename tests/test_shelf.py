@@ -1,3 +1,5 @@
+import collections
+import copy
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 from moldsched import (
     LAMBDA_Q0,
+    LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
     ColumnPart,
     Infeasible,
@@ -26,9 +29,11 @@ from moldsched import (
     solve_mckp,
     validate_schedule,
 )
+from moldsched.shelf import _check_transformed
 from util import const_work_job, instance, job, random_instance
 
 D1 = rat(1)
+_STRETCHES = (LAMBDA_Q0, LAMBDA_SMALL_Q, LAMBDA_STAR_UPPER)
 
 
 class TestBuildThreeShelf:
@@ -146,9 +151,7 @@ class TestTransformations:
             job(2, rat("1.5"), rat("1.3"), rat("1.2"), rat("1.1")),
         )
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("1.3"))]))  # placed tall: shelf-0-ish
-        ss.s1[0] = ShelfColumn(1, [ColumnPart(1, rat("0.8"))])     # keep shelf 1 legal
-        inst2 = inst
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.8"))]))
         ss.s2.append(S2Job(2, 3, rat("1.2")))
         # q = 3 and t(2, 3) = 1.2 <= (10/7)d, so the job leaves shelf 2 for
         # gamma(2, 10/7) = 2 machines at height 1.3 > d: shelf 0.
@@ -156,12 +159,214 @@ class TestTransformations:
         assert not ss.s2
         assert any(c.width == 2 and c.height == rat("1.3") for c in ss.s0)
 
+    def test_drained_short_job_stacks_with_a_waiting_short(self):
+        # Shelf 1 holds one short column, so nothing stacks at first.  The
+        # class-3 job 2 leaves shelf 2 for one machine at 0.6 < (5/7)d, joins
+        # shelf 1 and, being taller, goes under job 1 in the stacked column.
+        inst = instance(
+            3,
+            job(1, rat("0.55"), rat("0.3"), rat("0.2")),
+            job(2, rat("0.6"), rat("0.3"), rat("0.2")),
+        )
+        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.55"))]))
+        ss.s2.append(S2Job(2, 2, rat("0.3")))
+        assert ss.q == 2
+        apply_transformations(ss)
+        assert not ss.s1 and not ss.s2
+        (col,) = ss.s0
+        assert col.width == 1
+        assert [(p.job_id, p.height) for p in col.parts] == [
+            (2, rat("0.6")),
+            (1, rat("0.55")),
+        ]
+
     def test_leftover_short_is_at_most_one(self):
         inst = instance(1, job(1, rat("0.6")))
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.6"))]))
         apply_transformations(ss)  # single short job: nothing to stack, no error
         assert len(ss.s1) == 1
+
+
+def _reference_transformations(ss):
+    """The restart-scan loop: after every move all three scans start again
+    from the head of their shelf.  Slow, but its rules read off the code."""
+    n_jobs = sum(len(c.parts) for c in ss.s0 + ss.s1) + len(ss.s2)
+    guard = 4 * n_jobs + 16
+    while True:
+        guard -= 1
+        if guard < 0:
+            raise ShelfInvariantError("transformation loop exceeded its bound", ss)
+        if _ref_shrink(ss) or _ref_stack(ss) or _ref_drain(ss):
+            continue
+        break
+    _check_transformed(ss)
+    return ss
+
+
+def _ref_shrink(ss):
+    half = ss.lam / 2 * ss.d
+    for col in ss.s1:
+        if col.width > 1 and col.height <= half:
+            if len(col.parts) != 1 or col.split_of is not None:
+                raise ShelfInvariantError("composite column met the shrink rule", ss)
+            job = ss.inst.job(col.parts[0].job_id)
+            g = gamma(job, ss.lam * ss.d, ss.inst.m)
+            if g is None or g > col.width:
+                raise ShelfInvariantError("shrink would widen a job", ss)
+            col.width = g
+            col.parts[0] = ColumnPart(job.id, job.times[g - 1])
+            ss.s1.remove(col)
+            ss.s0.append(col)
+            return True
+    return False
+
+
+def _ref_stack(ss):
+    half = ss.lam / 2 * ss.d
+    cands = [c for c in ss.s1 if c.width == 1 and c.height < half]
+    if len(cands) < 2:
+        return False
+    cands.sort(key=lambda c: (c.split_of is None, -c.height, c.min_job_id()))
+    bottom, top = cands[0], cands[1]
+    if top.split_of is not None:
+        raise ShelfInvariantError("two split lanes on shelf 1", ss)
+    merged = ShelfColumn(
+        1, bottom.parts + top.parts, split_of=bottom.split_of, lane=bottom.lane
+    )
+    ss.s1.remove(bottom)
+    ss.s1.remove(top)
+    ss.s0.append(merged)
+    return True
+
+
+def _ref_drain(ss):
+    q = ss.q
+    if q < 1:
+        return False
+    lam_d = ss.lam * ss.d
+    for j in ss.s2:
+        job = ss.inst.job(j.job_id)
+        if job.times[q - 1] <= lam_d:
+            g = gamma(job, lam_d, ss.inst.m)
+            if g is None or g > q:
+                raise ShelfInvariantError("shelf-2 drain does not fit idle machines", ss)
+            col = ShelfColumn(g, [ColumnPart(j.job_id, job.times[g - 1])])
+            ss.s2.remove(j)
+            (ss.s1 if col.height <= ss.d else ss.s0).append(col)
+            return True
+    return False
+
+
+def _shelves(ss):
+    def cols(cs):
+        return [
+            (c.width, [(p.job_id, p.height) for p in c.parts], c.split_of, c.lane)
+            for c in cs
+        ]
+
+    return cols(ss.s0), cols(ss.s1), [(j.job_id, j.width, j.height) for j in ss.s2]
+
+
+def _outcome(transform, ss):
+    ss = copy.deepcopy(ss, {id(ss.inst): ss.inst})
+    try:
+        transform(ss)
+        error = None
+    except Exception as exc:  # compared against the reference's
+        error = (type(exc), str(exc))
+    return error, _shelves(ss)
+
+
+def _forced_partition(rng, inst, big, d):
+    """A random class per big job among those it can meet, class 2 first."""
+    assignment = {}
+    for job_id in sorted(big):
+        j = inst.job(job_id)
+        feasible = [
+            c
+            for c, h in ((1, d), (2, Fraction(4, 7) * d), (3, (LAMBDA_Q0 - 1) * d))
+            if gamma(j, h, inst.m) is not None
+        ]
+        if not feasible:
+            return None
+        if 2 in feasible and rng.random() < 0.8:
+            assignment[job_id] = 2
+        else:
+            assignment[job_id] = rng.choice(feasible)
+    return assignment
+
+
+def _hand_built_shelf(rng):
+    """Arbitrary shelves, times not always monotone: reaches the raises."""
+    m = rng.randint(2, 7)
+    jobs = [
+        job(i, *[Fraction(rng.randint(10, 160), 100) for _ in range(m)])
+        for i in range(1, rng.randint(3, 9))
+    ]
+    inst = instance(m, *jobs)
+    ss = ShelfSchedule(inst, D1, rng.choice(_STRETCHES))
+    lanes = rng.choice((0, 0, 1, 2))
+    free = m + rng.randint(0, 1)  # now and then one machine too many
+    for k, j in enumerate(jobs):
+        w = rng.randint(1, min(3, m)) if k >= lanes else 1
+        where = rng.random()
+        if where < 0.3 or w > free:
+            ss.s2.append(S2Job(j.id, w, j.times[w - 1]))
+            continue
+        free -= w
+        col = ShelfColumn(w, [ColumnPart(j.id, j.times[w - 1])])
+        if k < lanes:
+            col.split_of, col.lane = j.id, 1
+        if rng.random() < 0.2:
+            col.parts.append(ColumnPart(j.id + 100, Fraction(rng.randint(5, 40), 100)))
+        (ss.s0 if where > 0.8 and k >= lanes else ss.s1).append(col)
+    return ss
+
+
+class TestTransformationsMatchReference:
+    def test_same_moves_as_the_restart_scan(self):
+        # Solver and forced partitions built at all three stretches, then
+        # hand-built shelves; each runs through both loops on its own copy.
+        rng = random.Random(20261018)
+        shelves = []
+        while len(shelves) < 900:
+            inst = random_instance(rng, rng.randint(2, 16), rng.randint(2, 12))
+            d = sum(j.times[0] for j in inst.jobs) * Fraction(rng.randint(15, 60), 100)
+            d = max(d, max(j.times[-1] for j in inst.jobs))
+            cls = classify_jobs(inst, d)
+            if not cls.big:
+                continue
+            items = build_items(inst, cls.big, d)
+            sol = None if isinstance(items, Reject) else solve_mckp(items, inst.m)
+            forced = _forced_partition(rng, inst, cls.big, d)
+            for partition in (sol, forced):
+                if partition is None or isinstance(partition, Infeasible):
+                    continue
+                for lam in _STRETCHES:
+                    try:
+                        shelves.append(build_three_shelf(inst, partition, d, lam))
+                    except ShelfInvariantError:
+                        pass  # over the build's 2m capacity
+        shelves += [_hand_built_shelf(rng) for _ in range(600)]
+
+        seen = collections.Counter()
+        for ss in shelves:
+            error, after = _outcome(_reference_transformations, ss)
+            assert _outcome(apply_transformations, ss) == (error, after), ss.summary()
+            stacks = [(parts, lane) for _, parts, _, lane in after[0] if len(parts) > 1]
+            stacked = {jid for parts, _ in stacks for jid, _ in parts}
+            seen.update(
+                raised=error is not None,
+                moved=after != _shelves(ss),
+                split=ss.split_job is not None,
+                drained_then_stacked=bool(stacked & {j.job_id for j in ss.s2}),
+                lane_stacked=any(lane == 1 for _, lane in stacks),
+            )
+        assert seen["moved"] >= 450 and seen["raised"] >= 150
+        assert seen["split"] >= 20 and seen["lane_stacked"] >= 25
+        assert seen["drained_then_stacked"] >= 40
 
 
 def _compression_fixture():
