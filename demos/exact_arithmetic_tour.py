@@ -8,18 +8,9 @@ and the stretch constant that caps the worst case.
 
 from fractions import Fraction
 
-from moldsched import (
-    LAMBDA_STAR_UPPER,
-    Job,
-    classify_jobs,
-    build_items,
-    gamma,
-    lambda_star,
-    rat,
-    solve_mckp,
-    work,
-)
-from moldsched.model import Instance
+from moldsched import LAMBDA_STAR_UPPER, Instance, Job, rat
+from moldsched.mckp import build_items, solve_mckp
+from moldsched.model import classify_jobs, gamma, lambda_star, work
 
 # A job that runs in 1 on one machine, 0.5 on two, 0.34 on three.
 job = Job(1, (rat(1), rat("0.5"), rat("0.34")))

@@ -9,15 +9,9 @@ SVG Gantt chart of the result.
 from fractions import Fraction
 from pathlib import Path
 
-from moldsched import (
-    GenConfig,
-    generate,
-    initial_bounds,
-    ratio_report,
-    solve,
-    validate_instance,
-)
+from moldsched import GenConfig, generate, ratio_report, solve, validate_instance
 from moldsched.cli import gantt_svg
+from moldsched.driver import initial_bounds
 
 inst = generate(GenConfig(n=60, m=24, seed=2024))
 assert validate_instance(inst) == []

@@ -10,7 +10,8 @@ while staying within the proven stretch.
 
 from fractions import Fraction
 
-from moldsched import adversarial_instance, brute_force_opt, solve, work
+from moldsched import adversarial_instance, solve
+from moldsched.model import work
 
 inst = adversarial_instance()
 works = [work(j, 1) for j in inst.jobs]

@@ -4,54 +4,27 @@ A makespan guess d is either turned into a verified contiguous schedule of
 length at most lam*d (lam in {10/7, 13/9, ~1.45933}) or certified as below
 the optimum; a geometric binary search over d yields a
 lambda*(1+eps)-approximation.  All decision arithmetic is exact rational.
+
+This package exports the user API only; internals (shelf construction,
+the knapsack, classification) are imported from their own modules, e.g.
+``from moldsched.shelf import build_three_shelf``.
 """
 
-from .driver import SearchBounds, SolveResult, initial_bounds, solve, try_guess
+from .driver import SolveResult, solve, try_guess
 from .gen import GenConfig, adversarial_instance, generate
-from .mckp import (
-    Infeasible,
-    MckpItem,
-    MckpOption,
-    MckpSolution,
-    Reject,
-    brute_mckp,
-    build_items,
-    solve_mckp,
-)
+from .mckp import Reject
 from .model import (
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
-    SMALL_THRESHOLD_FRAC,
     Instance,
     Job,
-    JobClassification,
     PlacedJob,
-    Rat,
     Schedule,
-    classify_jobs,
-    gamma,
-    lambda_star,
-    make_schedule,
     rat,
-    shelf2_frac,
     validate_instance,
-    work,
 )
-from .shelf import (
-    ColumnPart,
-    IdleRun,
-    S2Job,
-    ShelfColumn,
-    ShelfInvariantError,
-    ShelfSchedule,
-    add_small_jobs,
-    apply_transformations,
-    build_three_shelf,
-    layout_contiguous,
-    repair_s2_large_q,
-    repair_s2_small_q,
-)
+from .shelf import ShelfInvariantError
 from .verify import (
     VerificationReport,
     Violation,
@@ -64,50 +37,25 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GenConfig",
-    "Infeasible",
     "Instance",
     "Job",
-    "JobClassification",
     "LAMBDA_Q0",
     "LAMBDA_SMALL_Q",
     "LAMBDA_STAR_UPPER",
-    "MckpItem",
-    "MckpOption",
-    "MckpSolution",
     "PlacedJob",
-    "Rat",
     "Reject",
-    "SMALL_THRESHOLD_FRAC",
     "Schedule",
-    "SearchBounds",
     "ShelfInvariantError",
-    "ShelfSchedule",
     "SolveResult",
     "VerificationReport",
     "Violation",
-    "add_small_jobs",
     "adversarial_instance",
-    "apply_transformations",
     "brute_force_opt",
-    "brute_mckp",
-    "build_items",
-    "build_three_shelf",
-    "classify_jobs",
-    "gamma",
     "generate",
-    "initial_bounds",
-    "lambda_star",
-    "layout_contiguous",
-    "make_schedule",
     "rat",
     "ratio_report",
-    "repair_s2_large_q",
-    "repair_s2_small_q",
-    "shelf2_frac",
     "solve",
-    "solve_mckp",
     "try_guess",
     "validate_instance",
     "validate_schedule",
-    "work",
 ]

@@ -54,12 +54,23 @@ def instance_to_obj(inst: Instance) -> dict:
     }
 
 
+def _json(value, kind: type, what: str):
+    """Return value if it is a JSON integer (kind=int) or list (kind=list)."""
+    if type(value) is not kind:  # also rejects bool, a subclass of int
+        raise TypeError(f"{what} must be a JSON {kind.__name__}, got {value!r:.40}")
+    return value
+
+
 def instance_from_obj(obj: dict) -> Instance:
-    m = int(obj["m"])
+    m = _json(obj["m"], int, "m")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     jobs = tuple(
-        Job(int(j["id"]), tuple(rat(t) for t in j["times"])) for j in obj["jobs"]
+        Job(
+            _json(j["id"], int, "job id"),
+            tuple(map(rat, _json(j["times"], list, "times"))),
+        )
+        for j in _json(obj["jobs"], list, "jobs")
     )
     return Instance(m, jobs)
 
@@ -85,13 +96,13 @@ def schedule_to_obj(sched: Schedule, lam: Fraction, accepted_d: Fraction) -> dic
 def schedule_from_obj(obj: dict) -> tuple[Schedule, Fraction, Fraction]:
     placements = tuple(
         PlacedJob(
-            int(p["job"]),
-            int(p["first_machine"]),
-            int(p["width"]),
+            _json(p["job"], int, "job"),
+            _json(p["first_machine"], int, "first_machine"),
+            _json(p["width"], int, "width"),
             rat(p["start"]),
             rat(p["duration"]),
         )
-        for p in obj["placements"]
+        for p in _json(obj["placements"], list, "placements")
     )
     sched = Schedule(placements, rat(obj["makespan"]))
     return sched, rat(obj["lambda"]), rat(obj["accepted_d"])
@@ -146,10 +157,10 @@ def _epsilon(text: str) -> Fraction:
 # gantt
 
 
-def gantt_svg(inst: Instance, sched: Schedule, width: int = 900, row: int = 22) -> str:
+def gantt_svg(inst: Instance, sched: Schedule) -> str:
     """One rectangle per placement, machines on the y-axis, time on the x-axis."""
     m = inst.m
-    margin = 60
+    width, row, margin = 900, 22, 60
     height = m * row + 2 * margin
     span = float(sched.makespan) or 1.0
     scale = (width - 2 * margin) / span
@@ -194,8 +205,7 @@ def cmd_solve(
     gantt_path: Optional[str] = None,
 ) -> int:
     try:
-        obj = _load_json(instance_path)
-        inst = instance_from_obj(obj)
+        inst = load_instance(instance_path)
     except _INPUT_ERRORS as exc:
         return _input_error("instance file", exc)
     problems = validate_instance(inst)
@@ -299,14 +309,14 @@ def cmd_bench(config_path: str, out_csv: str) -> int:
     try:
         cfg = _load_json(config_path)
         tasks = []
-        for run in cfg["runs"]:
-            n, m = int(run["n"]), int(run["m"])
+        for run in _json(cfg["runs"], list, "runs"):
+            n, m = _json(run["n"], int, "n"), _json(run["m"], int, "m")
             if n < 0 or m < 1:
                 raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
             eps = str(run.get("epsilon", "1/20"))
             _epsilon(eps)
-            for seed in run["seeds"]:
-                tasks.append((n, m, int(seed), eps))
+            for seed in _json(run["seeds"], list, "seeds"):
+                tasks.append((n, m, _json(seed, int, "seed"), eps))
     except _INPUT_ERRORS as exc:
         return _input_error("bench config", exc)
     try:

@@ -5,6 +5,10 @@ rational (``fractions.Fraction``).  The solver branches on comparisons such as
 ``t(j,1) <= (3/7)*d`` and ``q <= m/6``; doing these in floating point would
 make results depend on rounding, so all decision arithmetic is exact.  Floats
 appear only in wall-clock timing and plotting.
+
+The stretch constant ``LAMBDA_STAR_UPPER`` is a Fraction literal, equal to
+``lambda_star()`` at its default tolerance; only calling ``lambda_star``
+needs mpmath.
 """
 
 from __future__ import annotations
@@ -13,10 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Union
-
-import mpmath
-
-Rat = Fraction
 
 RatLike = Union[Fraction, int, str, float]
 
@@ -41,11 +41,6 @@ LAMBDA_SMALL_Q = Fraction(13, 9)   # 0 < q <= m/6
 # Jobs with t(j,1) <= SMALL_THRESHOLD_FRAC * d are "small" and scheduled
 # greedily at the end; everything else goes through the knapsack partition.
 SMALL_THRESHOLD_FRAC = Fraction(3, 7)
-
-
-def shelf2_frac(lam: Fraction) -> Fraction:
-    """Height fraction of shelf 2: jobs there run in at most (lam-1)*d."""
-    return lam - 1
 
 
 def lambda_star(tolerance: Fraction = Fraction(1, 10**6)) -> Fraction:
@@ -75,14 +70,16 @@ def lambda_star(tolerance: Fraction = Fraction(1, 10**6)) -> Fraction:
 
 def _log_gap_sign(x: Fraction) -> int:
     """Sign of ln(x) - 3x + 4, evaluated with 60 significant digits."""
+    import mpmath
+
     with mpmath.workdps(60):
         val = mpmath.log(mpmath.mpf(x.numerator) / x.denominator) - 3 * x + 4
         return int(mpmath.sign(val))
 
 
-# Upper bracket at the default tolerance; strictly above the root, so the
+# lambda_star() at the default tolerance: strictly above the root, so the
 # q > m/6 repair is guaranteed to succeed when run at this stretch.
-LAMBDA_STAR_UPPER = lambda_star()
+LAMBDA_STAR_UPPER = Fraction(956383, 655360)
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,6 @@ class Job:
 
     id: int
     times: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(job_id: int, times: Iterable[RatLike]) -> "Job":
-        return Job(job_id, tuple(rat(t) for t in times))
 
 
 @dataclass(frozen=True)

@@ -20,22 +20,19 @@ from moldsched import (
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
     GenConfig,
-    Infeasible,
     PlacedJob,
     Reject,
     ShelfInvariantError,
     adversarial_instance,
     brute_force_opt,
-    brute_mckp,
     generate,
-    lambda_star,
-    make_schedule,
     rat,
     solve,
-    solve_mckp,
     try_guess,
     validate_schedule,
 )
+from moldsched.mckp import Infeasible, brute_mckp, solve_mckp
+from moldsched.model import lambda_star, make_schedule
 from moldsched.driver import _attempt, _build
 from moldsched.cli import main as cli_main
 from test_mckp import random_items

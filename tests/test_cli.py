@@ -114,6 +114,14 @@ class TestSolveCommand:
         ["solve", "ok.json", "--gantt", "nodir/x"],
         ["gen", "-n", "3", "-m", "2", "--out", "nodir/x"],
         ["bench", "grid.json", "--out", "nodir/x"],
+        ["solve", "str_times.json"],
+        ["solve", "float_m.json"],
+        ["solve", "bool_m.json"],
+        ["solve", "float_id.json"],
+        ["verify", "ok.json", "float_width.json"],
+        ["bench", "str_seeds.json", "--out", "rows.csv"],
+        ["bench", "float_seed.json", "--out", "rows.csv"],
+        ["bench", "float_n.json", "--out", "rows.csv"],
     ],
     ids=" ".join,
 )
@@ -127,6 +135,19 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypat
         "grid.json": {"runs": [{"n": 2, "m": 2, "seeds": [1]}]},
         "neg_n.json": {"runs": [{"n": -1, "m": 2, "seeds": [1]}]},
         "eps2.json": {"runs": [{"n": 2, "m": 2, "seeds": [1], "epsilon": "2"}]},
+        # Wrong JSON types that int() or iteration would otherwise coerce.
+        "str_times.json": {"m": 3, "jobs": [{"id": 1, "times": "111"}]},
+        "float_m.json": {"m": 2.7, "jobs": [{"id": 1, "times": ["2", "1"]}]},
+        "bool_m.json": {"m": True, "jobs": [{"id": 1, "times": ["2"]}]},
+        "float_id.json": {"m": 2, "jobs": [{"id": 1.9, "times": ["2", "1"]}]},
+        "float_width.json": {
+            "makespan": "2", "lambda": "10/7", "accepted_d": "2",
+            "placements": [{"job": 1, "first_machine": 0, "width": 1.5,
+                            "start": "0", "duration": "2"}],
+        },
+        "str_seeds.json": {"runs": [{"n": 2, "m": 2, "seeds": "12"}]},
+        "float_seed.json": {"runs": [{"n": 2, "m": 2, "seeds": [1.5]}]},
+        "float_n.json": {"runs": [{"n": 2.5, "m": 2, "seeds": [1]}]},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))

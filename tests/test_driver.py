@@ -14,12 +14,12 @@ from moldsched import (
     brute_force_opt,
     driver,
     generate,
-    initial_bounds,
     rat,
     solve,
     try_guess,
     validate_schedule,
 )
+from moldsched.driver import initial_bounds
 from util import const_work_job, instance, job, random_instance
 
 RATIO_CAP = rat("1.4594") * rat("1.05")

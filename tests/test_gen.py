@@ -8,8 +8,8 @@ from moldsched import (
     generate,
     rat,
     validate_instance,
-    work,
 )
+from moldsched.model import work
 
 # Chi-square critical value, 9 degrees of freedom, p = 0.001.
 _CHI2_9_P001 = 27.877

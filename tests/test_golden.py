@@ -20,15 +20,9 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from moldsched import (
-    Instance,
-    Reject,
-    adversarial_instance,
-    build_items,
-    classify_jobs,
-    rat,
-    solve,
-)
+from moldsched import Instance, Reject, adversarial_instance, rat, solve
+from moldsched.mckp import build_items
+from moldsched.model import classify_jobs
 from util import const_work_job, instance, job, random_instance
 
 GOLDEN = Path(__file__).with_name("golden_hashes.json")

@@ -4,17 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from moldsched import (
+from moldsched import Reject, rat
+from moldsched.mckp import (
     Infeasible,
     MckpItem,
     MckpOption,
-    Reject,
     brute_mckp,
     build_items,
-    classify_jobs,
-    rat,
     solve_mckp,
 )
+from moldsched.model import classify_jobs
 from util import const_work_job, instance, job, random_instance
 
 

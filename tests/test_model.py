@@ -8,13 +8,14 @@ from moldsched import (
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
+    rat,
+    validate_instance,
+)
+from moldsched.model import (
     SMALL_THRESHOLD_FRAC,
     classify_jobs,
     gamma,
     lambda_star,
-    rat,
-    shelf2_frac,
-    validate_instance,
     work,
 )
 from util import instance, job, random_monotone_job
@@ -122,6 +123,12 @@ class TestLambdaStar:
     def test_default_tolerance_window(self):
         assert rat("1.45932") < LAMBDA_STAR_UPPER < rat("1.45933")
 
+    def test_literal_is_default_bracket(self):
+        # The literal carries the q > m/6 stretch guarantee, so it must be
+        # exactly the bisection's strict upper bracket.
+        assert lambda_star() == LAMBDA_STAR_UPPER
+        assert f_sign(LAMBDA_STAR_UPPER) < 0
+
     def test_coarse_tolerance(self):
         lam = lambda_star(Fraction(1, 10**4))
         assert rat("1.4592") <= lam <= rat("1.4594")
@@ -141,7 +148,7 @@ class TestLambdaStar:
 
     def test_constant_ladder(self):
         assert LAMBDA_Q0 < LAMBDA_SMALL_Q < LAMBDA_STAR_UPPER < Fraction(3, 2)
-        assert shelf2_frac(LAMBDA_Q0) == Fraction(3, 7)
+        assert LAMBDA_Q0 - 1 == Fraction(3, 7)
         assert SMALL_THRESHOLD_FRAC == Fraction(3, 7)
 
 

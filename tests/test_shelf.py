@@ -9,27 +9,25 @@ from moldsched import (
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
-    ColumnPart,
-    Infeasible,
     Reject,
-    S2Job,
-    ShelfColumn,
     ShelfInvariantError,
-    ShelfSchedule,
-    add_small_jobs,
-    apply_transformations,
-    build_items,
-    build_three_shelf,
-    classify_jobs,
-    gamma,
-    make_schedule,
     rat,
-    repair_s2_large_q,
-    repair_s2_small_q,
-    solve_mckp,
     validate_schedule,
 )
-from moldsched.shelf import _check_transformed
+from moldsched.mckp import Infeasible, build_items, solve_mckp
+from moldsched.model import classify_jobs, gamma, make_schedule
+from moldsched.shelf import (
+    ColumnPart,
+    S2Job,
+    ShelfColumn,
+    ShelfSchedule,
+    _check_transformed,
+    add_small_jobs,
+    apply_transformations,
+    build_three_shelf,
+    repair_s2_large_q,
+    repair_s2_small_q,
+)
 from util import const_work_job, instance, job, random_instance
 
 D1 = rat(1)

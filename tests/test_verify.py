@@ -6,14 +6,13 @@ from moldsched import (
     PlacedJob,
     Schedule,
     brute_force_opt,
-    initial_bounds,
-    make_schedule,
     rat,
     ratio_report,
     solve,
     validate_schedule,
-    work,
 )
+from moldsched.driver import initial_bounds
+from moldsched.model import make_schedule, work
 from util import instance, job, random_instance
 
 
