@@ -101,9 +101,9 @@ def _build(
 ) -> tuple[Schedule, Fraction]:
     """Schedule and stretch lam for an accepted d, verified within lam*d."""
     t0 = time.perf_counter()
-    sched, lam = _shelf_pipeline(inst, solution, d)
+    layout, lam = _shelf_pipeline(inst, solution.assignment, d)
     t1 = time.perf_counter()
-    sched = shelf.add_small_jobs(sched, inst, cls.small, lam, d)
+    sched = shelf.add_small_jobs(layout, inst, cls.small)
     t2 = time.perf_counter()
     report = validate_schedule(inst, sched, require_contiguous=True)
     if not report.ok() or sched.makespan > lam * d:
@@ -117,8 +117,8 @@ def _build(
 
 
 def _shelf_pipeline(
-    inst: Instance, solution: mckp.MckpSolution, d: Fraction
-) -> tuple[Schedule, Fraction]:
+    inst: Instance, assignment: dict[int, int], d: Fraction
+) -> tuple[shelf.Layout, Fraction]:
     """Build/transform at 10/7 and escalate the stretch by idle-machine regime.
 
     q == 0 keeps 10/7; 0 < q <= m'/6 rebuilds at 13/9; q > m'/6 rebuilds at
@@ -127,7 +127,7 @@ def _shelf_pipeline(
     """
 
     def build(lam: Fraction) -> shelf.ShelfSchedule:
-        ss = shelf.build_three_shelf(inst, solution, d, lam)
+        ss = shelf.build_three_shelf(inst, assignment, d, lam)
         return shelf.apply_transformations(ss)
 
     def regime(ss: shelf.ShelfSchedule) -> int:

@@ -26,8 +26,11 @@ def rat(value: RatLike) -> Fraction:
 
     Strings accept both "p/q" and decimal forms ("6.01" -> 601/100).  Floats
     are converted through their decimal literal (``str``) so that ``rat(6.01)``
-    means 601/100 rather than the nearest binary double.
+    means 601/100 rather than the nearest binary double.  A bool is not a
+    number here and raises TypeError, so a JSON ``true`` is never read as 1.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)

@@ -21,7 +21,8 @@ The pipeline for one accepted guess d is:
                       (ascending, hanging at lam*d).  With many idle
                       machines shelf 2 holds a single job, which is slid
                       over the least-loaded machine suffix.
-  add_small_jobs      greedy least-loaded insertion of the small jobs.
+  add_small_jobs      greedy least-loaded insertion of the small jobs into
+                      the idle gap that the layout records on each machine.
 
 No step ever increases a job's machine count, so total work never grows and
 stays within the knapsack budget m*d - W_S; that budget is what makes the
@@ -42,7 +43,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .mckp import MckpSolution
 from .model import (
     LAMBDA_Q0,
     Instance,
@@ -112,6 +112,15 @@ class IdleRun:
     width: int
 
 
+@dataclass(frozen=True)
+class Layout:
+    """A laid-out shelf schedule and each machine i's idle gap [bottom[i], top[i])."""
+
+    schedule: Schedule
+    bottom: list[Fraction]
+    top: list[Fraction]
+
+
 @dataclass
 class ShelfSchedule:
     inst: Instance
@@ -173,11 +182,11 @@ def _t(inst: Instance, job_id: int, k: int) -> Fraction:
 
 def build_three_shelf(
     inst: Instance,
-    partition: Union[MckpSolution, dict[int, int]],
+    assignment: dict[int, int],
     d: Fraction,
     lam: Fraction,
 ) -> ShelfSchedule:
-    """Place the partitioned big jobs onto shelves 0/1/2 for stretch lam.
+    """Place the big jobs, by class (job id -> 1..3), onto shelves 0/1/2.
 
     Class-2 jobs are compressed so that shelves 0 and 1 together need at most
     m machines: canonical count g >= 4 drops to floor(g/2) machines, g == 2
@@ -186,16 +195,13 @@ def build_three_shelf(
     leftover 1-machine job exists as well, it rides on top of one lane of the
     3-machine job, recorded as two split lanes.
 
-    Precondition: the partition's total half-machine size (the ``size2`` of
+    Precondition: the assignment's total half-machine size (the ``size2`` of
     each job's chosen option from ``build_items``) is at most 2m, as every
     ``solve_mckp`` solution is. Past that capacity shelves 0 and 1 may need
     more than m machines, and the build then raises ShelfInvariantError.
     """
     if not LAMBDA_Q0 <= lam < Fraction(3, 2):
         raise ValueError(f"lam must be in [10/7, 3/2), got {lam}")
-    assignment = (
-        partition.assignment if isinstance(partition, MckpSolution) else dict(partition)
-    )
     ss = ShelfSchedule(inst, d, lam)
     lam_d = lam * d
     h2 = Fraction(4, 7) * d
@@ -436,7 +442,7 @@ def _check_transformed(ss: ShelfSchedule) -> None:
 # repairs
 
 
-def repair_s2_small_q(ss: ShelfSchedule) -> Schedule:
+def repair_s2_small_q(ss: ShelfSchedule) -> Layout:
     """Fit shelf 2 when q <= m'/6 by compressing its flattest jobs.
 
     While shelf 2 needs more than the m' shared machines, the job with the
@@ -460,7 +466,7 @@ def repair_s2_small_q(ss: ShelfSchedule) -> Schedule:
     return _place_right_aligned(ss)
 
 
-def repair_s2_large_q(ss: ShelfSchedule) -> Schedule:
+def repair_s2_large_q(ss: ShelfSchedule) -> Layout:
     """Fit shelf 2 when q > m'/6: a single job slides over a machine suffix.
 
     Shelf 1 is sorted descending, so for each i the m' - i least loaded
@@ -556,7 +562,7 @@ def _descending(cols: Iterable[ShelfColumn]) -> list[ShelfColumn]:
     return sorted(cols, key=lambda c: (-c.height, c.min_job_id()))
 
 
-def _place_right_aligned(ss: ShelfSchedule) -> Schedule:
+def _place_right_aligned(ss: ShelfSchedule) -> Layout:
     """Shelf 1 descending from the left, shelf 2 ascending hanging at lam*d."""
     m_eff = ss.inst.m - ss.m0
     if ss.m2 > m_eff:
@@ -578,30 +584,37 @@ def layout_contiguous(
     ss: ShelfSchedule,
     s1_runs: Sequence[Union[ShelfColumn, IdleRun]],
     s2_plan: Sequence[tuple[S2Job, int]],
-) -> Schedule:
-    """Assign machine indices and emit the final placements.
+) -> Layout:
+    """Assign machine indices, emit the placements and record each gap.
 
     Shelf-0 columns take machines [0, m0) with any split lanes moved to the
     right edge; shelf-1 runs follow in the given order; shelf-2 jobs start at
     lam*d minus their height on the machines the caller planned.  The two
     lanes of a split job are recombined into one two-machine placement, which
     requires them to land on adjacent machines.
+
+    Each machine's idle time is one gap [bottom, top): bottom is the height
+    of its column stack (split lanes included), top the start of the shelf-2
+    job hanging on it, else lam*d.  At most one shelf-2 job per machine and
+    bottom <= top on every machine (so no shelf-2 job starts before 0) prove
+    the placements disjoint and within [0, lam*d].
     """
     inst = ss.inst
     lam_d = ss.lam * ss.d
     placements: list[PlacedJob] = []
     split_lanes: list[tuple[int, int, ColumnPart]] = []  # (lane, machine, part)
+    bottom = [Fraction(0)] * inst.m
+    hung: list[Optional[Fraction]] = [None] * inst.m  # shelf-2 start per machine
 
     def emit(col: ShelfColumn, first: int) -> None:
         y = Fraction(0)
         for idx, part in enumerate(col.parts):
             if col.split_of is not None and idx == 0:
-                if y != 0:
-                    raise ShelfInvariantError("split lane must start at time 0", ss)
                 split_lanes.append((col.lane or 0, first, part))
             else:
                 placements.append(PlacedJob(part.job_id, first, col.width, y, part.height))
             y += part.height
+        bottom[first:first + col.width] = [y] * col.width
 
     s0_normal = [c for c in ss.s0 if c.split_of is None]
     s0_lanes = sorted(
@@ -614,10 +627,8 @@ def layout_contiguous(
     if cursor != ss.m0:
         raise ShelfInvariantError("shelf-0 width accounting is off", ss)
     for run in s1_runs:
-        if isinstance(run, IdleRun):
-            cursor += run.width
-            continue
-        emit(run, cursor)
+        if isinstance(run, ShelfColumn):
+            emit(run, cursor)
         cursor += run.width
     if cursor > inst.m:
         raise ShelfInvariantError("layout overruns the machine count", ss)
@@ -638,61 +649,40 @@ def layout_contiguous(
     for j, first in s2_plan:
         if first < ss.m0 or first + j.width > inst.m:
             raise ShelfInvariantError("shelf-2 placement outside the shared region", ss)
-        placements.append(
-            PlacedJob(j.job_id, first, j.width, lam_d - j.height, j.height)
-        )
+        start = lam_d - j.height
+        for mach in range(first, first + j.width):
+            if hung[mach] is not None:
+                raise ShelfInvariantError(f"two shelf-2 jobs on machine {mach}", ss)
+            hung[mach] = start
+        placements.append(PlacedJob(j.job_id, first, j.width, start, j.height))
 
-    sched = make_schedule(placements)
-    _assert_loads(sched, inst.m, lam_d, ss)
-    return sched
-
-
-def _assert_loads(sched: Schedule, m: int, cap: Fraction, ss: ShelfSchedule) -> None:
-    """Per-machine disjointness and the lam*d ceiling, checked exactly."""
-    per_machine: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(m)]
-    for p in sched.placements:
-        if p.start < 0 or p.end > cap:
+    top = [lam_d if t is None else t for t in hung]
+    for mach in range(inst.m):
+        if bottom[mach] > top[mach]:
             raise ShelfInvariantError(
-                f"job {p.job_id} runs [{p.start}, {p.end}) outside [0, {cap}]", ss
+                f"machine {mach}: columns end at {bottom[mach]} past {top[mach]}", ss
             )
-        for mach in p.machines:
-            per_machine[mach].append((p.start, p.end))
-    for mach, ivs in enumerate(per_machine):
-        ivs.sort()
-        for (s1_, e1), (s2_, _) in zip(ivs, ivs[1:]):
-            if s2_ < e1:
-                raise ShelfInvariantError(
-                    f"overlap on machine {mach} at time {s2_}", ss
-                )
+    return Layout(make_schedule(placements), bottom, top)
 
 
-def add_small_jobs(
-    sched: Schedule,
-    inst: Instance,
-    small: Iterable[int],
-    lam: Fraction,
-    d: Fraction,
-) -> Schedule:
-    """Greedy insertion of the one-machine small jobs.
+def add_small_jobs(layout: Layout, inst: Instance, small: Iterable[int]) -> Schedule:
+    """Greedy insertion of the one-machine small jobs into the layout's gaps.
 
-    Expects every machine's busy time to be a bottom stack starting at 0 plus
-    at most one top stack ending exactly at lam*d, so the idle time is one
-    gap.  Each small job goes to the machine with the least total busy time
-    (lowest index on ties) and starts at the top of its bottom stack; the
-    work budget guarantees it fits under lam*d.
+    Each small job goes to the machine with the least busy time, that is the
+    widest idle gap (lowest index on ties), and starts at the gap's bottom;
+    the work budget guarantees it fits below the gap's top.
     """
     small = sorted(small)
     if not small:
-        return sched
-    cap = lam * d
-    m = inst.m
-    bottom, top = _gap_profile(sched, m, cap)
-    heap = [(bottom[i] + (cap - top[i]), i) for i in range(m)]
+        return layout.schedule
+    bottom, top = list(layout.bottom), layout.top
+    # Busy time is bottom + (lam*d - top); the constant lam*d drops out of the order.
+    heap = [(bottom[i] - top[i], i) for i in range(inst.m)]
     heapq.heapify(heap)
-    placements = list(sched.placements)
+    placements = list(layout.schedule.placements)
     for job_id in small:
         t1 = inst.job(job_id).times[0]
-        busy, i = heapq.heappop(heap)
+        key, i = heapq.heappop(heap)
         start = bottom[i]
         if start + t1 > top[i]:
             raise ShelfInvariantError(
@@ -700,40 +690,5 @@ def add_small_jobs(
             )
         placements.append(PlacedJob(job_id, i, 1, start, t1))
         bottom[i] = start + t1
-        heapq.heappush(heap, (busy + t1, i))
+        heapq.heappush(heap, (key + t1, i))
     return make_schedule(placements)
-
-
-def _gap_profile(
-    sched: Schedule, m: int, cap: Fraction
-) -> tuple[list[Fraction], list[Fraction]]:
-    per_machine: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(m)]
-    for p in sched.placements:
-        for mach in p.machines:
-            per_machine[mach].append((p.start, p.end))
-    bottom = [Fraction(0)] * m
-    top = [cap] * m
-    for i, ivs in enumerate(per_machine):
-        ivs.sort()
-        t = Fraction(0)
-        k = 0
-        while k < len(ivs) and ivs[k][0] == t:
-            t = ivs[k][1]
-            k += 1
-        bottom[i] = t
-        if k < len(ivs):
-            top[i] = ivs[k][0]
-            t2 = top[i]
-            for s, e in ivs[k:]:
-                if s != t2:
-                    raise ShelfInvariantError(
-                        f"machine {i} has more than one idle gap", None
-                    )
-                t2 = e
-            if t2 != cap:
-                raise ShelfInvariantError(
-                    f"machine {i} top stack ends at {t2}, not {cap}", None
-                )
-        if bottom[i] > top[i]:
-            raise ShelfInvariantError(f"machine {i} gap is negative", None)
-    return bottom, top

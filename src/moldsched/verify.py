@@ -14,7 +14,7 @@ intervals to be one run of machines.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -189,10 +189,4 @@ def ratio_report(inst: Instance, result) -> VerificationReport:
         ratio = report.makespan / value
     elif report.makespan == 0:
         ratio = Fraction(1)
-    return VerificationReport(
-        feasible=report.feasible,
-        contiguous=report.contiguous,
-        makespan=report.makespan,
-        violations=report.violations,
-        ratio_vs=(kind, ratio) if ratio is not None else None,
-    )
+    return replace(report, ratio_vs=(kind, ratio) if ratio is not None else None)

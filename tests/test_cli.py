@@ -122,6 +122,8 @@ class TestSolveCommand:
         ["bench", "str_seeds.json", "--out", "rows.csv"],
         ["bench", "float_seed.json", "--out", "rows.csv"],
         ["bench", "float_n.json", "--out", "rows.csv"],
+        ["solve", "bool_times.json"],
+        ["verify", "ok.json", "bool_start.json"],
     ],
     ids=" ".join,
 )
@@ -148,6 +150,13 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypat
         "str_seeds.json": {"runs": [{"n": 2, "m": 2, "seeds": "12"}]},
         "float_seed.json": {"runs": [{"n": 2, "m": 2, "seeds": [1.5]}]},
         "float_n.json": {"runs": [{"n": 2.5, "m": 2, "seeds": [1]}]},
+        # JSON true is not the number 1.
+        "bool_times.json": {"m": 2, "jobs": [{"id": 1, "times": [True, True]}]},
+        "bool_start.json": {
+            "makespan": "3", "lambda": "10/7", "accepted_d": "3",
+            "placements": [{"job": 1, "first_machine": 0, "width": 1,
+                            "start": True, "duration": "2"}],
+        },
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))

@@ -12,12 +12,15 @@ from moldsched import (
     Reject,
     ShelfInvariantError,
     rat,
+    solve,
     validate_schedule,
 )
+from moldsched.driver import _attempt, _shelf_pipeline
 from moldsched.mckp import Infeasible, build_items, solve_mckp
 from moldsched.model import classify_jobs, gamma, make_schedule
 from moldsched.shelf import (
     ColumnPart,
+    Layout,
     S2Job,
     ShelfColumn,
     ShelfSchedule,
@@ -25,6 +28,7 @@ from moldsched.shelf import (
     add_small_jobs,
     apply_transformations,
     build_three_shelf,
+    layout_contiguous,
     repair_s2_large_q,
     repair_s2_small_q,
 )
@@ -112,7 +116,7 @@ class TestBuildThreeShelf:
             assert not isinstance(sol, Infeasible)
             budget = inst.m * d - cls.ws
             assert sol.total_cost <= budget
-            ss = build_three_shelf(inst, sol, d, LAMBDA_Q0)
+            ss = build_three_shelf(inst, sol.assignment, d, LAMBDA_Q0)
             w_built = ss.total_work()
             assert w_built <= sol.total_cost <= budget
             apply_transformations(ss)
@@ -338,9 +342,10 @@ class TestTransformationsMatchReference:
                 continue
             items = build_items(inst, cls.big, d)
             sol = None if isinstance(items, Reject) else solve_mckp(items, inst.m)
+            solved = None if sol is None or isinstance(sol, Infeasible) else sol.assignment
             forced = _forced_partition(rng, inst, cls.big, d)
-            for partition in (sol, forced):
-                if partition is None or isinstance(partition, Infeasible):
+            for partition in (solved, forced):
+                if partition is None:
                     continue
                 for lam in _STRETCHES:
                     try:
@@ -388,14 +393,14 @@ class TestRepairSmallQ:
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.9"))]))
         ss.s1.append(ShelfColumn(1, [ColumnPart(2, rat("0.8"))]))
-        sched = repair_s2_small_q(ss)
+        sched = repair_s2_small_q(ss).schedule
         assert sched.makespan == rat("0.9")
         by_job = {p.job_id: p for p in sched.placements}
         assert by_job[1].first_machine == 0 and by_job[2].first_machine == 1
 
     def test_one_compression_step_then_placement(self):
         inst, ss = _compression_fixture()
-        sched = repair_s2_small_q(ss)
+        sched = repair_s2_small_q(ss).schedule
         widths = sorted(j.width for j in ss.s2)
         assert widths == [1, 2, 2, 2]          # exactly one job lost one machine
         assert ss.s2[0].job_id == 8            # smallest height, lowest id compressed
@@ -438,7 +443,7 @@ class TestRepairLargeQ:
         ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.9"))]))
         assert ss.q == 3
-        sched = repair_s2_large_q(ss)
+        sched = repair_s2_large_q(ss).schedule
         assert sched.makespan == rat("0.9")
 
     def test_widest_suffix_wins(self):
@@ -447,7 +452,7 @@ class TestRepairLargeQ:
         # shelf-2 job ends up on all four shared machines.
         inst, ss = _large_q_fixture(1)
         assert ss.q == 2
-        sched = repair_s2_large_q(ss)
+        sched = repair_s2_large_q(ss).schedule
         by_job = {p.job_id: p for p in sched.placements}
         p = by_job[4]
         assert (p.first_machine, p.width) == (1, 4)
@@ -522,7 +527,7 @@ class TestSplitInLargeQRepair:
         # suffix wins and the bare lane sits under the shelf-2 job, still
         # adjacent to its shelf-0 twin.
         inst, ss = _split_large_q_fixture(4)
-        sched = repair_s2_large_q(ss)
+        sched = repair_s2_large_q(ss).schedule
         by_job = {p.job_id: p for p in sched.placements}
         assert (by_job[4].first_machine, by_job[4].width) == (1, 8)
         assert by_job[1].width == 2 and by_job[1].first_machine == 0
@@ -562,7 +567,7 @@ class TestSplitInLargeQRepair:
             ss.s1.append(ShelfColumn(1, [ColumnPart(jid, rat(h))]))
         ss.s2.append(S2Job(7, 13, rat("0.54")))
         assert ss.q == 7 and 6 * ss.q > 13 - ss.m0
-        sched = repair_s2_large_q(ss)
+        sched = repair_s2_large_q(ss).schedule
         by_job = {p.job_id: p for p in sched.placements}
         assert (by_job[7].first_machine, by_job[7].width) == (4, 9)
         assert by_job[7].duration == rat("0.7")
@@ -579,7 +584,8 @@ class TestSplitContiguity:
         )
         ss = build_three_shelf(inst, {1: 2, 2: 2}, D1, LAMBDA_Q0)
         apply_transformations(ss)
-        sched = repair_s2_small_q(ss) if 6 * ss.q <= 4 - ss.m0 else repair_s2_large_q(ss)
+        repair = repair_s2_small_q if 6 * ss.q <= 4 - ss.m0 else repair_s2_large_q
+        sched = repair(ss).schedule
         by_job = {p.job_id: p for p in sched.placements}
         assert by_job[1].width == 2 and by_job[1].start == 0
         assert by_job[2].width == 1
@@ -589,6 +595,26 @@ class TestSplitContiguity:
         assert by_job[2].first_machine in by_job[1].machines
         report = validate_schedule(inst, sched)
         assert report.feasible and report.contiguous
+
+
+def _assert_gaps_are_exact(layout, m, lam_d):
+    """Each machine's recorded gap [bottom, top) is its whole idle time.
+
+    Nothing runs inside the gap, bottom is 0 or where a placement ends, top
+    is lam*d or where a placement starts, and the machine is busy for
+    exactly the time outside the gap.
+    """
+    per_machine = [[] for _ in range(m)]
+    for p in layout.schedule.placements:
+        for mach in p.machines:
+            per_machine[mach].append((p.start, p.end))
+    for mach, ivs in enumerate(per_machine):
+        lo, hi = layout.bottom[mach], layout.top[mach]
+        assert 0 <= lo <= hi <= lam_d, mach
+        assert all(e <= lo or s >= hi for s, e in ivs), mach
+        assert lo == max((e for _, e in ivs if e <= lo), default=0), mach
+        assert hi == min((s for s, _ in ivs if s >= hi), default=lam_d), mach
+        assert sum(e - s for s, e in ivs) == lo + (lam_d - hi), mach
 
 
 class TestForcedPartitionFuzz:
@@ -631,7 +657,7 @@ class TestForcedPartitionFuzz:
                 continue  # forced partition broke the budget: repairs not owed
             m_eff = inst.m - ss.m0
             if 6 * ss.q <= m_eff:
-                sched = repair_s2_small_q(ss)
+                layout = repair_s2_small_q(ss)
             else:
                 ss = build_three_shelf(inst, assignment, d, LAMBDA_STAR_UPPER)
                 apply_transformations(ss)
@@ -639,10 +665,12 @@ class TestForcedPartitionFuzz:
                 if ss.total_work() > inst.m * d - cls.ws:
                     continue
                 if 6 * ss.q <= m_eff:
-                    sched = repair_s2_small_q(ss)
+                    layout = repair_s2_small_q(ss)
                 else:
-                    sched = repair_s2_large_q(ss)
+                    layout = repair_s2_large_q(ss)
             repaired += 1
+            _assert_gaps_are_exact(layout, inst.m, ss.lam * d)
+            sched = layout.schedule
             placed = {p.job_id for p in sched.placements}
             assert placed == set(assignment), trial
             report = validate_schedule(
@@ -653,17 +681,70 @@ class TestForcedPartitionFuzz:
         assert splits >= 20  # the split machinery really ran
 
 
+class TestLayout:
+    """layout_contiguous's record of each machine's gap, and its check."""
+
+    def test_gaps_of_solver_layouts(self):
+        # The forced partitions above hold no class-3 jobs; solver partitions
+        # at the accepted guess leave some on shelf 2.
+        rng = random.Random(98)
+        hung = 0
+        for _ in range(200):
+            inst = random_instance(rng, rng.randint(2, 14), rng.randint(2, 12))
+            d = solve(inst).accepted_d
+            _, solution = _attempt(inst, d)
+            layout, lam = _shelf_pipeline(inst, solution.assignment, d)
+            _assert_gaps_are_exact(layout, inst.m, lam * d)
+            hung += any(t < lam * d for t in layout.top)
+        assert hung >= 15
+
+    @staticmethod
+    def _raises(ss, runs, plan):
+        with pytest.raises(ShelfInvariantError) as info:
+            layout_contiguous(ss, runs, plan)
+        assert info.value.shelf is ss
+
+    def test_shelf2_job_hanging_into_a_column(self):
+        inst = instance(2, job(1, rat("0.9"), rat("0.5")), job(2, rat("0.6"), rat("0.3")))
+        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.9"))]))
+        ss.s2.append(S2Job(2, 1, rat("0.6")))  # starts at 10/7 - 0.6 < 0.9
+        self._raises(ss, ss.s1, [(ss.s2[0], 0)])
+
+    def test_two_shelf2_jobs_on_one_machine(self):
+        inst = instance(3, *(const_work_job(i, rat("0.6"), 3) for i in (1, 2)))
+        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss.s2 += [S2Job(1, 2, rat("0.3")), S2Job(2, 2, rat("0.3"))]
+        self._raises(ss, [], [(ss.s2[0], 0), (ss.s2[1], 1)])
+
+    def test_column_taller_than_lam_d(self):
+        inst = instance(2, job(1, rat("1.5"), rat("0.75")))
+        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss.s0.append(ShelfColumn(1, [ColumnPart(1, rat("1.5"))]))
+        self._raises(ss, [], [])
+
+    def test_shelf2_job_starting_before_zero(self):
+        inst = instance(2, job(1, rat(3), rat("1.5")))
+        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss.s2.append(S2Job(1, 2, rat("1.5")))
+        self._raises(ss, [], [(ss.s2[0], 0)])
+
+
+def _empty_layout(m, cap):
+    return Layout(make_schedule([]), [Fraction(0)] * m, [cap] * m)
+
+
 class TestAddSmallJobs:
     def test_no_smalls_is_identity(self):
-        sched = make_schedule([])
+        layout = _empty_layout(2, rat(5) * LAMBDA_Q0)
         inst = instance(2, job(1, 3, rat("1.6")))
-        assert add_small_jobs(sched, inst, [], LAMBDA_Q0, rat(5)) is sched
+        assert add_small_jobs(layout, inst, []) is layout.schedule
 
     def test_greedy_on_empty_schedule(self):
         inst = instance(
             2, job(1, 3, rat("1.6")), job(2, 3, rat("1.6")), job(3, 3, rat("1.6"))
         )
-        sched = add_small_jobs(make_schedule([]), inst, [1, 2, 3], LAMBDA_Q0, rat("4.9"))
+        sched = add_small_jobs(_empty_layout(2, rat("4.9") * LAMBDA_Q0), inst, [1, 2, 3])
         by_job = {p.job_id: p for p in sched.placements}
         assert by_job[1].first_machine == 0       # tie -> lowest index
         assert by_job[2].first_machine == 1
@@ -674,4 +755,4 @@ class TestAddSmallJobs:
     def test_overflow_raises(self):
         inst = instance(2, job(1, 5, 3), job(2, 5, 3), job(3, 5, 3))
         with pytest.raises(ShelfInvariantError):
-            add_small_jobs(make_schedule([]), inst, [1, 2, 3], LAMBDA_Q0, rat("4.9"))
+            add_small_jobs(_empty_layout(2, rat("4.9") * LAMBDA_Q0), inst, [1, 2, 3])
