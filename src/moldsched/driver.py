@@ -1,10 +1,12 @@
 """Dual-approximation driver: binary search over the makespan guess.
 
-For each guess d the knapsack decision either accepts (a class partition of
-the big jobs within the work budget) or certifies d < OPT.  The search needs
-only these verdicts, so one verified contiguous schedule is built, at the last
-accepted d: makespan at most lam*d, lam depending on the idle-machine regime
-of the shelf schedule, which gives makespan <= lam * (1 + eps) * OPT.
+For each guess d the knapsack decision either accepts (some class partition
+of the big jobs fits the work budget) or certifies d < OPT.  The search needs
+only these verdicts, which exact knapsack bounds mostly settle without the
+DP.  At the last accepted d the DP runs once for the partition, and one
+verified contiguous schedule is built from it: makespan at most lam*d, lam
+depending on the idle-machine regime of the shelf schedule, which gives
+makespan <= lam * (1 + eps) * OPT.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ class SolveResult:
     lambda_used: Fraction
     makespan: Fraction
     iterations: int
-    # Wall seconds: "mckp" is the whole search, rejected guesses included;
-    # "shelf", "small" and "verify" time the one build at accepted_d.
+    # Wall seconds: "mckp" is the whole search, rejected guesses included,
+    # plus the one DP for the partition at accepted_d; "shelf", "small" and
+    # "verify" time the one build there.
     timings: dict[str, float] = field(default_factory=dict)
     certified_lower: Fraction = Fraction(0)
     mckp_assignment: dict[int, int] = field(default_factory=dict)
@@ -72,36 +75,37 @@ def try_guess(inst: Instance, d: Fraction) -> Union[Schedule, mckp.Reject]:
 
 def _attempt(
     inst: Instance, d: Fraction
-) -> Union[tuple[JobClassification, mckp.MckpSolution], mckp.Reject]:
-    """The knapsack decision for d: (classes, partition) or Reject (d < OPT)."""
+) -> Union[tuple[JobClassification, list[mckp.MckpItem]], mckp.Reject]:
+    """The knapsack decision for d: (classes, knapsack items) or Reject (d < OPT)."""
     cls = classify_jobs(inst, d)
     items = mckp.build_items(inst, cls.big, d)
     if isinstance(items, mckp.Reject):
         log.debug("d=%s rejected: %s (job %s)", d, items.reason, items.job_id)
         return items
-    solution = mckp.solve_mckp(items, inst.m)
-    if isinstance(solution, mckp.Infeasible):
-        log.debug("d=%s rejected: knapsack infeasible (%s)", d, solution.reason)
-        return mckp.Reject(d, "mckp-infeasible")
     budget = inst.m * d - cls.ws
-    if solution.total_cost > budget:
-        log.debug(
-            "d=%s rejected: cost %s > budget %s", d, solution.total_cost, budget
-        )
-        return mckp.Reject(d, "work-budget")
-    return cls, solution
+    verdict = mckp.decide(items, inst.m, budget)
+    log.debug(
+        "d=%s %s by %s: cost %s, budget %s",
+        d, verdict.reason or "accepted", verdict.by, verdict.cost, budget,
+    )
+    if verdict.reason is not None:
+        return mckp.Reject(d, verdict.reason)
+    return cls, items
 
 
 def _build(
     inst: Instance,
     d: Fraction,
     cls: JobClassification,
-    solution: mckp.MckpSolution,
+    items: list[mckp.MckpItem],
     timings: Optional[dict[str, float]] = None,
-) -> tuple[Schedule, Fraction]:
-    """Schedule and stretch lam for an accepted d, verified within lam*d."""
+) -> tuple[Schedule, Fraction, dict[int, int]]:
+    """Schedule, stretch lam and class partition for an accepted d, verified
+    within lam*d.  The one knapsack DP here picks the partition."""
+    tm = time.perf_counter()
+    assignment = mckp.solve_mckp(items, inst.m).assignment
     t0 = time.perf_counter()
-    layout, lam = _shelf_pipeline(inst, solution.assignment, d)
+    layout, lam = _shelf_pipeline(inst, assignment, d)
     t1 = time.perf_counter()
     sched = shelf.add_small_jobs(layout, inst, cls.small)
     t2 = time.perf_counter()
@@ -112,8 +116,9 @@ def _build(
             + "; ".join(v.kind for v in report.violations)
         )
     if timings is not None:
+        timings["mckp"] += t0 - tm
         timings.update(shelf=t1 - t0, small=t2 - t1, verify=time.perf_counter() - t2)
-    return sched, lam
+    return sched, lam, assignment
 
 
 def _shelf_pipeline(
@@ -184,8 +189,7 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
             upper, accepted = d, outcome
     timings = {"mckp": time.perf_counter() - t0}
 
-    cls, solution = accepted
-    schedule, lam = _build(inst, upper, cls, solution, timings)
+    schedule, lam, assignment = _build(inst, upper, *accepted, timings)
     return SolveResult(
         schedule=schedule,
         accepted_d=upper,
@@ -194,7 +198,7 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
         iterations=iterations,
         timings=timings,
         certified_lower=lower,
-        mckp_assignment=dict(solution.assignment),
+        mckp_assignment=assignment,
     )
 
 

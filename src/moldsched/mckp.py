@@ -7,9 +7,14 @@ For a guess d, each big job offers up to three (cost, size) options:
   class 3: cost w(j, gamma(j, (3/7)d)),   size 0
 
 Sizes are counted in half-machines so the class-2 "half a machine per unit"
-stays integral; the capacity is 2m.  The DP minimizes total cost subject to
-total size <= 2m, which is exactly the partition feasibility question: the
-guess is workable iff the minimum cost is at most m*d - W_S.
+stays integral; the capacity is 2m.  The guess is workable iff the minimum
+total cost within total size 2m is at most the budget m*d - W_S.
+
+``decide`` settles that verdict first by two exact certificates on integer
+costs: an integral greedy assignment within capacity and budget accepts, a
+Lagrangian lower bound above the budget rejects.  Only a guess both leave
+open runs the DP, which also runs once at the accepted guess to produce the
+partition the shelves are built from.
 
 Costs are exact rationals.  The DP rescales them to integers by the lcm of
 their denominators and runs one suffix table over (job, capacity): two
@@ -76,6 +81,17 @@ class Infeasible:
     reason: str = "capacity"
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """The knapsack decision for one guess."""
+
+    reason: Optional[str]  # None = accept, else the Reject reason
+    by: str                # the certificate that settled it: "bound" or "dp"
+    # The cost held against the budget: a lower bound on the minimum for a
+    # bound reject, an assignment's cost otherwise; None when nothing fits.
+    cost: Optional[Fraction] = None
+
+
 def build_items(
     inst: Instance, big: Sequence[int] | frozenset[int], d: Fraction
 ) -> Union[list[MckpItem], Reject]:
@@ -99,13 +115,16 @@ def build_items(
     return items
 
 
+def _scale(items: Sequence[MckpItem]) -> int:
+    """The lcm of all option cost denominators."""
+    return math.lcm(
+        *(opt.cost.denominator for item in items for opt in item.options if opt.available)
+    )
+
+
 def _scaled_costs(items: Sequence[MckpItem]) -> list[list[Optional[int]]]:
     """Rescale all option costs to integers by the lcm of their denominators."""
-    scale = 1
-    for item in items:
-        for opt in item.options:
-            if opt.cost is not None:
-                scale = math.lcm(scale, opt.cost.denominator)
+    scale = _scale(items)
     return [
         [
             opt.cost.numerator * (scale // opt.cost.denominator)
@@ -193,6 +212,59 @@ def _dp(
         picks.append(cls)
         c -= item.options[cls - 1].size2
     return picks
+
+
+def decide(items: Sequence[MckpItem], m: int, budget: Fraction) -> Verdict:
+    """Is the minimum cost within size 2m at most budget?  solve_mckp's verdict.
+
+    Works on the integer costs of _scaled_costs against floor(budget*scale).
+    Each item's lower convex hull in (size, cost) leads from its cheapest
+    option to its smallest; the greedy takes hull steps by ascending
+    cost per half-machine saved until the total fits.  An integral result
+    within budget accepts.  Otherwise the last step's slope lam = p/r gives
+    the Lagrangian bound sum_j min_k (c + lam*s) - lam*2m <= min cost, which
+    rejects when it exceeds the budget.  Floats only order the steps; every
+    verdict is checked in exact integers.  Guesses left open run the DP.
+    """
+    cap, scale = 2 * m, _scale(items)
+    limit = math.floor(budget * scale)  # an int cost K is within budget iff K <= limit
+    opts = [
+        [(c, opt.size2) for c, opt in zip(row, item.options) if c is not None]
+        for row, item in zip(_scaled_costs(items), items)
+    ]
+    if sum(min((s for _, s in o), default=cap + 1) for o in opts) > cap:
+        return Verdict("mckp-infeasible", "bound")
+    steps = []
+    cost = size = 0
+    for j, o in enumerate(opts):
+        hull = [min(o)]
+        for c, s in sorted(o, key=lambda cs: (-cs[1], cs[0])):
+            if s >= hull[-1][1]:
+                continue
+            while len(hull) > 1:
+                (ca, sa), (cb, sb) = hull[-2:]
+                if (cb - ca) * (sb - s) < (c - cb) * (sa - sb):
+                    break  # (cb, sb) lies strictly below the chord to (c, s)
+                hull.pop()
+            hull.append((c, s))
+        cost, size = cost + hull[0][0], size + hull[0][1]
+        # Slopes rise along a hull and int/int division rounds monotonically,
+        # so sorting by (slope, j, k) keeps each item's steps in hull order.
+        for k, ((ca, sa), (cb, sb)) in enumerate(zip(hull, hull[1:])):
+            steps.append(((cb - ca) / ((sa - sb) * scale), j, k, cb - ca, sa - sb))
+    p, r = 0, 1  # lam = 0 when the cheapest options fit: then cost is the minimum
+    ordered = iter(sorted(steps))
+    while size > cap:
+        _, _, _, p, r = next(ordered)
+        cost, size = cost + p, size - r
+    if cost <= limit:
+        return Verdict(None, "bound", Fraction(cost, scale))
+    lower = sum(min(r * c + p * s for c, s in o) for o in opts) - p * cap
+    if lower > r * limit:
+        return Verdict("work-budget", "bound", Fraction(lower, r * scale))
+    solution = solve_mckp(items, m)
+    reason = "work-budget" if solution.total_cost > budget else None
+    return Verdict(reason, "dp", solution.total_cost)
 
 
 def brute_mckp(

@@ -83,7 +83,7 @@ def test_criterion_1_dual_approximation_guarantee():
         for d in (r.accepted_d, 2 * r.accepted_d):
             out = _attempt(inst, d)
             assert not isinstance(out, Reject)
-            sched, lam = _build(inst, d, *out)
+            sched, lam, _ = _build(inst, d, *out)
             rep = validate_schedule(inst, sched, require_contiguous=True)
             assert rep.feasible and rep.contiguous
             assert sched.makespan <= lam * d

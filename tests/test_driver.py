@@ -1,5 +1,7 @@
+import logging
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from moldsched import (
     brute_force_opt,
     driver,
     generate,
+    mckp,
     rat,
     solve,
     try_guess,
@@ -165,3 +168,30 @@ class TestSolve:
         assert verified[0][1] is r.schedule
         assert set(r.timings) == {"mckp", "shelf", "small", "verify"}
         assert all(t >= 0 for t in r.timings.values())
+
+    def test_one_knapsack_dp_per_solve(self, monkeypatch):
+        # Exact bounds settle the search's guesses; the DP runs for the
+        # partition at the accepted guess, and for any guess they leave open.
+        calls = []
+        dp = mckp.solve_mckp
+        monkeypatch.setattr(mckp, "solve_mckp", lambda *a: calls.append(a) or dp(*a))
+        inst = generate(GenConfig(n=80, m=800, seed=1))
+        r = solve(inst, Fraction(1, 1000))
+        assert r.iterations >= 8
+        assert 1 <= len(calls) <= 2
+        assert calls[-1][0] and r.mckp_assignment
+        calls.clear()
+        assert not isinstance(try_guess(inst, r.accepted_d), Reject)
+        assert len(calls) == 1
+
+    def test_debug_log_names_the_certificate(self, caplog):
+        inst = generate(GenConfig(n=80, m=800, seed=1))
+        with caplog.at_level(logging.DEBUG, logger="moldsched.driver"):
+            solve(inst, Fraction(1, 1000))
+        lines = [rec.getMessage() for rec in caplog.records]
+        assert any(" accepted by " in line for line in lines)
+        rejects = [line for line in lines if " work-budget by bound: " in line]
+        assert rejects
+        for line in rejects:
+            cost, budget = re.fullmatch(r"d=\S+ .*: cost (\S+), budget (\S+)", line).groups()
+            assert Fraction(cost) > Fraction(budget)  # a lower bound above the budget

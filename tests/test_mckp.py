@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from moldsched import Reject, rat
+from moldsched import Reject, driver, mckp, rat
 from moldsched.mckp import (
     Infeasible,
     MckpItem,
     MckpOption,
     brute_mckp,
     build_items,
+    decide,
     solve_mckp,
 )
 from moldsched.model import classify_jobs
@@ -203,3 +204,90 @@ class TestBruteMckp:
             assert type(got) is type(ref)
             if not isinstance(got, Infeasible):
                 assert got == ref
+
+
+def _verdict(solution, budget):
+    """The Reject reason a knapsack solution implies, or None to accept."""
+    if isinstance(solution, Infeasible):
+        return "mckp-infeasible"
+    return "work-budget" if solution.total_cost > budget else None
+
+
+class TestDecide:
+    """decide's verdict equals the DP's, whichever certificate settles it."""
+
+    @staticmethod
+    def _check_around_the_optimum(items, m0, by):
+        # Capacities around the smallest total size, budgets around the
+        # DP minimum: the two places where a bound could slip.
+        min_size = sum(
+            min((o.size2 for o in it.options if o.available), default=0) for it in items
+        )
+        half = min_size // 2
+        for m in {m0, max(half - 1, 0), half, -(-min_size // 2), half + 2}:
+            sol = solve_mckp(items, m)
+            ref = None if len(items) > 14 else brute_mckp(items, m)
+            assert type(ref) in (type(sol), type(None))
+            tiny = Fraction(1, 10**12)
+            base = Fraction(0) if isinstance(sol, Infeasible) else sol.total_cost
+            for budget in (base - tiny, base, base + tiny, base - 1, base + 1):
+                got = decide(items, m, budget)
+                assert got.reason == _verdict(sol, budget), (items, m, budget, got)
+                if ref is not None:
+                    assert got.reason == _verdict(ref, budget)
+                by[got.by, got.reason] = by.get((got.by, got.reason), 0) + 1
+
+    @staticmethod
+    def _assert_every_certificate_decided(by):
+        assert set(by) == {
+            ("bound", None), ("bound", "work-budget"), ("bound", "mckp-infeasible"),
+            ("dp", None), ("dp", "work-budget"),
+        }
+
+    def test_agrees_with_the_dp_on_solver_guesses(self, monkeypatch):
+        guesses = []
+        build = mckp.build_items
+
+        def recording_build(inst, big, d):
+            items = build(inst, big, d)
+            if not isinstance(items, Reject):
+                guesses.append((items, inst.m))
+            return items
+
+        monkeypatch.setattr(mckp, "build_items", recording_build)
+        rng = random.Random(41)
+        for _ in range(40):
+            driver.solve(random_instance(rng, rng.randint(1, 16), rng.randint(1, 10)))
+        monkeypatch.undo()
+        assert len(guesses) >= 200
+        by = {}
+        for items, m in guesses:
+            self._check_around_the_optimum(items, m, by)
+        self._assert_every_certificate_decided(by)
+
+    def test_agrees_with_the_dp_on_hand_built_items(self):
+        rng = random.Random(43)
+        by = {}
+        for _ in range(150):
+            m = rng.randint(1, 8)
+            self._check_around_the_optimum(random_items(rng, rng.randint(0, 9), m), m, by)
+        self._assert_every_certificate_decided(by)
+
+    def test_open_guess_runs_the_dp(self, monkeypatch):
+        # Cap 4.  The greedy takes job 1's step (slope 10/4 < 9/3) and pays
+        # 10; the Lagrangian bound at lam = 10/4 is 7.5; the optimum is 9
+        # (job 1 full size, job 2 at size 0).  Budgets 8 and 9 sit in the gap.
+        none = MckpOption(None, 0)
+        items = [
+            MckpItem(1, (MckpOption(rat(0), 4), MckpOption(rat(10), 0), none)),
+            MckpItem(2, (MckpOption(rat(0), 3), MckpOption(rat(9), 0), none)),
+        ]
+        calls = []
+        dp = mckp.solve_mckp
+        monkeypatch.setattr(mckp, "solve_mckp", lambda *a: calls.append(a) or dp(*a))
+        assert decide(items, 2, rat(9)) == mckp.Verdict(None, "dp", rat(9))
+        assert decide(items, 2, rat(8)) == mckp.Verdict("work-budget", "dp", rat(9))
+        assert len(calls) == 2
+        assert decide(items, 2, rat(10)) == mckp.Verdict(None, "bound", rat(10))
+        assert decide(items, 2, rat(7)) == mckp.Verdict("work-budget", "bound", rat("7.5"))
+        assert len(calls) == 2

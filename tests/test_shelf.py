@@ -692,8 +692,8 @@ class TestLayout:
         for _ in range(200):
             inst = random_instance(rng, rng.randint(2, 14), rng.randint(2, 12))
             d = solve(inst).accepted_d
-            _, solution = _attempt(inst, d)
-            layout, lam = _shelf_pipeline(inst, solution.assignment, d)
+            _, items = _attempt(inst, d)
+            layout, lam = _shelf_pipeline(inst, solve_mckp(items, inst.m).assignment, d)
             _assert_gaps_are_exact(layout, inst.m, lam * d)
             hung += any(t < lam * d for t in layout.top)
         assert hung >= 15
