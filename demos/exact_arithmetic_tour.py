@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Walkthrough: the exact-rational core, piece by piece.
 
-Every quantity the solver branches on is a fraction, so runs are bit-for-bit
-reproducible: canonical machine counts, the three knapsack options per job,
-and the stretch constant that caps the worst case.
+Every quantity the solver branches on is exact, so runs are bit-for-bit
+reproducible: canonical machine counts, the integer time grid, the three
+knapsack options per job, and the stretch constant that caps the worst case.
 """
 
 from fractions import Fraction
@@ -26,9 +26,11 @@ print(" ", [str(work(job, k)) for k in (1, 2, 3)])
 d = rat(1)
 cls = classify_jobs(inst, d)
 items = build_items(inst, cls.big, d)
-print(f"\nknapsack options at guess d = {d} (cost, half-machine size):")
+q, a = inst.grid
+print(f"\nthe instance's integer grid: t(j,k) = A[j,k-1]/Q with Q = {q}, A = {a.tolist()}")
+print(f"knapsack options at guess d = {d} (integer cost = work * Q, half-machine size):")
 for opt, label in zip(items[0].options, ("full height", "4/7 height", "3/7 height")):
-    print(f"  {label:11s}: cost {opt.cost}, size {opt.size2}")
+    print(f"  {label:11s}: cost {opt.cost} (work {Fraction(opt.cost, q)}), size {opt.size2}")
 print("chosen:", solve_mckp(items, inst.m).assignment)
 
 print("\nthe worst-case stretch is the root of ln(x) = 3x - 4 near 1.4593,")

@@ -15,8 +15,9 @@ to stderr; for bench, any row that failed on a valid config).
 
 The bench harness runs solves in a process pool (worker count from the
 MOLDSCHED_WORKERS environment variable) and writes one CSV row per
-(n, m, seed) in deterministic order, with the solve's wall time and its
-per-phase times (``SolveResult.timings``) in milliseconds.
+(n, m, seed) in deterministic order, with the solve's wall time, its
+per-phase times (``SolveResult.timings``) and the ``generate`` time
+(``gen_ms``) in milliseconds.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 
 from .driver import solve
 from .gen import GenConfig, generate
-from .model import Instance, Job, PlacedJob, Schedule, rat, validate_instance
+from .model import Instance, Job, PlacedJob, Schedule, Times, rat, validate_instance
 from .shelf import ShelfInvariantError
 from .verify import validate_schedule
 
@@ -49,7 +50,8 @@ def instance_to_obj(inst: Instance) -> dict:
     return {
         "m": inst.m,
         "jobs": [
-            {"id": j.id, "times": [str(t) for t in j.times]} for j in inst.jobs
+            {"id": j.id, "times": j.times.strings() if isinstance(j.times, Times)
+             else [str(t) for t in j.times]} for j in inst.jobs
         ],
     }
 
@@ -278,10 +280,11 @@ def _bench_one(task: tuple[int, int, int, str]) -> dict:
     n, m, seed, eps_str = task
     row = {"n": n, "m": m, "seed": seed, "epsilon": eps_str, "error": ""}
     try:
-        inst = generate(GenConfig(n=n, m=m, seed=seed))
         t0 = time.perf_counter()
+        inst = generate(GenConfig(n=n, m=m, seed=seed))
+        t1 = time.perf_counter()
         result = solve(inst, rat(eps_str))
-        wall_ms = (time.perf_counter() - t0) * 1000.0
+        wall_ms = (time.perf_counter() - t1) * 1000.0
         lower = result.certified_lower
         ratio = result.makespan / lower if lower > 0 else Fraction(0)
         row.update(
@@ -291,6 +294,7 @@ def _bench_one(task: tuple[int, int, int, str]) -> dict:
             ratio_vs_lower_bound=f"{float(ratio):.6f}",
             wall_ms=f"{wall_ms:.3f}",
             iterations=result.iterations,
+            gen_ms=f"{(t1 - t0) * 1000.0:.3f}",
         )
         row.update({f"{k}_ms": f"{v * 1000.0:.3f}" for k, v in result.timings.items()})
     except Exception as exc:  # recorded per-row, harness keeps going
@@ -300,7 +304,7 @@ def _bench_one(task: tuple[int, int, int, str]) -> dict:
 
 _BENCH_FIELDS = [
     "n", "m", "seed", "epsilon", "makespan", "accepted_d", "lambda_used",
-    "ratio_vs_lower_bound", "wall_ms", "iterations",
+    "ratio_vs_lower_bound", "wall_ms", "iterations", "gen_ms",
     "mckp_ms", "shelf_ms", "small_ms", "verify_ms", "error",
 ]
 

@@ -60,8 +60,9 @@ def initial_bounds(inst: Instance) -> SearchBounds:
     below, the length of the one-machine sequential schedule from above."""
     if not inst.jobs:
         return SearchBounds(Fraction(0), Fraction(0))
-    total_seq = sum((j.times[0] for j in inst.jobs), Fraction(0))
-    lower = max(total_seq / inst.m, max(j.times[inst.m - 1] for j in inst.jobs))
+    q, a = inst.grid
+    total_seq = Fraction(sum(a[:, 0].tolist()), q)
+    lower = max(total_seq / inst.m, Fraction(max(a[:, inst.m - 1].tolist()), q))
     return SearchBounds(lower, total_seq)
 
 
@@ -82,11 +83,11 @@ def _attempt(
     if isinstance(items, mckp.Reject):
         log.debug("d=%s rejected: %s (job %s)", d, items.reason, items.job_id)
         return items
-    budget = inst.m * d - cls.ws
+    budget = math.floor((inst.m * d - cls.ws) * inst.grid[0])  # costs: work * Q
     verdict = mckp.decide(items, inst.m, budget)
     log.debug(
-        "d=%s %s by %s: cost %s, budget %s",
-        d, verdict.reason or "accepted", verdict.by, verdict.cost, budget,
+        "d=%s, unit 1/%d: %s by %s: cost %s, budget %s",
+        d, inst.grid[0], verdict.reason or "accepted", verdict.by, verdict.cost, budget,
     )
     if verdict.reason is not None:
         return mckp.Reject(d, verdict.reason)

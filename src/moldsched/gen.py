@@ -1,14 +1,15 @@
 """Random monotone instance generation and the hard worst-case instance.
 
-Sampling works on integer numerators over a fixed quantization denominator,
-so every emitted time is an exact rational and both monotony constraints
+Sampling works on integer numerators over a fixed quantization denominator
+Q, so every emitted time is an exact rational and both monotony constraints
 hold by construction: given t(j,k-1) = a/Q, the next value is uniform on the
 integer range [ceil((k-1)a/k), a], the exact set of quantized values with
 t(j,k) <= t(j,k-1) and k*t(j,k) >= (k-1)*t(j,k-1).
 
 Each job draws from its own numpy Philox stream (SeedSequence spawn key =
 job index), so generation is deterministic per (seed, config) and could be
-parallelized per job without changing the output.
+parallelized per job without changing the output.  The numerators are the
+instance's grid; each job's ``times`` is a read-only view over its row.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Instance, Job, rat
+from .model import Instance, Job, Times, int_matrix, rat
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def generate(cfg: GenConfig) -> Instance:
     hi = math.floor(cfg.t1_high * q)
     if lo < 1 or lo > hi:
         raise ValueError(f"empty quantized range for t(j,1): [{lo}, {hi}] / {q}")
-    jobs = []
+    rows = []
     for idx in range(cfg.n):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(cfg.seed & (2**64 - 1), spawn_key=(idx,)))
@@ -56,8 +57,9 @@ def generate(cfg: GenConfig) -> Instance:
             vlo = -((-(k - 1) * v) // k)  # ceil((k-1)*v / k)
             v = _bounded_draw(words, rng, vlo, v)
             nums.append(v)
-        jobs.append(Job(idx + 1, tuple(Fraction(x, q) for x in nums)))
-    return Instance(cfg.m, tuple(jobs))
+        rows.append(nums)
+    a = int_matrix(rows, cfg.m)
+    return Instance(cfg.m, tuple(Job(idx + 1, Times(a[idx], q)) for idx in range(cfg.n)))
 
 
 def _bounded_draw(words, rng, lo: int, hi: int) -> int:

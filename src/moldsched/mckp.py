@@ -16,14 +16,14 @@ Lagrangian lower bound above the budget rejects.  Only a guess both leave
 open runs the DP, which also runs once at the accepted guess to produce the
 partition the shelves are built from.
 
-Costs are exact rationals.  The DP rescales them to integers by the lcm of
-their denominators and runs one suffix table over (job, capacity): two
-rolling rows of (cost, size) and an int8 table of the class chosen per cell,
-walked forward once to read off the assignment.  The cost row is int64 while
-the scaled totals fit comfortably, and exact Python ints (numpy object
-dtype) otherwise, so the arithmetic never wraps.  Ties resolve to minimum
-cost, then minimum total size, then the lowest class index per job in input
-order.
+Costs are the exact integers g*A[j,g-1] (work at the grid scale Q) against
+the budget floor((m*d - W_S)*Q).  The DP divides them by their gcd and runs
+one suffix table over (job, capacity): two rolling rows of (cost, size) and
+an int8 table of the class chosen per cell, walked forward once to read off
+the assignment.  The cost row is int64 while the totals fit comfortably, and
+exact Python ints (numpy object dtype) otherwise, so the arithmetic never
+wraps.  Ties resolve to minimum cost, then minimum total size, then the
+lowest class index per job in input order.
 """
 
 from __future__ import annotations
@@ -35,16 +35,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import Instance, gamma, work
-
-# With totals up to 2^59 every int64 sum the DP forms, sentinel included,
-# stays below 2^61.
-_INT64_SAFE_TOTAL = 1 << 59
+# gamma stays bound here for the benchmark tracer, which wraps mckp.gamma.
+from .model import _INT64_SAFE_TOTAL, Instance, gamma  # noqa: F401
 
 
 @dataclass(frozen=True)
 class MckpOption:
-    cost: Optional[Fraction]  # None = unavailable (job cannot meet the class deadline)
+    cost: Optional[int]  # work at the grid scale; None = job cannot meet the class deadline
     size2: int                # size in half-machines
 
     @property
@@ -61,7 +58,7 @@ class MckpItem:
 @dataclass(frozen=True)
 class MckpSolution:
     assignment: dict[int, int]  # job id -> class in {1, 2, 3}
-    total_cost: Fraction
+    total_cost: int
     total_size2: int
 
 
@@ -87,60 +84,43 @@ class Verdict:
 
     reason: Optional[str]  # None = accept, else the Reject reason
     by: str                # the certificate that settled it: "bound" or "dp"
-    # The cost held against the budget: a lower bound on the minimum for a
-    # bound reject, an assignment's cost otherwise; None when nothing fits.
-    cost: Optional[Fraction] = None
+    # The cost held against the budget, in the items' unit: a lower bound on
+    # the minimum for a bound reject, an assignment's cost otherwise.
+    cost: Optional[Union[int, Fraction]] = None
 
 
 def build_items(
     inst: Instance, big: Sequence[int] | frozenset[int], d: Fraction
 ) -> Union[list[MckpItem], Reject]:
-    """Construct the per-job options, or Reject when some gamma(j, d) is infinite."""
+    """Construct the per-job options, or Reject when some gamma(j, d) is infinite.
+    gamma(j, h) - 1 counts the k with A[j,k-1] > floor(h*Q); g = m+1 is none."""
+    ids = sorted(big)
+    q, a = inst.grid
+    rows, m = a[[inst.row_of[i] for i in ids]], inst.m
+    per_class = []
+    for f in (1, Fraction(4, 7), Fraction(3, 7)):
+        g = (rows > math.floor(f * d * q)).sum(axis=1) + 1
+        t = np.take_along_axis(rows, np.minimum(g, m)[:, None] - 1, axis=1)[:, 0]
+        per_class.append(zip(g.tolist(), (t * g).tolist()))
+    none = MckpOption(None, 0)
     items: list[MckpItem] = []
-    h2 = Fraction(4, 7) * d
-    h3 = Fraction(3, 7) * d
-    for job_id in sorted(big):
-        job = inst.job(job_id)
-        g1 = gamma(job, d, inst.m)
-        if g1 is None:
+    for job_id, (g1, c1), (g2, c2), (g3, c3) in zip(ids, *per_class):
+        if g1 > m:
             return Reject(d, "job-exceeds-guess", job_id)
-        g2 = gamma(job, h2, inst.m)
-        g3 = gamma(job, h3, inst.m)
         opts = (
-            MckpOption(work(job, g1), 2 * g1),
-            MckpOption(work(job, g2), g2) if g2 is not None else MckpOption(None, 0),
-            MckpOption(work(job, g3), 0) if g3 is not None else MckpOption(None, 0),
+            MckpOption(c1, 2 * g1),
+            MckpOption(c2, g2) if g2 <= m else none,
+            MckpOption(c3, 0) if g3 <= m else none,
         )
         items.append(MckpItem(job_id, opts))
     return items
-
-
-def _scale(items: Sequence[MckpItem]) -> int:
-    """The lcm of all option cost denominators."""
-    return math.lcm(
-        *(opt.cost.denominator for item in items for opt in item.options if opt.available)
-    )
-
-
-def _scaled_costs(items: Sequence[MckpItem]) -> list[list[Optional[int]]]:
-    """Rescale all option costs to integers by the lcm of their denominators."""
-    scale = _scale(items)
-    return [
-        [
-            opt.cost.numerator * (scale // opt.cost.denominator)
-            if opt.cost is not None
-            else None
-            for opt in item.options
-        ]
-        for item in items
-    ]
 
 
 def _solution(items: Sequence[MckpItem], choice: Sequence[int]) -> MckpSolution:
     picked = [item.options[cls - 1] for item, cls in zip(items, choice)]
     return MckpSolution(
         {item.job_id: cls for item, cls in zip(items, choice)},
-        sum((opt.cost for opt in picked), Fraction(0)),
+        sum(opt.cost for opt in picked),
         sum(opt.size2 for opt in picked),
     )
 
@@ -154,14 +134,16 @@ def solve_mckp(items: Sequence[MckpItem], m: int) -> Union[MckpSolution, Infeasi
     returned; remaining ties resolve to the lowest class index per job,
     scanning jobs in input order.
     """
-    scaled = _scaled_costs(items)
+    costs = [[opt.cost for opt in item.options] for item in items]
     max_total = 0
-    for row in scaled:
+    for row in costs:
         avail = [c for c in row if c is not None]
         if not avail:
             return Infeasible("item-has-no-option")
         max_total += max(avail)
-    choice = _dp(items, scaled, 2 * m, max_total)
+    unit = math.gcd(*(c for row in costs for c in row if c is not None)) or 1
+    scaled = [[None if c is None else c // unit for c in row] for row in costs]
+    choice = _dp(items, scaled, 2 * m, max_total // unit)
     if choice is None:
         return Infeasible()
     return _solution(items, choice)
@@ -214,26 +196,23 @@ def _dp(
     return picks
 
 
-def decide(items: Sequence[MckpItem], m: int, budget: Fraction) -> Verdict:
+def decide(items: Sequence[MckpItem], m: int, budget: int) -> Verdict:
     """Is the minimum cost within size 2m at most budget?  solve_mckp's verdict.
 
-    Works on the integer costs of _scaled_costs against floor(budget*scale).
-    Each item's lower convex hull in (size, cost) leads from its cheapest
-    option to its smallest; the greedy takes hull steps by ascending
-    cost per half-machine saved until the total fits.  An integral result
+    The budget is in the items' integer cost unit.  Each item's lower convex
+    hull in (size, cost) leads from its cheapest option to its smallest; the
+    greedy takes hull steps by ascending cost per half-machine saved until the
+    total fits.  An integral result
     within budget accepts.  Otherwise the last step's slope lam = p/r gives
     the Lagrangian bound sum_j min_k (c + lam*s) - lam*2m <= min cost, which
     rejects when it exceeds the budget.  Floats only order the steps; every
     verdict is checked in exact integers.  Guesses left open run the DP.
     """
-    cap, scale = 2 * m, _scale(items)
-    limit = math.floor(budget * scale)  # an int cost K is within budget iff K <= limit
-    opts = [
-        [(c, opt.size2) for c, opt in zip(row, item.options) if c is not None]
-        for row, item in zip(_scaled_costs(items), items)
-    ]
+    cap = 2 * m
+    opts = [[(opt.cost, opt.size2) for opt in item.options if opt.available] for item in items]
     if sum(min((s for _, s in o), default=cap + 1) for o in opts) > cap:
         return Verdict("mckp-infeasible", "bound")
+    shift = max(0, max((c for o in opts for c, _ in o), default=0).bit_length() - 64)
     steps = []
     cost = size = 0
     for j, o in enumerate(opts):
@@ -249,19 +228,20 @@ def decide(items: Sequence[MckpItem], m: int, budget: Fraction) -> Verdict:
             hull.append((c, s))
         cost, size = cost + hull[0][0], size + hull[0][1]
         # Slopes rise along a hull and int/int division rounds monotonically,
-        # so sorting by (slope, j, k) keeps each item's steps in hull order.
+        # so sorting by (slope, j, k) keeps each item's steps in hull order;
+        # the 2^shift divisor keeps every slope within float range.
         for k, ((ca, sa), (cb, sb)) in enumerate(zip(hull, hull[1:])):
-            steps.append(((cb - ca) / ((sa - sb) * scale), j, k, cb - ca, sa - sb))
+            steps.append(((cb - ca) / ((sa - sb) << shift), j, k, cb - ca, sa - sb))
     p, r = 0, 1  # lam = 0 when the cheapest options fit: then cost is the minimum
     ordered = iter(sorted(steps))
     while size > cap:
         _, _, _, p, r = next(ordered)
         cost, size = cost + p, size - r
-    if cost <= limit:
-        return Verdict(None, "bound", Fraction(cost, scale))
+    if cost <= budget:
+        return Verdict(None, "bound", cost)
     lower = sum(min(r * c + p * s for c, s in o) for o in opts) - p * cap
-    if lower > r * limit:
-        return Verdict("work-budget", "bound", Fraction(lower, r * scale))
+    if lower > r * budget:
+        return Verdict("work-budget", "bound", Fraction(lower, r))
     solution = solve_mckp(items, m)
     reason = "work-budget" if solution.total_cost > budget else None
     return Verdict(reason, "dp", solution.total_cost)
@@ -278,13 +258,13 @@ def brute_mckp(
     if len(items) > 14:
         raise ValueError(f"brute_mckp is capped at 14 items, got {len(items)}")
     cap = 2 * m
-    scaled = _scaled_costs(items)
+    costs = [[opt.cost for opt in item.options] for item in items]
     n = len(items)
     # Admissible per-item lower bounds on the remaining cost let the DFS prune
     # without ever cutting an equal-cost branch (ties matter for size/lex).
     suffix_min = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
-        avail = [c for c in scaled[j] if c is not None]
+        avail = [c for c in costs[j] if c is not None]
         if not avail:
             return Infeasible("item-has-no-option")
         suffix_min[j] = suffix_min[j + 1] + min(avail)
@@ -306,7 +286,7 @@ def brute_mckp(
                 best_choice = choice.copy()
             return
         for cls in (1, 2, 3):
-            c = scaled[j][cls - 1]
+            c = costs[j][cls - 1]
             if c is None:
                 continue
             choice[j] = cls

@@ -1,10 +1,11 @@
 """Core domain types and exact arithmetic for monotone moldable job scheduling.
 
-Every time value, work value, and makespan guess in this package is an exact
-rational (``fractions.Fraction``).  The solver branches on comparisons such as
-``t(j,1) <= (3/7)*d`` and ``q <= m/6``; doing these in floating point would
-make results depend on rounding, so all decision arithmetic is exact.  Floats
-appear only in wall-clock timing and plotting.
+Every time, work and makespan guess in this package is exact.  An instance
+holds its times as integers over a common denominator Q, the n x m matrix A
+of ``Instance.grid`` (int64 while it fits, else Python ints): t(j,k) =
+A[j,k-1]/Q.  The decision path runs on A as integer array compares, since
+t <= h iff A <= floor(h*Q).  Fractions appear at the API boundary
+(``Job.times``, guesses, shelves, schedules); floats only in timing and plots.
 
 The stretch constant ``LAMBDA_STAR_UPPER`` is a Fraction literal, equal to
 ``lambda_star()`` at its default tolerance; only calling ``lambda_star``
@@ -13,10 +14,15 @@ needs mpmath.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional, Union
+
+import numpy as np
 
 RatLike = Union[Fraction, int, str, float]
 
@@ -85,12 +91,51 @@ def _log_gap_sign(x: Fraction) -> int:
 LAMBDA_STAR_UPPER = Fraction(956383, 655360)
 
 
+# Totals up to 2^59 keep every int64 sum of the knapsack DP below 2^61.
+_INT64_SAFE_TOTAL = 1 << 59
+
+
+class Times(Sequence):
+    """Read-only view of a numerator row: item k-1 is Fraction(row[k-1], q).
+    It compares and hashes like the tuple of those Fractions."""
+
+    __slots__ = ("_row", "_q")
+
+    def __init__(self, row: np.ndarray, q: int) -> None:
+        self._row, self._q = row, q
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(Fraction(a, self._q) for a in self._row[k].tolist())
+        return Fraction(int(self._row[k]), self._q)
+
+    def __iter__(self):
+        return (Fraction(a, self._q) for a in self._row.tolist())
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, Times)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def strings(self) -> list[str]:  # str() of each time, without building Fractions
+        q = self._q
+        return [f"{a // g}/{q // g}" if (g := math.gcd(a, q)) != q else str(a // g)
+                for a in self._row.tolist()]
+
+
 @dataclass(frozen=True)
 class Job:
     """A moldable job: ``times[k-1]`` is its execution time on k machines."""
 
     id: int
-    times: tuple[Fraction, ...]
+    times: Sequence[Fraction]  # a tuple, or a Times view for generated jobs
 
 
 @dataclass(frozen=True)
@@ -106,8 +151,17 @@ class Instance:
     jobs: tuple[Job, ...]
 
     @cached_property
+    def grid(self) -> tuple[int, np.ndarray]:
+        """(Q, A) with t(j,k) = A[j,k-1]/Q exactly, rows in job order."""
+        return numerators(self.jobs, self.m)
+
+    @cached_property
     def by_id(self) -> dict[int, Job]:
         return {j.id: j for j in self.jobs}
+
+    @cached_property
+    def row_of(self) -> dict[int, int]:  # job id -> its row in the grid
+        return {j.id: i for i, j in enumerate(self.jobs)}
 
     def job(self, job_id: int) -> Job:
         return self.by_id[job_id]
@@ -162,6 +216,29 @@ class Schedule:
     makespan: Fraction
 
 
+def numerators(jobs: Sequence[Job], m: int) -> tuple[int, np.ndarray]:
+    """The grid of the jobs' times: the rows of their Times views when these
+    share one q, else Q is the lcm of every denominator."""
+    if len(qs := {getattr(j.times, "_q", None) for j in jobs}) == 1 and None not in qs:
+        return qs.pop(), int_matrix([j.times._row for j in jobs], m)
+    dens = {t.denominator for j in jobs for t in j.times}
+    q = math.lcm(*dens)
+    up = {den: q // den for den in dens}
+    return q, int_matrix([[t.numerator * up[t.denominator] for t in j.times] for j in jobs], m)
+
+
+def int_matrix(rows: list[list[int]], m: int) -> np.ndarray:
+    """Read-only n x m matrix: int64 while m*max|a| <= 2^59, else exact ints."""
+    try:
+        a = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+        if a.size and max(int(a.max()), -int(a.min())) * m > _INT64_SAFE_TOTAL:
+            raise OverflowError
+    except OverflowError:
+        a = np.array(rows, dtype=object).reshape(len(rows), m)
+    a.setflags(write=False)
+    return a
+
+
 def make_schedule(placements: Iterable[PlacedJob]) -> Schedule:
     placements = tuple(placements)
     makespan = max((p.end for p in placements), default=Fraction(0))
@@ -200,9 +277,18 @@ def gamma(job: Job, h: Fraction, m: Optional[int] = None) -> Optional[int]:
 
 
 def validate_instance(inst: Instance) -> list[InstanceViolation]:
-    """Collect every monotony / positivity / shape violation; empty means ok."""
+    """Collect every monotony / positivity / shape violation; empty means ok.
+    Values are checked as array compares on the grid of the jobs of length m."""
+    full = [job for job in inst.jobs if len(job.times) == inst.m]
+    _, a = inst.grid if len(full) == inst.n else numerators(full, inst.m)
+    bad = np.zeros(a.shape + (3,), dtype=bool)
+    bad[..., 0] = a <= 0
+    bad[:, 1:, 1] = a[:, 1:] > a[:, :-1]
+    bad[:, 1:, 2] = np.arange(2, inst.m + 1) * a[:, 1:] < np.arange(1, inst.m) * a[:, :-1]
+    kinds = ("positive", "time-monotony", "work-monotony")
     out: list[InstanceViolation] = []
     seen: set[int] = set()
+    rows = iter(bad)  # an m x 3 violation mask per job of length m
     for job in inst.jobs:
         if job.id in seen:
             out.append(InstanceViolation(job.id, 0, "duplicate-id"))
@@ -210,16 +296,8 @@ def validate_instance(inst: Instance) -> list[InstanceViolation]:
         if len(job.times) != inst.m:
             out.append(InstanceViolation(job.id, len(job.times), "length"))
             continue
-        for k in range(1, inst.m + 1):
-            t = job.times[k - 1]
-            if t <= 0:
-                out.append(InstanceViolation(job.id, k, "positive"))
-            if k >= 2:
-                prev = job.times[k - 2]
-                if t > prev:
-                    out.append(InstanceViolation(job.id, k, "time-monotony"))
-                if k * t < (k - 1) * prev:
-                    out.append(InstanceViolation(job.id, k, "work-monotony"))
+        for c, kind in zip(*(ix.tolist() for ix in np.nonzero(next(rows)))):
+            out.append(InstanceViolation(job.id, c + 1, kinds[kind]))
     return out
 
 
@@ -227,14 +305,9 @@ def classify_jobs(inst: Instance, d: Fraction) -> JobClassification:
     """Split jobs at the small-job threshold t(j,1) <= (3/7)*d (ties small)."""
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    threshold = SMALL_THRESHOLD_FRAC * d
-    small: set[int] = set()
-    big: set[int] = set()
-    ws = Fraction(0)
-    for job in inst.jobs:
-        if job.times[0] <= threshold:
-            small.add(job.id)
-            ws += job.times[0]
-        else:
-            big.add(job.id)
-    return JobClassification(frozenset(small), frozenset(big), ws)
+    q, a = inst.grid
+    is_small = (a[:, 0] <= math.floor(SMALL_THRESHOLD_FRAC * d * q)).tolist()
+    ids = [job.id for job in inst.jobs]
+    ws = Fraction(sum(compress(a[:, 0].tolist(), is_small)), q)
+    big = frozenset(compress(ids, [not s for s in is_small]))
+    return JobClassification(frozenset(compress(ids, is_small)), big, ws)

@@ -4,8 +4,8 @@ Each instance's (makespan, accepted_d, lambda_used, placements) is hashed
 with sha256; a refactor must keep every hash unless the change explains why
 the schedules moved.  The corpus covers a seeded random grid, tiny instances,
 the adversarial instance, and constant-work instances whose works have
-distinct large-prime denominators, so that the knapsack's integer-scaled
-cost totals pass 2^59 and the exact (object-dtype) DP runs inside full
+distinct large-prime denominators, so that the knapsack's integer cost
+totals pass 2^59 and the exact (object-dtype) DP runs inside full
 solves.
 
 Re-record the hashes with ``PYTHONPATH=src:tests python tests/test_golden.py``.
@@ -89,13 +89,13 @@ def digest(result) -> str:
 
 
 def scaled_total(inst: Instance, d: Fraction) -> int:
-    """Sum over the knapsack items at d of their largest cost, scaled to integers
-    by the lcm of all cost denominators (the DP's own integer costs)."""
+    """Sum over the knapsack items at d of their largest cost, in the DP's own
+    integer unit: the items' costs (work at the grid scale) over their gcd."""
     items = build_items(inst, classify_jobs(inst, d).big, d)
     assert not isinstance(items, Reject)
     costs = [[o.cost for o in it.options if o.cost is not None] for it in items]
-    scale = math.lcm(*(c.denominator for row in costs for c in row))
-    return sum(max(row) * scale for row in costs)
+    unit = math.gcd(*(c for row in costs for c in row))
+    return sum(max(row) for row in costs) // unit
 
 
 def test_golden_hashes():

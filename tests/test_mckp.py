@@ -19,19 +19,39 @@ from util import const_work_job, instance, job, random_instance
 
 
 def random_items(rng: random.Random, n: int, m: int) -> list[MckpItem]:
-    """Unstructured option grids: random costs/sizes, random unavailability."""
-    items = []
+    """Unstructured option grids: random costs/sizes, random unavailability.
+
+    Costs are drawn as rationals and put on one integer unit, the lcm of
+    their denominators, as the grid puts work on the scale Q."""
+    drawn = []
     for i in range(n):
         opts = []
         for _ in range(3):
             if rng.random() < 0.15:
-                opts.append(MckpOption(None, 0))
+                opts.append((None, 0))
             else:
                 cost = Fraction(rng.randint(0, 400), rng.randint(1, 40))
                 size = rng.randint(0, 2 * m + 2)
-                opts.append(MckpOption(cost, size))
-        items.append(MckpItem(i + 1, tuple(opts)))
-    return items
+                opts.append((cost, size))
+        drawn.append(opts)
+    return integer_items(drawn)
+
+
+def integer_items(drawn) -> list[MckpItem]:
+    """Items from rows of (rational cost or None, size), costs times the lcm."""
+    scale = math.lcm(*(c.denominator for row in drawn for c, _ in row if c is not None))
+    return [
+        MckpItem(i + 1, tuple(MckpOption(None if c is None else int(c * scale), s) for c, s in row))
+        for i, row in enumerate(drawn)
+    ]
+
+
+def dp_total(items) -> int:
+    """The total the DP sizes its cost row by: each item's largest cost,
+    over the gcd of all costs (solve_mckp's unit)."""
+    costs = [[o.cost for o in it.options if o.available] for it in items]
+    unit = math.gcd(*(c for row in costs for c in row)) or 1
+    return sum(max(row, default=0) for row in costs) // unit
 
 
 class TestBuildItems:
@@ -40,9 +60,11 @@ class TestBuildItems:
         items = build_items(inst, {1}, rat(1))
         assert not isinstance(items, Reject)
         (item,) = items
-        assert item.options[0] == MckpOption(rat(1), 2)
-        assert item.options[1] == MckpOption(rat(1), 2)
-        assert item.options[2] == MckpOption(rat("1.02"), 0)
+        q = inst.grid[0]  # costs are work at the grid scale
+        assert q == 50
+        assert item.options[0] == MckpOption(rat(1) * q, 2)
+        assert item.options[1] == MckpOption(rat(1) * q, 2)
+        assert item.options[2] == MckpOption(rat("1.02") * q, 0)
 
     def test_reject_when_job_cannot_meet_d(self):
         inst = instance(2, job(1, 10, 6))
@@ -59,8 +81,9 @@ class TestBuildItems:
         assert not isinstance(items, Reject)
         (item,) = items
         assert not item.options[2].available
-        assert item.options[0] == MckpOption(rat("6.01"), 14)  # gamma(1) = 7
-        assert item.options[1] == MckpOption(rat("6.01"), 11)
+        q = inst.grid[0]
+        assert item.options[0] == MckpOption(rat("6.01") * q, 14)  # gamma(1) = 7
+        assert item.options[1] == MckpOption(rat("6.01") * q, 11)
 
     def test_unavailable_options_in_middle(self):
         # Meets d on all machines but never (4/7)d or (3/7)d.
@@ -80,14 +103,14 @@ class TestSolveMckp:
         assert sol.total_size2 == 0
 
     def test_single_item_over_capacity(self):
-        items = [MckpItem(1, (MckpOption(rat(1), 2 * 3 + 2), MckpOption(None, 0), MckpOption(None, 0)))]
+        items = [MckpItem(1, (MckpOption(1, 2 * 3 + 2), MckpOption(None, 0), MckpOption(None, 0)))]
         assert isinstance(solve_mckp(items, 3), Infeasible)
 
     def test_all_class3_available_feasible(self):
         rng = random.Random(5)
         items = random_items(rng, 8, 4)
         items = [
-            MckpItem(it.job_id, (it.options[0], it.options[1], MckpOption(rat(1), 0)))
+            MckpItem(it.job_id, (it.options[0], it.options[1], MckpOption(1, 0)))
             for it in items
         ]
         sol = solve_mckp(items, 4)
@@ -96,21 +119,21 @@ class TestSolveMckp:
         assert sol.total_cost == ref.total_cost
 
     def test_full_ties_pick_lowest_class_in_input_order(self):
-        same = MckpOption(rat(2), 1)
+        same = MckpOption(2, 1)
         items = [
             MckpItem(1, (MckpOption(None, 0), same, same)),
             MckpItem(2, (same, same, same)),
             # (1, 2) and (2, 1) both total cost 3, size 2: the first job gets class 1.
-            MckpItem(3, (MckpOption(rat(1), 2), MckpOption(rat(2), 0), MckpOption(None, 0))),
-            MckpItem(4, (MckpOption(rat(1), 2), MckpOption(rat(2), 0), MckpOption(None, 0))),
+            MckpItem(3, (MckpOption(1, 2), MckpOption(2, 0), MckpOption(None, 0))),
+            MckpItem(4, (MckpOption(1, 2), MckpOption(2, 0), MckpOption(None, 0))),
         ]
         sol = solve_mckp(items, 2)
         assert sol.assignment == {1: 2, 2: 1, 3: 1, 4: 2}
         assert sol == brute_mckp(items, 2)
 
     def test_overflow_totals_match_oracle(self):
-        # Distinct large-prime denominators push the lcm-scaled cost totals
-        # past 2^59, so the DP runs on exact Python ints instead of int64.
+        # Distinct large-prime denominators push the integer cost totals past
+        # 2^59, so the DP runs on exact Python ints instead of int64.
         rng = random.Random(17)
         feasible = 0
         primes = (
@@ -119,19 +142,17 @@ class TestSolveMckp:
         )
         for _ in range(40):
             m = rng.randint(1, 6)
-            items = []
-            for i in range(rng.randint(4, 9)):
+            drawn = []
+            for _ in range(rng.randint(4, 9)):
                 q = next(primes)
-                opts = [
-                    MckpOption(None, 0)
+                drawn.append([
+                    (None, 0)
                     if rng.random() < 0.15
-                    else MckpOption(Fraction(rng.randint(q, 400 * q), q), rng.randint(0, m))
+                    else (Fraction(rng.randint(q, 400 * q), q), rng.randint(0, m))
                     for _ in range(3)
-                ]
-                items.append(MckpItem(i + 1, tuple(opts)))
-            scale = math.lcm(*(o.cost.denominator for it in items for o in it.options if o.available))
-            costs = [[o.cost for o in it.options if o.available] for it in items]
-            assert sum(max(row, default=0) * scale for row in costs) > 1 << 59
+                ])
+            items = integer_items(drawn)
+            assert dp_total(items) > 1 << 59
             got = solve_mckp(items, m)
             ref = brute_mckp(items, m)
             assert type(got) is type(ref)
@@ -228,9 +249,9 @@ class TestDecide:
             sol = solve_mckp(items, m)
             ref = None if len(items) > 14 else brute_mckp(items, m)
             assert type(ref) in (type(sol), type(None))
-            tiny = Fraction(1, 10**12)
-            base = Fraction(0) if isinstance(sol, Infeasible) else sol.total_cost
-            for budget in (base - tiny, base, base + tiny, base - 1, base + 1):
+            base = 0 if isinstance(sol, Infeasible) else sol.total_cost
+            step = abs(base) // 50 + 1
+            for budget in (base - 1, base, base + 1, base - step, base + step):
                 got = decide(items, m, budget)
                 assert got.reason == _verdict(sol, budget), (items, m, budget, got)
                 if ref is not None:
@@ -279,15 +300,15 @@ class TestDecide:
         # (job 1 full size, job 2 at size 0).  Budgets 8 and 9 sit in the gap.
         none = MckpOption(None, 0)
         items = [
-            MckpItem(1, (MckpOption(rat(0), 4), MckpOption(rat(10), 0), none)),
-            MckpItem(2, (MckpOption(rat(0), 3), MckpOption(rat(9), 0), none)),
+            MckpItem(1, (MckpOption(0, 4), MckpOption(10, 0), none)),
+            MckpItem(2, (MckpOption(0, 3), MckpOption(9, 0), none)),
         ]
         calls = []
         dp = mckp.solve_mckp
         monkeypatch.setattr(mckp, "solve_mckp", lambda *a: calls.append(a) or dp(*a))
-        assert decide(items, 2, rat(9)) == mckp.Verdict(None, "dp", rat(9))
-        assert decide(items, 2, rat(8)) == mckp.Verdict("work-budget", "dp", rat(9))
+        assert decide(items, 2, 9) == mckp.Verdict(None, "dp", 9)
+        assert decide(items, 2, 8) == mckp.Verdict("work-budget", "dp", 9)
         assert len(calls) == 2
-        assert decide(items, 2, rat(10)) == mckp.Verdict(None, "bound", rat(10))
-        assert decide(items, 2, rat(7)) == mckp.Verdict("work-budget", "bound", rat("7.5"))
+        assert decide(items, 2, 10) == mckp.Verdict(None, "bound", 10)
+        assert decide(items, 2, 7) == mckp.Verdict("work-budget", "bound", rat("7.5"))
         assert len(calls) == 2

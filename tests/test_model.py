@@ -5,20 +5,25 @@ import mpmath
 import pytest
 
 from moldsched import (
+    GenConfig,
+    Instance,
+    Job,
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
+    generate,
     rat,
     validate_instance,
 )
 from moldsched.model import (
     SMALL_THRESHOLD_FRAC,
+    InstanceViolation,
     classify_jobs,
     gamma,
     lambda_star,
     work,
 )
-from util import instance, job, random_monotone_job
+from util import instance, job, random_instance, random_monotone_job
 
 
 def f_sign(x: Fraction) -> int:
@@ -113,6 +118,87 @@ class TestValidateInstance:
         assert (1, "length") in kinds
         assert (1, "duplicate-id") in kinds
         assert (2, "positive") in kinds
+
+
+def ref_validate_instance(inst):
+    """The per-element Fraction loop validate_instance replaced, kept as the reference."""
+    out = []
+    seen = set()
+    for j in inst.jobs:
+        if j.id in seen:
+            out.append(InstanceViolation(j.id, 0, "duplicate-id"))
+        seen.add(j.id)
+        if len(j.times) != inst.m:
+            out.append(InstanceViolation(j.id, len(j.times), "length"))
+            continue
+        for k in range(1, inst.m + 1):
+            t = j.times[k - 1]
+            if t <= 0:
+                out.append(InstanceViolation(j.id, k, "positive"))
+            if k >= 2:
+                prev = j.times[k - 2]
+                if t > prev:
+                    out.append(InstanceViolation(j.id, k, "time-monotony"))
+                if k * t < (k - 1) * prev:
+                    out.append(InstanceViolation(j.id, k, "work-monotony"))
+    return out
+
+
+def _break(rng, inst):
+    """Mutate a random instance: zero or negative times, both monotony
+    breaks, wrong lengths, duplicate ids, huge denominators."""
+    jobs = []
+    for jb in inst.jobs:
+        times = list(jb.times)
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randrange(len(times))
+            kind = rng.randrange(6)
+            if kind == 0:
+                times[k] = Fraction(0)
+            elif kind == 1:
+                times[k] = -times[k]
+            elif kind == 2:  # time monotony: grows with k
+                times[k] = times[k] * 2
+            elif kind == 3:  # work monotony: shrinks too fast
+                times[k] = times[k] / 3
+            elif kind == 4:
+                times[k] = times[k] + Fraction(1, 10**30 + rng.randint(0, 10**6))
+            else:
+                times = times[:k] if rng.random() < 0.5 else times + [times[-1]]
+                break
+        job_id = jb.id if rng.random() < 0.8 else rng.randint(1, inst.n)
+        jobs.append(Job(job_id, tuple(times)))
+    return Instance(inst.m, tuple(jobs))
+
+
+class TestValidateMatchesReference:
+    def test_valid_instances(self):
+        rng = random.Random(61)
+        for _ in range(50):
+            inst = random_instance(rng, rng.randint(0, 10), rng.randint(1, 12))
+            assert validate_instance(inst) == ref_validate_instance(inst) == []
+        gen = generate(GenConfig(n=20, m=9, seed=3))
+        assert validate_instance(gen) == []
+
+    def test_broken_instances(self):
+        rng = random.Random(62)
+        kinds = set()
+        for _ in range(300):
+            inst = _break(rng, random_instance(rng, rng.randint(1, 8), rng.randint(1, 9)))
+            got = validate_instance(inst)
+            assert got == ref_validate_instance(inst)
+            kinds |= {v.kind for v in got}
+        assert kinds == {"positive", "time-monotony", "work-monotony", "length", "duplicate-id"}
+
+    def test_exact_ints_past_int64(self):
+        # Denominators near 10^30 put the grid on exact Python ints.
+        inst = instance(3, job(1, Fraction(3, 10**30 + 7), Fraction(1, 10**30 + 7), 2),
+                        job(2, 5, 3, 2))
+        assert inst.grid[1].dtype == object
+        got = validate_instance(inst)
+        assert got == ref_validate_instance(inst)
+        assert [(v.job_id, v.k, v.kind) for v in got] == [
+            (1, 2, "work-monotony"), (1, 3, "time-monotony")]
 
 
 class TestLambdaStar:

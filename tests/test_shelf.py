@@ -115,10 +115,11 @@ class TestBuildThreeShelf:
             sol = solve_mckp(items, inst.m)
             assert not isinstance(sol, Infeasible)
             budget = inst.m * d - cls.ws
-            assert sol.total_cost <= budget
+            total_cost = Fraction(sol.total_cost, inst.grid[0])  # costs are work * Q
+            assert total_cost <= budget
             ss = build_three_shelf(inst, sol.assignment, d, LAMBDA_Q0)
             w_built = ss.total_work()
-            assert w_built <= sol.total_cost <= budget
+            assert w_built <= total_cost <= budget
             apply_transformations(ss)
             assert ss.total_work() <= w_built
 
