@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from moldsched import LAMBDA_STAR_UPPER, Instance, Job, rat
 from moldsched.mckp import build_items, solve_mckp
-from moldsched.model import classify_jobs, gamma, lambda_star, work
+from moldsched.model import classify_jobs, gamma, lambda_star
 
 # A job that runs in 1 on one machine, 0.5 on two, 0.34 on three.
 job = Job(1, (rat(1), rat("0.5"), rat("0.34")))
@@ -18,10 +18,10 @@ inst = Instance(3, (job,))
 
 print("canonical machine counts (smallest k finishing within h):")
 for h in (rat(1), Fraction(4, 7), Fraction(3, 7), rat("0.2")):
-    print(f"  gamma(j, {str(h):>4}) = {gamma(job, h)}")
+    print(f"  gamma(j, {str(h):>4}) = {gamma(inst, job.id, h)}")
 
 print("\nwork is time * machines and never shrinks with more machines:")
-print(" ", [str(work(job, k)) for k in (1, 2, 3)])
+print(" ", [str(k * job.times[k - 1]) for k in (1, 2, 3)])
 
 d = rat(1)
 cls = classify_jobs(inst, d)

@@ -11,10 +11,9 @@ while staying within the proven stretch.
 from fractions import Fraction
 
 from moldsched import adversarial_instance, solve
-from moldsched.model import work
 
 inst = adversarial_instance()
-works = [work(j, 1) for j in inst.jobs]
+works = [j.times[0] for j in inst.jobs]  # work is constant: t(j,1) = k*t(j,k)
 print(f"m = {inst.m}, works = {[str(w) for w in works]}")
 print(f"total work = {sum(works)}  =>  optimum makespan = 1 (pack everything)")
 

@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 # gamma stays bound here for the benchmark tracer, which wraps mckp.gamma.
-from .model import _INT64_SAFE_TOTAL, Instance, gamma  # noqa: F401
+from .model import _INT64_SAFE_TOTAL, Instance, gamma, gammas  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,13 @@ def build_items(
     inst: Instance, big: Sequence[int] | frozenset[int], d: Fraction
 ) -> Union[list[MckpItem], Reject]:
     """Construct the per-job options, or Reject when some gamma(j, d) is infinite.
-    gamma(j, h) - 1 counts the k with A[j,k-1] > floor(h*Q); g = m+1 is none."""
+    The three gammas of every job are one ``gammas`` count each; m+1 is none."""
     ids = sorted(big)
     q, a = inst.grid
     rows, m = a[[inst.row_of[i] for i in ids]], inst.m
     per_class = []
     for f in (1, Fraction(4, 7), Fraction(3, 7)):
-        g = (rows > math.floor(f * d * q)).sum(axis=1) + 1
+        g = gammas(rows, f * d, q)
         t = np.take_along_axis(rows, np.minimum(g, m)[:, None] - 1, axis=1)[:, 0]
         per_class.append(zip(g.tolist(), (t * g).tolist()))
     none = MckpOption(None, 0)

@@ -3,9 +3,11 @@
 Every time, work and makespan guess in this package is exact.  An instance
 holds its times as integers over a common denominator Q, the n x m matrix A
 of ``Instance.grid`` (int64 while it fits, else Python ints): t(j,k) =
-A[j,k-1]/Q.  The decision path runs on A as integer array compares, since
-t <= h iff A <= floor(h*Q).  Fractions appear at the API boundary
-(``Job.times``, guesses, shelves, schedules); floats only in timing and plots.
+A[j,k-1]/Q.  The solver reads times only from the grid: the decision path
+as integer array compares, since t <= h iff A <= floor(h*Q), and the shelves
+through ``t`` and ``gamma``, the one canonical machine count.  Fractions
+appear at the API boundary (``Job.times``, guesses, shelf heights,
+schedules); floats only in timing and plots.
 
 The stretch constant ``LAMBDA_STAR_UPPER`` is a Fraction literal, equal to
 ``lambda_star()`` at its default tolerance; only calling ``lambda_star``
@@ -245,35 +247,29 @@ def make_schedule(placements: Iterable[PlacedJob]) -> Schedule:
     return Schedule(placements, makespan)
 
 
-def work(job: Job, k: int) -> Fraction:
-    """Work (area) of the job on k machines: k * t(j,k)."""
-    if not 1 <= k <= len(job.times):
-        raise ValueError(f"k={k} out of range 1..{len(job.times)} for job {job.id}")
-    return job.times[k - 1] * k
+def t(inst: Instance, job_id: int, k: int) -> Fraction:
+    """t(j,k), the job's time on k machines, read off the grid."""
+    q, a = inst.grid
+    return Fraction(a.item(inst.row_of[job_id], k - 1), q)
 
 
-def gamma(job: Job, h: Fraction, m: Optional[int] = None) -> Optional[int]:
+def gamma(inst: Instance, job_id: int, h: Fraction) -> Optional[int]:
     """Canonical number of machines: smallest k with t(j,k) <= h.
 
     Returns None when the job cannot finish within h even on all m machines.
-    Binary search over k is valid because times are non-increasing in k.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    times = job.times
-    mm = len(times) if m is None else m
-    if not 1 <= mm <= len(times):
-        raise ValueError(f"m={mm} out of range for job {job.id}")
-    if times[mm - 1] > h:
-        return None
-    lo, hi = 1, mm
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if times[mid - 1] <= h:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    q, a = inst.grid
+    g = int(gammas(a[inst.row_of[job_id]], h, q))
+    return g if g <= inst.m else None
+
+
+def gammas(rows: np.ndarray, h: Fraction, q: int) -> np.ndarray:
+    """gamma(j, h) for each numerator row over Q = q, m+1 where there is none:
+    1 + #{k : A[j,k-1] > floor(h*Q)}, the smallest k with t(j,k) <= h when
+    times are non-increasing in k."""
+    return (rows > h.numerator * q // h.denominator).sum(axis=-1) + 1
 
 
 def validate_instance(inst: Instance) -> list[InstanceViolation]:

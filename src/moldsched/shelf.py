@@ -32,6 +32,10 @@ asserted and raises ShelfInvariantError instead of emitting a bad schedule.
 Machine bookkeeping: shelf 0 owns machines [0, m0); shelves 1 and 2 share
 the remaining m' = m - m0 machines, and all repair thresholds (q vs m'/6,
 shelf-2 width vs m') are taken relative to m'.
+
+Times come from the instance's integer grid only: every height is
+``t(inst, j, k)`` and every canonical count ``gamma(inst, j, h)``, the same
+count the knapsack items are built from.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .model import (
     Schedule,
     gamma,
     make_schedule,
-    work,
+    t,
 )
 
 
@@ -176,10 +180,6 @@ class ShelfSchedule:
         )
 
 
-def _t(inst: Instance, job_id: int, k: int) -> Fraction:
-    return inst.job(job_id).times[k - 1]
-
-
 def build_three_shelf(
     inst: Instance,
     assignment: dict[int, int],
@@ -217,39 +217,38 @@ def build_three_shelf(
     ones: list[int] = []
     for job_id in sorted(assignment):
         cls = assignment[job_id]
-        job = inst.job(job_id)
         if cls == 1:
-            g = gamma(job, d, inst.m)
+            g = gamma(inst, job_id, d)
             if g is None:
                 raise ShelfInvariantError(f"class-1 job {job_id} cannot meet d", ss)
-            drop(ShelfColumn(g, [ColumnPart(job_id, job.times[g - 1])]))
+            drop(ShelfColumn(g, [ColumnPart(job_id, t(inst, job_id, g))]))
         elif cls == 2:
-            g = gamma(job, h2, inst.m)
+            g = gamma(inst, job_id, h2)
             if g is None:
                 raise ShelfInvariantError(f"class-2 job {job_id} cannot meet (4/7)d", ss)
             if g >= 4:
                 w = g // 2
-                drop(ShelfColumn(w, [ColumnPart(job_id, job.times[w - 1])]))
+                drop(ShelfColumn(w, [ColumnPart(job_id, t(inst, job_id, w))]))
             elif g == 2:
-                drop(ShelfColumn(1, [ColumnPart(job_id, job.times[0])]))
+                drop(ShelfColumn(1, [ColumnPart(job_id, t(inst, job_id, 1))]))
             elif g == 3:
                 threes.append(job_id)
             else:
                 ones.append(job_id)
         elif cls == 3:
-            g = gamma(job, (lam - 1) * d, inst.m)
+            g = gamma(inst, job_id, (lam - 1) * d)
             if g is None:
                 raise ShelfInvariantError(f"class-3 job {job_id} cannot meet (lam-1)d", ss)
-            ss.s2.append(S2Job(job_id, g, job.times[g - 1]))
+            ss.s2.append(S2Job(job_id, g, t(inst, job_id, g)))
         else:
             raise ValueError(f"job {job_id}: class must be 1..3, got {cls}")
 
-    leftover3 = _pair_up(ss, threes, width=3, height_at=3, drop=drop)
-    leftover1 = _pair_up(ss, ones, width=1, height_at=1, drop=drop)
+    leftover3 = _pair_up(ss, threes, width=3, drop=drop)
+    leftover1 = _pair_up(ss, ones, width=1, drop=drop)
 
     if leftover3 is not None and leftover1 is not None:
-        t3 = _t(inst, leftover3, 2)
-        t1 = _t(inst, leftover1, 1)
+        t3 = t(inst, leftover3, 2)
+        t1 = t(inst, leftover1, 1)
         lane0 = ShelfColumn(
             1,
             [ColumnPart(leftover3, t3), ColumnPart(leftover1, t1)],
@@ -263,15 +262,14 @@ def build_three_shelf(
         ss.s1.append(lane1)
         ss.split_job = leftover3
     elif leftover3 is not None:
-        job = inst.job(leftover3)
-        g = gamma(job, lam_d, inst.m)
+        g = gamma(inst, leftover3, lam_d)
         if g is None or g > 2:
             raise ShelfInvariantError(
                 f"leftover 3-machine job {leftover3} needs more than 2 machines", ss
             )
-        drop(ShelfColumn(g, [ColumnPart(leftover3, job.times[g - 1])]))
+        drop(ShelfColumn(g, [ColumnPart(leftover3, t(inst, leftover3, g))]))
     elif leftover1 is not None:
-        drop(ShelfColumn(1, [ColumnPart(leftover1, _t(inst, leftover1, 1))]))
+        drop(ShelfColumn(1, [ColumnPart(leftover1, t(inst, leftover1, 1))]))
 
     if ss.m0 + ss.m1_used > inst.m:
         raise ShelfInvariantError(
@@ -280,22 +278,13 @@ def build_three_shelf(
     return ss
 
 
-def _pair_up(
-    ss: ShelfSchedule, job_ids: list[int], width: int, height_at: int, drop
-) -> Optional[int]:
-    """Stack jobs in pairs (tallest with next-tallest); return the odd one out."""
-    inst = ss.inst
-    ordered = sorted(job_ids, key=lambda j: (-_t(inst, j, height_at), j))
+def _pair_up(ss: ShelfSchedule, job_ids: list[int], width: int, drop) -> Optional[int]:
+    """Stack jobs in pairs on ``width`` machines (tallest with next-tallest);
+    return the odd one out."""
+    height = {j: t(ss.inst, j, width) for j in job_ids}
+    ordered = sorted(job_ids, key=lambda j: (-height[j], j))
     for a, b in zip(ordered[0::2], ordered[1::2]):
-        drop(
-            ShelfColumn(
-                width,
-                [
-                    ColumnPart(a, _t(inst, a, height_at)),
-                    ColumnPart(b, _t(inst, b, height_at)),
-                ],
-            )
-        )
+        drop(ShelfColumn(width, [ColumnPart(a, height[a]), ColumnPart(b, height[b])]))
     return ordered[-1] if len(ordered) % 2 else None
 
 
@@ -325,11 +314,11 @@ def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
     candidates form a FIFO in shelf-1 order and the stack candidates a heap,
     both built once, and a drained column joins whichever one it qualifies
     for.  Shelf 1 keeps its order, minus the columns that left.  A shrink
-    costs O(log m) for gamma and a stack O(log n) in the heap, so the loop
-    is O(n (log n + log m)) plus one pass over shelf 2 per drain.  Each move
-    pushes a job toward shelf 0 (or out of shelf 2), so the loop runs at
-    most twice per job; a generous guard turns any unexpected cycling into
-    a loud error.
+    costs one gamma, an array count over the job's m grid numerators, and a
+    stack O(log n) in the heap, so the loop is O(n (log n + m)) plus one pass
+    over shelf 2 per drain.  Each move pushes a job toward shelf 0 (or out of
+    shelf 2), so the loop runs at most twice per job; a generous guard turns
+    any unexpected cycling into a loud error.
     """
     inst, d = ss.inst, ss.d
     lam_d = ss.lam * d
@@ -363,14 +352,14 @@ def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
                     raise ShelfInvariantError(
                         "composite column met the shrink rule", ss
                     )
-                job = inst.job(col.parts[0].job_id)
-                g = gamma(job, lam_d, inst.m)
+                job_id = col.parts[0].job_id
+                g = gamma(inst, job_id, lam_d)
                 if g is None or g > col.width:
                     raise ShelfInvariantError("shrink would widen a job", ss)
                 m1_used -= col.width
                 m0 += g
                 col.width = g
-                col.parts[0] = ColumnPart(job.id, job.times[g - 1])
+                col.parts[0] = ColumnPart(job_id, t(inst, job_id, g))
                 left_s1.add(id(col))
                 ss.s0.append(col)
             elif len(stacks) >= 2:
@@ -389,21 +378,20 @@ def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
                 if q < 1:
                     break
                 i = next(
-                    (i for i, j in enumerate(ss.s2)
-                     if inst.job(j.job_id).times[q - 1] <= lam_d),
+                    (i for i, j in enumerate(ss.s2) if t(inst, j.job_id, q) <= lam_d),
                     None,
                 )
                 if i is None:
                     break
-                job = inst.job(ss.s2[i].job_id)
-                g = gamma(job, lam_d, inst.m)
+                job_id = ss.s2[i].job_id
+                g = gamma(inst, job_id, lam_d)
                 if g is None or g > q:
                     raise ShelfInvariantError(
                         "shelf-2 drain does not fit idle machines", ss
                     )
                 del ss.s2[i]
-                height = job.times[g - 1]
-                col = ShelfColumn(g, [ColumnPart(job.id, height)])
+                height = t(inst, job_id, g)
+                col = ShelfColumn(g, [ColumnPart(job_id, height)])
                 if height <= d:
                     m1_used += g
                     ss.s1.append(col)
@@ -431,8 +419,8 @@ def _check_transformed(ss: ShelfSchedule) -> None:
     q = ss.q
     if q >= 1:
         bound = ss.lam * ss.d * q
-        for j in ss.s2:
-            if work(ss.inst.job(j.job_id), j.width) <= bound:
+        for j in ss.s2:  # heights are still t(j, width): no repair has run
+            if j.height * j.width <= bound:
                 raise ShelfInvariantError(
                     f"shelf-2 job {j.job_id} has work <= lam*d*q", ss
                 )
@@ -462,7 +450,7 @@ def repair_s2_small_q(ss: ShelfSchedule) -> Layout:
         if j.width <= 1:
             raise ShelfInvariantError("flattest shelf-2 job is already one machine", ss)
         j.width -= 1
-        j.height = _t(ss.inst, j.job_id, j.width)
+        j.height = t(ss.inst, j.job_id, j.width)
     return _place_right_aligned(ss)
 
 
@@ -497,7 +485,7 @@ def repair_s2_large_q(ss: ShelfSchedule) -> Layout:
     chosen_i: Optional[int] = None
     for i in range(m_eff - ss.q):
         w = m_eff - i
-        if loads[i] + inst.job(j0.job_id).times[w - 1] <= lam_d:
+        if loads[i] + t(inst, j0.job_id, w) <= lam_d:
             chosen_i = i
             break
     if chosen_i is None:
@@ -506,7 +494,7 @@ def repair_s2_large_q(ss: ShelfSchedule) -> Layout:
         )
     w = m_eff - chosen_i
     j0.width = w
-    j0.height = inst.job(j0.job_id).times[w - 1]
+    j0.height = t(inst, j0.job_id, w)
 
     split_lane = _split_lane_in(ss.s1)
     if split_lane is None:
@@ -656,7 +644,7 @@ def layout_contiguous(
             hung[mach] = start
         placements.append(PlacedJob(j.job_id, first, j.width, start, j.height))
 
-    top = [lam_d if t is None else t for t in hung]
+    top = [lam_d if start is None else start for start in hung]
     for mach in range(inst.m):
         if bottom[mach] > top[mach]:
             raise ShelfInvariantError(
@@ -681,7 +669,7 @@ def add_small_jobs(layout: Layout, inst: Instance, small: Iterable[int]) -> Sche
     heapq.heapify(heap)
     placements = list(layout.schedule.placements)
     for job_id in small:
-        t1 = inst.job(job_id).times[0]
+        t1 = t(inst, job_id, 1)
         key, i = heapq.heappop(heap)
         start = bottom[i]
         if start + t1 > top[i]:

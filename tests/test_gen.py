@@ -9,7 +9,6 @@ from moldsched import (
     rat,
     validate_instance,
 )
-from moldsched.model import work
 
 # Chi-square critical value, 9 degrees of freedom, p = 0.001.
 _CHI2_9_P001 = 27.877
@@ -78,7 +77,7 @@ class TestAdversarialInstance:
     def test_shape_and_works(self):
         inst = adversarial_instance()
         assert inst.m == 13 and inst.n == 10
-        works = [work(j, 1) for j in inst.jobs]
+        works = [j.times[0] for j in inst.jobs]
         assert works[0] == rat("6.01")
         assert works[1] == rat("0.99")
         assert works[2:] == [Fraction(3, 4)] * 8
@@ -88,7 +87,7 @@ class TestAdversarialInstance:
         inst = adversarial_instance()
         for j in inst.jobs:
             for k in range(1, 14):
-                assert work(j, k) == work(j, 1)
+                assert k * j.times[k - 1] == j.times[0]
         assert inst.jobs[0].times[12] == rat("6.01") / 13
 
     def test_validates(self):

@@ -1,6 +1,7 @@
 """The integer time grid: Instance.grid, the Times view, and the decision path
 checked against the Fraction implementations it replaced."""
 
+import collections
 import math
 import pickle
 import random
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from moldsched import GenConfig, Instance, Job, Reject, adversarial_instance, generate, solve
-from moldsched import cli, mckp
+from moldsched import cli, driver, mckp, shelf
 from moldsched.driver import SearchBounds, initial_bounds
-from moldsched.model import _INT64_SAFE_TOTAL, Times, classify_jobs, gamma, validate_instance, work
+from moldsched.model import _INT64_SAFE_TOTAL, Times, classify_jobs, validate_instance
 from moldsched.verify import validate_schedule
 from util import const_work_job, instance, random_instance
 
@@ -34,14 +35,21 @@ def ref_classify(inst, d):
 
 def ref_build_items(inst, big, d):
     """(job id, ((work, size), ...)) per big job, or ("reject", job id)."""
+
+    def gamma(job, h):  # smallest k with t(j,k) <= h, by a linear scan
+        return next((k for k, t in enumerate(job.times, start=1) if t <= h), None)
+
+    def work(job, k):
+        return k * job.times[k - 1]
+
     items = []
     for job_id in sorted(big):
         job = inst.job(job_id)
-        g1 = gamma(job, d, inst.m)
+        g1 = gamma(job, d)
         if g1 is None:
             return ("reject", job_id)
-        g2 = gamma(job, Fraction(4, 7) * d, inst.m)
-        g3 = gamma(job, Fraction(3, 7) * d, inst.m)
+        g2 = gamma(job, Fraction(4, 7) * d)
+        g3 = gamma(job, Fraction(3, 7) * d)
         items.append((job_id, (
             (work(job, g1), 2 * g1),
             (work(job, g2), g2) if g2 is not None else (None, 0),
@@ -260,3 +268,34 @@ class TestTimesView:
         assert back == inst and all(type(j.times) is tuple for j in back.jobs)
         assert cli.instance_to_obj(back) == obj
         assert solve(back).makespan == solve(inst).makespan
+
+    def test_construction_reads_no_view(self, monkeypatch):
+        # Shelves and small jobs read t(j,k) off the grid, so building the
+        # schedule of a generated instance makes no Fraction from a view.
+        # n=6, m=4: seed 2 ends in the many-idle-machines repair, seed 1 in
+        # the few-idle-machines one.
+        configs = [GenConfig(n=6, m=4, seed=2), GenConfig(n=6, m=4, seed=1)]
+        configs += [GenConfig(n=40, m=16, seed=s) for s in range(3)]
+        reads, repairs = collections.Counter(), collections.Counter()
+
+        def counting(fn, counter, name):
+            def wrapped(*args, **kwargs):
+                counter[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for config in configs:
+            inst = generate(config)
+            result = solve(inst)
+            cls = classify_jobs(inst, result.accepted_d)
+            with monkeypatch.context() as mp:
+                for name in ("__getitem__", "__iter__"):
+                    mp.setattr(Times, name, counting(getattr(Times, name), reads, name))
+                for name in ("repair_s2_small_q", "repair_s2_large_q"):
+                    mp.setattr(shelf, name, counting(getattr(shelf, name), repairs, name))
+                layout, lam = driver._shelf_pipeline(
+                    inst, result.mckp_assignment, result.accepted_d)
+                sched = shelf.add_small_jobs(layout, inst, cls.small)
+            assert (sched, lam) == (result.schedule, result.lambda_used)
+        assert reads == {}
+        assert repairs["repair_s2_small_q"] and repairs["repair_s2_large_q"]

@@ -19,11 +19,11 @@ from moldsched.model import (
     SMALL_THRESHOLD_FRAC,
     InstanceViolation,
     classify_jobs,
+    Times,
     gamma,
     lambda_star,
-    work,
 )
-from util import instance, job, random_instance, random_monotone_job
+from util import const_work_job, instance, job, random_instance, random_monotone_job
 
 
 def f_sign(x: Fraction) -> int:
@@ -31,56 +31,56 @@ def f_sign(x: Fraction) -> int:
         return int(mpmath.sign(mpmath.log(mpmath.mpf(x.numerator) / x.denominator) - 3 * x + 4))
 
 
-class TestWork:
-    def test_examples(self):
-        j = job(1, 10, 5, 4)
-        assert work(j, 1) == 10
-        assert work(j, 2) == 10
-        assert work(j, 3) == 12
-
-    def test_out_of_range(self):
-        j = job(1, 10, 5)
-        with pytest.raises(ValueError):
-            work(j, 0)
-        with pytest.raises(ValueError):
-            work(j, 3)
-
-
 class TestGamma:
     def test_examples(self):
-        j = job(1, 10, 5, 4, 3)
-        assert gamma(j, rat(4)) == 3
-        assert gamma(j, rat(10)) == 1
-        assert gamma(j, rat(2)) is None
+        inst = instance(4, job(1, 10, 5, 4, 3))
+        assert gamma(inst, 1, rat(4)) == 3
+        assert gamma(inst, 1, rat(10)) == 1
+        assert gamma(inst, 1, rat(2)) is None
 
     def test_nonpositive_h(self):
         with pytest.raises(ValueError):
-            gamma(job(1, 5), rat(0))
+            gamma(instance(1, job(1, 5)), 1, rat(0))
 
     def test_matches_linear_scan(self):
         rng = random.Random(7)
+        cases = []
         for _ in range(200):
             m = rng.randint(1, 64)
-            j = random_monotone_job(rng, 1, m)
-            for h in [j.times[0], j.times[-1], j.times[m // 2],
-                      j.times[-1] - Fraction(1, 100), rat(1000)]:
-                if h <= 0:
-                    continue
-                scan = next((k for k in range(1, m + 1) if j.times[k - 1] <= h), None)
-                assert gamma(j, h) == scan
+            cases.append(instance(m, random_monotone_job(rng, 1, m)))
+        # Constant work over distinct prime denominators: an object-dtype grid.
+        primes = (1_000_003, 1_000_033, 1_000_037, 1_000_039)
+        prime = instance(24, *(const_work_job(i + 1, Fraction(rng.randint(p, 3 * p), p), 24)
+                               for i, p in enumerate(primes)))
+        assert prime.grid[1].dtype == object
+        gen = generate(GenConfig(n=6, m=20, seed=3))
+        assert all(isinstance(j.times, Times) for j in gen.jobs)
+        cases += [prime, gen]
+        for inst in cases:
+            for j in inst.jobs:
+                m = inst.m
+                for h in [j.times[0], j.times[-1], j.times[m // 2],
+                          j.times[-1] - Fraction(1, 100), rat(1000),
+                          *(t * (1 + s * Fraction(1, 10**12))
+                            for t in j.times[1::5] for s in (-1, 0, 1))]:
+                    if h <= 0:
+                        continue
+                    scan = next((k for k in range(1, m + 1) if j.times[k - 1] <= h), None)
+                    assert gamma(inst, j.id, h) == scan
 
     def test_antimonotone_in_h(self):
         rng = random.Random(8)
         for _ in range(100):
             m = rng.randint(1, 32)
             j = random_monotone_job(rng, 1, m)
+            inst = instance(m, j)
             hs = sorted(rng.choice(j.times) + Fraction(rng.randint(-50, 50), 100)
                         for _ in range(4))
             prev = None
             for h in hs:
                 if h <= 0:
                     continue
-                g = gamma(j, h)
+                g = gamma(inst, 1, h)
                 if prev is not None:
                     # larger h -> needs no more machines (None acts as +inf)
                     pg, g_ = (float("inf") if prev is None else prev,
@@ -94,10 +94,10 @@ class TestGamma:
             m = rng.randint(1, 16)
             j = random_monotone_job(rng, 1, m)
             h = j.times[rng.randrange(m)]
-            g = gamma(j, h)
+            g = gamma(instance(m, j), 1, h)
             assert g is not None
             for k in range(g, m + 1):
-                assert work(j, g) <= work(j, k)
+                assert g * j.times[g - 1] <= k * j.times[k - 1]
 
 
 class TestValidateInstance:

@@ -215,7 +215,7 @@ def _ref_shrink(ss):
             if len(col.parts) != 1 or col.split_of is not None:
                 raise ShelfInvariantError("composite column met the shrink rule", ss)
             job = ss.inst.job(col.parts[0].job_id)
-            g = gamma(job, ss.lam * ss.d, ss.inst.m)
+            g = gamma(ss.inst, job.id, ss.lam * ss.d)
             if g is None or g > col.width:
                 raise ShelfInvariantError("shrink would widen a job", ss)
             col.width = g
@@ -252,7 +252,7 @@ def _ref_drain(ss):
     for j in ss.s2:
         job = ss.inst.job(j.job_id)
         if job.times[q - 1] <= lam_d:
-            g = gamma(job, lam_d, ss.inst.m)
+            g = gamma(ss.inst, job.id, lam_d)
             if g is None or g > q:
                 raise ShelfInvariantError("shelf-2 drain does not fit idle machines", ss)
             col = ShelfColumn(g, [ColumnPart(j.job_id, job.times[g - 1])])
@@ -286,11 +286,10 @@ def _forced_partition(rng, inst, big, d):
     """A random class per big job among those it can meet, class 2 first."""
     assignment = {}
     for job_id in sorted(big):
-        j = inst.job(job_id)
         feasible = [
             c
             for c, h in ((1, d), (2, Fraction(4, 7) * d), (3, (LAMBDA_Q0 - 1) * d))
-            if gamma(j, h, inst.m) is not None
+            if gamma(inst, job_id, h) is not None
         ]
         if not feasible:
             return None
@@ -634,10 +633,9 @@ class TestForcedPartitionFuzz:
                 continue
             assignment = {}
             for job_id in sorted(cls.big):
-                j = inst.job(job_id)
-                if gamma(j, Fraction(4, 7) * d, inst.m) is not None:
+                if gamma(inst, job_id, Fraction(4, 7) * d) is not None:
                     assignment[job_id] = 2
-                elif gamma(j, d, inst.m) is not None:
+                elif gamma(inst, job_id, d) is not None:
                     assignment[job_id] = 1
                 else:
                     assignment[job_id] = None

@@ -12,7 +12,7 @@ from moldsched import (
     validate_schedule,
 )
 from moldsched.driver import initial_bounds
-from moldsched.model import make_schedule, work
+from moldsched.model import make_schedule
 from util import instance, job, random_instance
 
 
@@ -90,7 +90,7 @@ class TestBruteForceOpt:
             inst = random_instance(rng, rng.randint(1, 4), rng.randint(1, 4))
             opt = brute_force_opt(inst)
             lb = max(
-                sum(work(j, 1) for j in inst.jobs) / inst.m,
+                sum(j.times[0] for j in inst.jobs) / inst.m,
                 max(j.times[-1] for j in inst.jobs),
             )
             assert opt >= lb
