@@ -24,7 +24,8 @@ print(f"certified bounds on the optimum: [{float(bounds.lower):.3f}, {float(boun
 result = solve(inst, eps=Fraction(1, 20))
 print(f"\naccepted guess d = {float(result.accepted_d):.4f} "
       f"after {result.iterations} bisection steps")
-print(f"stretch branch   = {result.lambda_used} (~{float(result.lambda_used):.4f})")
+print(f"stretch met      = {result.lambda_used} (~{float(result.lambda_used):.4f}), "
+      f"by the {result.construction} schedule")
 print(f"makespan         = {result.makespan} (~{float(result.makespan):.4f})")
 
 report = ratio_report(inst, result)

@@ -17,7 +17,8 @@ The bench harness runs solves in a process pool (worker count from the
 MOLDSCHED_WORKERS environment variable) and writes one CSV row per
 (n, m, seed) in deterministic order, with the solve's wall time, its
 per-phase times (``SolveResult.timings``) and the ``generate`` time
-(``gen_ms``) in milliseconds.
+(``gen_ms``) in milliseconds, and the construction that built the returned
+schedule (``list`` or ``shelf``).
 """
 
 from __future__ import annotations
@@ -235,6 +236,7 @@ def cmd_solve(
     print(f"makespan    {result.makespan}  (~{float(result.makespan):.6g})")
     print(f"accepted_d  {result.accepted_d}  (~{float(result.accepted_d):.6g})")
     print(f"lambda      {result.lambda_used}  (~{float(result.lambda_used):.6g})")
+    print(f"construction {result.construction}")
     print(f"iterations  {result.iterations}")
     print(f"wall_s      {wall:.3f}")
     return 0
@@ -295,6 +297,7 @@ def _bench_one(task: tuple[int, int, int, str]) -> dict:
             wall_ms=f"{wall_ms:.3f}",
             iterations=result.iterations,
             gen_ms=f"{(t1 - t0) * 1000.0:.3f}",
+            construction=result.construction,
         )
         row.update({f"{k}_ms": f"{v * 1000.0:.3f}" for k, v in result.timings.items()})
     except Exception as exc:  # recorded per-row, harness keeps going
@@ -305,7 +308,7 @@ def _bench_one(task: tuple[int, int, int, str]) -> dict:
 _BENCH_FIELDS = [
     "n", "m", "seed", "epsilon", "makespan", "accepted_d", "lambda_used",
     "ratio_vs_lower_bound", "wall_ms", "iterations", "gen_ms",
-    "mckp_ms", "shelf_ms", "small_ms", "verify_ms", "error",
+    "mckp_ms", "list_ms", "shelf_ms", "small_ms", "verify_ms", "construction", "error",
 ]
 
 

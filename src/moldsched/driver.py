@@ -3,10 +3,15 @@
 For each guess d the knapsack decision either accepts (some class partition
 of the big jobs fits the work budget) or certifies d < OPT.  The search needs
 only these verdicts, which exact knapsack bounds mostly settle without the
-DP.  At the last accepted d the DP runs once for the partition, and one
-verified contiguous schedule is built from it: makespan at most lam*d, lam
-depending on the idle-machine regime of the shelf schedule, which gives
-makespan <= lam * (1 + eps) * OPT.
+DP.  At the last accepted d the DP runs once for the partition, and the
+jobs are list-scheduled at its allotment: each big job on its canonical
+machine count at its class height, each small job on one machine.  When
+that verified schedule ends by 10/7*d it is returned and no shelves are
+built.  Otherwise the shelf schedule, which provably ends by lam*d with lam
+set by its idle-machine regime, is built as the certified fallback and the
+shorter of the two is returned.  ``lambda_used`` is the smallest of 10/7,
+13/9 and ``LAMBDA_STAR_UPPER`` whose bound the returned schedule meets, which
+gives makespan <= lambda_used * (1 + eps) * OPT.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import mckp, shelf
+from . import listsched, mckp, shelf
 from .model import (
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
@@ -48,11 +53,16 @@ class SolveResult:
     makespan: Fraction
     iterations: int
     # Wall seconds: "mckp" is the whole search, rejected guesses included,
-    # plus the one DP for the partition at accepted_d; "shelf", "small" and
-    # "verify" time the one build there.
+    # plus the one DP for the partition at accepted_d; "list" is the list
+    # schedule there, "shelf" and "small" the fallback shelf build (0.0 when
+    # it is skipped), "verify" every verification of a built schedule.
     timings: dict[str, float] = field(default_factory=dict)
     certified_lower: Fraction = Fraction(0)
     mckp_assignment: dict[int, int] = field(default_factory=dict)
+    construction: str = "list"  # the returned schedule's: "list" or "shelf"
+
+
+LAMBDAS = (LAMBDA_Q0, LAMBDA_SMALL_Q, LAMBDA_STAR_UPPER)
 
 
 def initial_bounds(inst: Instance) -> SearchBounds:
@@ -95,31 +105,74 @@ def _attempt(
 
 
 def _build(
+    inst: Instance, d: Fraction, cls: JobClassification, items: list[mckp.MckpItem]
+) -> tuple[Schedule, Fraction, dict[int, int]]:
+    """Shelf schedule, stretch lam and class partition for an accepted d,
+    verified within lam*d.  The one knapsack DP here picks the partition."""
+    assignment = mckp.solve_mckp(items, inst.m).assignment
+    return (*_shelves(inst, d, cls, assignment), assignment)
+
+
+def _shelves(
     inst: Instance,
     d: Fraction,
     cls: JobClassification,
-    items: list[mckp.MckpItem],
+    assignment: dict[int, int],
     timings: Optional[dict[str, float]] = None,
-) -> tuple[Schedule, Fraction, dict[int, int]]:
-    """Schedule, stretch lam and class partition for an accepted d, verified
-    within lam*d.  The one knapsack DP here picks the partition."""
-    tm = time.perf_counter()
-    assignment = mckp.solve_mckp(items, inst.m).assignment
+) -> tuple[Schedule, Fraction]:
+    """The shelf schedule of a partition and its stretch lam, verified within lam*d."""
     t0 = time.perf_counter()
     layout, lam = _shelf_pipeline(inst, assignment, d)
     t1 = time.perf_counter()
     sched = shelf.add_small_jobs(layout, inst, cls.small)
     t2 = time.perf_counter()
+    _verify(inst, sched, d, "pipeline", lam)
+    if timings is not None:
+        timings.update(shelf=t1 - t0, small=t2 - t1)
+        timings["verify"] += time.perf_counter() - t2
+    return sched, lam
+
+
+def _verify(
+    inst: Instance, sched: Schedule, d: Fraction, what: str, lam: Optional[Fraction] = None
+) -> None:
+    """Raise ShelfInvariantError unless sched is feasible, contiguous and,
+    when lam is given, within lam*d."""
     report = validate_schedule(inst, sched, require_contiguous=True)
-    if not report.ok() or sched.makespan > lam * d:
+    if not report.ok() or (lam is not None and sched.makespan > lam * d):
         raise shelf.ShelfInvariantError(
-            f"pipeline output failed verification at d={d}: "
+            f"{what} output failed verification at d={d}: "
             + "; ".join(v.kind for v in report.violations)
         )
-    if timings is not None:
-        timings["mckp"] += t0 - tm
-        timings.update(shelf=t1 - t0, small=t2 - t1, verify=time.perf_counter() - t2)
-    return sched, lam, assignment
+
+
+def _construct(
+    inst: Instance,
+    d: Fraction,
+    cls: JobClassification,
+    assignment: dict[int, int],
+    timings: dict[str, float],
+) -> tuple[Schedule, Fraction, str]:
+    """The returned schedule at the accepted d, its stretch and construction.
+
+    The list schedule of the partition's allotment is returned when it ends
+    by 10/7*d; otherwise the shelves are built and the shorter of the two
+    verified schedules wins, the list one on a tie.
+    """
+    t0 = time.perf_counter()
+    sched = listsched.list_schedule(inst, d, assignment, cls.small)
+    t1 = time.perf_counter()
+    _verify(inst, sched, d, "list schedule")
+    timings.update(list=t1 - t0, shelf=0.0, small=0.0, verify=time.perf_counter() - t1)
+    if sched.makespan <= LAMBDA_Q0 * d:
+        return sched, LAMBDA_Q0, "list"
+    shelf_sched, _ = _shelves(inst, d, cls, assignment, timings)
+    log.debug("list schedule %s past 10/7*d, shelves %s", sched.makespan, shelf_sched.makespan)
+    construction = "list"
+    if shelf_sched.makespan < sched.makespan:
+        sched, construction = shelf_sched, "shelf"
+    lam = next(lam for lam in LAMBDAS if sched.makespan <= lam * d)
+    return sched, lam, construction
 
 
 def _shelf_pipeline(
@@ -157,10 +210,11 @@ def _shelf_pipeline(
 
 
 def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
-    """Binary search on d by knapsack verdicts; one schedule at the last accept.
+    """Binary search on d by knapsack verdicts; a schedule at the last accept:
+    the list schedule of its allotment, or the shelves when that misses 10/7*d.
 
-    Guarantee: makespan <= lambda_used * (1 + eps) * OPT, with lambda_used in
-    {10/7, 13/9, LAMBDA_STAR_UPPER}.
+    Guarantee: makespan <= lambda_used * (1 + eps) * OPT, with lambda_used the
+    smallest of 10/7, 13/9 and LAMBDA_STAR_UPPER whose bound the schedule meets.
     """
     eps = Fraction(eps)
     if not Fraction(0) < eps <= 1:
@@ -188,9 +242,11 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
             lower = d
         else:
             upper, accepted = d, outcome
+    cls, items = accepted
+    assignment = mckp.solve_mckp(items, inst.m).assignment
     timings = {"mckp": time.perf_counter() - t0}
 
-    schedule, lam, assignment = _build(inst, upper, *accepted, timings)
+    schedule, lam, construction = _construct(inst, upper, cls, assignment, timings)
     return SolveResult(
         schedule=schedule,
         accepted_d=upper,
@@ -200,6 +256,7 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
         timings=timings,
         certified_lower=lower,
         mckp_assignment=assignment,
+        construction=construction,
     )
 
 

@@ -39,6 +39,11 @@ import numpy as np
 from .model import _INT64_SAFE_TOTAL, Instance, gamma, gammas  # noqa: F401
 
 
+# The deadline of class c as a multiple of d: a class-c job runs on
+# gamma(j, CLASS_HEIGHTS[c-1] * d) machines.
+CLASS_HEIGHTS = (Fraction(1), Fraction(4, 7), Fraction(3, 7))
+
+
 @dataclass(frozen=True)
 class MckpOption:
     cost: Optional[int]  # work at the grid scale; None = job cannot meet the class deadline
@@ -98,7 +103,7 @@ def build_items(
     q, a = inst.grid
     rows, m = a[[inst.row_of[i] for i in ids]], inst.m
     per_class = []
-    for f in (1, Fraction(4, 7), Fraction(3, 7)):
+    for f in CLASS_HEIGHTS:
         g = gammas(rows, f * d, q)
         t = np.take_along_axis(rows, np.minimum(g, m)[:, None] - 1, axis=1)[:, 0]
         per_class.append(zip(g.tolist(), (t * g).tolist()))

@@ -88,6 +88,13 @@ class TestSolveCommand:
         sched, _, _ = schedule_from_obj(json.loads((tmp_path / "s.json").read_text()))
         assert svg.count("<rect") == len(sched.placements)
 
+    def test_solve_prints_the_construction(self, tmp_path, capsys):
+        p = tmp_path / "i.json"
+        assert run("gen", "-n", 7, "-m", 4, "--seed", 3, "--out", p) == 0
+        capsys.readouterr()
+        assert run("solve", p) == 0
+        assert "construction list" in capsys.readouterr().out.splitlines()
+
     def test_bad_epsilon_exits_2(self, tmp_path):
         p = tmp_path / "i.json"
         run("gen", "-n", 2, "-m", 2, "--seed", 0, "--out", p)
@@ -234,10 +241,12 @@ class TestBenchCommand:
         assert len(lines) == 4  # header + 3 rows
         assert lines[0] == (
             "n,m,seed,epsilon,makespan,accepted_d,lambda_used,ratio_vs_lower_bound,"
-            "wall_ms,iterations,gen_ms,mckp_ms,shelf_ms,small_ms,verify_ms,error"
+            "wall_ms,iterations,gen_ms,mckp_ms,list_ms,shelf_ms,small_ms,verify_ms,"
+            "construction,error"
         )
         first = lines[1].split(",")
-        assert all(float(ms) >= 0 for ms in first[10:15])  # gen and per-phase times filled
+        assert all(float(ms) >= 0 for ms in first[10:16])  # gen and per-phase times filled
+        assert all(row.split(",")[16] in ("list", "shelf") for row in lines[1:])
         assert (first[0], first[1], first[2]) == ("4", "6", "1")  # sorted rows
         assert all(row.endswith(",") or row.split(",")[-1] == "" for row in lines[1:])
 

@@ -166,7 +166,7 @@ class TestSolve:
         assert sum(verdicts) >= 2
         assert len(verified) == 1
         assert verified[0][1] is r.schedule
-        assert set(r.timings) == {"mckp", "shelf", "small", "verify"}
+        assert set(r.timings) == {"mckp", "list", "shelf", "small", "verify"}
         assert all(t >= 0 for t in r.timings.values())
 
     def test_one_knapsack_dp_per_solve(self, monkeypatch):

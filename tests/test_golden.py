@@ -1,14 +1,20 @@
-"""Golden corpus: every solve output hashed against hashes recorded once.
+"""Golden corpus: two schedules per instance hashed against recorded hashes.
 
-Each instance's (makespan, accepted_d, lambda_used, placements) is hashed
-with sha256; a refactor must keep every hash unless the change explains why
-the schedules moved.  The corpus covers a seeded random grid, tiny instances,
-the adversarial instance, and constant-work instances whose works have
-distinct large-prime denominators, so that the knapsack's integer cost
-totals pass 2^59 and the exact (object-dtype) DP runs inside full
-solves.
+Each schedule's (makespan, accepted_d, lambda, placements) is hashed with
+sha256; a refactor must keep every hash unless the change explains why the
+schedules moved.  Two sets are recorded:
 
-Re-record the hashes with ``PYTHONPATH=src:tests python tests/test_golden.py``.
+  golden_hashes.json        the shelf schedule that ``driver._build`` makes
+                            at each solve's accepted d, with its stretch;
+                            recorded when solve returned it, never re-recorded
+  golden_solve_hashes.json  what ``solve`` returns
+
+The corpus covers a seeded random grid, tiny instances, the adversarial
+instance, and constant-work instances whose works have distinct large-prime
+denominators, so that the knapsack's integer cost totals pass 2^59 and the
+exact (object-dtype) DP runs inside full solves.
+
+Re-record the solve hashes with ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -18,14 +24,17 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from moldsched import Instance, Reject, adversarial_instance, rat, solve
+from moldsched.driver import _attempt, _build
 from moldsched.mckp import build_items
 from moldsched.model import classify_jobs
 from util import const_work_job, instance, job, random_instance
 
 GOLDEN = Path(__file__).with_name("golden_hashes.json")
+GOLDEN_SOLVE = Path(__file__).with_name("golden_solve_hashes.json")
 INT64_SAFE_TOTAL = 1 << 59
 
 
@@ -73,19 +82,38 @@ def corpus() -> list[tuple[str, Instance, Fraction]]:
     return cases
 
 
-def digest(result) -> str:
+def digest(sched, accepted_d: Fraction, lam: Fraction) -> str:
     payload = json.dumps(
         [
-            str(result.makespan),
-            str(result.accepted_d),
-            str(result.lambda_used),
+            str(sched.makespan),
+            str(accepted_d),
+            str(lam),
             [
                 [p.job_id, p.first_machine, p.width, str(p.start), str(p.duration)]
-                for p in result.schedule.placements
+                for p in sched.placements
             ],
         ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def solve_digest(result) -> str:
+    return digest(result.schedule, result.accepted_d, result.lambda_used)
+
+
+def shelf_digest(inst: Instance, result) -> str:
+    """The shelf schedule at the solve's accepted d; an empty instance has
+    none, and its solve output stands in as it always did."""
+    if not inst.jobs:
+        return solve_digest(result)
+    d = result.accepted_d
+    sched, lam, _ = _build(inst, d, *_attempt(inst, d))
+    return digest(sched, d, lam)
+
+
+@cache
+def solved() -> tuple:
+    return tuple((name, inst, solve(inst, eps)) for name, inst, eps in corpus())
 
 
 def scaled_total(inst: Instance, d: Fraction) -> int:
@@ -98,20 +126,27 @@ def scaled_total(inst: Instance, d: Fraction) -> int:
     return sum(max(row) for row in costs) // unit
 
 
-def test_golden_hashes():
-    expected = json.loads(GOLDEN.read_text())
-    got = {}
-    for name, inst, eps in corpus():
-        result = solve(inst, eps)
-        got[name] = digest(result)
-        if name.startswith("prime-"):
-            assert scaled_total(inst, result.accepted_d) > INT64_SAFE_TOTAL, name
+def _check(path: Path, got: dict[str, str]) -> None:
+    expected = json.loads(path.read_text())
     changed = sorted(k for k in got if got[k] != expected.get(k))
     assert set(got) == set(expected)
     assert not changed, f"{len(changed)} golden hashes changed: {changed[:10]}"
 
 
+def test_golden_hashes():
+    got = {}
+    for name, inst, result in solved():
+        got[name] = shelf_digest(inst, result)
+        if name.startswith("prime-"):
+            assert scaled_total(inst, result.accepted_d) > INT64_SAFE_TOTAL, name
+    _check(GOLDEN, got)
+
+
+def test_golden_solve_hashes():
+    _check(GOLDEN_SOLVE, {name: solve_digest(result) for name, _, result in solved()})
+
+
 if __name__ == "__main__":
-    hashes = {name: digest(solve(inst, eps)) for name, inst, eps in corpus()}
-    GOLDEN.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(hashes)} hashes to {GOLDEN}")
+    hashes = {name: solve_digest(result) for name, _, result in solved()}
+    GOLDEN_SOLVE.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(hashes)} hashes to {GOLDEN_SOLVE}")

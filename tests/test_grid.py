@@ -296,6 +296,8 @@ class TestTimesView:
                 layout, lam = driver._shelf_pipeline(
                     inst, result.mckp_assignment, result.accepted_d)
                 sched = shelf.add_small_jobs(layout, inst, cls.small)
-            assert (sched, lam) == (result.schedule, result.lambda_used)
+            built, built_lam, _ = driver._build(
+                inst, result.accepted_d, *driver._attempt(inst, result.accepted_d))
+            assert (sched, lam) == (built, built_lam)
         assert reads == {}
         assert repairs["repair_s2_small_q"] and repairs["repair_s2_large_q"]

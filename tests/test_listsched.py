@@ -1,0 +1,172 @@
+"""The list schedule of the knapsack allotment and the shelves as its fallback."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from moldsched import (
+    LAMBDA_Q0,
+    LAMBDA_SMALL_Q,
+    LAMBDA_STAR_UPPER,
+    GenConfig,
+    ShelfInvariantError,
+    generate,
+    solve,
+    validate_schedule,
+)
+from moldsched import driver, listsched, shelf
+from moldsched.listsched import list_schedule, window_max
+from moldsched.model import Schedule, classify_jobs
+from util import instance, job
+
+
+def _brute_window_max(x, k):
+    return [max(x[i : i + k].tolist()) for i in range(len(x) - k + 1)]
+
+
+class TestWindowMax:
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("m", [1, 2, 7, 12, 13])
+    def test_matches_brute_force(self, dtype, m):
+        rng = random.Random(m)
+        big = 10**30 if dtype is object else 10**12
+        for _ in range(20):
+            x = np.array([rng.randint(0, big) for _ in range(m)], dtype=dtype)
+            # k = 1, k = m, and every k with m % k != 0 in between
+            for k in range(1, m + 1):
+                got = window_max(x, k)
+                assert got.tolist() == _brute_window_max(x, k), (m, k)
+                assert got.dtype == x.dtype
+
+    def test_object_values_stay_exact(self):
+        x = np.array([2**70 + 1, 2**70, 2**70 + 2, 0, 2**70], dtype=object)
+        assert window_max(x, 2).tolist() == [2**70 + 1, 2**70 + 2, 2**70 + 2, 2**70]
+        assert window_max(x, 5).tolist() == [2**70 + 2]
+
+
+class TestPlacement:
+    def test_equal_durations_go_by_job_id(self):
+        inst = instance(1, job(3, 2), job(1, 2), job(2, 2), job(4, 5))
+        sched = list_schedule(inst, Fraction(20), {}, {1, 2, 3, 4})
+        order = [p.job_id for p in sorted(sched.placements, key=lambda p: p.start)]
+        assert order == [4, 1, 2, 3]
+        assert [p.job_id for p in sched.placements] == order  # placement order
+        assert sched.makespan == 11
+
+    def test_equal_window_maxima_go_to_the_lowest_first_machine(self):
+        # Job 1 (duration 5) takes machine 0; job 2 on gamma(2, d=5) = 2
+        # machines sees window maxima 5, 0, 0 and takes machines 1-2; job 3
+        # takes machine 3.  Job 4 then ties on machines 1, 2 and 3 at time 4.
+        inst = instance(
+            4, job(1, 5, 5, 5, 5), job(2, 8, 4, 4, 4), job(3, 4, 4, 4, 4), job(4, 1, 1, 1, 1)
+        )
+        sched = list_schedule(inst, Fraction(5), {2: 1}, {1, 3, 4})
+        placed = {p.job_id: (p.first_machine, p.width, p.start) for p in sched.placements}
+        assert placed == {1: (0, 1, 0), 2: (1, 2, 0), 3: (3, 1, 0), 4: (1, 1, 4)}
+
+    def test_skyline_past_int64_stays_exact(self):
+        # m * max time fits the int64 grid, but 40 jobs on one machine end
+        # at 40 * 2^58 > 2^63: the skyline is kept in exact ints.
+        inst = instance(1, *(job(i, 2**58) for i in range(1, 41)))
+        assert inst.grid[1].dtype == np.int64
+        sched = list_schedule(inst, Fraction(2**59), {}, range(1, 41))
+        assert sched.makespan == 40 * 2**58
+        assert [p.start for p in sched.placements] == [i * 2**58 for i in range(40)]
+
+    def test_class_heights_set_the_widths(self):
+        inst = generate(GenConfig(n=40, m=16, seed=3))
+        r = solve(inst)
+        d = r.accepted_d
+        widths = {p.job_id: p.width for p in r.schedule.placements}
+        heights = {1: d, 2: Fraction(4, 7) * d, 3: Fraction(3, 7) * d}
+        assert r.mckp_assignment and r.construction == "list"
+        for job_id, cls in r.mckp_assignment.items():
+            k = widths[job_id]
+            times = inst.job(job_id).times
+            assert times[k - 1] <= heights[cls] and (k == 1 or times[k - 2] > heights[cls])
+        for job_id in classify_jobs(inst, d).small:
+            assert widths[job_id] == 1
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or fn(*a, **kw))
+    return calls
+
+
+def _delayed_list(monkeypatch, end_at):
+    """Shift the list schedule so it ends at end_at(d): still feasible."""
+    real = listsched.list_schedule
+
+    def delayed(inst, d, assignment, small):
+        sched = real(inst, d, assignment, small)
+        delta = end_at(d) - sched.makespan
+        moved = tuple(replace(p, start=p.start + delta) for p in sched.placements)
+        return Schedule(moved, sched.makespan + delta)
+
+    monkeypatch.setattr(listsched, "list_schedule", delayed)
+
+
+class TestFallback:
+    # The shelf schedule of n=20, m=10, seed 5 at its accepted guess ends in
+    # the many-idle-machines repair at about 1.439*d: past 10/7*d, within 13/9*d.
+    CONFIG = GenConfig(n=20, m=10, seed=5)
+
+    def _shelf(self, inst, d):
+        sched, lam, _ = driver._build(inst, d, *driver._attempt(inst, d))
+        assert lam == LAMBDA_STAR_UPPER
+        assert LAMBDA_Q0 * d < sched.makespan <= LAMBDA_SMALL_Q * d
+        return sched
+
+    def test_shorter_shelf_schedule_is_returned(self, monkeypatch):
+        inst = generate(self.CONFIG)
+        _delayed_list(monkeypatch, lambda d: 2 * d)
+        builds = _counting(monkeypatch, shelf, "build_three_shelf")
+        r = solve(inst)
+        assert builds and r.construction == "shelf"
+        assert r.schedule == self._shelf(inst, r.accepted_d)
+        # the smallest bound the schedule meets, below the shelves' own stretch
+        assert r.lambda_used == LAMBDA_SMALL_Q
+        assert validate_schedule(inst, r.schedule).ok()
+        assert all(r.timings[k] > 0 for k in ("list", "shelf", "small", "verify"))
+
+    def test_shorter_list_schedule_past_ten_sevenths_is_returned(self, monkeypatch):
+        inst = generate(self.CONFIG)
+        d0 = solve(inst).accepted_d
+        mid = (LAMBDA_Q0 * d0 + self._shelf(inst, d0).makespan) / 2
+        _delayed_list(monkeypatch, lambda d: mid)
+        builds = _counting(monkeypatch, shelf, "build_three_shelf")
+        r = solve(inst)
+        assert r.accepted_d == d0
+        assert builds and r.construction == "list" and r.makespan == mid
+        assert r.lambda_used == LAMBDA_SMALL_Q
+
+    def test_invalid_list_schedule_raises(self, monkeypatch):
+        inst = generate(self.CONFIG)
+        real = listsched.list_schedule
+
+        def overlapping(*args):
+            sched = real(*args)
+            moved = tuple(replace(p, start=Fraction(0)) for p in sched.placements)
+            return Schedule(moved, max(p.end for p in moved))
+
+        monkeypatch.setattr(listsched, "list_schedule", overlapping)
+        with pytest.raises(ShelfInvariantError, match="list schedule"):
+            solve(inst)
+
+
+def test_all_small_jobs_build_no_shelves(monkeypatch):
+    # With no big jobs the width-1 list schedule ends by d + (3/7)d: W_S <= m*d
+    # and every one-machine time is at most (3/7)d.
+    inst = generate(GenConfig(n=200, m=8, seed=1))
+    builds = _counting(monkeypatch, shelf, "build_three_shelf")
+    r = solve(inst)
+    assert classify_jobs(inst, r.accepted_d).big == frozenset()
+    assert len(builds) == 0
+    assert r.lambda_used == LAMBDA_Q0 and r.construction == "list"
+    assert r.timings["shelf"] == r.timings["small"] == 0.0
+    assert validate_schedule(inst, r.schedule).ok()
