@@ -139,6 +139,14 @@ def _input_error(what: str, exc: Exception) -> int:
     return 2
 
 
+def _invalid_instance(inst: Instance) -> bool:
+    """Report each instance violation on its own stderr line; True if any."""
+    problems = validate_instance(inst)
+    for v in problems:
+        print(f"error: job {v.job_id}, k={v.k}: {v.kind}", file=sys.stderr)
+    return bool(problems)
+
+
 def _output_error(exc: OSError) -> int:
     """Report an unwritable output file on one stderr line; returns exit code 2."""
     print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
@@ -211,10 +219,7 @@ def cmd_solve(
         inst = load_instance(instance_path)
     except _INPUT_ERRORS as exc:
         return _input_error("instance file", exc)
-    problems = validate_instance(inst)
-    if problems:
-        for v in problems:
-            print(f"error: job {v.job_id}, k={v.k}: {v.kind}", file=sys.stderr)
+    if _invalid_instance(inst):
         return 2
     t0 = time.perf_counter()
     try:
@@ -262,6 +267,8 @@ def cmd_verify(instance_path: str, schedule_path: str, contiguous: bool) -> int:
         sched, _, _ = schedule_from_obj(_load_json(schedule_path))
     except _INPUT_ERRORS as exc:
         return _input_error("input file", exc)
+    if _invalid_instance(inst):
+        return 2
     placed_ids = {p.job_id for p in sched.placements}
     unknown = placed_ids - set(inst.by_id)
     if unknown:

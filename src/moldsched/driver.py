@@ -7,8 +7,8 @@ DP.  At the last accepted d the DP runs once for the partition, and the
 jobs are list-scheduled at its allotment: each big job on its canonical
 machine count at its class height, each small job on one machine.  When
 that verified schedule ends by 10/7*d it is returned and no shelves are
-built.  Otherwise the shelf schedule, which provably ends by lam*d with lam
-set by its idle-machine regime, is built as the certified fallback and the
+built.  Otherwise ``shelf.shelf_layout`` builds the certified fallback,
+picking its stretch lam, and the shelf schedule provably ends by lam*d; the
 shorter of the two is returned.  ``lambda_used`` is the smallest of 10/7,
 13/9 and ``LAMBDA_STAR_UPPER`` whose bound the returned schedule meets, which
 gives makespan <= lambda_used * (1 + eps) * OPT.
@@ -106,11 +106,11 @@ def _attempt(
 
 def _build(
     inst: Instance, d: Fraction, cls: JobClassification, items: list[mckp.MckpItem]
-) -> tuple[Schedule, Fraction, dict[int, int]]:
-    """Shelf schedule, stretch lam and class partition for an accepted d,
-    verified within lam*d.  The one knapsack DP here picks the partition."""
+) -> tuple[Schedule, Fraction]:
+    """Shelf schedule and stretch lam for an accepted d, verified within
+    lam*d.  The one knapsack DP here picks the partition."""
     assignment = mckp.solve_mckp(items, inst.m).assignment
-    return (*_shelves(inst, d, cls, assignment), assignment)
+    return _shelves(inst, d, cls, assignment, {"verify": 0.0})
 
 
 def _shelves(
@@ -118,18 +118,18 @@ def _shelves(
     d: Fraction,
     cls: JobClassification,
     assignment: dict[int, int],
-    timings: Optional[dict[str, float]] = None,
+    timings: dict[str, float],
 ) -> tuple[Schedule, Fraction]:
-    """The shelf schedule of a partition and its stretch lam, verified within lam*d."""
+    """The shelf schedule of a partition and its stretch lam, verified within
+    lam*d; adds its phase times to timings."""
     t0 = time.perf_counter()
-    layout, lam = _shelf_pipeline(inst, assignment, d)
+    layout, lam = shelf.shelf_layout(inst, assignment, d)
     t1 = time.perf_counter()
     sched = shelf.add_small_jobs(layout, inst, cls.small)
     t2 = time.perf_counter()
     _verify(inst, sched, d, "pipeline", lam)
-    if timings is not None:
-        timings.update(shelf=t1 - t0, small=t2 - t1)
-        timings["verify"] += time.perf_counter() - t2
+    timings.update(shelf=t1 - t0, small=t2 - t1)
+    timings["verify"] += time.perf_counter() - t2
     return sched, lam
 
 
@@ -173,40 +173,6 @@ def _construct(
         sched, construction = shelf_sched, "shelf"
     lam = next(lam for lam in LAMBDAS if sched.makespan <= lam * d)
     return sched, lam, construction
-
-
-def _shelf_pipeline(
-    inst: Instance, assignment: dict[int, int], d: Fraction
-) -> tuple[shelf.Layout, Fraction]:
-    """Build/transform at 10/7 and escalate the stretch by idle-machine regime.
-
-    q == 0 keeps 10/7; 0 < q <= m'/6 rebuilds at 13/9; q > m'/6 rebuilds at
-    the Lambert-W stretch.  If the regime shifts after the 13/9 rebuild, the
-    final rebuild at the largest stretch covers both repairs.
-    """
-
-    def build(lam: Fraction) -> shelf.ShelfSchedule:
-        ss = shelf.build_three_shelf(inst, assignment, d, lam)
-        return shelf.apply_transformations(ss)
-
-    def regime(ss: shelf.ShelfSchedule) -> int:
-        m_eff = inst.m - ss.m0
-        if ss.q == 0:
-            return 0
-        return 1 if 6 * ss.q <= m_eff else 2
-
-    ss = build(LAMBDA_Q0)
-    r = regime(ss)
-    if r == 0:
-        return shelf.repair_s2_small_q(ss), LAMBDA_Q0
-    if r == 1:
-        ss = build(LAMBDA_SMALL_Q)
-        if regime(ss) <= 1:
-            return shelf.repair_s2_small_q(ss), LAMBDA_SMALL_Q
-    ss = build(LAMBDA_STAR_UPPER)
-    if regime(ss) == 2:
-        return shelf.repair_s2_large_q(ss), LAMBDA_STAR_UPPER
-    return shelf.repair_s2_small_q(ss), LAMBDA_STAR_UPPER
 
 
 def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:

@@ -1,7 +1,10 @@
-"""Shelf construction and repair: turn an accepted class partition into a
+"""The solver's certified fallback: turn an accepted class partition into a
 contiguous schedule of height at most lam*d.
 
-The pipeline for one accepted guess d is:
+``shelf_layout`` owns the whole fallback, the choice of the stretch lam
+included: it builds at 10/7 and rebuilds at 13/9 or the Lambert-W stretch
+when the idle-machine regime (``ShelfSchedule.regime``) asks for it.  Its
+pipeline for one accepted guess d is:
 
   build_three_shelf   class-1 jobs at gamma(j,d); class-2 jobs compressed to
                       half their canonical machines (pairing the 1- and
@@ -49,6 +52,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .model import (
     LAMBDA_Q0,
+    LAMBDA_SMALL_Q,
+    LAMBDA_STAR_UPPER,
     Instance,
     PlacedJob,
     Schedule,
@@ -149,7 +154,19 @@ class ShelfSchedule:
 
     @property
     def q(self) -> int:
-        return self.inst.m - self.m0 - self.m1_used
+        return self.m_eff - self.m1_used
+
+    @property
+    def m_eff(self) -> int:
+        """m', the machines that shelves 1 and 2 share."""
+        return self.inst.m - self.m0
+
+    @property
+    def regime(self) -> int:
+        """The idle-machine regime: 0 when q == 0, 1 when q <= m'/6, else 2."""
+        if self.q == 0:
+            return 0
+        return 1 if 6 * self.q <= self.m_eff else 2
 
     def total_work(self) -> Fraction:
         # The split job's bottom part appears once per lane at width 1, which
@@ -178,6 +195,28 @@ class ShelfSchedule:
             f"  s2: {[(j.job_id, j.width, str(j.height)) for j in self.s2]}\n"
             f"  split_job={self.split_job}"
         )
+
+
+def shelf_layout(
+    inst: Instance, assignment: dict[int, int], d: Fraction
+) -> tuple[Layout, Fraction]:
+    """The shelf layout of a class partition at d and its stretch lam.
+
+    Build and transform at 10/7, then escalate the stretch by the regime:
+    q == 0 keeps 10/7; 0 < q <= m'/6 rebuilds at 13/9; q > m'/6 rebuilds at
+    the Lambert-W stretch.  If the regime shifts after the 13/9 rebuild, the
+    final rebuild at the largest stretch covers both repairs.
+    """
+    lam = LAMBDA_Q0
+    ss = apply_transformations(build_three_shelf(inst, assignment, d, lam))
+    if ss.regime == 1:
+        lam = LAMBDA_SMALL_Q
+        ss = apply_transformations(build_three_shelf(inst, assignment, d, lam))
+    if ss.regime == 2:
+        lam = LAMBDA_STAR_UPPER
+        ss = apply_transformations(build_three_shelf(inst, assignment, d, lam))
+    repair = repair_s2_large_q if ss.regime == 2 else repair_s2_small_q
+    return repair(ss), lam
 
 
 def build_three_shelf(
@@ -438,8 +477,8 @@ def repair_s2_small_q(ss: ShelfSchedule) -> Layout:
     caps).  Shelf 1 is then laid out descending from the left and shelf 2
     ascending from the right, each shelf-2 job finishing exactly at lam*d.
     """
-    m_eff = ss.inst.m - ss.m0
-    if 6 * ss.q > m_eff:
+    m_eff = ss.m_eff
+    if ss.regime == 2:
         raise ShelfInvariantError("small-q repair called with q > m'/6", ss)
     if ss.s2 and ss.m2 >= 3 * m_eff:
         raise ShelfInvariantError(
@@ -461,15 +500,16 @@ def repair_s2_large_q(ss: ShelfSchedule) -> Layout:
     machines are the suffix starting at relative machine i.  The single
     shelf-2 job is placed on the first (widest) suffix whose tallest machine
     leaves room under lam*d; at the stretch LAMBDA_STAR_UPPER such an i
-    always exists while the work budget holds.
+    always exists while the work budget holds.  It then hangs right-aligned
+    like any shelf-2 job, unless the split lane lies under it.
     """
-    m_eff = ss.inst.m - ss.m0
-    if 6 * ss.q <= m_eff:
+    if ss.regime != 2:
         raise ShelfInvariantError("large-q repair called with q <= m'/6", ss)
     if len(ss.s2) > 1:
         raise ShelfInvariantError(
             f"{len(ss.s2)} shelf-2 jobs with q > m'/6 (expected at most 1)", ss
         )
+    m_eff = ss.m_eff
     if not ss.s2 or ss.m2 <= m_eff:
         return _place_right_aligned(ss)
 
@@ -480,44 +520,30 @@ def repair_s2_large_q(ss: ShelfSchedule) -> Layout:
     loads: list[Fraction] = []
     for col in cols:
         loads.extend([col.height] * col.width)
-    loads.extend([Fraction(0)] * ss.q)
-
-    chosen_i: Optional[int] = None
-    for i in range(m_eff - ss.q):
-        w = m_eff - i
-        if loads[i] + t(inst, j0.job_id, w) <= lam_d:
-            chosen_i = i
-            break
+    chosen_i = next(
+        (i for i, load in enumerate(loads) if load + t(inst, j0.job_id, m_eff - i) <= lam_d),
+        None,
+    )
     if chosen_i is None:
         raise ShelfInvariantError(
             "no machine suffix admits the shelf-2 job within lam*d", ss
         )
-    w = m_eff - chosen_i
-    j0.width = w
-    j0.height = t(inst, j0.job_id, w)
+    j0.width = m_eff - chosen_i
+    j0.height = t(inst, j0.job_id, j0.width)
 
-    split_lane = _split_lane_in(ss.s1)
-    if split_lane is None:
-        runs: list[Union[ShelfColumn, IdleRun]] = list(cols)
-        if ss.q:
-            runs.append(IdleRun(ss.q))
-        rel_start = chosen_i
-    else:
-        # Keep the split lane on the first shared machine (next to its shelf-0
-        # twin) and rebuild the run order around the suffix boundary.  Any
-        # column under the shelf-2 job has height <= loads[chosen_i], so
-        # reordering within the covered/uncovered groups stays feasible.
-        prefix, straddler, suffix = _split_at(cols, chosen_i)
-        if split_lane in suffix:
-            suffix.remove(split_lane)
-            runs = [split_lane] + suffix + straddler + [IdleRun(ss.q)] + prefix
-            rel_start = 0
-        else:
-            prefix.remove(split_lane)
-            runs = [split_lane] + prefix + straddler + suffix + [IdleRun(ss.q)]
-            rel_start = m_eff - w
-    plan = [(j0, ss.m0 + rel_start)]
-    return layout_contiguous(ss, runs, plan)
+    offset = 0
+    for col in cols:
+        if col.split_of is not None and offset >= chosen_i:
+            # The split lane lies under the job but must stay on the first
+            # shared machine, next to its shelf-0 twin, so mirror the runs:
+            # the job hangs from that machine over the covered columns.  Any
+            # column under it has height <= loads[chosen_i], so reordering
+            # within the covered/uncovered groups stays feasible.
+            prefix, straddler, suffix = _split_at(cols, chosen_i)
+            runs = suffix + straddler + [IdleRun(ss.q)] + prefix
+            return layout_contiguous(ss, runs, [(j0, ss.m0)])
+        offset += col.width
+    return _place_right_aligned(ss)
 
 
 def _split_at(
@@ -539,33 +565,20 @@ def _split_at(
     return prefix, straddler, suffix
 
 
-def _split_lane_in(cols: list[ShelfColumn]) -> Optional[ShelfColumn]:
-    for col in cols:
-        if col.split_of is not None:
-            return col
-    return None
-
-
 def _descending(cols: Iterable[ShelfColumn]) -> list[ShelfColumn]:
     return sorted(cols, key=lambda c: (-c.height, c.min_job_id()))
 
 
 def _place_right_aligned(ss: ShelfSchedule) -> Layout:
     """Shelf 1 descending from the left, shelf 2 ascending hanging at lam*d."""
-    m_eff = ss.inst.m - ss.m0
-    if ss.m2 > m_eff:
+    if ss.m2 > ss.m_eff:
         raise ShelfInvariantError("shelf 2 still too wide for placement", ss)
-    cols = _descending(ss.s1)
-    split_lane = _split_lane_in(cols)
-    if split_lane is not None:
-        cols.remove(split_lane)
-        cols.insert(0, split_lane)
     plan = []
     cursor = ss.inst.m - ss.m2
     for j in sorted(ss.s2, key=lambda s: (s.height, s.job_id)):
         plan.append((j, cursor))
         cursor += j.width
-    return layout_contiguous(ss, cols, plan)
+    return layout_contiguous(ss, _descending(ss.s1), plan)
 
 
 def layout_contiguous(
@@ -576,10 +589,11 @@ def layout_contiguous(
     """Assign machine indices, emit the placements and record each gap.
 
     Shelf-0 columns take machines [0, m0) with any split lanes moved to the
-    right edge; shelf-1 runs follow in the given order; shelf-2 jobs start at
-    lam*d minus their height on the machines the caller planned.  The two
-    lanes of a split job are recombined into one two-machine placement, which
-    requires them to land on adjacent machines.
+    right edge; shelf-1 runs follow in the given order, except that a split
+    lane among them takes the first shared machine, next to its shelf-0
+    twin; shelf-2 jobs start at lam*d minus their height on the machines the
+    caller planned.  The two lanes of a split job are recombined into one
+    two-machine placement, which requires them to land on adjacent machines.
 
     Each machine's idle time is one gap [bottom, top): bottom is the height
     of its column stack (split lanes included), top the start of the shelf-2
@@ -614,7 +628,7 @@ def layout_contiguous(
         cursor += col.width
     if cursor != ss.m0:
         raise ShelfInvariantError("shelf-0 width accounting is off", ss)
-    for run in s1_runs:
+    for run in sorted(s1_runs, key=lambda r: getattr(r, "split_of", None) is None):
         if isinstance(run, ShelfColumn):
             emit(run, cursor)
         cursor += run.width

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .model import Instance, Schedule
+from .model import Instance, PlacedJob, Schedule
 
 _ORACLE_MAX_N = 4
 _ORACLE_MAX_M = 4
@@ -84,11 +84,13 @@ def validate_schedule(
         for p in rows:
             if p.width < 1:
                 feas.append(Violation("width", (job_id,), detail="non-positive width"))
+            part = p.machines
             if p.first_machine < 0 or p.first_machine + p.width > inst.m:
                 feas.append(Violation("bounds", (job_id,), machine=p.first_machine))
-            if machines & set(p.machines):
+                part = _clipped(p, inst.m)
+            if machines & set(part):
                 feas.append(Violation("placement", (job_id,), detail="parts share a machine"))
-            machines.update(p.machines)
+            machines.update(part)
         k = len(machines)
         if not 1 <= k <= inst.m:
             feas.append(Violation("width", (job_id,), detail=f"total width {k}"))
@@ -105,9 +107,11 @@ def validate_schedule(
 
     per_machine: dict[int, list[tuple[Fraction, Fraction, int]]] = {}
     for p in sched.placements:
-        for mach in p.machines:
-            if 0 <= mach < inst.m:
-                per_machine.setdefault(mach, []).append((p.start, p.end, p.job_id))
+        part = p.machines
+        if p.first_machine < 0 or p.first_machine + p.width > inst.m:
+            part = _clipped(p, inst.m)
+        for mach in part:
+            per_machine.setdefault(mach, []).append((p.start, p.end, p.job_id))
     for mach, ivs in per_machine.items():
         ivs.sort()
         for (s1, e1, j1), (s2, e2, j2) in zip(ivs, ivs[1:]):
@@ -133,6 +137,11 @@ def validate_schedule(
         makespan=makespan,
         violations=tuple(listed),
     )
+
+
+def _clipped(p: PlacedJob, m: int) -> range:
+    """An out-of-bounds part's machines within [0, m): a huge width costs nothing."""
+    return range(max(p.first_machine, 0), min(p.first_machine + p.width, m))
 
 
 def brute_force_opt(inst: Instance) -> Fraction:

@@ -83,7 +83,7 @@ def test_criterion_1_dual_approximation_guarantee():
         for d in (r.accepted_d, 2 * r.accepted_d):
             out = _attempt(inst, d)
             assert not isinstance(out, Reject)
-            sched, lam, _ = _build(inst, d, *out)
+            sched, lam = _build(inst, d, *out)
             rep = validate_schedule(inst, sched, require_contiguous=True)
             assert rep.feasible and rep.contiguous
             assert sched.makespan <= lam * d
@@ -341,7 +341,7 @@ def _mutate(inst, sched, kind: str):
             p.job_id, p.first_machine, p.width, p.start, p.duration + Fraction(1, 7)
         )
         return make_schedule(rows)
-    if kind == "width":
+    if kind == "widen":
         for i, p in enumerate(rows):
             if p.first_machine + p.width + 1 <= inst.m:
                 j = inst.job(p.job_id)
@@ -352,7 +352,34 @@ def _mutate(inst, sched, kind: str):
                     )
                     return make_schedule(rows)
         return None
-    return None
+    p = rows[-1]
+    if kind == "start":
+        rows[-1] = PlacedJob(p.job_id, p.first_machine, p.width, Fraction(-1, 7), p.duration)
+    elif kind == "width":
+        rows[-1] = PlacedJob(p.job_id, p.first_machine, 0, p.start, p.duration)
+    elif kind == "bounds":
+        rows[-1] = PlacedJob(p.job_id, inst.m - p.width + 1, p.width, p.start, p.duration)
+    elif kind == "split-start":  # a second part of the job, starting later
+        rows.append(PlacedJob(p.job_id, p.first_machine, p.width, p.start + 1, p.duration))
+    elif kind == "shared-machine":  # a second, identical part of the job
+        rows.append(p)
+    else:
+        return None
+    return make_schedule(rows)
+
+
+# mutation -> (violation kind it must raise, text of the violation's detail)
+_REPORTED = {
+    "overlap": ("overlap", ""),
+    "duration": ("duration", ""),
+    "contiguity": ("contiguity", ""),
+    "widen": ("duration", ""),  # the duration no longer matches the width
+    "start": ("start", ""),
+    "width": ("width", "non-positive width"),
+    "bounds": ("bounds", ""),
+    "split-start": ("placement", "parts disagree on start/duration"),
+    "shared-machine": ("placement", "parts share a machine"),
+}
 
 
 def test_criterion_10_verifier_mutation_testing():
@@ -371,7 +398,7 @@ def test_criterion_10_verifier_mutation_testing():
         report = validate_schedule(inst, sched, require_contiguous=True)
         assert report.ok(), report.violations
         accepted += 1
-    cycle = ("overlap", "duration", "contiguity", "width")
+    cycle = tuple(_REPORTED)
     i = 0
     while rejected < 100:
         inst, sched = produced[rejected % len(produced)]
@@ -386,8 +413,12 @@ def test_criterion_10_verifier_mutation_testing():
         assert mutated is not None
         report = validate_schedule(inst, mutated, require_contiguous=True)
         assert not report.ok(), (kind, mutated.placements)
+        want, detail = _REPORTED[kind]
+        assert any(v.kind == want and detail in v.detail for v in report.violations), (
+            kind, report.violations)
         rejected += 1
     assert set(kinds_used) >= {"overlap", "duration", "contiguity"}
+    assert set(kinds_used) == set(_REPORTED), kinds_used
     _report(
         "criterion 10 (verifier mutation testing)",
         accepted == 100 and rejected == 100,

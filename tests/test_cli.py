@@ -131,6 +131,8 @@ class TestSolveCommand:
         ["bench", "float_n.json", "--out", "rows.csv"],
         ["solve", "bool_times.json"],
         ["verify", "ok.json", "bool_start.json"],
+        ["verify", "short_times.json", "wide.json"],
+        ["verify", "dup_ids.json", "wide.json"],
     ],
     ids=" ".join,
 )
@@ -163,6 +165,15 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypat
             "makespan": "3", "lambda": "10/7", "accepted_d": "3",
             "placements": [{"job": 1, "first_machine": 0, "width": 1,
                             "start": True, "duration": "2"}],
+        },
+        # verify checks the instance as solve does: one time short of m, and
+        # a repeated id, each with a schedule that would otherwise pass.
+        "short_times.json": {"m": 2, "jobs": [{"id": 1, "times": ["2"]}]},
+        "dup_ids.json": {"m": 2, "jobs": [{"id": 1, "times": ["2", "1"]}] * 2},
+        "wide.json": {
+            "makespan": "1", "lambda": "10/7", "accepted_d": "1",
+            "placements": [{"job": 1, "first_machine": 0, "width": 2,
+                            "start": "0", "duration": "1"}],
         },
     }
     for name, obj in files.items():

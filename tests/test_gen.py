@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from moldsched import (
@@ -9,6 +10,7 @@ from moldsched import (
     rat,
     validate_instance,
 )
+from moldsched.gen import _bounded_draw
 
 # Chi-square critical value, 9 degrees of freedom, p = 0.001.
 _CHI2_9_P001 = 27.877
@@ -71,6 +73,24 @@ class TestGenerate:
             generate(GenConfig(n=1, m=0))
         with pytest.raises(ValueError):
             generate(GenConfig(n=1, m=1, t1_low=rat(5), t1_high=rat(4)))
+
+
+class TestBoundedDraw:
+    # span = 2^63 + 1 leaves limit = 2^63 + 1: every word at or above it is
+    # rejected.  The first word of Philox(7) is 8648156199155761070.
+    LO, HI, LIMIT, PHILOX7 = 0, 2**63, 2**63 + 1, 8648156199155761070
+
+    def test_word_at_the_limit_is_redrawn_from_the_words(self):
+        rng = np.random.Generator(np.random.Philox(7))
+        assert _bounded_draw(iter([self.LIMIT, 5]), rng, self.LO, self.HI) == 5
+        assert _bounded_draw(iter([self.LIMIT - 1]), rng, self.LO, self.HI) == self.HI
+        # While words are left the rng is not read: its first word is next.
+        assert _bounded_draw(iter([]), rng, self.LO, self.HI) == self.PHILOX7
+
+    def test_exhausted_words_redraw_from_the_rng(self):
+        for words in ([], [self.LIMIT]):
+            rng = np.random.Generator(np.random.Philox(7))
+            assert _bounded_draw(iter(words), rng, self.LO, self.HI) == self.PHILOX7
 
 
 class TestAdversarialInstance:

@@ -293,10 +293,10 @@ class TestTimesView:
                     mp.setattr(Times, name, counting(getattr(Times, name), reads, name))
                 for name in ("repair_s2_small_q", "repair_s2_large_q"):
                     mp.setattr(shelf, name, counting(getattr(shelf, name), repairs, name))
-                layout, lam = driver._shelf_pipeline(
+                layout, lam = shelf.shelf_layout(
                     inst, result.mckp_assignment, result.accepted_d)
                 sched = shelf.add_small_jobs(layout, inst, cls.small)
-            built, built_lam, _ = driver._build(
+            built, built_lam = driver._build(
                 inst, result.accepted_d, *driver._attempt(inst, result.accepted_d))
             assert (sched, lam) == (built, built_lam)
         assert reads == {}

@@ -15,7 +15,7 @@ from moldsched import (
     solve,
     validate_schedule,
 )
-from moldsched.driver import _attempt, _shelf_pipeline
+from moldsched.driver import _attempt
 from moldsched.mckp import Infeasible, build_items, solve_mckp
 from moldsched.model import classify_jobs, gamma, make_schedule
 from moldsched.shelf import (
@@ -31,6 +31,7 @@ from moldsched.shelf import (
     layout_contiguous,
     repair_s2_large_q,
     repair_s2_small_q,
+    shelf_layout,
 )
 from util import const_work_job, instance, job, random_instance
 
@@ -576,6 +577,50 @@ class TestSplitInLargeQRepair:
         report = validate_schedule(inst, sched)
         assert report.feasible and report.contiguous
 
+    def test_split_lane_under_the_job_with_a_straddling_column(self):
+        # Shelf 1 descending: job 3 (0.95) on relative machine 0, the
+        # two-machine job 4 (0.9) on 1-2, the bare lane (0.8) on 3, five idle.
+        # Job 5 fails the suffixes at 0 and 1 (t = 0.6 on 9 and 8 machines)
+        # and fits the one at 2 (t = 0.55 on 7), so job 4 straddles the
+        # suffix start.  Its times rise from 7 to 8 machines: with times
+        # non-increasing in k, equal loads on both sides of the start would
+        # make the suffix at 1 fit first.  The lane lies under the job, so
+        # the runs are mirrored: the job hangs from the first shared machine.
+        j5_times = [Fraction(385, 100) / k for k in range(1, 8)] + [rat("0.6")] * 3
+        jobs = [
+            const_work_job(1, rat("1.6"), 10),
+            const_work_job(2, rat("0.5"), 10),
+            const_work_job(3, rat("0.95"), 10),
+            const_work_job(4, rat("1.8"), 10),
+            job(5, *j5_times),
+        ]
+        inst = instance(10, *jobs)
+        ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER, split_job=1)
+        ss.s0.append(
+            ShelfColumn(
+                1,
+                [ColumnPart(1, rat("0.8")), ColumnPart(2, rat("0.5"))],
+                split_of=1,
+                lane=0,
+            )
+        )
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.8"))], split_of=1, lane=1))
+        ss.s1.append(ShelfColumn(2, [ColumnPart(4, rat("0.9"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(3, rat("0.95"))]))
+        ss.s2.append(S2Job(5, 10, rat("0.6")))
+        assert ss.q == 5 and ss.regime == 2
+        layout = repair_s2_large_q(ss)
+        by_job = {p.job_id: p for p in layout.schedule.placements}
+        assert (by_job[5].first_machine, by_job[5].width) == (1, 7)
+        assert by_job[5].duration == rat("0.55")
+        assert (by_job[4].first_machine, by_job[4].width) == (2, 2)
+        assert by_job[3].first_machine == 9
+        assert (by_job[1].first_machine, by_job[1].width) == (0, 2)
+        assert by_job[2].first_machine in by_job[1].machines
+        _assert_gaps_are_exact(layout, inst.m, LAMBDA_STAR_UPPER * D1)
+        report = validate_schedule(inst, layout.schedule)
+        assert report.feasible and report.contiguous
+
 
 class TestSplitContiguity:
     def test_split_job_spans_adjacent_machines(self):
@@ -692,7 +737,7 @@ class TestLayout:
             inst = random_instance(rng, rng.randint(2, 14), rng.randint(2, 12))
             d = solve(inst).accepted_d
             _, items = _attempt(inst, d)
-            layout, lam = _shelf_pipeline(inst, solve_mckp(items, inst.m).assignment, d)
+            layout, lam = shelf_layout(inst, solve_mckp(items, inst.m).assignment, d)
             _assert_gaps_are_exact(layout, inst.m, lam * d)
             hung += any(t < lam * d for t in layout.top)
         assert hung >= 15

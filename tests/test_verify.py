@@ -65,6 +65,14 @@ class TestValidateSchedule:
         kinds = {v.kind for v in rep.violations}
         assert "missing" in kinds and "unknown-job" in kinds
 
+    def test_huge_width_is_a_bounds_violation(self):
+        # The part is clipped to the m machines before it is expanded.
+        inst = instance(2, job(1, 2, 1))
+        sched = make_schedule([PlacedJob(1, 0, 10**12, rat(0), rat(1))])
+        rep = validate_schedule(inst, sched)
+        assert ("bounds", 0) in {(v.kind, v.machine) for v in rep.violations}
+        assert not rep.feasible
+
     def test_makespan_field_checked(self):
         inst = instance(1, job(1, 2))
         sched = Schedule((PlacedJob(1, 0, 1, rat(0), rat(2)),), rat(99))
