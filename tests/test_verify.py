@@ -1,18 +1,25 @@
+import ast
 import random
+from fractions import Fraction
 
 import pytest
 
 from moldsched import (
+    Instance,
+    Job,
     PlacedJob,
     Schedule,
+    Violation,
     brute_force_opt,
     rat,
     ratio_report,
     solve,
     validate_schedule,
+    verify,
 )
 from moldsched.driver import initial_bounds
 from moldsched.model import make_schedule
+from moldsched.verify import _common_denominator
 from util import instance, job, random_instance
 
 
@@ -20,6 +27,7 @@ class TestValidateSchedule:
     def test_empty(self):
         rep = validate_schedule(instance(2), make_schedule([]))
         assert rep.feasible and rep.contiguous and rep.makespan == 0
+        assert type(rep.makespan) is Fraction
 
     def test_overlap_detected(self):
         inst = instance(4, job(1, *[2] * 4), job(2, *[2] * 4))
@@ -78,6 +86,104 @@ class TestValidateSchedule:
         sched = Schedule((PlacedJob(1, 0, 1, rat(0), rat(2)),), rat(99))
         rep = validate_schedule(inst, sched)
         assert any(v.kind == "makespan" for v in rep.violations)
+
+
+    def test_overlap_windows_over_mixed_denominators(self):
+        # Starts 1/3 and 2/7 and durations over 3, 7 and 21: L = 21.  Overlaps
+        # are listed by machine in order of first use, and by start within one.
+        inst = instance(2, job(1, "2/3", 1), job(2, "1/7", 1), job(3, 1, 1), job(4, "2/21", 1))
+        sched = make_schedule(
+            [
+                PlacedJob(3, 1, 1, rat(0), rat(1)),
+                PlacedJob(1, 0, 1, rat("1/3"), rat("2/3")),
+                PlacedJob(2, 0, 1, rat("2/7"), rat("1/7")),
+                PlacedJob(4, 1, 1, rat("5/7"), rat("2/21")),
+            ]
+        )
+        assert _common_denominator(sched.placements) == 21
+        rep = validate_schedule(inst, sched)
+        assert rep.violations == (
+            Violation("overlap", (3, 4), machine=1, window=(Fraction(5, 7), Fraction(17, 21))),
+            Violation("overlap", (2, 1), machine=0, window=(Fraction(1, 3), Fraction(3, 7))),
+        )
+        assert all(type(x) is Fraction for v in rep.violations for x in v.window)
+        assert not rep.feasible and rep.contiguous and rep.makespan == 1
+
+    def test_common_denominator_beyond_64_bits(self):
+        tiny = Fraction(1, 3**41)  # 3**41 > 2**64
+        inst = instance(1, job(1, 2 * tiny), job(2, "1/2"))
+        sched = make_schedule(
+            [PlacedJob(1, 0, 1, rat(0), 2 * tiny), PlacedJob(2, 0, 1, tiny, rat("1/2"))]
+        )
+        assert _common_denominator(sched.placements) == 2 * 3**41
+        rep = validate_schedule(inst, sched)
+        assert rep.violations == (
+            Violation("overlap", (1, 2), machine=0, window=(tiny, 2 * tiny)),
+        )
+        assert rep.makespan == tiny + Fraction(1, 2)
+
+    def test_int_start_and_duration(self):
+        inst = instance(2, job(1, 2, 1), job(2, 2, 1), job(3, 4, 2))
+        sched = make_schedule(
+            [PlacedJob(1, 0, 1, 0, 2), PlacedJob(2, 0, 1, 2, 2), PlacedJob(3, 0, 2, 4, 2)]
+        )
+        rep = validate_schedule(inst, sched)
+        assert rep.ok() and rep.makespan == 6 and type(rep.makespan) is Fraction
+        clash = make_schedule([PlacedJob(1, 0, 1, 0, 2), PlacedJob(2, 0, 1, 1, 2)])
+        rep = validate_schedule(instance(1, job(1, 2), job(2, 2)), clash)
+        assert rep.violations == (
+            Violation("overlap", (1, 2), machine=0, window=(Fraction(1), Fraction(2))),
+        )
+
+    def test_float_times_compare_as_given(self):
+        # A float has no denominator: its schedule takes the Fraction path.
+        inst = instance(1, job(1, "1/2"), job(2, "1/2"))
+        sched = make_schedule(
+            [PlacedJob(1, 0, 1, 0.25, rat("1/2")), PlacedJob(2, 0, 1, rat("1/2"), rat("1/2"))]
+        )
+        assert _common_denominator(sched.placements) is None
+        rep = validate_schedule(inst, sched)
+        assert rep.violations == (
+            Violation("overlap", (1, 2), machine=0, window=(Fraction(1, 2), Fraction(3, 4))),
+        )
+
+    def test_prime_denominators_compare_as_fractions(self):
+        # Job i takes 1/p_i on one machine from start i-1, and job 20 also
+        # starts at 18, under job 19.  The lcm of the first 20 primes is 89
+        # bits against the widest denominator's 7: the Fractions are compared.
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+        inst = Instance(1, tuple(Job(i, (Fraction(1, p),)) for i, p in enumerate(primes, 1)))
+        starts = list(range(19)) + [18]
+        sched = make_schedule(
+            PlacedJob(i, 0, 1, Fraction(s), Fraction(1, p))
+            for i, (s, p) in enumerate(zip(starts, primes), 1)
+        )
+        assert _common_denominator(sched.placements) is None
+        rep = validate_schedule(inst, sched)
+        assert rep.violations == (
+            Violation("overlap", (20, 19), machine=0, window=(Fraction(18), Fraction(1279, 71))),
+        )
+        assert not rep.feasible and rep.contiguous and rep.makespan == Fraction(1207, 67)
+
+
+def test_verify_is_independent_of_the_construction():
+    """verify.py imports no construction module and never reads the grid."""
+    tree = ast.parse(open(verify.__file__).read())
+    construction = {"driver", "mckp", "shelf", "listsched", "gen"}
+    grid_readers = {"grid", "row_of", "t", "gamma", "gammas", "numerators"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            assert module not in construction, ast.unparse(node)
+            assert not {a.name for a in node.names} & construction, ast.unparse(node)
+            if module == "model":
+                assert not {a.name for a in node.names} & grid_readers, ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not {a.name.rsplit(".", 1)[-1] for a in node.names} & construction
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in {"grid", "row_of"}, ast.unparse(node)
+        elif isinstance(node, ast.Name):
+            assert node.id not in {"grid", "row_of"}, node.id
 
 
 class TestBruteForceOpt:
