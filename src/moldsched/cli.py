@@ -13,6 +13,12 @@ Exit codes: 0 success / feasible, 1 infeasible schedule, 2 invalid input or
 an unwritable output path, 3 internal invariant violation (diagnostic dumped
 to stderr; for bench, any row that failed on a valid config).
 
+An instance file is read straight onto the integer grid: each time in plain
+form ("p" or "p/q" in ASCII digits) is split into integers, without a
+Fraction, and the jobs get Times views of one (Q, A), as generated instances
+do.  Any other value (a decimal, a sign, whitespace, a JSON number) is read
+exactly by ``rat`` as before.  Schedule files are read by the same reader.
+
 The bench harness runs solves in a process pool (worker count from the
 MOLDSCHED_WORKERS environment variable) and writes one CSV row per
 (n, m, seed) in deterministic order, with the solve's wall time, its
@@ -28,15 +34,26 @@ import concurrent.futures
 import csv
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .driver import solve
 from .gen import GenConfig, generate
-from .model import Instance, Job, PlacedJob, Schedule, Times, rat, validate_instance
+from .model import (
+    Instance,
+    Job,
+    PlacedJob,
+    Schedule,
+    Times,
+    rat,
+    ratio_grid,
+    validate_instance,
+)
 from .shelf import ShelfInvariantError
 from .verify import validate_schedule
 
@@ -64,16 +81,46 @@ def _json(value, kind: type, what: str):
     return value
 
 
+# A rational in plain form: ASCII digits "p", or "p/q" with q > 0.
+_PLAIN = "[0-9]+(?:/0*[1-9][0-9]*)?"
+_PLAIN_LIST = re.compile(f"{_PLAIN}(?:,{_PLAIN})*")
+
+
+def _ratios(values: list) -> list[tuple[int, int]]:
+    """Each value of a file as an exact (p, q) with q > 0.  A list of plain
+    strings is split and read by int(); any other list goes value by value
+    through rat, which accepts decimals and raises for what it rejects."""
+    try:
+        text = ",".join(values)
+    except TypeError:  # a value that is not a string
+        text = ""
+    if _PLAIN_LIST.fullmatch(text) and text.count(",") == len(values) - 1:
+        parts = map(str.partition, values, repeat("/"))
+        return [(int(p), int(q) if q else 1) for p, _, q in parts]
+    return [rat(v).as_integer_ratio() for v in values]
+
+
+def _rational(value) -> Fraction:
+    """One rational of a schedule file, read as a time is."""
+    return Fraction(*_ratios([value])[0])
+
+
 def instance_from_obj(obj: dict) -> Instance:
+    """Read the times straight onto the grid (Q, A): each job of m times gets
+    a Times view of its row, as a generated job does.  A job of another
+    length keeps a tuple of Fractions for validate_instance to report."""
     m = _json(obj["m"], int, "m")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    ids, rows = [], []
+    for j in _json(obj["jobs"], list, "jobs"):
+        ids.append(_json(j["id"], int, "job id"))
+        rows.append(_ratios(_json(j["times"], list, "times")))
+    q, a = ratio_grid([row for row in rows if len(row) == m], m)
+    full = iter(a)
     jobs = tuple(
-        Job(
-            _json(j["id"], int, "job id"),
-            tuple(map(rat, _json(j["times"], list, "times"))),
-        )
-        for j in _json(obj["jobs"], list, "jobs")
+        Job(i, Times(next(full), q) if len(row) == m else tuple(Fraction(*t) for t in row))
+        for i, row in zip(ids, rows)
     )
     return Instance(m, jobs)
 
@@ -102,13 +149,13 @@ def schedule_from_obj(obj: dict) -> tuple[Schedule, Fraction, Fraction]:
             _json(p["job"], int, "job"),
             _json(p["first_machine"], int, "first_machine"),
             _json(p["width"], int, "width"),
-            rat(p["start"]),
-            rat(p["duration"]),
+            _rational(p["start"]),
+            _rational(p["duration"]),
         )
         for p in _json(obj["placements"], list, "placements")
     )
-    sched = Schedule(placements, rat(obj["makespan"]))
-    return sched, rat(obj["lambda"]), rat(obj["accepted_d"])
+    sched = Schedule(placements, _rational(obj["makespan"]))
+    return sched, _rational(obj["lambda"]), _rational(obj["accepted_d"])
 
 
 def _dump_json(obj: dict, path: str) -> None:

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -112,7 +112,7 @@ class Times(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(Fraction(a, self._q) for a in self._row[k].tolist())
-        return Fraction(int(self._row[k]), self._q)
+        return Fraction(self._row.item(k), self._q)
 
     def __iter__(self):
         return (Fraction(a, self._q) for a in self._row.tolist())
@@ -223,10 +223,21 @@ def numerators(jobs: Sequence[Job], m: int) -> tuple[int, np.ndarray]:
     share one q, else Q is the lcm of every denominator."""
     if len(qs := {getattr(j.times, "_q", None) for j in jobs}) == 1 and None not in qs:
         return qs.pop(), int_matrix([j.times._row for j in jobs], m)
-    dens = {t.denominator for j in jobs for t in j.times}
-    q = math.lcm(*dens)
-    up = {den: q // den for den in dens}
-    return q, int_matrix([[t.numerator * up[t.denominator] for t in j.times] for j in jobs], m)
+    return ratio_grid([[t.as_integer_ratio() for t in j.times] for j in jobs], m)
+
+
+def ratio_grid(rows: list[list[tuple[int, int]]], m: int) -> tuple[int, np.ndarray]:
+    """The grid of rows of times p/q, each a pair (p, q) with q > 0: Q is the
+    lcm of the reduced denominators, so unreduced pairs give the same grid."""
+    dens = {q for row in rows for _, q in row}
+    big = math.lcm(*dens)
+    up = {den: big // den for den in dens}
+    scaled = [[p * up[q] for p, q in row] for row in rows]
+    g = math.gcd(big, *chain.from_iterable(scaled))  # 1 when every pair is reduced
+    if g > 1:
+        big //= g
+        scaled = [[a // g for a in row] for row in scaled]
+    return big, int_matrix(scaled, m)
 
 
 def int_matrix(rows: list[list[int]], m: int) -> np.ndarray:

@@ -2,9 +2,10 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from moldsched import GenConfig, cli, generate, rat, solve
+from moldsched import GenConfig, Job, cli, generate, rat, solve
 from moldsched.cli import (
     gantt_svg,
     instance_from_obj,
@@ -14,7 +15,8 @@ from moldsched.cli import (
     schedule_from_obj,
     schedule_to_obj,
 )
-from util import instance, job, random_instance
+from moldsched.model import Times, numerators
+from util import const_work_job, instance, job, random_instance
 
 
 def run(*argv) -> int:
@@ -42,6 +44,99 @@ class TestFormats:
         obj = {"m": 1, "jobs": [{"id": 1, "times": ["6.01"]}]}
         inst = instance_from_obj(obj)
         assert inst.jobs[0].times[0] == Fraction(601, 100)
+
+
+# Time strings and JSON values, each of which the file reader must read as
+# rat does: the same Fraction, or the same exception type.
+READER_INPUTS = [
+    "3", "3/2", "2/4", "007/010", " 1/2", "6.01", "1e3", "-1/2", "1_000/3",
+    "\u0663/4",  # ARABIC-INDIC DIGIT THREE
+    "0/5", "1/0", "", "1/", "/2", "abc", "1,2", "1/2/3",
+    2, 1.5, True, None,
+]
+
+
+def _outcome(read, value):
+    try:
+        return read(value)
+    except Exception as exc:
+        return type(exc)
+
+
+def _fraction_grid(obj):
+    """The grid the reader must give: one rat per time, then numerators."""
+    return numerators([Job(j["id"], tuple(map(rat, j["times"]))) for j in obj["jobs"]], obj["m"])
+
+
+class TestReader:
+    @pytest.mark.parametrize("value", READER_INPUTS, ids=repr)
+    def test_value_reads_as_rat(self, value):
+        def alone(v):
+            return instance_from_obj({"m": 1, "jobs": [{"id": 1, "times": [v]}]}).jobs[0].times[0]
+
+        def among_plain(v):
+            obj = {"m": 3, "jobs": [{"id": 1, "times": ["4", v, "1/2"]}]}
+            return instance_from_obj(obj).jobs[0].times[1]
+
+        def schedule_value(v):
+            obj = {"makespan": v, "lambda": "10/7", "accepted_d": "1", "placements": []}
+            return schedule_from_obj(obj)[0].makespan
+
+        want = _outcome(rat, value)
+        for read in (alone, among_plain, schedule_value):
+            got = _outcome(read, value)
+            assert got == want and type(got) is type(want), read.__name__
+
+    def test_grid_equals_the_fraction_grid(self):
+        rng = random.Random(101)
+        insts = [random_instance(rng, rng.randint(0, 9), rng.randint(1, 7)) for _ in range(12)]
+        insts += [generate(GenConfig(n=15, m=11, seed=s)) for s in range(3)]
+        primes = (1_000_003, 1_000_033, 1_000_037)
+        insts.append(instance(24, *(const_work_job(i + 1, Fraction(2 * p + 1, p), 24)
+                                    for i, p in enumerate(primes))))
+        objs = [json.loads(json.dumps(instance_to_obj(i))) for i in insts]
+        objs.append({"m": 4, "jobs": [
+            {"id": 1, "times": ["6.01", "3.005", "2.01", "1.6"]},
+            {"id": 2, "times": ["12", "6.5", "4.5", "3.5"]},
+            {"id": 3, "times": ["1e1", "5", "4/1", "2.5e0"]},
+            {"id": 4, "times": ["4/2", "002", "3/2", "0.5"]},
+        ]})
+        # plain but unreduced: the lcm of the written denominators is 12, Q is 4
+        objs.append({"m": 2, "jobs": [{"id": 1, "times": ["4/2", "6/6"]},
+                                      {"id": 2, "times": ["9/6", "3/4"]}]})
+        dtypes = set()
+        for obj in objs:
+            q, a = instance_from_obj(obj).grid
+            q_ref, a_ref = _fraction_grid(obj)
+            assert q == q_ref and a.dtype == a_ref.dtype and np.array_equal(a, a_ref)
+            dtypes.add(a.dtype)
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+    def test_mixed_lengths_exit_2_with_one_line_each(self, tmp_path, capsys):
+        obj = {"m": 3, "jobs": [
+            {"id": 1, "times": ["6", "3", "2"]},
+            {"id": 2, "times": ["2", "1"]},
+            {"id": 3, "times": ["3", "3/2", "1", "1"]},
+            {"id": 4, "times": ["6.01", "4", "3"]},
+        ]}
+        inst = instance_from_obj(obj)
+        assert [isinstance(j.times, Times) for j in inst.jobs] == [True, False, False, True]
+        assert inst.jobs[3].times == (Fraction(601, 100), Fraction(4), Fraction(3))
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(obj))
+        assert run("solve", path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: job 2, k=2: length", "error: job 3, k=4: length"]
+
+    def test_generated_file_is_read_without_rat(self, tmp_path, monkeypatch):
+        path = tmp_path / "i.json"
+        assert run("gen", "-n", 30, "-m", 17, "--seed", 5, "--out", path) == 0
+        calls = []
+        monkeypatch.setattr(cli, "rat", lambda v: calls.append(v) or rat(v))
+        inst = load_instance(str(path))
+        assert calls == []
+        assert all(isinstance(j.times, Times) for j in inst.jobs)
+        assert inst == generate(GenConfig(n=30, m=17, seed=5))
 
 
 class TestGenCommand:

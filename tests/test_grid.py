@@ -13,7 +13,13 @@ import pytest
 from moldsched import GenConfig, Instance, Job, Reject, adversarial_instance, generate, solve
 from moldsched import cli, driver, mckp, shelf
 from moldsched.driver import SearchBounds, initial_bounds
-from moldsched.model import _INT64_SAFE_TOTAL, Times, classify_jobs, validate_instance
+from moldsched.model import (
+    _INT64_SAFE_TOTAL,
+    Times,
+    classify_jobs,
+    numerators,
+    validate_instance,
+)
 from moldsched.verify import validate_schedule
 from util import const_work_job, instance, random_instance
 
@@ -265,7 +271,11 @@ class TestTimesView:
         inst = generate(GenConfig(n=6, m=5, seed=4))
         obj = cli.instance_to_obj(inst)
         back = cli.instance_from_obj(obj)
-        assert back == inst and all(type(j.times) is tuple for j in back.jobs)
+        assert back == inst and all(isinstance(j.times, Times) for j in back.jobs)
+        # The grid read from the strings is the grid of their Fractions.
+        (q, a), (q_ref, a_ref) = back.grid, numerators(
+            [Job(j.id, tuple(j.times)) for j in back.jobs], back.m)
+        assert q == q_ref and np.array_equal(a, a_ref) and a.dtype == a_ref.dtype
         assert cli.instance_to_obj(back) == obj
         assert solve(back).makespan == solve(inst).makespan
 
