@@ -29,8 +29,9 @@ items = build_items(inst, cls.big, d)
 q, a = inst.grid
 print(f"\nthe instance's integer grid: t(j,k) = A[j,k-1]/Q with Q = {q}, A = {a.tolist()}")
 print(f"knapsack options at guess d = {d} (integer cost = work * Q, half-machine size):")
-for opt, label in zip(items[0].options, ("full height", "4/7 height", "3/7 height")):
-    print(f"  {label:11s}: cost {opt.cost} (work {Fraction(opt.cost, q)}), size {opt.size2}")
+labels = ("full height", "4/7 height", "3/7 height")
+for label, cost, size2 in zip(labels, items.cost[0].tolist(), items.size2[0].tolist()):
+    print(f"  {label:11s}: cost {cost} (work {Fraction(cost, q)}), size {size2}")
 print("chosen:", solve_mckp(items, inst.m).assignment)
 
 print("\nthe worst-case stretch is the root of ln(x) = 3x - 4 near 1.4593,")

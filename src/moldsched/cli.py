@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import os
 import re
@@ -117,9 +118,9 @@ def instance_from_obj(obj: dict) -> Instance:
         ids.append(_json(j["id"], int, "job id"))
         rows.append(_ratios(_json(j["times"], list, "times")))
     q, a = ratio_grid([row for row in rows if len(row) == m], m)
-    full = iter(a)
+    full = (Times(row, q, i) for i, row in enumerate(a))
     jobs = tuple(
-        Job(i, Times(next(full), q) if len(row) == m else tuple(Fraction(*t) for t in row))
+        Job(i, next(full) if len(row) == m else tuple(Fraction(*t) for t in row))
         for i, row in zip(ids, rows)
     )
     return Instance(m, jobs)
@@ -410,6 +411,7 @@ def cmd_bench(config_path: str, out_csv: str) -> int:
 # argument parsing
 
 
+@functools.cache  # built once per process; each parse_args fills a new Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moldsched",

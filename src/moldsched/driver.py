@@ -86,7 +86,7 @@ def try_guess(inst: Instance, d: Fraction) -> Union[Schedule, mckp.Reject]:
 
 def _attempt(
     inst: Instance, d: Fraction
-) -> Union[tuple[JobClassification, list[mckp.MckpItem]], mckp.Reject]:
+) -> Union[tuple[JobClassification, mckp.MckpItems], mckp.Reject]:
     """The knapsack decision for d: (classes, knapsack items) or Reject (d < OPT)."""
     cls = classify_jobs(inst, d)
     items = mckp.build_items(inst, cls.big, d)
@@ -105,7 +105,7 @@ def _attempt(
 
 
 def _build(
-    inst: Instance, d: Fraction, cls: JobClassification, items: list[mckp.MckpItem]
+    inst: Instance, d: Fraction, cls: JobClassification, items: mckp.MckpItems
 ) -> tuple[Schedule, Fraction]:
     """Shelf schedule and stretch lam for an accepted d, verified within
     lam*d.  The one knapsack DP here picks the partition."""

@@ -59,7 +59,7 @@ def generate(cfg: GenConfig) -> Instance:
             nums.append(v)
         rows.append(nums)
     a = int_matrix(rows, cfg.m)
-    return Instance(cfg.m, tuple(Job(idx + 1, Times(a[idx], q)) for idx in range(cfg.n)))
+    return Instance(cfg.m, tuple(Job(i + 1, Times(row, q, i)) for i, row in enumerate(a)))
 
 
 def _bounded_draw(words, rng, lo: int, hi: int) -> int:

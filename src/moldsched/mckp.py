@@ -10,25 +10,30 @@ Sizes are counted in half-machines so the class-2 "half a machine per unit"
 stays integral; the capacity is 2m.  The guess is workable iff the minimum
 total cost within total size 2m is at most the budget m*d - W_S.
 
+The knapsack is one ``MckpItems`` record of n x 3 arrays, row j the job
+ids[j] and column c-1 its class c: ``cost`` (the exact integers g*A[j,g-1],
+work at the grid scale Q, in the grid's dtype), ``size2`` and ``avail`` (g <=
+m); a class a job cannot meet has cost and size 0.  The budget is
+floor((m*d - W_S)*Q).
+
 ``decide`` settles that verdict first by two exact certificates on integer
 costs: an integral greedy assignment within capacity and budget accepts, a
-Lagrangian lower bound above the budget rejects.  Only a guess both leave
-open runs the DP, which also runs once at the accepted guess to produce the
-partition the shelves are built from.
+Lagrangian lower bound above the budget rejects.  Both are array operations
+over all items at once.  Only a guess both leave open runs the DP, which
+also runs once at the accepted guess to produce the partition the shelves
+are built from.
 
-Costs are the exact integers g*A[j,g-1] (work at the grid scale Q) against
-the budget floor((m*d - W_S)*Q).  The DP divides them by their gcd and runs
-one suffix table over (job, capacity): two rolling rows of (cost, size) and
-an int8 table of the class chosen per cell, walked forward once to read off
-the assignment.  The cost row is int64 while the totals fit comfortably, and
-exact Python ints (numpy object dtype) otherwise, so the arithmetic never
-wraps.  Ties resolve to minimum cost, then minimum total size, then the
-lowest class index per job in input order.
+The DP divides the costs by their gcd and runs one suffix table over (job,
+capacity): two rolling rows of (cost, size) and an int8 table of the class
+chosen per cell, walked forward once to read off the assignment.  The cost
+row is int64 while the totals fit comfortably, and exact Python ints (numpy
+object dtype) otherwise, so the arithmetic never wraps.  Ties resolve to
+minimum cost, then minimum total size, then the lowest class index per job
+in input order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -44,20 +49,18 @@ from .model import _INT64_SAFE_TOTAL, Instance, gamma, gammas  # noqa: F401
 CLASS_HEIGHTS = (Fraction(1), Fraction(4, 7), Fraction(3, 7))
 
 
-@dataclass(frozen=True)
-class MckpOption:
-    cost: Optional[int]  # work at the grid scale; None = job cannot meet the class deadline
-    size2: int                # size in half-machines
+@dataclass(frozen=True, eq=False)
+class MckpItems:
+    """The options of the big jobs at one guess: row j is job ids[j] and
+    column c-1 its class c.  A class the job cannot meet has cost and size 0."""
 
-    @property
-    def available(self) -> bool:
-        return self.cost is not None
+    ids: list[int]
+    cost: np.ndarray   # work at the grid scale g*A[j,g-1]; the grid's dtype
+    size2: np.ndarray  # half-machines (2*g1, g2, 0), int64
+    avail: np.ndarray  # g <= m: the job meets the class deadline on some count
 
-
-@dataclass(frozen=True)
-class MckpItem:
-    job_id: int
-    options: tuple[MckpOption, MckpOption, MckpOption]
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -96,41 +99,34 @@ class Verdict:
 
 def build_items(
     inst: Instance, big: Sequence[int] | frozenset[int], d: Fraction
-) -> Union[list[MckpItem], Reject]:
-    """Construct the per-job options, or Reject when some gamma(j, d) is infinite.
+) -> Union[MckpItems, Reject]:
+    """The big jobs' options, or Reject when some gamma(j, d) is infinite.
     The three gammas of every job are one ``gammas`` count each; m+1 is none."""
     ids = sorted(big)
     q, a = inst.grid
     rows, m = a[[inst.row_of[i] for i in ids]], inst.m
-    per_class = []
-    for f in CLASS_HEIGHTS:
-        g = gammas(rows, f * d, q)
-        t = np.take_along_axis(rows, np.minimum(g, m)[:, None] - 1, axis=1)[:, 0]
-        per_class.append(zip(g.tolist(), (t * g).tolist()))
-    none = MckpOption(None, 0)
-    items: list[MckpItem] = []
-    for job_id, (g1, c1), (g2, c2), (g3, c3) in zip(ids, *per_class):
-        if g1 > m:
-            return Reject(d, "job-exceeds-guess", job_id)
-        opts = (
-            MckpOption(c1, 2 * g1),
-            MckpOption(c2, g2) if g2 <= m else none,
-            MckpOption(c3, 0) if g3 <= m else none,
-        )
-        items.append(MckpItem(job_id, opts))
-    return items
+    g = np.stack([gammas(rows, f * d, q) for f in CLASS_HEIGHTS], axis=1)
+    avail = g <= m
+    if not avail[:, 0].all():
+        return Reject(d, "job-exceeds-guess", ids[int(avail[:, 0].argmin())])
+    g = np.where(avail, g, 0)
+    cost = np.take_along_axis(rows, np.maximum(g, 1) - 1, axis=1) * g
+    return MckpItems(ids, cost, g * np.array([2, 1, 0]), avail)
 
 
-def _solution(items: Sequence[MckpItem], choice: Sequence[int]) -> MckpSolution:
-    picked = [item.options[cls - 1] for item, cls in zip(items, choice)]
-    return MckpSolution(
-        {item.job_id: cls for item, cls in zip(items, choice)},
-        sum(opt.cost for opt in picked),
-        sum(opt.size2 for opt in picked),
-    )
+def _options(items: MckpItems, cost: np.ndarray) -> list[list[tuple[int, int, int]]]:
+    """(class, cost, size) of each item's available options, as Python ints."""
+    return [[(cls, c, s) for cls, (c, s, ok) in enumerate(zip(*row), start=1) if ok]
+            for row in zip(cost.tolist(), items.size2.tolist(), items.avail.tolist())]
 
 
-def solve_mckp(items: Sequence[MckpItem], m: int) -> Union[MckpSolution, Infeasible]:
+def _solution(items: MckpItems, choice: Sequence[int]) -> MckpSolution:
+    picked = np.arange(len(items)), np.asarray(choice, dtype=np.intp) - 1
+    return MckpSolution(dict(zip(items.ids, choice)), sum(items.cost[picked].tolist()),
+                        int(items.size2[picked].sum()))
+
+
+def solve_mckp(items: MckpItems, m: int) -> Union[MckpSolution, Infeasible]:
     """Minimize total cost subject to total size <= 2m.
 
     One DP in O(n*m) time, holding two rows and an n x (2m+1) int8 table.
@@ -139,27 +135,17 @@ def solve_mckp(items: Sequence[MckpItem], m: int) -> Union[MckpSolution, Infeasi
     returned; remaining ties resolve to the lowest class index per job,
     scanning jobs in input order.
     """
-    costs = [[opt.cost for opt in item.options] for item in items]
-    max_total = 0
-    for row in costs:
-        avail = [c for c in row if c is not None]
-        if not avail:
-            return Infeasible("item-has-no-option")
-        max_total += max(avail)
-    unit = math.gcd(*(c for row in costs for c in row if c is not None)) or 1
-    scaled = [[None if c is None else c // unit for c in row] for row in costs]
-    choice = _dp(items, scaled, 2 * m, max_total // unit)
+    if not items.avail.any(axis=1).all():
+        return Infeasible("item-has-no-option")
+    unit = int(np.gcd.reduce(items.cost.ravel())) or 1
+    max_total = sum(items.cost.max(axis=1, initial=0).tolist())
+    choice = _dp(items, items.cost // unit, 2 * m, max_total // unit)
     if choice is None:
         return Infeasible()
     return _solution(items, choice)
 
 
-def _dp(
-    items: Sequence[MckpItem],
-    scaled: list[list[Optional[int]]],
-    cap: int,
-    max_total: int,
-) -> Optional[list[int]]:
+def _dp(items: MckpItems, scaled: np.ndarray, cap: int, max_total: int) -> Optional[list[int]]:
     """Suffix DP over items n-1..0 with two rolling rows and a choice table.
 
     After item j, (cost[c], size[c]) is the lexicographic minimum of (total
@@ -172,15 +158,15 @@ def _dp(
     """
     dtype = np.int64 if max_total <= _INT64_SAFE_TOTAL else object
     inf = max_total + 1
-    choice = np.zeros((len(items), cap + 1), dtype=np.int8)
+    options, sizes = _options(items, scaled), items.size2.tolist()
+    choice = np.zeros((len(options), cap + 1), dtype=np.int8)
     cost = np.zeros(cap + 1, dtype=dtype)
     size = np.zeros(cap + 1, dtype=np.int64)
-    for j in range(len(items) - 1, -1, -1):
+    for j in range(len(options) - 1, -1, -1):
         best_c = np.full(cap + 1, inf, dtype=dtype)
         best_s = np.zeros(cap + 1, dtype=np.int64)
-        for cls, (c, opt) in enumerate(zip(scaled[j], items[j].options), start=1):
-            s = opt.size2
-            if c is None or s > cap:
+        for cls, c, s in options[j]:
+            if s > cap:
                 continue
             cand_c = cost[: cap + 1 - s] + c
             cand_s = size[: cap + 1 - s] + s
@@ -194,57 +180,64 @@ def _dp(
         return None
     picks: list[int] = []
     c = cap
-    for j, item in enumerate(items):
+    for j in range(len(options)):
         cls = int(choice[j, c])
         picks.append(cls)
-        c -= item.options[cls - 1].size2
+        c -= sizes[j][cls - 1]
     return picks
 
 
-def decide(items: Sequence[MckpItem], m: int, budget: int) -> Verdict:
+def decide(items: MckpItems, m: int, budget: int) -> Verdict:
     """Is the minimum cost within size 2m at most budget?  solve_mckp's verdict.
 
     The budget is in the items' integer cost unit.  Each item's lower convex
     hull in (size, cost) leads from its cheapest option to its smallest; the
     greedy takes hull steps by ascending cost per half-machine saved until the
-    total fits.  An integral result
-    within budget accepts.  Otherwise the last step's slope lam = p/r gives
-    the Lagrangian bound sum_j min_k (c + lam*s) - lam*2m <= min cost, which
-    rejects when it exceeds the budget.  Floats only order the steps; every
-    verdict is checked in exact integers.  Guesses left open run the DP.
+    total fits.  An integral result within budget accepts.  Otherwise the
+    last step's slope lam = p/r gives the Lagrangian bound sum_j min_k (c +
+    lam*s) - lam*2m <= min cost, which rejects when it exceeds the budget.
+    Floats only order the steps; every verdict is checked in exact integers.
+    Guesses left open run the DP.
     """
-    cap = 2 * m
-    opts = [[(opt.cost, opt.size2) for opt in item.options if opt.available] for item in items]
-    if sum(min((s for _, s in o), default=cap + 1) for o in opts) > cap:
+    cap, n = 2 * m, len(items)
+    avail, cost, size = items.avail, items.cost, items.size2
+    if int(np.where(avail, size, cap + 1).min(axis=1, initial=cap + 1).sum()) > cap:
         return Verdict("mckp-infeasible", "bound")
-    shift = max(0, max((c for o in opts for c, _ in o), default=0).bit_length() - 64)
-    steps = []
-    cost = size = 0
-    for j, o in enumerate(opts):
-        hull = [min(o)]
-        for c, s in sorted(o, key=lambda cs: (-cs[1], cs[0])):
-            if s >= hull[-1][1]:
-                continue
-            while len(hull) > 1:
-                (ca, sa), (cb, sb) = hull[-2:]
-                if (cb - ca) * (sb - s) < (c - cb) * (sa - sb):
-                    break  # (cb, sb) lies strictly below the chord to (c, s)
-                hull.pop()
-            hull.append((c, s))
-        cost, size = cost + hull[0][0], size + hull[0][1]
+    top = int(cost.max(initial=0))
+    shift = max(0, top.bit_length() - 64)
+    if cost.dtype == object or top >> 53 or (n + 1) * top * int(size.max(initial=1)) >> 61:
+        # Exact Python ints wherever an int64 product, sum or float could be off.
+        cost, size = cost.astype(object), size.astype(object)
+    rows = np.arange(n)
+    k0 = np.lexsort((size, cost, ~avail), axis=1)[:, 0]  # lexicographic min of (cost, size)
+    c0, s0 = cost[rows, k0], size[rows, k0]
+    total, over = int(c0.sum()), int(s0.sum()) - cap
+    p, r = 0, 1  # lam = 0 when the cheapest options fit: then cost is the minimum
+    if over > 0:
+        # Each hull has at most 3 points: k0, then, of the options smaller
+        # than it taken by (-size, cost), a and b, where a stays only when it
+        # lies strictly below the chord from k0 to b.
+        smaller = avail & (size < s0[:, None])
+        a, b = np.lexsort((cost, -size, ~smaller), axis=1)[:, :2].T
+        ca, sa, cb, sb = cost[rows, a], size[rows, a], cost[rows, b], size[rows, b]
+        two = (smaller.sum(axis=1) == 2) & (sb < sa)
+        keep = two & ((ca - c0) * (sa - sb) < (cb - ca) * (s0 - sa))
+        c1, s1 = np.where(two & ~keep, cb, ca), np.where(two & ~keep, sb, sa)
+        hull_c, hull_s = np.stack([c0, c1, cb], axis=1), np.stack([s0, s1, sb], axis=1)
+        j, k = np.nonzero(np.stack([smaller.any(axis=1), keep], axis=1))
+        dc, ds = hull_c[j, k + 1] - hull_c[j, k], hull_s[j, k] - hull_s[j, k + 1]
         # Slopes rise along a hull and int/int division rounds monotonically,
         # so sorting by (slope, j, k) keeps each item's steps in hull order;
         # the 2^shift divisor keeps every slope within float range.
-        for k, ((ca, sa), (cb, sb)) in enumerate(zip(hull, hull[1:])):
-            steps.append(((cb - ca) / ((sa - sb) << shift), j, k, cb - ca, sa - sb))
-    p, r = 0, 1  # lam = 0 when the cheapest options fit: then cost is the minimum
-    ordered = iter(sorted(steps))
-    while size > cap:
-        _, _, _, p, r = next(ordered)
-        cost, size = cost + p, size - r
-    if cost <= budget:
-        return Verdict(None, "bound", cost)
-    lower = sum(min(r * c + p * s for c, s in o) for o in opts) - p * cap
+        order = np.lexsort((k, j, (dc / (ds << shift)).astype(float)))
+        dc, ds = dc[order], ds[order]
+        i = int(np.searchsorted(np.cumsum(ds), over))
+        total += int(dc[: i + 1].sum())
+        p, r = int(dc[i]), int(ds[i])
+    if total <= budget:
+        return Verdict(None, "bound", total)
+    priced = r * cost + p * size
+    lower = int(np.where(avail, priced, priced[rows, k0, None]).min(axis=1).sum()) - p * cap
     if lower > r * budget:
         return Verdict("work-budget", "bound", Fraction(lower, r))
     solution = solve_mckp(items, m)
@@ -252,9 +245,7 @@ def decide(items: Sequence[MckpItem], m: int, budget: int) -> Verdict:
     return Verdict(reason, "dp", solution.total_cost)
 
 
-def brute_mckp(
-    items: Sequence[MckpItem], m: int
-) -> Union[MckpSolution, Infeasible]:
+def brute_mckp(items: MckpItems, m: int) -> Union[MckpSolution, Infeasible]:
     """Exhaustive oracle over all 3^n class vectors; n <= 14 enforced.
 
     Applies the same tie-breaking as solve_mckp: minimum (cost, size), first
@@ -262,17 +253,15 @@ def brute_mckp(
     """
     if len(items) > 14:
         raise ValueError(f"brute_mckp is capped at 14 items, got {len(items)}")
-    cap = 2 * m
-    costs = [[opt.cost for opt in item.options] for item in items]
-    n = len(items)
+    options = _options(items, items.cost)
+    if not all(options):
+        return Infeasible("item-has-no-option")
+    cap, n = 2 * m, len(items)
     # Admissible per-item lower bounds on the remaining cost let the DFS prune
     # without ever cutting an equal-cost branch (ties matter for size/lex).
     suffix_min = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
-        avail = [c for c in costs[j] if c is not None]
-        if not avail:
-            return Infeasible("item-has-no-option")
-        suffix_min[j] = suffix_min[j + 1] + min(avail)
+        suffix_min[j] = suffix_min[j + 1] + min(c for _, c, _ in options[j])
 
     best: Optional[tuple[int, int]] = None
     best_choice: Optional[list[int]] = None
@@ -290,12 +279,9 @@ def brute_mckp(
                 best = cand
                 best_choice = choice.copy()
             return
-        for cls in (1, 2, 3):
-            c = costs[j][cls - 1]
-            if c is None:
-                continue
+        for cls, c, s in options[j]:
             choice[j] = cls
-            dfs(j + 1, cost + c, size + items[j].options[cls - 1].size2)
+            dfs(j + 1, cost + c, size + s)
 
     dfs(0, 0, 0)
     if best_choice is None:

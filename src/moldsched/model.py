@@ -101,10 +101,10 @@ class Times(Sequence):
     """Read-only view of a numerator row: item k-1 is Fraction(row[k-1], q).
     It compares and hashes like the tuple of those Fractions."""
 
-    __slots__ = ("_row", "_q")
+    __slots__ = ("_row", "_q", "_i")
 
-    def __init__(self, row: np.ndarray, q: int) -> None:
-        self._row, self._q = row, q
+    def __init__(self, row: np.ndarray, q: int, i: Optional[int] = None) -> None:
+        self._row, self._q, self._i = row, q, i  # i: the row's index in row.base
 
     def __len__(self) -> int:
         return len(self._row)
@@ -220,9 +220,18 @@ class Schedule:
 
 def numerators(jobs: Sequence[Job], m: int) -> tuple[int, np.ndarray]:
     """The grid of the jobs' times: the rows of their Times views when these
-    share one q, else Q is the lcm of every denominator."""
+    share one q, else Q is the lcm of every denominator.  When the views are
+    the rows of one matrix in order, each with its index, the grid is that
+    matrix itself, read-only and uncopied."""
     if len(qs := {getattr(j.times, "_q", None) for j in jobs}) == 1 and None not in qs:
-        return qs.pop(), int_matrix([j.times._row for j in jobs], m)
+        rows = [j.times._row for j in jobs]
+        base = rows[0].base
+        if [j.times._i for j in jobs] == list(range(len(jobs))) and base is not None \
+                and base.shape == (len(jobs), m) and all(r.base is base for r in rows):
+            base = base.view()
+            base.setflags(write=False)
+            return qs.pop(), base
+        return qs.pop(), int_matrix(rows, m)
     return ratio_grid([[t.as_integer_ratio() for t in j.times] for j in jobs], m)
 
 

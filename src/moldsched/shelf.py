@@ -234,10 +234,10 @@ def build_three_shelf(
     leftover 1-machine job exists as well, it rides on top of one lane of the
     3-machine job, recorded as two split lanes.
 
-    Precondition: the assignment's total half-machine size (the ``size2`` of
-    each job's chosen option from ``build_items``) is at most 2m, as every
-    ``solve_mckp`` solution is. Past that capacity shelves 0 and 1 may need
-    more than m machines, and the build then raises ShelfInvariantError.
+    Precondition: the assignment's total half-machine size (each job's
+    ``size2`` at its class in the ``build_items`` arrays) is at most 2m, as
+    every ``solve_mckp`` solution is. Past that capacity shelves 0 and 1 may
+    need more than m machines, and the build then raises ShelfInvariantError.
     """
     if not LAMBDA_Q0 <= lam < Fraction(3, 2):
         raise ValueError(f"lam must be in [10/7, 3/2), got {lam}")

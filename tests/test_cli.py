@@ -396,3 +396,34 @@ def test_load_instance_helper(tmp_path):
     run("gen", "-n", 3, "-m", 2, "--seed", 4, "--out", p)
     inst = load_instance(str(p))
     assert inst.n == 3 and inst.m == 2
+
+
+def test_calls_in_one_process_share_no_option_value(tmp_path, monkeypatch):
+    # The parser is built once per process; every call still starts from the
+    # defaults, whatever the call before it passed.
+    assert cli._build_parser() is cli._build_parser()
+    calls = []
+    for name in ("cmd_solve", "cmd_verify", "cmd_gen"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name:
+                            calls.append((name, a)) or real(*a))
+    ipath, spath, gpath = tmp_path / "i.json", tmp_path / "s.json", tmp_path / "g.svg"
+    assert run("gen", "-n", 8, "-m", 5, "--seed", 4, "--out", ipath) == 0
+    assert run("solve", ipath, "--epsilon", "1/10", "--out", spath, "--gantt", gpath) == 0
+    spath.unlink()
+    gpath.unlink()
+    assert run("solve", ipath) == 0
+    assert not spath.exists() and not gpath.exists()
+    assert run("solve", ipath, "--out", spath) == 0 and spath.is_file() and not gpath.exists()
+    assert run("verify", ipath, spath, "--contiguous") == 0
+    assert run("verify", ipath, spath) == 0
+    assert run("gen", "-n", 8, "-m", 5, "--out", gpath) == 0
+    assert calls == [
+        ("cmd_gen", (8, 5, 4, str(ipath))),
+        ("cmd_solve", (str(ipath), Fraction(1, 10), str(spath), str(gpath))),
+        ("cmd_solve", (str(ipath), Fraction(1, 20), None, None)),
+        ("cmd_solve", (str(ipath), Fraction(1, 20), str(spath), None)),
+        ("cmd_verify", (str(ipath), str(spath), True)),
+        ("cmd_verify", (str(ipath), str(spath), False)),
+        ("cmd_gen", (8, 5, 0, str(gpath))),
+    ]

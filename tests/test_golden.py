@@ -31,7 +31,7 @@ from moldsched import Instance, Reject, adversarial_instance, rat, solve
 from moldsched.driver import _attempt, _build
 from moldsched.mckp import build_items
 from moldsched.model import classify_jobs
-from util import const_work_job, instance, job, random_instance
+from util import const_work_job, instance, job, options, random_instance
 
 GOLDEN = Path(__file__).with_name("golden_hashes.json")
 GOLDEN_SOLVE = Path(__file__).with_name("golden_solve_hashes.json")
@@ -121,7 +121,7 @@ def scaled_total(inst: Instance, d: Fraction) -> int:
     integer unit: the items' costs (work at the grid scale) over their gcd."""
     items = build_items(inst, classify_jobs(inst, d).big, d)
     assert not isinstance(items, Reject)
-    costs = [[o.cost for o in it.options if o.cost is not None] for it in items]
+    costs = [[o[0] for o in row if o] for row in options(items)]
     unit = math.gcd(*(c for row in costs for c in row))
     return sum(max(row) for row in costs) // unit
 

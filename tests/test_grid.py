@@ -21,7 +21,7 @@ from moldsched.model import (
     validate_instance,
 )
 from moldsched.verify import validate_schedule
-from util import const_work_job, instance, random_instance
+from util import const_work_job, instance, options, random_instance
 
 # ---------------------------------------------------------------------------
 # the Fraction implementations the grid replaced, kept as the reference
@@ -75,9 +75,9 @@ def as_work(inst, items):
         return ("reject", items.job_id)
     q = inst.grid[0]
     return [
-        (it.job_id, tuple((None if o.cost is None else Fraction(o.cost, q), o.size2)
-                          for o in it.options))
-        for it in items
+        (job_id, tuple((Fraction(c, q) if ok else None, s) for c, s, ok in zip(*row)))
+        for job_id, *row in zip(
+            items.ids, items.cost.tolist(), items.size2.tolist(), items.avail.tolist())
     ]
 
 
@@ -166,8 +166,8 @@ class TestDpStaysOnInt64:
         dp = mckp._dp
 
         def recording_dp(items, scaled, cap, max_total):
-            totals.append((sum(max(o.cost for o in it.options if o.available)
-                               for it in items), max_total))
+            totals.append((sum(max(o[0] for o in row if o) for row in options(items)),
+                           max_total))
             return dp(items, scaled, cap, max_total)
 
         monkeypatch.setattr(mckp, "_dp", recording_dp)
@@ -266,6 +266,27 @@ class TestTimesView:
         q, a = mixed.grid  # the lcm of the denominators
         assert q == 3 * gen.grid[0] and np.array_equal(a[:2], 3 * gen.grid[1][:2])
         assert all(validate_instance(i) == [] for i in (sub, mixed))
+
+    def test_grid_is_the_matrix_the_views_share(self):
+        gen = generate(GenConfig(n=8, m=6, seed=5))
+        loaded = cli.instance_from_obj(cli.instance_to_obj(gen))
+        for inst in (gen, loaded, Instance(6, gen.jobs)):
+            q, a = inst.grid
+            assert all(np.shares_memory(a, j.times._row) for j in inst.jobs)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+        assert np.array_equal(loaded.grid[1], gen.grid[1])
+
+    def test_other_jobs_get_a_fresh_grid(self):
+        gen = generate(GenConfig(n=8, m=6, seed=5))
+        other = generate(GenConfig(n=8, m=6, seed=6))
+        for jobs in (gen.jobs[2:6], gen.jobs[::-1], gen.jobs[1:] + gen.jobs[:1],
+                     gen.jobs[:1] * 8, gen.jobs[:4] + other.jobs[4:]):
+            q, a = Instance(6, jobs).grid
+            want = [[t * q for t in j.times] for j in jobs]
+            assert q == 10**6 and a.tolist() == want
+            assert not np.shares_memory(a, gen.grid[1]) and not a.flags.writeable
 
     def test_json_round_trip(self):
         inst = generate(GenConfig(n=6, m=5, seed=4))

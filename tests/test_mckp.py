@@ -2,23 +2,23 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from moldsched import Reject, driver, mckp, rat
 from moldsched.mckp import (
     Infeasible,
-    MckpItem,
-    MckpOption,
+    MckpItems,
     brute_mckp,
     build_items,
     decide,
     solve_mckp,
 )
 from moldsched.model import classify_jobs
-from util import const_work_job, instance, job, random_instance
+from util import const_work_job, instance, items_of, job, options, random_instance
 
 
-def random_items(rng: random.Random, n: int, m: int) -> list[MckpItem]:
+def random_items(rng: random.Random, n: int, m: int) -> MckpItems:
     """Unstructured option grids: random costs/sizes, random unavailability.
 
     Costs are drawn as rationals and put on one integer unit, the lcm of
@@ -37,19 +37,16 @@ def random_items(rng: random.Random, n: int, m: int) -> list[MckpItem]:
     return integer_items(drawn)
 
 
-def integer_items(drawn) -> list[MckpItem]:
+def integer_items(drawn) -> MckpItems:
     """Items from rows of (rational cost or None, size), costs times the lcm."""
     scale = math.lcm(*(c.denominator for row in drawn for c, _ in row if c is not None))
-    return [
-        MckpItem(i + 1, tuple(MckpOption(None if c is None else int(c * scale), s) for c, s in row))
-        for i, row in enumerate(drawn)
-    ]
+    return items_of([[None if c is None else (int(c * scale), s) for c, s in row] for row in drawn])
 
 
 def dp_total(items) -> int:
     """The total the DP sizes its cost row by: each item's largest cost,
     over the gcd of all costs (solve_mckp's unit)."""
-    costs = [[o.cost for o in it.options if o.available] for it in items]
+    costs = [[o[0] for o in row if o] for row in options(items)]
     unit = math.gcd(*(c for row in costs for c in row)) or 1
     return sum(max(row, default=0) for row in costs) // unit
 
@@ -59,12 +56,12 @@ class TestBuildItems:
         inst = instance(3, job(1, 1, rat("0.5"), rat("0.34")))
         items = build_items(inst, {1}, rat(1))
         assert not isinstance(items, Reject)
-        (item,) = items
+        (item,) = options(items)
         q = inst.grid[0]  # costs are work at the grid scale
         assert q == 50
-        assert item.options[0] == MckpOption(rat(1) * q, 2)
-        assert item.options[1] == MckpOption(rat(1) * q, 2)
-        assert item.options[2] == MckpOption(rat("1.02") * q, 0)
+        assert item[0] == (rat(1) * q, 2)
+        assert item[1] == (rat(1) * q, 2)
+        assert item[2] == (rat("1.02") * q, 0)
 
     def test_reject_when_job_cannot_meet_d(self):
         inst = instance(2, job(1, 10, 6))
@@ -79,54 +76,51 @@ class TestBuildItems:
         assert rat("6.01") / 13 > Fraction(3, 7)
         items = build_items(inst, {1}, rat(1))
         assert not isinstance(items, Reject)
-        (item,) = items
-        assert not item.options[2].available
+        (item,) = options(items)
+        assert item[2] is None
         q = inst.grid[0]
-        assert item.options[0] == MckpOption(rat("6.01") * q, 14)  # gamma(1) = 7
-        assert item.options[1] == MckpOption(rat("6.01") * q, 11)
+        assert item[0] == (rat("6.01") * q, 14)  # gamma(1) = 7
+        assert item[1] == (rat("6.01") * q, 11)
 
     def test_unavailable_options_in_middle(self):
         # Meets d on all machines but never (4/7)d or (3/7)d.
         inst = instance(2, job(1, 10, 6))
         items = build_items(inst, {1}, rat(6))
-        (item,) = items
-        assert item.options[0].available
-        assert not item.options[1].available
-        assert not item.options[2].available
+        (item,) = options(items)
+        assert item[0] is not None
+        assert item[1] is None
+        assert item[2] is None
 
 
 class TestSolveMckp:
     def test_empty(self):
-        sol = solve_mckp([], 5)
+        sol = solve_mckp(items_of([]), 5)
         assert sol.assignment == {}
         assert sol.total_cost == 0
         assert sol.total_size2 == 0
 
     def test_single_item_over_capacity(self):
-        items = [MckpItem(1, (MckpOption(1, 2 * 3 + 2), MckpOption(None, 0), MckpOption(None, 0)))]
+        items = items_of([[(1, 2 * 3 + 2), None, None]])
         assert isinstance(solve_mckp(items, 3), Infeasible)
 
     def test_all_class3_available_feasible(self):
         rng = random.Random(5)
         items = random_items(rng, 8, 4)
-        items = [
-            MckpItem(it.job_id, (it.options[0], it.options[1], MckpOption(1, 0)))
-            for it in items
-        ]
+        items = items_of([row[:2] + [(1, 0)] for row in options(items)])
         sol = solve_mckp(items, 4)
         assert not isinstance(sol, Infeasible)
         ref = brute_mckp(items, 4)
         assert sol.total_cost == ref.total_cost
 
     def test_full_ties_pick_lowest_class_in_input_order(self):
-        same = MckpOption(2, 1)
-        items = [
-            MckpItem(1, (MckpOption(None, 0), same, same)),
-            MckpItem(2, (same, same, same)),
+        same = (2, 1)
+        items = items_of([
+            [None, same, same],
+            [same, same, same],
             # (1, 2) and (2, 1) both total cost 3, size 2: the first job gets class 1.
-            MckpItem(3, (MckpOption(1, 2), MckpOption(2, 0), MckpOption(None, 0))),
-            MckpItem(4, (MckpOption(1, 2), MckpOption(2, 0), MckpOption(None, 0))),
-        ]
+            [(1, 2), (2, 0), None],
+            [(1, 2), (2, 0), None],
+        ])
         sol = solve_mckp(items, 2)
         assert sol.assignment == {1: 2, 2: 1, 3: 1, 4: 2}
         assert sol == brute_mckp(items, 2)
@@ -183,11 +177,11 @@ class TestSolveMckp:
 
 class TestBruteMckp:
     def test_empty(self):
-        sol = brute_mckp([], 3)
+        sol = brute_mckp(items_of([]), 3)
         assert sol.total_cost == 0 and sol.assignment == {}
 
     def test_single_item_picks_cheapest_fitting(self):
-        items = [MckpItem(7, (MckpOption(rat(5), 1), MckpOption(rat(3), 2), MckpOption(rat(9), 0)))]
+        items = items_of([[(5, 1), (3, 2), (9, 0)]], ids=[7])
         sol = brute_mckp(items, 2)
         assert sol.assignment == {7: 2}
 
@@ -241,9 +235,7 @@ class TestDecide:
     def _check_around_the_optimum(items, m0, by):
         # Capacities around the smallest total size, budgets around the
         # DP minimum: the two places where a bound could slip.
-        min_size = sum(
-            min((o.size2 for o in it.options if o.available), default=0) for it in items
-        )
+        min_size = sum(min((o[1] for o in row if o), default=0) for row in options(items))
         half = min_size // 2
         for m in {m0, max(half - 1, 0), half, -(-min_size // 2), half + 2}:
             sol = solve_mckp(items, m)
@@ -298,11 +290,7 @@ class TestDecide:
         # Cap 4.  The greedy takes job 1's step (slope 10/4 < 9/3) and pays
         # 10; the Lagrangian bound at lam = 10/4 is 7.5; the optimum is 9
         # (job 1 full size, job 2 at size 0).  Budgets 8 and 9 sit in the gap.
-        none = MckpOption(None, 0)
-        items = [
-            MckpItem(1, (MckpOption(0, 4), MckpOption(10, 0), none)),
-            MckpItem(2, (MckpOption(0, 3), MckpOption(9, 0), none)),
-        ]
+        items = items_of([[(0, 4), (10, 0), None], [(0, 3), (9, 0), None]])
         calls = []
         dp = mckp.solve_mckp
         monkeypatch.setattr(mckp, "solve_mckp", lambda *a: calls.append(a) or dp(*a))
@@ -312,3 +300,120 @@ class TestDecide:
         assert decide(items, 2, 10) == mckp.Verdict(None, "bound", 10)
         assert decide(items, 2, 7) == mckp.Verdict("work-budget", "bound", rat("7.5"))
         assert len(calls) == 2
+
+
+def ref_decide(items, m, budget):
+    """decide as it was on per-item lists of the available (cost, size)
+    options, kept as the reference for the array version."""
+    cap = 2 * m
+    opts = [[o for o in row if o] for row in options(items)]
+    if sum(min((s for _, s in o), default=cap + 1) for o in opts) > cap:
+        return mckp.Verdict("mckp-infeasible", "bound")
+    shift = max(0, max((c for o in opts for c, _ in o), default=0).bit_length() - 64)
+    steps = []
+    cost = size = 0
+    for j, o in enumerate(opts):
+        hull = [min(o)]
+        for c, s in sorted(o, key=lambda cs: (-cs[1], cs[0])):
+            if s >= hull[-1][1]:
+                continue
+            while len(hull) > 1:
+                (ca, sa), (cb, sb) = hull[-2:]
+                if (cb - ca) * (sb - s) < (c - cb) * (sa - sb):
+                    break
+                hull.pop()
+            hull.append((c, s))
+        cost, size = cost + hull[0][0], size + hull[0][1]
+        for k, ((ca, sa), (cb, sb)) in enumerate(zip(hull, hull[1:])):
+            steps.append(((cb - ca) / ((sa - sb) << shift), j, k, cb - ca, sa - sb))
+    p, r = 0, 1
+    ordered = iter(sorted(steps))
+    while size > cap:
+        _, _, _, p, r = next(ordered)
+        cost, size = cost + p, size - r
+    if cost <= budget:
+        return mckp.Verdict(None, "bound", cost)
+    lower = sum(min(r * c + p * s for c, s in o) for o in opts) - p * cap
+    if lower > r * budget:
+        return mckp.Verdict("work-budget", "bound", Fraction(lower, r))
+    solution = solve_mckp(items, m)
+    reason = "work-budget" if solution.total_cost > budget else None
+    return mckp.Verdict(reason, "dp", solution.total_cost)
+
+
+class TestDecideMatchesReference:
+    """The array decide returns the per-item reference's Verdict exactly:
+    reason, certificate and cost."""
+
+    @staticmethod
+    def _check(items, m0, by):
+        min_size = sum(min((o[1] for o in row if o), default=0) for row in options(items))
+        half = min_size // 2
+        for m in {m0, max(half - 1, 0), half, -(-min_size // 2), half + 2}:
+            sol = solve_mckp(items, m)
+            base = 0 if isinstance(sol, Infeasible) else sol.total_cost
+            step = abs(base) // 50 + 1
+            for budget in (base - 1, base, base + 1, base - step, base + step, 2 * base + 1):
+                got = decide(items, m, budget)
+                assert got == ref_decide(items, m, budget), (options(items), m, budget)
+                by[got.by, got.reason] = by.get((got.by, got.reason), 0) + 1
+
+    @staticmethod
+    def _draw(rng, n, cost, size, none=0.15):
+        return items_of([[None if rng.random() < none else (cost(), size()) for _ in range(3)]
+                         for _ in range(n)])
+
+    def test_random_items(self):
+        rng = random.Random(47)
+        by = {}
+        for _ in range(150):
+            m = rng.randint(1, 8)
+            self._check(random_items(rng, rng.randint(0, 12), m), m, by)
+        TestDecide._assert_every_certificate_decided(by)
+
+    def test_degenerate_hulls(self):
+        # Costs and sizes from tiny ranges: equal sizes, equal costs and
+        # collinear middle options are common, and so are missing classes.
+        hand = [
+            [(1, 2), (3, 2), (5, 0)],  # equal sizes
+            [(2, 4), (2, 2), (2, 0)],  # equal costs
+            [(0, 4), (1, 2), (2, 0)],  # collinear middle option
+            [(0, 4), (3, 1), (4, 0)],  # middle option above the chord
+            [(0, 4), None, (3, 0)],    # class 2 unavailable
+            [(0, 4), (2, 1), None],    # class 3 unavailable
+            [(0, 4), None, None],      # both unavailable
+            [(2, 0), (0, 4), (1, 2)],  # cheapest option not the widest
+            [(1, 3), (1, 3), (1, 3)],  # one point three times
+        ]
+        by = {}
+        for row in hand:
+            for m in (0, 1, 2, 3):
+                self._check(items_of([row, row]), m, by)
+        rng = random.Random(53)
+        for _ in range(300):
+            self._check(self._draw(rng, rng.randint(1, 8), lambda: rng.randint(0, 3),
+                                   lambda: rng.randint(0, 4), 0.25), rng.randint(0, 6), by)
+        # capacity-infeasible: every item needs more than the whole capacity
+        self._check(items_of([[(1, 5), (2, 5), None]] * 3), 2, by)
+        TestDecide._assert_every_certificate_decided(by)
+
+    def test_huge_costs(self):
+        # Costs past 2^64 use object dtype and the 2^shift slope divisor;
+        # int64 costs past 2^53 are not exact as floats.
+        rng = random.Random(59)
+        for low, high, dtype in ((1 << 70, 1 << 90, object), (1 << 53, 1 << 57, np.int64)):
+            by = {}
+            for _ in range(60):
+                m = rng.randint(1, 6)
+                items = self._draw(rng, rng.randint(1, 9), lambda: rng.randint(low, high),
+                                   lambda: rng.randint(0, 2 * m + 1))
+                assert items.cost.dtype == dtype
+                self._check(items, m, by)
+            assert {("bound", None), ("bound", "work-budget")} <= set(by)
+        # Step order decided by a float tie (two slopes 2^60 and 2^60 + 1: k
+        # breaks it) and by int/int rounding past 2^53, where dividing the
+        # costs as floats would order these two items' steps the other way.
+        x = 1 << 60
+        self._check(items_of([[(0, 2), (x, 1), (2 * x + 1, 0)], [(0, 1), None, None]]), 1, {})
+        self._check(items_of([[(0, 4), (37528900141440677, 0), None],
+                              [(0, 7), (65675575247521182, 0), None]]), 5, {})

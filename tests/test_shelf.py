@@ -33,7 +33,7 @@ from moldsched.shelf import (
     repair_s2_small_q,
     shelf_layout,
 )
-from util import const_work_job, instance, job, random_instance
+from util import const_work_job, instance, job, options, random_instance
 
 D1 = rat(1)
 _STRETCHES = (LAMBDA_Q0, LAMBDA_SMALL_Q, LAMBDA_STAR_UPPER)
@@ -690,7 +690,8 @@ class TestForcedPartitionFuzz:
             # half-machine capacity, as every solve_mckp solution does.
             # Past it shelves 0 and 1 may need more than m machines.
             items = build_items(inst, cls.big, d)
-            size2 = sum(it.options[assignment[it.job_id] - 1].size2 for it in items)
+            size2 = sum(row[assignment[job_id] - 1][1]
+                        for job_id, row in zip(items.ids, options(items)))
             if size2 > 2 * inst.m:
                 continue
             ss = build_three_shelf(inst, assignment, d, LAMBDA_Q0)

@@ -7,9 +7,10 @@ renames one, or stops calling it through the module, would make its
 
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
-from moldsched import cli, driver, gen
+from moldsched import cli, driver, gen, mckp
 from moldsched.gen import GenConfig
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
@@ -44,3 +45,34 @@ def test_every_traced_name_is_counted(tmp_path):
     assert {name for name in names if tracer.counts[name] == 0} == set()
     assert tracer.counts["shelf.repair_s2_small_q"] == 1
     assert tracer.counts["shelf.repair_s2_large_q"] == 1
+
+
+def test_knapsack_counters_count_each_dp(monkeypatch):
+    # mckp.items and mckp.dp_cells read len() of the DP's items: per DP they
+    # must be the number of big jobs at that guess, and that times 2m+1.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    inst = gen.generate(GenConfig(n=80, m=800, seed=1))
+    big_of, per_dp = {}, []
+    with tracer.patched(), monkeypatch.context() as mp:
+        build, dp = mckp.build_items, mckp.solve_mckp
+
+        def recording_build(inst, big, d):
+            items = build(inst, big, d)
+            big_of[id(items)] = (items, len(big))
+            return items
+
+        def counting_dp(items, m):
+            before = tracer.counts["mckp.items"], tracer.counts["mckp.dp_cells"]
+            out = dp(items, m)
+            after = tracer.counts["mckp.items"], tracer.counts["mckp.dp_cells"]
+            big = big_of[id(items)][1]
+            per_dp.append((after[0] - before[0], after[1] - before[1], big, big * (2 * m + 1)))
+            return out
+
+        mp.setattr(mckp, "build_items", recording_build)
+        mp.setattr(mckp, "solve_mckp", counting_dp)
+        driver.solve(inst, Fraction(1, 1000))
+    assert per_dp and all(big > 0 for _, _, big, _ in per_dp)
+    assert [(items, cells) for items, cells, _, _ in per_dp] == [
+        (big, cells) for _, _, big, cells in per_dp]
