@@ -19,12 +19,12 @@ Fraction, and the jobs get Times views of one (Q, A), as generated instances
 do.  Any other value (a decimal, a sign, whitespace, a JSON number) is read
 exactly by ``rat`` as before.  Schedule files are read by the same reader.
 
-The bench harness runs solves in a process pool (worker count from the
-MOLDSCHED_WORKERS environment variable) and writes one CSV row per
-(n, m, seed) in deterministic order, with the solve's wall time, its
-per-phase times (``SolveResult.timings``) and the ``generate`` time
-(``gen_ms``) in milliseconds, and the construction that built the returned
-schedule (``list`` or ``shelf``).
+The bench harness runs solves in a process pool of MOLDSCHED_WORKERS workers
+(a non-negative integer; 0 or unset is one per CPU), never more than there
+are runs, and writes one CSV row per (n, m, seed) in deterministic order,
+with the solve's wall time, its per-phase times (``SolveResult.timings``) and
+the ``generate`` time (``gen_ms``) in milliseconds, and the construction that
+built the returned schedule (``list`` or ``shelf``).
 """
 
 from __future__ import annotations
@@ -381,11 +381,15 @@ def cmd_bench(config_path: str, out_csv: str) -> int:
                 tasks.append((n, m, _json(seed, int, "seed"), eps))
     except _INPUT_ERRORS as exc:
         return _input_error("bench config", exc)
+    text = os.environ.get(WORKERS_ENV) or "0"
+    if not text.strip().isdecimal():
+        return _input_error(WORKERS_ENV, ValueError(f"not a worker count: {text!r:.40}"))
+    # Under fork the pool starts all its workers at once: no more than tasks.
+    workers = min(int(text) or os.cpu_count() or 1, len(tasks))
     try:
         fh = open(out_csv, "w", newline="")
     except OSError as exc:
         return _output_error(exc)
-    workers = int(os.environ.get(WORKERS_ENV, "0")) or None
     rows: list[dict] = []
     with fh:
         if len(tasks) <= 1:

@@ -23,18 +23,15 @@ from .model import Instance, PlacedJob, Schedule, gammas
 
 
 def window_max(x: np.ndarray, k: int) -> np.ndarray:
-    """max(x[i:i+k]) for i = 0..len(x)-k, by van Herk / Gil-Werman: running
-    maxima forward and backward within blocks of k, then one max per window
-    of the backward value at its start and the forward value at its end."""
-    if k == 1:
-        return x
-    m = len(x)
-    blocks = np.zeros(-(-m // k) * k, dtype=x.dtype)
-    blocks[:m] = x  # the padding never enters a window that ends by m
-    blocks = blocks.reshape(-1, k)
-    fwd = np.maximum.accumulate(blocks, axis=1).ravel()
-    bwd = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(bwd[: m - k + 1], fwd[k - 1 : m])
+    """max(x[i:i+k]) for i = 0..len(x)-k, by doubling in O(m log k): while
+    x[i] holds the maximum over a span, one max with x shifted by s <= span
+    widens it by s, until the span is k."""
+    span = 1
+    while span < k:
+        s = min(span, k - span)
+        x = np.maximum(x[:-s], x[s:])
+        span += s
+    return x
 
 
 def list_schedule(

@@ -20,16 +20,17 @@ floor((m*d - W_S)*Q).
 costs: an integral greedy assignment within capacity and budget accepts, a
 Lagrangian lower bound above the budget rejects.  Both are array operations
 over all items at once.  Only a guess both leave open runs the DP, which
-also runs once at the accepted guess to produce the partition the shelves
-are built from.
+also runs once at the accepted guess to produce the partition that the list
+schedule places (and the shelves build from when it falls back).
 
 The DP divides the costs by their gcd and runs one suffix table over (job,
-capacity): two rolling rows of (cost, size) and an int8 table of the class
-chosen per cell, walked forward once to read off the assignment.  The cost
-row is int64 while the totals fit comfortably, and exact Python ints (numpy
-object dtype) otherwise, so the arithmetic never wraps.  Ties resolve to
-minimum cost, then minimum total size, then the lowest class index per job
-in input order.
+capacity): one rolling row of keys, each cell's (total cost, total size)
+packed into one integer, and an int8 table of the class chosen per cell,
+walked forward once to read off the assignment.  The key row is int64 while
+the packed totals fit comfortably, and exact Python ints (numpy object
+dtype) otherwise, so the arithmetic never wraps.  Ties resolve to minimum
+cost, then minimum total size, then the lowest class index per job in input
+order.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _solution(items: MckpItems, choice: Sequence[int]) -> MckpSolution:
 def solve_mckp(items: MckpItems, m: int) -> Union[MckpSolution, Infeasible]:
     """Minimize total cost subject to total size <= 2m.
 
-    One DP in O(n*m) time, holding two rows and an n x (2m+1) int8 table.
+    One DP in O(n*m) time, holding one key row and an n x (2m+1) int8 table.
 
     Among minimum-cost assignments the one with the smallest total size is
     returned; remaining ties resolve to the lowest class index per job,
@@ -146,37 +147,34 @@ def solve_mckp(items: MckpItems, m: int) -> Union[MckpSolution, Infeasible]:
 
 
 def _dp(items: MckpItems, scaled: np.ndarray, cap: int, max_total: int) -> Optional[list[int]]:
-    """Suffix DP over items n-1..0 with two rolling rows and a choice table.
+    """Suffix DP over items n-1..0 with one rolling key row and a choice table.
 
-    After item j, (cost[c], size[c]) is the lexicographic minimum of (total
-    cost, total size) over assignments of items j..n-1 with total size <= c,
-    and choice[j, c] is the lowest class reaching it: a class replaces the
-    current best only when strictly better.  Costs are int64 while every
-    total fits (max_total <= 2^59), otherwise exact Python ints; the sentinel
-    max_total + 1 marks capacities no assignment fits.  The suffix
-    orientation lets the selection walk jobs forward in input order.
+    A key packs (total cost, total size) into cost*(cap+1) + size; sizes stay
+    within cap, so integer order on keys is lexicographic (cost, size) order.
+    After item j, key[c] is the minimum over assignments of items j..n-1 with
+    total size <= c, and choice[j, c] is the lowest class reaching it: classes
+    are tried in order and one replaces the current best only when strictly
+    smaller.  The sentinel (max_total+1)*(cap+1) marks capacities no
+    assignment fits; keys are int64 while it is at most 2^59, otherwise exact
+    Python ints.  The suffix orientation lets the selection walk jobs forward
+    in input order.
     """
-    dtype = np.int64 if max_total <= _INT64_SAFE_TOTAL else object
-    inf = max_total + 1
+    width = cap + 1
+    inf = (max_total + 1) * width
+    dtype = np.int64 if inf <= _INT64_SAFE_TOTAL else object
     options, sizes = _options(items, scaled), items.size2.tolist()
-    choice = np.zeros((len(options), cap + 1), dtype=np.int8)
-    cost = np.zeros(cap + 1, dtype=dtype)
-    size = np.zeros(cap + 1, dtype=np.int64)
+    choice = np.zeros((len(options), width), dtype=np.int8)
+    key = np.zeros(width, dtype=dtype)
     for j in range(len(options) - 1, -1, -1):
-        best_c = np.full(cap + 1, inf, dtype=dtype)
-        best_s = np.zeros(cap + 1, dtype=np.int64)
+        best = np.full(width, inf, dtype=dtype)
         for cls, c, s in options[j]:
-            if s > cap:
-                continue
-            cand_c = cost[: cap + 1 - s] + c
-            cand_s = size[: cap + 1 - s] + s
-            bc, bs = best_c[s:], best_s[s:]  # views: writes land in the rows
-            better = (cand_c < bc) | ((cand_c == bc) & (cand_s < bs))
-            bc[better] = cand_c[better]
-            bs[better] = cand_s[better]
-            choice[j, s:][better] = cls
-        cost, size = best_c, best_s
-    if cost[cap] >= inf:
+            if s <= cap:
+                cand = key[: width - s] + (c * width + s)
+                better = cand < best[s:]
+                np.copyto(best[s:], cand, where=better)
+                np.copyto(choice[j, s:], cls, where=better)
+        key = best
+    if key[cap] >= inf:
         return None
     picks: list[int] = []
     c = cap

@@ -382,6 +382,64 @@ class TestBenchCommand:
         assert len(lines) == 2 and lines[1].endswith("RuntimeError: boom")
         assert "1 rows, 1 failures" in capsys.readouterr().out
 
+    @staticmethod
+    def _recording_pool(monkeypatch) -> list:
+        """Swap the process pool for an in-process stand-in that records
+        each max_workers it is given; no real pool starts."""
+        made = []
+
+        class Pool:
+            def __init__(self, max_workers=None):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+        return made
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
+    def test_bad_worker_count_exits_2_before_the_output(self, tmp_path, monkeypatch, capsys, value):
+        made = self._recording_pool(monkeypatch)
+        monkeypatch.setenv("MOLDSCHED_WORKERS", value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": [{"n": 3, "m": 2, "seeds": [1, 2]}]}))
+        out = tmp_path / "rows.csv"
+        assert run("bench", cfg, "--out", out) == 2
+        assert not out.exists()
+        out.write_text("kept")
+        assert run("bench", cfg, "--out", out) == 2
+        assert out.read_text() == "kept"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("error: bad MOLDSCHED_WORKERS: ") for e in err)
+        assert made == []
+
+    @pytest.mark.parametrize("value, workers", [("100000", 2), ("1", 1)])
+    def test_pool_has_no_more_workers_than_tasks(self, tmp_path, monkeypatch, value, workers):
+        made = self._recording_pool(monkeypatch)
+        monkeypatch.setenv("MOLDSCHED_WORKERS", value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": [{"n": 3, "m": 2, "seeds": [1, 2]}]}))
+        out = tmp_path / "rows.csv"
+        assert run("bench", cfg, "--out", out) == 0
+        assert made == [workers]
+        assert len(out.read_text().strip().splitlines()) == 3
+
+    def test_default_pool_is_capped_by_tasks(self, tmp_path, monkeypatch):
+        made = self._recording_pool(monkeypatch)
+        monkeypatch.delenv("MOLDSCHED_WORKERS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": [{"n": 3, "m": 2, "seeds": [1, 2, 3]}]}))
+        assert run("bench", cfg, "--out", tmp_path / "rows.csv") == 0
+        assert made == [3]
+
 
 def test_gantt_svg_counts_rects_directly():
     inst = generate(GenConfig(n=5, m=3, seed=11))

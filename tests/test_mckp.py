@@ -155,6 +155,29 @@ class TestSolveMckp:
                 feasible += 1
         assert feasible >= 20
 
+    @pytest.mark.parametrize("m, total, int64_keys", [
+        (3, (1 << 59) // 7 - 1, True),   # sentinel (total+1)*(2m+1) just below 2^59
+        (3, (1 << 59) // 7, False),      # total fits 2^59, the packed sentinel does not
+        (5, 1 << 59, False),
+    ])
+    def test_packed_key_dtype_boundary_matches_oracle(self, m, total, int64_keys):
+        # The DP packs (cost, size) into cost*(2m+1) + size and keeps int64
+        # keys while its sentinel (total+1)*(2m+1) is at most 2^59.  Costs
+        # differ by a few units at ~2^56, where any rounding would show.
+        rng = random.Random(total)
+        for _ in range(25):
+            base = total // 7
+            rows = [[(base + rng.randint(0, 3), rng.randint(0, 2 * m)),
+                     (base + rng.randint(0, 3), rng.randint(0, 2 * m)),
+                     (base + rng.randint(0, 3), 0)] for _ in range(6)]
+            rest = total - sum(max(c for c, _ in row) for row in rows)
+            top = max(range(3), key=lambda k: rows[-1][k][0])
+            rows[-1][top] = (rows[-1][top][0] + rest, rows[-1][top][1])
+            items = items_of(rows)
+            assert dp_total(items) == total
+            assert ((total + 1) * (2 * m + 1) <= 1 << 59) == int64_keys
+            assert solve_mckp(items, m) == brute_mckp(items, m)
+
     def test_monotone_in_d(self):
         rng = random.Random(23)
         for _ in range(40):
