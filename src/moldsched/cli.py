@@ -290,6 +290,7 @@ def cmd_solve(
     print(f"accepted_d  {result.accepted_d}  (~{float(result.accepted_d):.6g})")
     print(f"lambda      {result.lambda_used}  (~{float(result.lambda_used):.6g})")
     print(f"construction {result.construction}")
+    print(f"partition_by {result.partition_by}")
     print(f"iterations  {result.iterations}")
     print(f"wall_s      {wall:.3f}")
     return 0

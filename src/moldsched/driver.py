@@ -3,15 +3,17 @@
 For each guess d the knapsack decision either accepts (some class partition
 of the big jobs fits the work budget) or certifies d < OPT.  The search needs
 only these verdicts, which exact knapsack bounds mostly settle without the
-DP.  At the last accepted d the DP runs once for the partition, and the
-jobs are list-scheduled at its allotment: each big job on its canonical
-machine count at its class height, each small job on one machine.  When
-that verified schedule ends by 10/7*d it is returned and no shelves are
-built.  Otherwise ``shelf.shelf_layout`` builds the certified fallback,
-picking its stretch lam, and the shelf schedule provably ends by lam*d; the
-shorter of the two is returned.  ``lambda_used`` is the smallest of 10/7,
-13/9 and ``LAMBDA_STAR_UPPER`` whose bound the returned schedule meets, which
-gives makespan <= lambda_used * (1 + eps) * OPT.
+DP.  An accept carries the partition that certified it, the greedy's or,
+for a guess the bounds left open, the DP's, recounted in exact integers.
+At the last accepted d the jobs are list-scheduled at that partition's
+allotment: each big job on its canonical machine count at its class height,
+each small job on one machine.  When that verified schedule ends by 10/7*d
+it is returned and no shelves are built.  Otherwise ``shelf.shelf_layout``
+builds the certified fallback from the same partition, picking its stretch
+lam, and the shelf schedule provably ends by lam*d; the shorter of the two
+is returned.  ``lambda_used`` is the smallest of 10/7, 13/9 and
+``LAMBDA_STAR_UPPER`` whose bound the returned schedule meets, which gives
+makespan <= lambda_used * (1 + eps) * OPT.
 """
 
 from __future__ import annotations
@@ -52,14 +54,16 @@ class SolveResult:
     lambda_used: Fraction
     makespan: Fraction
     iterations: int
-    # Wall seconds: "mckp" is the whole search, rejected guesses included,
-    # plus the one DP for the partition at accepted_d; "list" is the list
+    # Wall seconds: "mckp" is the whole search, rejected guesses and the DP
+    # of every guess the bounds left open included; "list" is the list
     # schedule there, "shelf" and "small" the fallback shelf build (0.0 when
     # it is skipped), "verify" every verification of a built schedule.
     timings: dict[str, float] = field(default_factory=dict)
     certified_lower: Fraction = Fraction(0)
     mckp_assignment: dict[int, int] = field(default_factory=dict)
     construction: str = "list"  # the returned schedule's: "list" or "shelf"
+    # The certificate whose partition was built: "bound" (greedy) or "dp".
+    partition_by: str = "bound"
 
 
 LAMBDAS = (LAMBDA_Q0, LAMBDA_SMALL_Q, LAMBDA_STAR_UPPER)
@@ -81,13 +85,16 @@ def try_guess(inst: Instance, d: Fraction) -> Union[Schedule, mckp.Reject]:
     outcome = _attempt(inst, d)
     if isinstance(outcome, mckp.Reject):
         return outcome
-    return _build(inst, d, *outcome)[0]
+    return _build(inst, d, *outcome[:2])[0]
 
 
 def _attempt(
     inst: Instance, d: Fraction
-) -> Union[tuple[JobClassification, mckp.MckpItems], mckp.Reject]:
-    """The knapsack decision for d: (classes, knapsack items) or Reject (d < OPT)."""
+) -> Union[tuple[JobClassification, mckp.MckpItems, mckp.Verdict], mckp.Reject]:
+    """The knapsack decision for d: (classes, knapsack items, the accepting
+    verdict) or Reject (d < OPT).  Raise ShelfInvariantError unless the
+    verdict's pick, recounted in exact integers, is one available class of
+    each item, fits 2m half-machines and costs the verdict's cost <= budget."""
     cls = classify_jobs(inst, d)
     items = mckp.build_items(inst, cls.big, d)
     if isinstance(items, mckp.Reject):
@@ -101,14 +108,20 @@ def _attempt(
     )
     if verdict.reason is not None:
         return mckp.Reject(d, verdict.reason)
-    return cls, items
+    totals = mckp.pick_totals(items, verdict.pick)
+    if totals is None or totals[1] > 2 * inst.m or not totals[0] == verdict.cost <= budget:
+        raise shelf.ShelfInvariantError(
+            f"partition by {verdict.by} at d={d} fails its recount: "
+            f"(cost, size2) {totals}, verdict cost {verdict.cost}, budget {budget}"
+        )
+    return cls, items, verdict
 
 
 def _build(
     inst: Instance, d: Fraction, cls: JobClassification, items: mckp.MckpItems
 ) -> tuple[Schedule, Fraction]:
     """Shelf schedule and stretch lam for an accepted d, verified within
-    lam*d.  The one knapsack DP here picks the partition."""
+    lam*d, from the DP's minimum-cost partition."""
     assignment = mckp.solve_mckp(items, inst.m).assignment
     return _shelves(inst, d, cls, assignment, {"verify": 0.0})
 
@@ -208,8 +221,8 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
             lower = d
         else:
             upper, accepted = d, outcome
-    cls, items = accepted
-    assignment = mckp.solve_mckp(items, inst.m).assignment
+    cls, items, verdict = accepted
+    assignment = dict(zip(items.ids, verdict.pick))
     timings = {"mckp": time.perf_counter() - t0}
 
     schedule, lam, construction = _construct(inst, upper, cls, assignment, timings)
@@ -223,6 +236,7 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
         certified_lower=lower,
         mckp_assignment=assignment,
         construction=construction,
+        partition_by=verdict.by,
     )
 
 

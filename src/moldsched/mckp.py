@@ -19,9 +19,9 @@ floor((m*d - W_S)*Q).
 ``decide`` settles that verdict first by two exact certificates on integer
 costs: an integral greedy assignment within capacity and budget accepts, a
 Lagrangian lower bound above the budget rejects.  Both are array operations
-over all items at once.  Only a guess both leave open runs the DP, which
-also runs once at the accepted guess to produce the partition that the list
-schedule places (and the shelves build from when it falls back).
+over all items at once.  Only a guess both leave open runs the DP.  An
+accepting verdict carries its partition, the greedy's or the DP's: the list
+schedule places it, and the shelves build from it when that falls back.
 
 The DP divides the costs by their gcd and runs one suffix table over (job,
 capacity): one rolling row of keys, each cell's (total cost, total size)
@@ -96,6 +96,9 @@ class Verdict:
     # The cost held against the budget, in the items' unit: a lower bound on
     # the minimum for a bound reject, an assignment's cost otherwise.
     cost: Optional[Union[int, Fraction]] = None
+    # An accept's partition, the class of each item in order: the greedy's
+    # by "bound", the DP's minimum by "dp"; its cost is ``cost``.
+    pick: Optional[tuple[int, ...]] = None
 
 
 def build_items(
@@ -121,10 +124,20 @@ def _options(items: MckpItems, cost: np.ndarray) -> list[list[tuple[int, int, in
             for row in zip(cost.tolist(), items.size2.tolist(), items.avail.tolist())]
 
 
+def pick_totals(items: MckpItems, pick: Optional[Sequence[int]]) -> Optional[tuple[int, int]]:
+    """Exact (total cost, total size2) of one class per item, or None when
+    the pick is not one available class of each item."""
+    cls = None if pick is None else np.asarray(pick, dtype=np.intp)
+    if cls is None or cls.shape != (len(items),) or not ((cls >= 1) & (cls <= 3)).all():
+        return None
+    picked = np.arange(len(items)), cls - 1
+    if not items.avail[picked].all():
+        return None
+    return sum(items.cost[picked].tolist()), int(items.size2[picked].sum())
+
+
 def _solution(items: MckpItems, choice: Sequence[int]) -> MckpSolution:
-    picked = np.arange(len(items)), np.asarray(choice, dtype=np.intp) - 1
-    return MckpSolution(dict(zip(items.ids, choice)), sum(items.cost[picked].tolist()),
-                        int(items.size2[picked].sum()))
+    return MckpSolution(dict(zip(items.ids, choice)), *pick_totals(items, choice))
 
 
 def solve_mckp(items: MckpItems, m: int) -> Union[MckpSolution, Infeasible]:
@@ -191,11 +204,12 @@ def decide(items: MckpItems, m: int, budget: int) -> Verdict:
     The budget is in the items' integer cost unit.  Each item's lower convex
     hull in (size, cost) leads from its cheapest option to its smallest; the
     greedy takes hull steps by ascending cost per half-machine saved until the
-    total fits.  An integral result within budget accepts.  Otherwise the
-    last step's slope lam = p/r gives the Lagrangian bound sum_j min_k (c +
+    total fits.  An integral result within budget accepts; its pick puts
+    each item at the hull point its taken steps reach.  Otherwise the last
+    step's slope lam = p/r gives the Lagrangian bound sum_j min_k (c +
     lam*s) - lam*2m <= min cost, which rejects when it exceeds the budget.
     Floats only order the steps; every verdict is checked in exact integers.
-    Guesses left open run the DP.
+    Guesses left open run the DP, and an accept there picks its minimum.
     """
     cap, n = 2 * m, len(items)
     avail, cost, size = items.avail, items.cost, items.size2
@@ -211,6 +225,7 @@ def decide(items: MckpItems, m: int, budget: int) -> Verdict:
     c0, s0 = cost[rows, k0], size[rows, k0]
     total, over = int(c0.sum()), int(s0.sum()) - cap
     p, r = 0, 1  # lam = 0 when the cheapest options fit: then cost is the minimum
+    pick = k0  # and the pick is the DP's, each item's tie-broken minimum
     if over > 0:
         # Each hull has at most 3 points: k0, then, of the options smaller
         # than it taken by (-size, cost), a and b, where a stays only when it
@@ -220,8 +235,8 @@ def decide(items: MckpItems, m: int, budget: int) -> Verdict:
         ca, sa, cb, sb = cost[rows, a], size[rows, a], cost[rows, b], size[rows, b]
         two = (smaller.sum(axis=1) == 2) & (sb < sa)
         keep = two & ((ca - c0) * (sa - sb) < (cb - ca) * (s0 - sa))
-        c1, s1 = np.where(two & ~keep, cb, ca), np.where(two & ~keep, sb, sa)
-        hull_c, hull_s = np.stack([c0, c1, cb], axis=1), np.stack([s0, s1, sb], axis=1)
+        hull = np.stack([k0, np.where(two & ~keep, b, a), b], axis=1)
+        hull_c, hull_s = cost[rows[:, None], hull], size[rows[:, None], hull]
         j, k = np.nonzero(np.stack([smaller.any(axis=1), keep], axis=1))
         dc, ds = hull_c[j, k + 1] - hull_c[j, k], hull_s[j, k] - hull_s[j, k + 1]
         # Slopes rise along a hull and int/int division rounds monotonically,
@@ -232,56 +247,15 @@ def decide(items: MckpItems, m: int, budget: int) -> Verdict:
         i = int(np.searchsorted(np.cumsum(ds), over))
         total += int(dc[: i + 1].sum())
         p, r = int(dc[i]), int(ds[i])
+        pick = hull[rows, np.bincount(j[order[: i + 1]], minlength=n)]
     if total <= budget:
-        return Verdict(None, "bound", total)
+        return Verdict(None, "bound", total, tuple((pick + 1).tolist()))
     priced = r * cost + p * size
     lower = int(np.where(avail, priced, priced[rows, k0, None]).min(axis=1).sum()) - p * cap
     if lower > r * budget:
         return Verdict("work-budget", "bound", Fraction(lower, r))
     solution = solve_mckp(items, m)
-    reason = "work-budget" if solution.total_cost > budget else None
-    return Verdict(reason, "dp", solution.total_cost)
+    if solution.total_cost > budget:
+        return Verdict("work-budget", "dp", solution.total_cost)
+    return Verdict(None, "dp", solution.total_cost, tuple(solution.assignment.values()))
 
-
-def brute_mckp(items: MckpItems, m: int) -> Union[MckpSolution, Infeasible]:
-    """Exhaustive oracle over all 3^n class vectors; n <= 14 enforced.
-
-    Applies the same tie-breaking as solve_mckp: minimum (cost, size), first
-    such vector in lexicographic class order.
-    """
-    if len(items) > 14:
-        raise ValueError(f"brute_mckp is capped at 14 items, got {len(items)}")
-    options = _options(items, items.cost)
-    if not all(options):
-        return Infeasible("item-has-no-option")
-    cap, n = 2 * m, len(items)
-    # Admissible per-item lower bounds on the remaining cost let the DFS prune
-    # without ever cutting an equal-cost branch (ties matter for size/lex).
-    suffix_min = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix_min[j] = suffix_min[j + 1] + min(c for _, c, _ in options[j])
-
-    best: Optional[tuple[int, int]] = None
-    best_choice: Optional[list[int]] = None
-    choice = [0] * n
-
-    def dfs(j: int, cost: int, size: int) -> None:
-        nonlocal best, best_choice
-        if size > cap:
-            return
-        if best is not None and cost + suffix_min[j] > best[0]:
-            return
-        if j == n:
-            cand = (cost, size)
-            if best is None or cand < best:
-                best = cand
-                best_choice = choice.copy()
-            return
-        for cls, c, s in options[j]:
-            choice[j] = cls
-            dfs(j + 1, cost + c, size + s)
-
-    dfs(0, 0, 0)
-    if best_choice is None:
-        return Infeasible()
-    return _solution(items, best_choice)

@@ -162,8 +162,12 @@ class Instance:
         return {j.id: j for j in self.jobs}
 
     @cached_property
+    def ids(self) -> tuple[int, ...]:  # the job ids in row order
+        return tuple(j.id for j in self.jobs)
+
+    @cached_property
     def row_of(self) -> dict[int, int]:  # job id -> its row in the grid
-        return {j.id: i for i, j in enumerate(self.jobs)}
+        return {job_id: i for i, job_id in enumerate(self.ids)}
 
     def job(self, job_id: int) -> Job:
         return self.by_id[job_id]
@@ -173,17 +177,26 @@ class Instance:
         return len(self.jobs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JobClassification:
     """Partition of jobs into small and big relative to a makespan guess d.
 
     ``ws`` is the total one-machine work of the small jobs; the knapsack
-    budget for big jobs is m*d - ws.
+    budget for big jobs is m*d - ws.  The id sets ``small`` and ``big`` are
+    built from the row mask on first use.
     """
 
-    small: frozenset[int]
-    big: frozenset[int]
+    ids: tuple[int, ...]  # the instance's job ids in row order
+    is_small: np.ndarray  # bool per row
     ws: Fraction
+
+    @cached_property
+    def small(self) -> frozenset[int]:
+        return frozenset(compress(self.ids, self.is_small.tolist()))
+
+    @cached_property
+    def big(self) -> frozenset[int]:
+        return frozenset(compress(self.ids, (~self.is_small).tolist()))
 
 
 @dataclass(frozen=True)
@@ -322,8 +335,5 @@ def classify_jobs(inst: Instance, d: Fraction) -> JobClassification:
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     q, a = inst.grid
-    is_small = (a[:, 0] <= math.floor(SMALL_THRESHOLD_FRAC * d * q)).tolist()
-    ids = [job.id for job in inst.jobs]
-    ws = Fraction(sum(compress(a[:, 0].tolist(), is_small)), q)
-    big = frozenset(compress(ids, [not s for s in is_small]))
-    return JobClassification(frozenset(compress(ids, is_small)), big, ws)
+    is_small = a[:, 0] <= math.floor(SMALL_THRESHOLD_FRAC * d * q)
+    return JobClassification(inst.ids, is_small, Fraction(sum(a[is_small, 0].tolist()), q))

@@ -168,17 +168,6 @@ class ShelfSchedule:
             return 0
         return 1 if 6 * self.q <= self.m_eff else 2
 
-    def total_work(self) -> Fraction:
-        # The split job's bottom part appears once per lane at width 1, which
-        # sums to its true two-machine work, so a plain sum is exact.
-        tot = Fraction(0)
-        for col in self.s0 + self.s1:
-            for part in col.parts:
-                tot += part.height * col.width
-        for j in self.s2:
-            tot += j.height * j.width
-        return tot
-
     def summary(self) -> str:
         def cols(cs: list[ShelfColumn]) -> str:
             return ", ".join(
@@ -236,8 +225,9 @@ def build_three_shelf(
 
     Precondition: the assignment's total half-machine size (each job's
     ``size2`` at its class in the ``build_items`` arrays) is at most 2m, as
-    every ``solve_mckp`` solution is. Past that capacity shelves 0 and 1 may
-    need more than m machines, and the build then raises ShelfInvariantError.
+    every accepting ``decide`` pick and ``solve_mckp`` solution is. Past that
+    capacity shelves 0 and 1 may need more than m machines, and the build
+    then raises ShelfInvariantError.
     """
     if not LAMBDA_Q0 <= lam < Fraction(3, 2):
         raise ValueError(f"lam must be in [10/7, 3/2), got {lam}")

@@ -31,11 +31,12 @@ from moldsched import (
     try_guess,
     validate_schedule,
 )
-from moldsched.mckp import Infeasible, brute_mckp, solve_mckp
+from moldsched.mckp import Infeasible, solve_mckp
 from moldsched.model import lambda_star, make_schedule
 from moldsched.driver import _attempt, _build
 from moldsched.cli import main as cli_main
 from test_mckp import random_items
+from util import brute_mckp
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 RATIO_CAP = rat("1.4594") * rat("1.05")
@@ -83,7 +84,7 @@ def test_criterion_1_dual_approximation_guarantee():
         for d in (r.accepted_d, 2 * r.accepted_d):
             out = _attempt(inst, d)
             assert not isinstance(out, Reject)
-            sched, lam = _build(inst, d, *out)
+            sched, lam = _build(inst, d, *out[:2])
             rep = validate_schedule(inst, sched, require_contiguous=True)
             assert rep.feasible and rep.contiguous
             assert sched.makespan <= lam * d

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moldsched import GenConfig, Job, cli, generate, rat, solve
+from moldsched import GenConfig, Job, cli, generate, mckp, rat, solve
 from moldsched.cli import (
     gantt_svg,
     instance_from_obj,
@@ -188,7 +188,28 @@ class TestSolveCommand:
         assert run("gen", "-n", 7, "-m", 4, "--seed", 3, "--out", p) == 0
         capsys.readouterr()
         assert run("solve", p) == 0
-        assert "construction list" in capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out.splitlines()
+        assert "construction list" in out and "partition_by bound" in out
+
+    def test_solve_prints_a_partition_by_the_dp(self, tmp_path, capsys):
+        # The knapsack bounds leave this solve's accepted guess open.
+        p = tmp_path / "i.json"
+        assert run("gen", "-n", 40, "-m", 100, "--seed", 1, "--out", p) == 0
+        capsys.readouterr()
+        assert run("solve", p, "--epsilon", "1/1000") == 0
+        assert "partition_by dp" in capsys.readouterr().out.splitlines()
+
+    def test_pick_failing_its_recount_exits_3(self, tmp_path, monkeypatch, capsys):
+        # A decide that accepts against an inflated budget hands solve a
+        # partition over the real budget.
+        p = tmp_path / "i.json"
+        assert run("gen", "-n", 80, "-m", 800, "--seed", 1, "--out", p) == 0
+        decide = mckp.decide
+        monkeypatch.setattr(mckp, "decide", lambda items, m, budget: decide(items, m, 10**30))
+        capsys.readouterr()
+        assert run("solve", p, "--epsilon", "1/1000", "--out", tmp_path / "s.json") == 3
+        assert "fails its recount" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
     def test_bad_epsilon_exits_2(self, tmp_path):
         p = tmp_path / "i.json"

@@ -1,5 +1,6 @@
 import logging
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -12,10 +13,12 @@ from moldsched import (
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
     Reject,
+    ShelfInvariantError,
     adversarial_instance,
     brute_force_opt,
     driver,
     generate,
+    listsched,
     mckp,
     rat,
     solve,
@@ -170,19 +173,55 @@ class TestSolve:
         assert all(t >= 0 for t in r.timings.values())
 
     def test_one_knapsack_dp_per_solve(self, monkeypatch):
-        # Exact bounds settle the search's guesses; the DP runs for the
-        # partition at the accepted guess, and for any guess they leave open.
-        calls = []
-        dp = mckp.solve_mckp
-        monkeypatch.setattr(mckp, "solve_mckp", lambda *a: calls.append(a) or dp(*a))
+        # Exact bounds settle most guesses, and an accept carries the
+        # partition that certified it: solve runs the DP once for each guess
+        # the bounds leave open and never again.  The try_guess probe still
+        # takes the DP's partition.
+        calls, left_open = [], []
+        dp, decide = mckp.solve_mckp, mckp.decide
+
+        def recording_decide(items, m, budget):
+            verdict = decide(items, m, budget)
+            if verdict.by == "dp":
+                left_open.append(items)
+            return verdict
+
+        monkeypatch.setattr(mckp, "solve_mckp", lambda *a: calls.append(a[0]) or dp(*a))
+        monkeypatch.setattr(mckp, "decide", recording_decide)
+        opened = {}
+        for seed in (1, 5):
+            calls.clear()
+            left_open.clear()
+            inst = generate(GenConfig(n=80, m=800, seed=seed))
+            r = solve(inst, Fraction(1, 1000))
+            assert r.iterations >= 8 and r.mckp_assignment
+            assert len(calls) == len(left_open) and all(map(operator.is_, calls, left_open))
+            opened[seed] = len(calls)
+            calls.clear()
+            assert not isinstance(try_guess(inst, r.accepted_d), Reject)
+            assert len(calls) == 1
+        assert opened == {1: 0, 5: 1}
+
+    @pytest.mark.parametrize("n, m, seed", [(40, 100, 1), (20, 50, 5)])
+    def test_open_accepted_guess_builds_from_the_dps_partition(self, n, m, seed):
+        # The bounds leave the last accepted guess of these solves open.
+        inst = generate(GenConfig(n=n, m=m, seed=seed))
+        r = solve(inst, Fraction(1, 1000))
+        cls, items, verdict = driver._attempt(inst, r.accepted_d)
+        assert r.partition_by == verdict.by == "dp"
+        assert r.mckp_assignment == mckp.solve_mckp(items, inst.m).assignment
+        assert r.construction == "list"
+        assert r.schedule == listsched.list_schedule(
+            inst, r.accepted_d, r.mckp_assignment, cls.small)
+
+    def test_bound_accepted_guess_builds_from_the_greedy_pick(self):
         inst = generate(GenConfig(n=80, m=800, seed=1))
         r = solve(inst, Fraction(1, 1000))
-        assert r.iterations >= 8
-        assert 1 <= len(calls) <= 2
-        assert calls[-1][0] and r.mckp_assignment
-        calls.clear()
-        assert not isinstance(try_guess(inst, r.accepted_d), Reject)
-        assert len(calls) == 1
+        _, items, verdict = driver._attempt(inst, r.accepted_d)
+        assert r.partition_by == verdict.by == "bound"
+        assert r.mckp_assignment == dict(zip(items.ids, verdict.pick))
+        best = mckp.solve_mckp(items, inst.m).total_cost
+        assert best <= mckp.pick_totals(items, verdict.pick)[0] == verdict.cost
 
     def test_debug_log_names_the_certificate(self, caplog):
         inst = generate(GenConfig(n=80, m=800, seed=1))
@@ -195,3 +234,42 @@ class TestSolve:
         for line in rejects:
             cost, budget = re.fullmatch(r"d=\S+ .*: cost (\S+), budget (\S+)", line).groups()
             assert Fraction(cost) > Fraction(budget)  # a lower bound above the budget
+
+
+class TestPickRecount:
+    """_attempt recounts an accepting pick in exact integers and raises
+    ShelfInvariantError unless it is one available class per job within 2m
+    half-machines, at the verdict's cost, within budget."""
+
+    # m = 2, budget 12 at d = 6.  Jobs 1 and 2 (t = 4, 2) cost 4 in every
+    # class at sizes 2, 2, 0; job 3 (t = 4, 3) costs 4 at size 2 in class 1,
+    # 6 at size 2 in class 2, and cannot meet the class-3 height 18/7.
+    INST = instance(2, job(1, 4, 2), job(2, 4, 2), job(3, 4, 3))
+
+    def _attempt(self, monkeypatch, pick, cost):
+        monkeypatch.setattr(
+            mckp, "decide", lambda items, m, budget: mckp.Verdict(None, "bound", cost, pick))
+        return driver._attempt(self.INST, Fraction(6))
+
+    @pytest.mark.parametrize("pick", [(3, 3, 1), (3, 1, 1)])
+    def test_a_sound_pick_passes(self, monkeypatch, pick):
+        assert self._attempt(monkeypatch, pick, 12)[2].pick == pick
+
+    @pytest.mark.parametrize("pick, cost", [
+        ((3, 3, 3), 8),    # job 3 has no class 3
+        ((3, 3, 1), 11),   # not the verdict's cost
+        ((1, 1, 1), 12),   # 6 half-machines
+        ((3, 3, 2), 14),   # over the budget
+        ((3, 3), 8), ((3, 3, 0), 12), ((3, 3, 4), 12), (None, 12),
+    ])
+    def test_a_broken_pick_raises(self, monkeypatch, pick, cost):
+        with pytest.raises(ShelfInvariantError, match="fails its recount"):
+            self._attempt(monkeypatch, pick, cost)
+
+    def test_pick_over_budget_raises(self, monkeypatch):
+        # A decide that accepts against an inflated budget hands solve a
+        # partition that costs more than the real one.
+        decide = mckp.decide
+        monkeypatch.setattr(mckp, "decide", lambda items, m, budget: decide(items, m, 10**30))
+        with pytest.raises(ShelfInvariantError, match="fails its recount"):
+            solve(generate(GenConfig(n=80, m=800, seed=1)), Fraction(1, 1000))

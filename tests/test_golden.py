@@ -107,7 +107,7 @@ def shelf_digest(inst: Instance, result) -> str:
     if not inst.jobs:
         return solve_digest(result)
     d = result.accepted_d
-    sched, lam = _build(inst, d, *_attempt(inst, d))
+    sched, lam = _build(inst, d, *_attempt(inst, d)[:2])
     return digest(sched, d, lam)
 
 

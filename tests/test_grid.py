@@ -170,8 +170,11 @@ class TestDpStaysOnInt64:
                            max_total))
             return dp(items, scaled, cap, max_total)
 
+        # The solve's bounds settle every guess; the try_guess probe at its
+        # accepted guess runs the DP on the solve's items.
+        d = solve(inst).accepted_d
         monkeypatch.setattr(mckp, "_dp", recording_dp)
-        solve(inst)
+        assert not isinstance(driver.try_guess(inst, d), Reject)
         assert totals
         for raw, reduced in totals:
             assert raw > _INT64_SAFE_TOTAL >= reduced
@@ -317,18 +320,16 @@ class TestTimesView:
 
         for config in configs:
             inst = generate(config)
-            result = solve(inst)
-            cls = classify_jobs(inst, result.accepted_d)
+            d = solve(inst).accepted_d
+            cls, items, _ = driver._attempt(inst, d)
+            assignment = mckp.solve_mckp(items, inst.m).assignment
             with monkeypatch.context() as mp:
                 for name in ("__getitem__", "__iter__"):
                     mp.setattr(Times, name, counting(getattr(Times, name), reads, name))
                 for name in ("repair_s2_small_q", "repair_s2_large_q"):
                     mp.setattr(shelf, name, counting(getattr(shelf, name), repairs, name))
-                layout, lam = shelf.shelf_layout(
-                    inst, result.mckp_assignment, result.accepted_d)
+                layout, lam = shelf.shelf_layout(inst, assignment, d)
                 sched = shelf.add_small_jobs(layout, inst, cls.small)
-            built, built_lam = driver._build(
-                inst, result.accepted_d, *driver._attempt(inst, result.accepted_d))
-            assert (sched, lam) == (built, built_lam)
+            assert (sched, lam) == driver._build(inst, d, cls, items)
         assert reads == {}
         assert repairs["repair_s2_small_q"] and repairs["repair_s2_large_q"]

@@ -117,7 +117,7 @@ class TestFallback:
     CONFIG = GenConfig(n=20, m=10, seed=5)
 
     def _shelf(self, inst, d):
-        sched, lam = driver._build(inst, d, *driver._attempt(inst, d))
+        sched, lam = driver._build(inst, d, *driver._attempt(inst, d)[:2])
         assert lam == LAMBDA_STAR_UPPER
         assert LAMBDA_Q0 * d < sched.makespan <= LAMBDA_SMALL_Q * d
         return sched

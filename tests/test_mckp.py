@@ -9,13 +9,20 @@ from moldsched import Reject, driver, mckp, rat
 from moldsched.mckp import (
     Infeasible,
     MckpItems,
-    brute_mckp,
     build_items,
     decide,
     solve_mckp,
 )
 from moldsched.model import classify_jobs
-from util import const_work_job, instance, items_of, job, options, random_instance
+from util import (
+    brute_mckp,
+    const_work_job,
+    instance,
+    items_of,
+    job,
+    options,
+    random_instance,
+)
 
 
 def random_items(rng: random.Random, n: int, m: int) -> MckpItems:
@@ -49,6 +56,7 @@ def dp_total(items) -> int:
     costs = [[o[0] for o in row if o] for row in options(items)]
     unit = math.gcd(*(c for row in costs for c in row)) or 1
     return sum(max(row, default=0) for row in costs) // unit
+
 
 
 class TestBuildItems:
@@ -317,60 +325,72 @@ class TestDecide:
         calls = []
         dp = mckp.solve_mckp
         monkeypatch.setattr(mckp, "solve_mckp", lambda *a: calls.append(a) or dp(*a))
-        assert decide(items, 2, 9) == mckp.Verdict(None, "dp", 9)
+        assert decide(items, 2, 9) == mckp.Verdict(None, "dp", 9, (1, 2))
+        assert decide(items, 2, 9).pick == tuple(dp(items, 2).assignment.values())
         assert decide(items, 2, 8) == mckp.Verdict("work-budget", "dp", 9)
-        assert len(calls) == 2
-        assert decide(items, 2, 10) == mckp.Verdict(None, "bound", 10)
+        assert len(calls) == 3
+        # Budget 10 accepts the greedy's own pick, above the DP's minimum.
+        assert decide(items, 2, 10) == mckp.Verdict(None, "bound", 10, (2, 1))
+        assert mckp.pick_totals(items, (2, 1)) == (10, 3)
         assert decide(items, 2, 7) == mckp.Verdict("work-budget", "bound", rat("7.5"))
-        assert len(calls) == 2
+        assert len(calls) == 3
 
 
 def ref_decide(items, m, budget):
-    """decide as it was on per-item lists of the available (cost, size)
-    options, kept as the reference for the array version."""
+    """decide as it was on per-item lists of the available (cost, size,
+    class) options, kept as the reference for the array version.  The pick
+    of a bound accept puts each item at the last hull point its taken steps
+    reach."""
     cap = 2 * m
-    opts = [[o for o in row if o] for row in options(items)]
-    if sum(min((s for _, s in o), default=cap + 1) for o in opts) > cap:
+    opts = [[(*o, cls) for cls, o in enumerate(row, start=1) if o] for row in options(items)]
+    if sum(min((s for _, s, _ in o), default=cap + 1) for o in opts) > cap:
         return mckp.Verdict("mckp-infeasible", "bound")
-    shift = max(0, max((c for o in opts for c, _ in o), default=0).bit_length() - 64)
-    steps = []
+    shift = max(0, max((c for o in opts for c, _, _ in o), default=0).bit_length() - 64)
+    steps, hulls = [], []
     cost = size = 0
     for j, o in enumerate(opts):
         hull = [min(o)]
-        for c, s in sorted(o, key=lambda cs: (-cs[1], cs[0])):
+        for c, s, cls in sorted(o, key=lambda cs: (-cs[1], cs[0])):
             if s >= hull[-1][1]:
                 continue
             while len(hull) > 1:
-                (ca, sa), (cb, sb) = hull[-2:]
+                (ca, sa, _), (cb, sb, _) = hull[-2:]
                 if (cb - ca) * (sb - s) < (c - cb) * (sa - sb):
                     break
                 hull.pop()
-            hull.append((c, s))
+            hull.append((c, s, cls))
+        hulls.append(hull)
         cost, size = cost + hull[0][0], size + hull[0][1]
-        for k, ((ca, sa), (cb, sb)) in enumerate(zip(hull, hull[1:])):
+        for k, ((ca, sa, _), (cb, sb, _)) in enumerate(zip(hull, hull[1:])):
             steps.append(((cb - ca) / ((sa - sb) << shift), j, k, cb - ca, sa - sb))
     p, r = 0, 1
+    reached = [0] * len(opts)
     ordered = iter(sorted(steps))
     while size > cap:
-        _, _, _, p, r = next(ordered)
-        cost, size = cost + p, size - r
+        _, j, k, p, r = next(ordered)
+        cost, size, reached[j] = cost + p, size - r, k + 1
     if cost <= budget:
-        return mckp.Verdict(None, "bound", cost)
-    lower = sum(min(r * c + p * s for c, s in o) for o in opts) - p * cap
+        return mckp.Verdict(None, "bound", cost, tuple(h[i][2] for h, i in zip(hulls, reached)))
+    lower = sum(min(r * c + p * s for c, s, _ in o) for o in opts) - p * cap
     if lower > r * budget:
         return mckp.Verdict("work-budget", "bound", Fraction(lower, r))
     solution = solve_mckp(items, m)
-    reason = "work-budget" if solution.total_cost > budget else None
-    return mckp.Verdict(reason, "dp", solution.total_cost)
+    if solution.total_cost > budget:
+        return mckp.Verdict("work-budget", "dp", solution.total_cost)
+    return mckp.Verdict(None, "dp", solution.total_cost, tuple(solution.assignment.values()))
 
 
 class TestDecideMatchesReference:
     """The array decide returns the per-item reference's Verdict exactly:
-    reason, certificate and cost."""
+    reason, certificate, cost and pick.  An accept's pick is one available
+    class per item within capacity and budget at the verdict's cost, and
+    the DP's own assignment when the cheapest options already fit."""
 
     @staticmethod
     def _check(items, m0, by):
-        min_size = sum(min((o[1] for o in row if o), default=0) for row in options(items))
+        opts = options(items)
+        min_size = sum(min((o[1] for o in row if o), default=0) for row in opts)
+        cheapest_size = sum(min((o for o in row if o), default=(0, 0))[1] for row in opts)
         half = min_size // 2
         for m in {m0, max(half - 1, 0), half, -(-min_size // 2), half + 2}:
             sol = solve_mckp(items, m)
@@ -378,8 +398,15 @@ class TestDecideMatchesReference:
             step = abs(base) // 50 + 1
             for budget in (base - 1, base, base + 1, base - step, base + step, 2 * base + 1):
                 got = decide(items, m, budget)
-                assert got == ref_decide(items, m, budget), (options(items), m, budget)
+                assert got == ref_decide(items, m, budget), (opts, m, budget)
                 by[got.by, got.reason] = by.get((got.by, got.reason), 0) + 1
+                if got.reason is not None:
+                    assert got.pick is None
+                    continue
+                cost, size = mckp.pick_totals(items, got.pick)
+                assert size <= 2 * m and cost == got.cost <= budget, (opts, m, budget)
+                if cheapest_size <= 2 * m:
+                    assert got.pick == tuple(sol.assignment.values()), (opts, m, budget)
 
     @staticmethod
     def _draw(rng, n, cost, size, none=0.15):

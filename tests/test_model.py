@@ -262,6 +262,17 @@ class TestClassifyJobs:
         assert c.small == {1, 2}
         assert c.ws == rat("0.6")
 
+    def test_guesses_share_the_instance_ids(self):
+        # One id tuple per instance; each guess keeps only its row mask and
+        # builds an id set on first use.
+        inst = instance(1, job(5, 3), job(2, 10), job(9, 1))
+        c = classify_jobs(inst, rat(7))
+        assert inst.ids == (5, 2, 9) and c.ids is inst.ids
+        assert c.is_small.tolist() == [True, False, True]
+        assert "small" not in vars(c) and "big" not in vars(c)
+        assert (c.small, c.big) == ({5, 9}, {2})
+        assert classify_jobs(inst, rat(1)).ids is inst.ids
+
 
 def test_exact_arithmetic_roundtrip():
     rng = random.Random(11)

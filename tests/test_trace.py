@@ -50,9 +50,10 @@ def test_every_traced_name_is_counted(tmp_path):
 def test_knapsack_counters_count_each_dp(monkeypatch):
     # mckp.items and mckp.dp_cells read len() of the DP's items: per DP they
     # must be the number of big jobs at that guess, and that times 2m+1.
+    # The knapsack bounds leave three guesses of this solve open.
     spans = _load_spans()
     tracer = spans.Tracer()
-    inst = gen.generate(GenConfig(n=80, m=800, seed=1))
+    inst = gen.generate(GenConfig(n=40, m=100, seed=1))
     big_of, per_dp = {}, []
     with tracer.patched(), monkeypatch.context() as mp:
         build, dp = mckp.build_items, mckp.solve_mckp
@@ -74,5 +75,6 @@ def test_knapsack_counters_count_each_dp(monkeypatch):
         mp.setattr(mckp, "solve_mckp", counting_dp)
         driver.solve(inst, Fraction(1, 1000))
     assert per_dp and all(big > 0 for _, _, big, _ in per_dp)
+    assert len(per_dp) == 3
     assert [(items, cells) for items, cells, _, _ in per_dp] == [
         (big, cells) for _, _, big, cells in per_dp]

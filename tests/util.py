@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from moldsched import Instance, Job, rat
-from moldsched.mckp import MckpItems
+from moldsched.mckp import Infeasible, MckpItems, MckpSolution, _options, _solution
 from moldsched.model import int_matrix
 
 
@@ -61,3 +61,47 @@ def options(items: MckpItems) -> list[list]:
         [(c, s) if ok else None for c, s, ok in zip(*row)]
         for row in zip(items.cost.tolist(), items.size2.tolist(), items.avail.tolist())
     ]
+
+
+def brute_mckp(items: MckpItems, m: int) -> MckpSolution | Infeasible:
+    """Exhaustive oracle over all 3^n class vectors; n <= 14 enforced.
+
+    Applies the same tie-breaking as solve_mckp: minimum (cost, size), first
+    such vector in lexicographic class order.
+    """
+    if len(items) > 14:
+        raise ValueError(f"brute_mckp is capped at 14 items, got {len(items)}")
+    options = _options(items, items.cost)
+    if not all(options):
+        return Infeasible("item-has-no-option")
+    cap, n = 2 * m, len(items)
+    # Admissible per-item lower bounds on the remaining cost let the DFS prune
+    # without ever cutting an equal-cost branch (ties matter for size/lex).
+    suffix_min = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix_min[j] = suffix_min[j + 1] + min(c for _, c, _ in options[j])
+
+    best: tuple[int, int] | None = None
+    best_choice: list[int] | None = None
+    choice = [0] * n
+
+    def dfs(j: int, cost: int, size: int) -> None:
+        nonlocal best, best_choice
+        if size > cap:
+            return
+        if best is not None and cost + suffix_min[j] > best[0]:
+            return
+        if j == n:
+            cand = (cost, size)
+            if best is None or cand < best:
+                best = cand
+                best_choice = choice.copy()
+            return
+        for cls, c, s in options[j]:
+            choice[j] = cls
+            dfs(j + 1, cost + c, size + s)
+
+    dfs(0, 0, 0)
+    if best_choice is None:
+        return Infeasible()
+    return _solution(items, best_choice)
