@@ -53,6 +53,7 @@ from .model import (
     Times,
     rat,
     ratio_grid,
+    ratio_str,
     validate_instance,
 )
 from .shelf import ShelfInvariantError
@@ -127,19 +128,22 @@ def instance_from_obj(obj: dict) -> Instance:
 
 
 def schedule_to_obj(sched: Schedule, lam: Fraction, accepted_d: Fraction) -> dict:
+    """The schedule file's object; a schedule in integer form is written
+    straight from its integers, with no PlacedJob."""
+    if sched.ints is None:
+        rows = [(p.job_id, p.first_machine, p.width, str(p.start), str(p.duration))
+                for p in sched.placements]
+    else:
+        q = sched.scale
+        rows = [(j, i, k, ratio_str(s, q), ratio_str(t, q))
+                for j, i, k, s, t in zip(*(c.tolist() for c in sched.ints))]
     return {
         "makespan": str(sched.makespan),
         "lambda": str(lam),
         "accepted_d": str(accepted_d),
         "placements": [
-            {
-                "job": p.job_id,
-                "first_machine": p.first_machine,
-                "width": p.width,
-                "start": str(p.start),
-                "duration": str(p.duration),
-            }
-            for p in sched.placements
+            {"job": j, "first_machine": i, "width": k, "start": s, "duration": t}
+            for j, i, k, s, t in rows
         ],
     }
 

@@ -5,9 +5,12 @@ holds its times as integers over a common denominator Q, the n x m matrix A
 of ``Instance.grid`` (int64 while it fits, else Python ints): t(j,k) =
 A[j,k-1]/Q.  The solver reads times only from the grid: the decision path
 as integer array compares, since t <= h iff A <= floor(h*Q), and the shelves
-through ``t`` and ``gamma``, the one canonical machine count.  Fractions
-appear at the API boundary (``Job.times``, guesses, shelf heights,
-schedules); floats only in timing and plots.
+through ``t`` and ``gamma``, the one canonical machine count.  A
+``Schedule`` is given as PlacedJobs with Fraction times, or in integer form
+(one denominator and integer columns, as the list schedule builds it), whose
+PlacedJobs are made on first read.  Fractions appear at the API boundary
+(``Job.times``, guesses, shelf heights, placements); floats only in timing
+and plots.
 
 The stretch constant ``LAMBDA_STAR_UPPER`` is a Fraction literal, equal to
 ``lambda_star()`` at its default tolerance; only calling ``lambda_star``
@@ -126,6 +129,10 @@ class Times(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
+    def ratio(self, i: int) -> tuple[int, int]:
+        """Item i as the integer pair (numerator, q), without a Fraction."""
+        return self._row.item(i), self._q
+
     def strings(self) -> list[str]:  # str() of each time, without building Fractions
         q = self._q
         return [f"{a // g}/{q // g}" if (g := math.gcd(a, q)) != q else str(a // g)
@@ -225,10 +232,59 @@ class PlacedJob:
         return range(self.first_machine, self.first_machine + self.width)
 
 
-@dataclass(frozen=True)
 class Schedule:
-    placements: tuple[PlacedJob, ...]
-    makespan: Fraction
+    """Placements and a makespan, given as PlacedJobs or in integer form.
+
+    The integer form (``Schedule.of_ints``) is one denominator ``scale`` and
+    the columns ``ints`` = (job_id, first_machine, width, start, duration),
+    one entry per placement, with start and duration in units of 1/scale;
+    its PlacedJobs are built on the first read of ``placements``.  Equality,
+    hash and repr are those of (placements, makespan) in either form.
+    """
+
+    __slots__ = ("_placements", "makespan", "scale", "ints")
+
+    def __init__(self, placements: tuple[PlacedJob, ...], makespan: Fraction) -> None:
+        self._fill(placements, makespan, None, None)
+
+    @classmethod
+    def of_ints(cls, scale: int, ints: tuple[np.ndarray, ...], makespan: Fraction) -> Schedule:
+        for column in ints:
+            column.setflags(write=False)
+        sched = cls.__new__(cls)
+        sched._fill(None, makespan, scale, ints)
+        return sched
+
+    def _fill(self, placements, makespan, scale, ints) -> None:
+        for name, value in zip(self.__slots__, (placements, makespan, scale, ints)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Schedule is read-only: cannot set {name!r}")
+
+    def __reduce__(self):  # pickled as given by its placements
+        return Schedule, (self.placements, self.makespan)
+
+    @property
+    def placements(self) -> tuple[PlacedJob, ...]:
+        if self._placements is None:
+            q = self.scale
+            object.__setattr__(self, "_placements", tuple(
+                PlacedJob(j, i, k, Fraction(s, q), Fraction(t, q))
+                for j, i, k, s, t in zip(*(c.tolist() for c in self.ints))
+            ))
+        return self._placements
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self.makespan == other.makespan and self.placements == other.placements
+
+    def __hash__(self) -> int:
+        return hash((self.placements, self.makespan))
+
+    def __repr__(self) -> str:
+        return f"Schedule(placements={self.placements!r}, makespan={self.makespan!r})"
 
 
 def numerators(jobs: Sequence[Job], m: int) -> tuple[int, np.ndarray]:
@@ -262,6 +318,18 @@ def ratio_grid(rows: list[list[tuple[int, int]]], m: int) -> tuple[int, np.ndarr
     return big, int_matrix(scaled, m)
 
 
+def int_array(values) -> np.ndarray:
+    """values as an int64 array while every |x| < 2^62, so that the sum of
+    two stays exact, else as exact ints."""
+    try:
+        a = np.array(values, dtype=np.int64)
+        if a.size and (int(a.max()) >= 1 << 62 or int(a.min()) <= -(1 << 62)):
+            raise OverflowError
+    except OverflowError:
+        a = np.array(values, dtype=object)
+    return a
+
+
 def int_matrix(rows: list[list[int]], m: int) -> np.ndarray:
     """Read-only n x m matrix: int64 while m*max|a| <= 2^59, else exact ints."""
     try:
@@ -272,6 +340,12 @@ def int_matrix(rows: list[list[int]], m: int) -> np.ndarray:
         a = np.array(rows, dtype=object).reshape(len(rows), m)
     a.setflags(write=False)
     return a
+
+
+def ratio_str(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}" if g != q else str(p // g)
 
 
 def make_schedule(placements: Iterable[PlacedJob]) -> Schedule:

@@ -3,21 +3,26 @@
 The validator re-derives everything from the instance and the raw placements;
 it shares no code with the construction pipeline beyond the domain types, so
 it can serve as the second route of the correctness argument.  It reads a
-job's times only through ``Job.times``, never the instance's integer grid,
-and derives its own time scale from the schedule it is given.
+job's times only through ``Job.times`` (a view's ``Times.ratio`` gives one
+as an integer pair), never the instance's integer grid.
 
-Times are compared as exact integers over L, the lcm of the denominators of
-every placement's start and duration: a start s becomes s*L, an end
-(s + t)*L, and machine intervals sort as int tuples.  A solver schedule's
-starts are sums of times and shelf heights, so L is mostly its widest
-denominator.  A schedule file can instead make L grow with its length (one
-distinct prime denominator per placement); L is built one denominator at a
-time, widest first, and once it outgrows the widest single denominator by
-``_LCM_MARGIN_BITS`` the same checks run on the Fractions as given, whose
-cost does not grow with L.  Start and duration types other than int and
-Fraction take that path too.  The report does not depend on the path: the
-same violations in the same order, with windows and a makespan equal to the
-Fractions (``Fraction(x, L)`` on the integer path).
+Times are compared as exact integers over a scale L that comes with the
+schedule: a start s is the integer s*L, an end (s + t)*L.  A schedule in
+integer form (the list schedule) brings its own L and numerators.  For one
+given as PlacedJobs, L is the lcm of the denominators of every start and
+duration; a solver schedule's starts are sums of times and shelf heights, so
+L is mostly its widest denominator.  A schedule file can instead make L grow
+with its length (one distinct prime denominator per placement); L is built
+one denominator at a time, widest first, and once it outgrows the widest
+single denominator by ``_LCM_MARGIN_BITS`` the same checks run on the
+Fractions as given, whose cost does not grow with L.  Start and duration
+types other than int and Fraction take that path too.
+
+A duration is checked as t*q == p*L against t(j,k) = p/q.  Overlaps are
+found by one sort of every (machine, start, end, job) of the parts.  The
+report does not depend on the form or the path: the same violations in the
+same order, with windows and a makespan equal to the Fractions
+(``Fraction(x, L)`` on the integer path).
 
 A job may appear as several placement rows (parts on disjoint machine
 intervals with a common start) -- that is the non-contiguous reading used by
@@ -27,13 +32,16 @@ intervals to be one run of machines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .model import Instance, PlacedJob, Schedule
+import numpy as np
+
+from .model import Instance, PlacedJob, Schedule, Times, int_array
 
 _ORACLE_MAX_N = 4
 _ORACLE_MAX_M = 4
@@ -73,26 +81,34 @@ def validate_schedule(
     ``contiguous`` flag and are listed among the violations only when
     ``require_contiguous`` is set.
     """
+    if sched.ints is not None:  # integer form: its own L and numerators
+        scale, columns = sched.scale, sched.ints
+        ids, first, width, start, dur = (c.tolist() for c in columns)
+    else:
+        placements = sched.placements
+        scale = _common_denominator(placements)
+        ids = [p.job_id for p in placements]
+        first = [p.first_machine for p in placements]
+        width = [p.width for p in placements]
+        if scale is None:  # compare the times as given
+            start = [p.start for p in placements]
+            dur = [p.duration for p in placements]
+        else:  # numerators over L
+            start = [p.start.numerator * (scale // p.start.denominator) for p in placements]
+            dur = [p.duration.numerator * (scale // p.duration.denominator) for p in placements]
+        columns = (ids, first, width, start, dur)
+    end = [s + t for s, t in zip(start, dur)]
+
+    def exact(x):  # the time a start, duration or end stands for
+        return x if scale is None else Fraction(x, scale)
+
     feas: list[Violation] = []
     contig: list[Violation] = []
     m = inst.m
     known = inst.by_id
-    placements = sched.placements
-    scale = _common_denominator(placements)
-    if scale is None:  # compare the times as given
-        spans = [(p.start, p.start + p.duration) for p in placements]
-    else:  # (start, end) * L
-        spans = []
-        for p in placements:
-            s = p.start.numerator * (scale // p.start.denominator)
-            spans.append((s, s + p.duration.numerator * (scale // p.duration.denominator)))
-
-    def exact(x):  # the time a value of spans stands for
-        return x if scale is None else Fraction(x, scale)
-
     groups: dict[int, list[int]] = {}  # job id -> indices of its parts
-    for i, p in enumerate(placements):
-        groups.setdefault(p.job_id, []).append(i)
+    for i, j in enumerate(ids):
+        groups.setdefault(j, []).append(i)
 
     for job_id in known:
         if job_id not in groups:
@@ -102,27 +118,25 @@ def validate_schedule(
         if job is None:
             feas.append(Violation("unknown-job", (job_id,)))
             continue
-        parts = [placements[i] for i in rows]
-        p = parts[0]
-        if len(parts) > 1 and (
-            len({q.start for q in parts}) > 1 or len({q.duration for q in parts}) > 1
+        i = rows[0]
+        if len(rows) > 1 and (
+            len({start[r] for r in rows}) > 1 or len({dur[r] for r in rows}) > 1
         ):
             feas.append(
                 Violation("placement", (job_id,), detail="parts disagree on start/duration")
             )
             continue
-        if spans[rows[0]][0] < 0:
-            feas.append(Violation("start", (job_id,), detail=f"start {p.start} < 0"))
-        k, one_run = p.width, True  # one in-bounds part: no machine set needed
-        if len(parts) > 1 or not (1 <= p.width and 0 <= p.first_machine <= m - p.width):
+        if start[i] < 0:
+            feas.append(Violation("start", (job_id,), detail=f"start {exact(start[i])} < 0"))
+        k, one_run = width[i], True  # one in-bounds part: no machine set needed
+        if len(rows) > 1 or not (1 <= k and 0 <= first[i] <= m - k):
             machines: set[int] = set()
-            for q in parts:
-                if q.width < 1:
+            for r in rows:
+                if width[r] < 1:
                     feas.append(Violation("width", (job_id,), detail="non-positive width"))
-                part = q.machines
-                if q.first_machine < 0 or q.first_machine + q.width > m:
-                    feas.append(Violation("bounds", (job_id,), machine=q.first_machine))
-                    part = _clipped(q, m)
+                if first[r] < 0 or first[r] + width[r] > m:
+                    feas.append(Violation("bounds", (job_id,), machine=first[r]))
+                part = range(max(first[r], 0), min(first[r] + width[r], m))
                 if machines & set(part):
                     feas.append(Violation("placement", (job_id,), detail="parts share a machine"))
                 machines.update(part)
@@ -130,33 +144,22 @@ def validate_schedule(
             one_run = not machines or max(machines) - min(machines) + 1 == k
         if not 1 <= k <= m:
             feas.append(Violation("width", (job_id,), detail=f"total width {k}"))
-        elif p.duration != job.times[k - 1]:
+        elif _off(job.times, k, dur[i], scale):
             feas.append(
                 Violation(
                     "duration",
                     (job_id,),
-                    detail=f"duration {p.duration} != t(j,{k}) = {job.times[k - 1]}",
+                    detail=f"duration {exact(dur[i])} != t(j,{k}) = {job.times[k - 1]}",
                 )
             )
         if not one_run:
             contig.append(Violation("contiguity", (job_id,)))
 
-    per_machine: dict[int, list[tuple]] = {}
-    for p, (s, e) in zip(placements, spans):
-        part = p.machines
-        if p.first_machine < 0 or p.first_machine + p.width > m:
-            part = _clipped(p, m)
-        iv = (s, e, p.job_id)
-        for mach in part:
-            per_machine.setdefault(mach, []).append(iv)
-    for mach, ivs in per_machine.items():
-        ivs.sort()
-        for (s1, e1, j1), (s2, e2, j2) in zip(ivs, ivs[1:]):
-            if s2 < e1:
-                window = (exact(s2), exact(min(e1, e2)))
-                feas.append(Violation("overlap", (j1, j2), machine=mach, window=window))
+    for a, b, mach in _overlaps(m, columns, scale is not None):
+        window = (exact(start[b]), exact(min(end[a], end[b])))
+        feas.append(Violation("overlap", (ids[a], ids[b]), machine=mach, window=window))
 
-    makespan = exact(max((e for _, e in spans), default=0))
+    makespan = exact(max(end, default=0))
     if makespan != sched.makespan:
         feas.append(
             Violation(
@@ -175,6 +178,41 @@ def validate_schedule(
     )
 
 
+def _off(times, k: int, t, scale: Optional[int]) -> bool:
+    """Whether duration t, over scale or as given when scale is None, differs
+    from t(j,k) = times[k-1]; compared as integers unless scale is None."""
+    if scale is None:
+        return t != times[k - 1]
+    p, q = times.ratio(k - 1) if isinstance(times, Times) else times[k - 1].as_integer_ratio()
+    return t * q != p * scale
+
+
+def _overlaps(m: int, columns: tuple, integer: bool) -> list[tuple[int, int, int]]:
+    """(row a, row b, machine) for each overlap among the placements given as
+    columns (job id, first machine, width, start, duration), lists or arrays
+    of ints, of any time when not integer: the machines in the order of their
+    first placement (parts clipped to [0, m)), on each the parts sorted by
+    (start, end, job id), and b overlapping a, the part before it."""
+    ids, first, width, start, dur = columns
+    f, w = int_array(first), int_array(width)
+    lo = np.minimum(np.maximum(f, 0), m)
+    count = np.maximum(np.minimum(f + w, m) - lo, 0).astype(np.int64)
+    row = np.repeat(np.arange(len(f)), count)
+    if len(row) < 2:
+        return []
+    offset = np.repeat(np.cumsum(count) - count, count)
+    mach = lo.astype(np.int64)[row] + np.arange(len(row)) - offset
+    _, at, inv = np.unique(mach, return_index=True, return_inverse=True)
+    key = at[inv]  # the first index of the part's machine
+    times = int_array if integer else functools.partial(np.array, dtype=object)
+    s, t = times(start), times(dur)
+    s, e = s[row], (s + t)[row]
+    o = np.lexsort((int_array(ids)[row], e, s, key))
+    key, s, e = key[o], s[o], e[o]
+    hit = np.flatnonzero((key[1:] == key[:-1]) & (s[1:] < e[:-1]).astype(bool))
+    return list(zip(row[o[hit]].tolist(), row[o[hit + 1]].tolist(), mach[o[hit]].tolist()))
+
+
 def _common_denominator(placements: tuple[PlacedJob, ...]) -> Optional[int]:
     """L, the lcm of every start and duration denominator, or None when
     there is a time that is not an int or a Fraction, or when L would be
@@ -191,11 +229,6 @@ def _common_denominator(placements: tuple[PlacedJob, ...]) -> Optional[int]:
             if scale.bit_length() > cap:
                 return None
     return scale
-
-
-def _clipped(p: PlacedJob, m: int) -> range:
-    """An out-of-bounds part's machines within [0, m): a huge width costs nothing."""
-    return range(max(p.first_machine, 0), min(p.first_machine + p.width, m))
 
 
 def brute_force_opt(inst: Instance) -> Fraction:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moldsched import GenConfig, Job, cli, generate, mckp, rat, solve
+from moldsched import GenConfig, Job, cli, generate, mckp, model, rat, solve
 from moldsched.cli import (
     gantt_svg,
     instance_from_obj,
@@ -16,7 +16,7 @@ from moldsched.cli import (
     schedule_to_obj,
 )
 from moldsched.model import Times, numerators
-from util import const_work_job, instance, job, random_instance
+from util import const_work_job, fraction_schedule, grid_rows, instance, job, random_instance
 
 
 def run(*argv) -> int:
@@ -39,6 +39,30 @@ class TestFormats:
             sched, lam, d = schedule_from_obj(json.loads(json.dumps(obj)))
             assert sched == r.schedule
             assert (lam, d) == (r.lambda_used, r.accepted_d)
+
+    def test_integer_form_writes_the_bytes_of_its_fractions(self, tmp_path):
+        # cli-batch shapes, and times over a prime quantum (object grid)
+        rng = random.Random(61)
+        cases = [GenConfig(n=rng.randint(20, 120), m=rng.randint(16, 128), seed=s)
+                 for s in range(8)]
+        cases.append(GenConfig(n=30, m=20, seed=1, quantization_denominator=10**15 + 37))
+        for config in cases:
+            r = solve(generate(config))
+            assert r.schedule.ints is not None
+            given = fraction_schedule(*grid_rows(r.schedule))
+            for name, sched in (("ints", r.schedule), ("given", given)):
+                cli._dump_json(schedule_to_obj(sched, r.lambda_used, r.accepted_d),
+                               tmp_path / name)
+            assert (tmp_path / "ints").read_bytes() == (tmp_path / "given").read_bytes()
+
+    def test_solve_out_builds_no_placed_job(self, tmp_path, monkeypatch):
+        p, out = tmp_path / "i.json", tmp_path / "s.json"
+        assert run("gen", "-n", 60, "-m", 32, "--seed", 2, "--out", p) == 0
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "PlacedJob", None)  # calling it would raise
+            assert run("solve", p, "--out", out) == 0
+        sched, _, _ = schedule_from_obj(json.loads(out.read_text()))
+        assert sched == solve(load_instance(p)).schedule
 
     def test_decimal_strings_parse_exactly(self):
         obj = {"m": 1, "jobs": [{"id": 1, "times": ["6.01"]}]}

@@ -1,3 +1,4 @@
+import collections
 import logging
 import math
 import operator
@@ -23,6 +24,7 @@ from moldsched import (
     rat,
     solve,
     try_guess,
+    validate_instance,
     validate_schedule,
 )
 from moldsched.driver import initial_bounds
@@ -234,6 +236,28 @@ class TestSolve:
         for line in rejects:
             cost, budget = re.fullmatch(r"d=\S+ .*: cost (\S+), budget (\S+)", line).groups()
             assert Fraction(cost) > Fraction(budget)  # a lower bound above the budget
+
+
+def test_non_monotone_input_gives_a_verified_schedule_or_an_invariant_error():
+    # solve does not validate its input (moldsched solve exits 2 on it): on
+    # times that break monotony it returns a verified schedule or raises
+    # ShelfInvariantError, never another exception.
+    rng = random.Random(3)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        inst = None
+        while inst is None or not validate_instance(inst):
+            m, n = rng.randint(2, 8), rng.randint(1, 8)
+            inst = instance(m, *(job(j, *(Fraction(rng.randint(1, 400), 100) for _ in range(m)))
+                                 for j in range(1, n + 1)))
+        try:
+            r = driver.solve(inst)
+        except ShelfInvariantError:
+            outcomes["invariant"] += 1
+        else:
+            assert validate_schedule(inst, r.schedule).ok()
+            outcomes["verified"] += 1
+    assert outcomes["verified"] and outcomes["invariant"]
 
 
 class TestPickRecount:

@@ -303,6 +303,23 @@ class TestTimesView:
         assert cli.instance_to_obj(back) == obj
         assert solve(back).makespan == solve(inst).makespan
 
+    def test_solve_makes_no_fraction_per_job(self, monkeypatch):
+        # The list schedule is placed, verified and returned on grid integers:
+        # a solve of 1000 small jobs makes Fractions per guess, none per job.
+        inst = generate(GenConfig(n=1000, m=35, seed=1))
+        made = collections.Counter()
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Fraction, "__new__", counting)
+            result = driver.solve(inst)
+        assert result.construction == "list" and result.schedule.ints is not None
+        assert 0 < made["Fraction"] <= 200
+
     def test_construction_reads_no_view(self, monkeypatch):
         # Shelves and small jobs read t(j,k) off the grid, so building the
         # schedule of a generated instance makes no Fraction from a view.

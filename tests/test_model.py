@@ -1,7 +1,9 @@
+import pickle
 import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from moldsched import (
@@ -11,9 +13,13 @@ from moldsched import (
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
+    PlacedJob,
+    Schedule,
     generate,
     rat,
+    solve,
     validate_instance,
+    validate_schedule,
 )
 from moldsched.model import (
     SMALL_THRESHOLD_FRAC,
@@ -22,8 +28,18 @@ from moldsched.model import (
     Times,
     gamma,
     lambda_star,
+    make_schedule,
 )
-from util import const_work_job, instance, job, random_instance, random_monotone_job
+from util import (
+    const_work_job,
+    fraction_schedule,
+    grid_rows,
+    instance,
+    int_schedule,
+    job,
+    random_instance,
+    random_monotone_job,
+)
 
 
 def f_sign(x: Fraction) -> int:
@@ -272,6 +288,48 @@ class TestClassifyJobs:
         assert "small" not in vars(c) and "big" not in vars(c)
         assert (c.small, c.big) == ({5, 9}, {2})
         assert classify_jobs(inst, rat(1)).ids is inst.ids
+
+
+class TestScheduleForms:
+    def _list_schedule(self):
+        sched = solve(generate(GenConfig(n=40, m=16, seed=3))).schedule
+        assert sched.ints is not None and sched.scale == 10**6
+        return sched
+
+    def test_integer_form_equals_its_fractions(self):
+        sched = self._list_schedule()
+        given = fraction_schedule(*grid_rows(sched))
+        assert sched.ints is not None and given.ints is None
+        assert sched == given and given == sched
+        assert hash(sched) == hash(given) and repr(sched) == repr(given)
+        assert {sched, given} == {given}
+        assert Schedule(placements=given.placements, makespan=given.makespan) == sched
+        scale, rows, makespan = grid_rows(sched)
+        assert int_schedule(scale, rows, makespan) == sched
+        moved = [rows[0][:3] + (rows[0][3] + 1, rows[0][4])] + rows[1:]
+        assert int_schedule(scale, moved, makespan) != sched
+        assert int_schedule(scale, rows, makespan + 1) != sched
+        assert sched != (sched.placements, sched.makespan)
+
+    def test_placements_are_built_once(self):
+        sched = self._list_schedule()
+        first = sched.placements
+        assert sched.placements is first
+        assert all(type(x) is Fraction for p in first for x in (p.start, p.duration))
+        assert [p.job_id for p in first] == sched.ints[0].tolist()
+        with pytest.raises(ValueError):
+            sched.ints[3][0] = 0  # the columns are read-only
+        with pytest.raises(AttributeError):
+            sched.makespan = Fraction(0)
+        assert pickle.loads(pickle.dumps(sched)) == sched
+
+    def test_empty_schedule_in_both_forms(self):
+        ints = Schedule.of_ints(7, tuple(np.zeros(0, dtype=np.int64) for _ in range(5)), Fraction(0))
+        for sched in (ints, Schedule((), Fraction(0)), make_schedule([])):
+            assert sched == ints and hash(sched) == hash(ints)
+            assert sched.placements == () and sched.makespan == 0
+            rep = validate_schedule(instance(2), sched)
+            assert rep.ok() and rep.makespan == 0 and type(rep.makespan) is Fraction
 
 
 def test_exact_arithmetic_roundtrip():

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from moldsched import (
+    GenConfig,
     Instance,
     Job,
     PlacedJob,
     Schedule,
     Violation,
     brute_force_opt,
+    generate,
     rat,
     ratio_report,
     solve,
@@ -20,7 +22,10 @@ from moldsched import (
 from moldsched.driver import initial_bounds
 from moldsched.model import make_schedule
 from moldsched.verify import _common_denominator
-from util import instance, job, random_instance
+from util import fraction_schedule, grid_rows, instance, int_schedule, job, random_instance
+
+# A prime quantum: generated times over it need the object-dtype grid.
+PRIME_Q = 10**15 + 37
 
 
 class TestValidateSchedule:
@@ -38,6 +43,22 @@ class TestValidateSchedule:
         kinds = {(v.kind, v.machine) for v in rep.violations}
         assert ("overlap", 3) in kinds
         assert not rep.feasible
+
+    def test_overlaps_in_machine_then_start_end_id_order(self):
+        # Machines in the order of their first placement (3 before 0); on each
+        # the parts sorted by (start, end, job id); each pair with the part
+        # before it.  Job 5 (machines 2-3) and job 4 tie on (start, end).
+        inst = instance(4, *(job(j, *[2] * 4) for j in (1, 2, 4, 5)))
+        sched = make_schedule([
+            PlacedJob(5, 2, 2, rat(1), rat(2)),
+            PlacedJob(4, 3, 1, rat(1), rat(2)),
+            PlacedJob(2, 0, 1, rat(1), rat(2)),
+            PlacedJob(1, 0, 1, rat(0), rat(2)),
+        ])
+        assert [v for v in validate_schedule(inst, sched).violations if v.kind == "overlap"] == [
+            Violation("overlap", (4, 5), machine=3, window=(Fraction(1), Fraction(3))),
+            Violation("overlap", (1, 2), machine=0, window=(Fraction(1), Fraction(2))),
+        ]
 
     def test_touching_intervals_are_fine(self):
         inst = instance(1, job(1, 2), job(2, 2))
@@ -164,6 +185,81 @@ class TestValidateSchedule:
             Violation("overlap", (20, 19), machine=0, window=(Fraction(18), Fraction(1279, 71))),
         )
         assert not rep.feasible and rep.contiguous and rep.makespan == Fraction(1207, 67)
+
+
+def _solver_outputs():
+    rng = random.Random(131)
+    insts = [random_instance(rng, rng.randint(1, 9), rng.randint(1, 7)) for _ in range(30)]
+    insts += [generate(GenConfig(n=30, m=12, seed=s)) for s in range(3)]
+    insts.append(generate(GenConfig(n=12, m=40, seed=3)))
+    insts.append(generate(GenConfig(n=25, m=9, seed=2, quantization_denominator=PRIME_Q)))
+    return [(inst, solve(inst).schedule) for inst in insts]
+
+
+def _mutants(rng, rows, makespan):
+    """(name, rows, makespan): the schedule as built and seeded mutants of it."""
+
+    def edit(col, change):
+        out = [list(r) for r in rows]
+        r = out[rng.randrange(len(out))]
+        r[col] = change(r[col])
+        return [tuple(r) for r in out]
+
+    i = rng.randrange(len(rows))
+    yield "as-built", rows, makespan
+    yield "start", edit(3, lambda s: s + rng.choice((-1, 1)) * rng.randint(1, 5)), makespan
+    yield "first-machine", edit(1, lambda f: f + rng.choice((-1, 1))), makespan
+    yield "width", edit(2, lambda k: k + 1), makespan
+    yield "duration", edit(4, lambda t: t + 1), makespan
+    yield "duplicate", rows[: i + 1] + rows[i:], makespan
+    yield "drop", rows[:i] + rows[i + 1 :], makespan
+    yield "unknown-id", edit(0, lambda j: 10**6), makespan
+    yield "negative-start", edit(3, lambda s: -1), makespan
+    yield "out-of-bounds", edit(1, lambda f: 10**3), makespan
+    yield "makespan", rows, makespan + 1
+
+
+class TestIntegerForm:
+    """The verifier reports the same on a schedule in integer form as on the
+    same schedule given as Fractions, field by field."""
+
+    def test_corpus_covers_both_forms_and_the_object_grid(self):
+        outputs = _solver_outputs()
+        assert {sched.ints is None for _, sched in outputs} == {True, False}  # shelves too
+        assert outputs[-1][1].ints[3].dtype == object
+
+    def test_solver_outputs_and_mutants(self):
+        rng = random.Random(137)
+        kinds = set()
+        for inst, sched in _solver_outputs():
+            given = Schedule(sched.placements, sched.makespan)
+            for contiguous in (True, False):
+                rep = validate_schedule(inst, sched, contiguous)
+                assert rep.ok() and rep == validate_schedule(inst, given, contiguous)
+            scale, rows, makespan = grid_rows(sched)
+            for name, mrows, mk in _mutants(rng, rows, makespan):
+                ints = int_schedule(scale, mrows, mk)
+                fractions = fraction_schedule(scale, mrows, mk)
+                for contiguous in (True, False):
+                    rep = validate_schedule(inst, ints, contiguous)
+                    assert rep == validate_schedule(inst, fractions, contiguous), name
+                    kinds.update(v.kind for v in rep.violations)
+                    if name == "as-built":
+                        assert rep.ok()
+                    elif name not in ("start", "first-machine", "width"):
+                        assert not rep.feasible, name  # a shift may land on free room
+        assert kinds >= {"overlap", "width", "start", "duration", "placement", "bounds",
+                         "missing", "unknown-job", "makespan"}
+
+    def test_integer_form_past_int64(self):
+        # Starts and an id past 2^63 are compared as exact ints.
+        big = 2**64
+        inst = instance(1, job(big, 2), job(2, 2))
+        rows = [(big, 0, 1, big, 2 * big), (2, 0, 1, 2 * big, 2 * big)]
+        for mk in (4 * big, 3 * big):
+            for r in (rows, rows[::-1], [rows[0], (2, 0, 1, 3 * big - 1, 2 * big)]):
+                want = validate_schedule(inst, fraction_schedule(big, r, mk))
+                assert validate_schedule(inst, int_schedule(big, r, mk)) == want
 
 
 def test_verify_is_independent_of_the_construction():

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from moldsched import Instance, Job, rat
+from moldsched import Instance, Job, PlacedJob, Schedule, rat
 from moldsched.mckp import Infeasible, MckpItems, MckpSolution, _options, _solution
-from moldsched.model import int_matrix
+from moldsched.model import int_array, int_matrix
 
 
 def job(job_id, *times) -> Job:
@@ -39,6 +40,31 @@ def random_monotone_job(rng: random.Random, job_id: int, m: int, hi: int = 400) 
 
 def random_instance(rng: random.Random, n: int, m: int) -> Instance:
     return Instance(m, tuple(random_monotone_job(rng, i + 1, m) for i in range(n)))
+
+
+def int_schedule(scale: int, rows, makespan: int) -> Schedule:
+    """A schedule in integer form: rows of (job, first machine, width, start,
+    duration) with start, duration and makespan in units of 1/scale."""
+    columns = [int_array(c) for c in zip(*rows)] if rows else [np.zeros(0, np.int64)] * 5
+    return Schedule.of_ints(scale, tuple(columns), Fraction(makespan, scale))
+
+
+def fraction_schedule(scale: int, rows, makespan: int) -> Schedule:
+    """The same schedule given as PlacedJobs with Fraction times."""
+    placements = tuple(
+        PlacedJob(j, i, k, Fraction(s, scale), Fraction(t, scale)) for j, i, k, s, t in rows
+    )
+    return Schedule(placements, Fraction(makespan, scale))
+
+
+def grid_rows(sched: Schedule) -> tuple[int, list[tuple], int]:
+    """(L, rows, makespan * L) of a schedule, L the lcm of its denominators."""
+    ps = sched.placements
+    scale = math.lcm(sched.makespan.denominator,
+                     *(x.denominator for p in ps for x in (p.start, p.duration)))
+    rows = [(p.job_id, p.first_machine, p.width, int(p.start * scale), int(p.duration * scale))
+            for p in ps]
+    return scale, rows, int(sched.makespan * scale)
 
 
 def items_of(rows, ids=None) -> MckpItems:
