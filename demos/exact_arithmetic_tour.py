@@ -32,7 +32,8 @@ print(f"knapsack options at guess d = {d} (integer cost = work * Q, half-machine
 labels = ("full height", "4/7 height", "3/7 height")
 for label, cost, size2 in zip(labels, items.cost[0].tolist(), items.size2[0].tolist()):
     print(f"  {label:11s}: cost {cost} (work {Fraction(cost, q)}), size {size2}")
-print("chosen:", solve_mckp(items, inst.m).assignment)
+pick = solve_mckp(items, inst.m)  # one class per knapsack item, in item order
+print("minimum-cost pick, job id -> class:", dict(zip(items.ids, pick)))
 
 print("\nthe worst-case stretch is the root of ln(x) = 3x - 4 near 1.4593,")
 print("bracketed from above by exact bisection:")

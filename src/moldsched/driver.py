@@ -13,7 +13,8 @@ builds the certified fallback from the same partition, picking its stretch
 lam, and the shelf schedule provably ends by lam*d; the shorter of the two
 is returned.  ``lambda_used`` is the smallest of 10/7, 13/9 and
 ``LAMBDA_STAR_UPPER`` whose bound the returned schedule meets, which gives
-makespan <= lambda_used * (1 + eps) * OPT.
+makespan <= lambda_used * (1 + eps) * OPT.  ``try_guess`` is one round on
+its own: the verified shelves of the pick that accepts its d.
 """
 
 from __future__ import annotations
@@ -81,19 +82,21 @@ def initial_bounds(inst: Instance) -> SearchBounds:
 
 
 def try_guess(inst: Instance, d: Fraction) -> Union[Schedule, mckp.Reject]:
-    """One dual-approximation round: schedule within lam*d or Reject (d < OPT)."""
+    """One dual-approximation round: Reject (d < OPT), or the shelf schedule
+    of the partition that accepted d, verified within lam*d."""
     outcome = _attempt(inst, d)
     if isinstance(outcome, mckp.Reject):
         return outcome
-    return _build(inst, d, *outcome[:2])[0]
+    cls, assignment, _ = outcome
+    return _shelves(inst, d, cls, assignment, {"verify": 0.0})[0]
 
 
 def _attempt(
     inst: Instance, d: Fraction
-) -> Union[tuple[JobClassification, mckp.MckpItems, mckp.Verdict], mckp.Reject]:
-    """The knapsack decision for d: (classes, knapsack items, the accepting
-    verdict) or Reject (d < OPT).  Raise ShelfInvariantError unless the
-    verdict's pick, recounted in exact integers, is one available class of
+) -> Union[tuple[JobClassification, dict[int, int], mckp.Verdict], mckp.Reject]:
+    """The knapsack decision for d: (classes, the accepting pick as job id ->
+    class, the verdict) or Reject (d < OPT).  Raise ShelfInvariantError
+    unless the pick, recounted in exact integers, is one available class of
     each item, fits 2m half-machines and costs the verdict's cost <= budget."""
     cls = classify_jobs(inst, d)
     items = mckp.build_items(inst, cls.big, d)
@@ -114,16 +117,7 @@ def _attempt(
             f"partition by {verdict.by} at d={d} fails its recount: "
             f"(cost, size2) {totals}, verdict cost {verdict.cost}, budget {budget}"
         )
-    return cls, items, verdict
-
-
-def _build(
-    inst: Instance, d: Fraction, cls: JobClassification, items: mckp.MckpItems
-) -> tuple[Schedule, Fraction]:
-    """Shelf schedule and stretch lam for an accepted d, verified within
-    lam*d, from the DP's minimum-cost partition."""
-    assignment = mckp.solve_mckp(items, inst.m).assignment
-    return _shelves(inst, d, cls, assignment, {"verify": 0.0})
+    return cls, dict(zip(items.ids, verdict.pick)), verdict
 
 
 def _shelves(
@@ -221,8 +215,7 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
             lower = d
         else:
             upper, accepted = d, outcome
-    cls, items, verdict = accepted
-    assignment = dict(zip(items.ids, verdict.pick))
+    cls, assignment, verdict = accepted
     timings = {"mckp": time.perf_counter() - t0}
 
     schedule, lam, construction = _construct(inst, upper, cls, assignment, timings)

@@ -19,18 +19,19 @@ floor((m*d - W_S)*Q).
 ``decide`` settles that verdict first by two exact certificates on integer
 costs: an integral greedy assignment within capacity and budget accepts, a
 Lagrangian lower bound above the budget rejects.  Both are array operations
-over all items at once.  Only a guess both leave open runs the DP.  An
-accepting verdict carries its partition, the greedy's or the DP's: the list
-schedule places it, and the shelves build from it when that falls back.
+over all items at once.  Only a guess both leave open runs the DP.  A
+partition is a pick, one class per item in item order; an accepting verdict
+carries its own, the greedy's or the DP's, and every schedule built at that
+guess reads it.
 
-The DP divides the costs by their gcd and runs one suffix table over (job,
-capacity): one rolling row of keys, each cell's (total cost, total size)
-packed into one integer, and an int8 table of the class chosen per cell,
-walked forward once to read off the assignment.  The key row is int64 while
-the packed totals fit comfortably, and exact Python ints (numpy object
-dtype) otherwise, so the arithmetic never wraps.  Ties resolve to minimum
-cost, then minimum total size, then the lowest class index per job in input
-order.
+``solve_mckp`` is that DP and returns its pick.  It divides the costs by
+their gcd and runs one suffix table over (job, capacity): one rolling row of
+keys, each cell's (total cost, total size) packed into one integer, and an
+int8 table of the class chosen per cell, walked forward once to read off the
+pick.  The key row is int64 while the packed totals fit comfortably, and
+exact Python ints (numpy object dtype) otherwise, so the arithmetic never
+wraps.  Ties resolve to minimum cost, then minimum total size, then the
+lowest class index per job in input order.
 """
 
 from __future__ import annotations
@@ -65,26 +66,12 @@ class MckpItems:
 
 
 @dataclass(frozen=True)
-class MckpSolution:
-    assignment: dict[int, int]  # job id -> class in {1, 2, 3}
-    total_cost: int
-    total_size2: int
-
-
-@dataclass(frozen=True)
 class Reject:
     """The guess d is certified too small (some job cannot finish within d)."""
 
     d: Fraction
     reason: str
     job_id: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """No class assignment fits the half-machine capacity."""
-
-    reason: str = "capacity"
 
 
 @dataclass(frozen=True)
@@ -136,41 +123,35 @@ def pick_totals(items: MckpItems, pick: Optional[Sequence[int]]) -> Optional[tup
     return sum(items.cost[picked].tolist()), int(items.size2[picked].sum())
 
 
-def _solution(items: MckpItems, choice: Sequence[int]) -> MckpSolution:
-    return MckpSolution(dict(zip(items.ids, choice)), *pick_totals(items, choice))
-
-
-def solve_mckp(items: MckpItems, m: int) -> Union[MckpSolution, Infeasible]:
-    """Minimize total cost subject to total size <= 2m.
+def solve_mckp(items: MckpItems, m: int) -> Optional[tuple[int, ...]]:
+    """The pick of minimum total cost within total size 2m, or None when no
+    pick fits (an item without options included).
 
     One DP in O(n*m) time, holding one key row and an n x (2m+1) int8 table.
 
-    Among minimum-cost assignments the one with the smallest total size is
+    Among minimum-cost picks the one with the smallest total size is
     returned; remaining ties resolve to the lowest class index per job,
     scanning jobs in input order.
     """
-    if not items.avail.any(axis=1).all():
-        return Infeasible("item-has-no-option")
     unit = int(np.gcd.reduce(items.cost.ravel())) or 1
     max_total = sum(items.cost.max(axis=1, initial=0).tolist())
-    choice = _dp(items, items.cost // unit, 2 * m, max_total // unit)
-    if choice is None:
-        return Infeasible()
-    return _solution(items, choice)
+    return _dp(items, items.cost // unit, 2 * m, max_total // unit)
 
 
-def _dp(items: MckpItems, scaled: np.ndarray, cap: int, max_total: int) -> Optional[list[int]]:
+def _dp(
+    items: MckpItems, scaled: np.ndarray, cap: int, max_total: int
+) -> Optional[tuple[int, ...]]:
     """Suffix DP over items n-1..0 with one rolling key row and a choice table.
 
     A key packs (total cost, total size) into cost*(cap+1) + size; sizes stay
     within cap, so integer order on keys is lexicographic (cost, size) order.
-    After item j, key[c] is the minimum over assignments of items j..n-1 with
+    After item j, key[c] is the minimum over picks of items j..n-1 with
     total size <= c, and choice[j, c] is the lowest class reaching it: classes
     are tried in order and one replaces the current best only when strictly
-    smaller.  The sentinel (max_total+1)*(cap+1) marks capacities no
-    assignment fits; keys are int64 while it is at most 2^59, otherwise exact
-    Python ints.  The suffix orientation lets the selection walk jobs forward
-    in input order.
+    smaller.  The sentinel (max_total+1)*(cap+1) marks capacities no pick
+    fits; keys are int64 while it is at most 2^59, otherwise exact Python
+    ints.  The suffix orientation lets the selection walk jobs forward in
+    input order.
     """
     width = cap + 1
     inf = (max_total + 1) * width
@@ -195,7 +176,7 @@ def _dp(items: MckpItems, scaled: np.ndarray, cap: int, max_total: int) -> Optio
         cls = int(choice[j, c])
         picks.append(cls)
         c -= sizes[j][cls - 1]
-    return picks
+    return tuple(picks)
 
 
 def decide(items: MckpItems, m: int, budget: int) -> Verdict:
@@ -254,8 +235,9 @@ def decide(items: MckpItems, m: int, budget: int) -> Verdict:
     lower = int(np.where(avail, priced, priced[rows, k0, None]).min(axis=1).sum()) - p * cap
     if lower > r * budget:
         return Verdict("work-budget", "bound", Fraction(lower, r))
-    solution = solve_mckp(items, m)
-    if solution.total_cost > budget:
-        return Verdict("work-budget", "dp", solution.total_cost)
-    return Verdict(None, "dp", solution.total_cost, tuple(solution.assignment.values()))
+    pick = solve_mckp(items, m)  # the capacity check above leaves one that fits
+    dp_cost = pick_totals(items, pick)[0]
+    if dp_cost > budget:
+        return Verdict("work-budget", "dp", dp_cost)
+    return Verdict(None, "dp", dp_cost, pick)
 

@@ -224,9 +224,9 @@ def build_three_shelf(
     3-machine job, recorded as two split lanes.
 
     Precondition: the assignment's total half-machine size (each job's
-    ``size2`` at its class in the ``build_items`` arrays) is at most 2m, as
-    every accepting ``decide`` pick and ``solve_mckp`` solution is. Past that
-    capacity shelves 0 and 1 may need more than m machines, and the build
+    ``size2`` at its class in the ``build_items`` arrays) is at most 2m, as it
+    is for every accepting ``decide`` pick and every ``solve_mckp`` pick. Past
+    that capacity shelves 0 and 1 may need more than m machines, and the build
     then raises ShelfInvariantError.
     """
     if not LAMBDA_Q0 <= lam < Fraction(3, 2):

@@ -28,7 +28,7 @@ from moldsched import (
     validate_schedule,
 )
 from moldsched.driver import initial_bounds
-from util import const_work_job, instance, job, random_instance
+from util import const_work_job, dp_assignment, instance, items_at, job, random_instance
 
 RATIO_CAP = rat("1.4594") * rat("1.05")
 
@@ -177,8 +177,9 @@ class TestSolve:
     def test_one_knapsack_dp_per_solve(self, monkeypatch):
         # Exact bounds settle most guesses, and an accept carries the
         # partition that certified it: solve runs the DP once for each guess
-        # the bounds leave open and never again.  The try_guess probe still
-        # takes the DP's partition.
+        # the bounds leave open and never again.  The try_guess probe builds
+        # from the accepting pick, so it runs the DP only when the bounds
+        # leave the accepted guess open.
         calls, left_open = [], []
         dp, decide = mckp.solve_mckp, mckp.decide
 
@@ -190,7 +191,7 @@ class TestSolve:
 
         monkeypatch.setattr(mckp, "solve_mckp", lambda *a: calls.append(a[0]) or dp(*a))
         monkeypatch.setattr(mckp, "decide", recording_decide)
-        opened = {}
+        opened, probed = {}, {}
         for seed in (1, 5):
             calls.clear()
             left_open.clear()
@@ -201,17 +202,19 @@ class TestSolve:
             opened[seed] = len(calls)
             calls.clear()
             assert not isinstance(try_guess(inst, r.accepted_d), Reject)
-            assert len(calls) == 1
+            assert len(calls) == (r.partition_by == "dp")
+            probed[seed] = len(calls)
         assert opened == {1: 0, 5: 1}
+        assert probed == {1: 0, 5: 0}  # both accepted guesses are bound accepts
 
     @pytest.mark.parametrize("n, m, seed", [(40, 100, 1), (20, 50, 5)])
     def test_open_accepted_guess_builds_from_the_dps_partition(self, n, m, seed):
         # The bounds leave the last accepted guess of these solves open.
         inst = generate(GenConfig(n=n, m=m, seed=seed))
         r = solve(inst, Fraction(1, 1000))
-        cls, items, verdict = driver._attempt(inst, r.accepted_d)
+        cls, assignment, verdict = driver._attempt(inst, r.accepted_d)
         assert r.partition_by == verdict.by == "dp"
-        assert r.mckp_assignment == mckp.solve_mckp(items, inst.m).assignment
+        assert r.mckp_assignment == assignment == dp_assignment(inst, r.accepted_d)
         assert r.construction == "list"
         assert r.schedule == listsched.list_schedule(
             inst, r.accepted_d, r.mckp_assignment, cls.small)
@@ -219,10 +222,11 @@ class TestSolve:
     def test_bound_accepted_guess_builds_from_the_greedy_pick(self):
         inst = generate(GenConfig(n=80, m=800, seed=1))
         r = solve(inst, Fraction(1, 1000))
-        _, items, verdict = driver._attempt(inst, r.accepted_d)
+        _, assignment, verdict = driver._attempt(inst, r.accepted_d)
         assert r.partition_by == verdict.by == "bound"
-        assert r.mckp_assignment == dict(zip(items.ids, verdict.pick))
-        best = mckp.solve_mckp(items, inst.m).total_cost
+        items = items_at(inst, r.accepted_d)
+        assert r.mckp_assignment == assignment == dict(zip(items.ids, verdict.pick))
+        best = mckp.pick_totals(items, mckp.solve_mckp(items, inst.m))[0]
         assert best <= mckp.pick_totals(items, verdict.pick)[0] == verdict.cost
 
     def test_debug_log_names_the_certificate(self, caplog):
@@ -236,6 +240,16 @@ class TestSolve:
         for line in rejects:
             cost, budget = re.fullmatch(r"d=\S+ .*: cost (\S+), budget (\S+)", line).groups()
             assert Fraction(cost) > Fraction(budget)  # a lower bound above the budget
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (Fraction(1, 10**13), Fraction(2, 10**13)),  # the float mid rounds to 0
+    (Fraction(1), Fraction(10**400)),            # hi overflows a float
+])
+def test_geometric_mid_falls_back_to_the_arithmetic_mid(lo, hi):
+    mid = driver._geometric_mid(lo, hi)
+    assert lo < mid < hi
+    assert mid == (lo + hi) / 2
 
 
 def test_non_monotone_input_gives_a_verified_schedule_or_an_invariant_error():

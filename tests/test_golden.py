@@ -4,10 +4,15 @@ Each schedule's (makespan, accepted_d, lambda, placements) is hashed with
 sha256; a refactor must keep every hash unless the change explains why the
 schedules moved.  Two sets are recorded:
 
-  golden_hashes.json        the shelf schedule that ``driver._build`` makes
-                            at each solve's accepted d, with its stretch;
+  golden_hashes.json        the shelf schedule, with its stretch, that
+                            ``driver._shelves`` builds from the knapsack DP's
+                            minimum-cost pick at each solve's accepted d;
                             recorded when solve returned it, never re-recorded
   golden_solve_hashes.json  what ``solve`` returns
+
+``try_guess`` builds its shelves from the pick that accepted d, the greedy's
+where the knapsack bounds settle d; on five instances that pick is not the
+DP's minimum and its shelves differ from the recorded ones.
 
 The corpus covers a seeded random grid, tiny instances, the adversarial
 instance, and constant-work instances whose works have distinct large-prime
@@ -27,11 +32,10 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from moldsched import Instance, Reject, adversarial_instance, rat, solve
-from moldsched.driver import _attempt, _build
+from moldsched import Instance, Reject, adversarial_instance, driver, rat, solve, try_guess
 from moldsched.mckp import build_items
 from moldsched.model import classify_jobs
-from util import const_work_job, instance, job, options, random_instance
+from util import const_work_job, dp_shelves, instance, job, options, random_instance
 
 GOLDEN = Path(__file__).with_name("golden_hashes.json")
 GOLDEN_SOLVE = Path(__file__).with_name("golden_solve_hashes.json")
@@ -107,7 +111,7 @@ def shelf_digest(inst: Instance, result) -> str:
     if not inst.jobs:
         return solve_digest(result)
     d = result.accepted_d
-    sched, lam = _build(inst, d, *_attempt(inst, d)[:2])
+    sched, lam = dp_shelves(inst, d)
     return digest(sched, d, lam)
 
 
@@ -144,6 +148,25 @@ def test_golden_hashes():
 
 def test_golden_solve_hashes():
     _check(GOLDEN_SOLVE, {name: solve_digest(result) for name, _, result in solved()})
+
+
+def test_try_guess_builds_from_the_solves_partition():
+    # At a solve's accepted d, try_guess builds the shelves of the partition
+    # the solve reports, and it differs from the DP minimum's exactly where
+    # a greedy pick above the minimum accepted d.
+    moved = []
+    for name, inst, result in solved():
+        if not inst.jobs:
+            continue
+        d = result.accepted_d
+        cls = classify_jobs(inst, d)
+        own, _ = driver._shelves(inst, d, cls, result.mckp_assignment, {"verify": 0.0})
+        sched = try_guess(inst, d)
+        assert sched == own, name
+        if sched != dp_shelves(inst, d)[0]:
+            assert result.partition_by == "bound", name
+            moved.append(name)
+    assert moved == ["grid-6-7-1", "grid-10-4-3", "grid-16-20-1", "grid-24-20-0", "grid-24-20-2"]
 
 
 if __name__ == "__main__":

@@ -21,7 +21,15 @@ from moldsched.model import (
     validate_instance,
 )
 from moldsched.verify import validate_schedule
-from util import const_work_job, instance, options, random_instance
+from util import (
+    const_work_job,
+    dp_assignment,
+    dp_shelves,
+    instance,
+    items_at,
+    options,
+    random_instance,
+)
 
 # ---------------------------------------------------------------------------
 # the Fraction implementations the grid replaced, kept as the reference
@@ -170,11 +178,11 @@ class TestDpStaysOnInt64:
                            max_total))
             return dp(items, scaled, cap, max_total)
 
-        # The solve's bounds settle every guess; the try_guess probe at its
-        # accepted guess runs the DP on the solve's items.
+        # The solve's bounds settle every guess; the DP runs here on the
+        # items of its accepted guess.
         d = solve(inst).accepted_d
         monkeypatch.setattr(mckp, "_dp", recording_dp)
-        assert not isinstance(driver.try_guess(inst, d), Reject)
+        assert mckp.solve_mckp(items_at(inst, d), inst.m) is not None
         assert totals
         for raw, reduced in totals:
             assert raw > _INT64_SAFE_TOTAL >= reduced
@@ -196,7 +204,7 @@ class TestGridBeyondFloatRange:
         assert q.bit_length() > 1100 and a.dtype == object
         d = Fraction(21, 20)  # job 2's options cost 1, 6/5 and 27/20 at sizes 2, 2, 0
         items = mckp.build_items(inst, classify_jobs(inst, d).big, d)
-        best = mckp.solve_mckp(items, self.M).total_cost
+        best = mckp.pick_totals(items, mckp.solve_mckp(items, self.M))[0]
         for budget in (best - 1, best, best + q):
             verdict = mckp.decide(items, self.M, budget)
             assert (verdict.reason is None) == (best <= budget)
@@ -338,8 +346,7 @@ class TestTimesView:
         for config in configs:
             inst = generate(config)
             d = solve(inst).accepted_d
-            cls, items, _ = driver._attempt(inst, d)
-            assignment = mckp.solve_mckp(items, inst.m).assignment
+            cls, assignment = classify_jobs(inst, d), dp_assignment(inst, d)
             with monkeypatch.context() as mp:
                 for name in ("__getitem__", "__iter__"):
                     mp.setattr(Times, name, counting(getattr(Times, name), reads, name))
@@ -347,6 +354,6 @@ class TestTimesView:
                     mp.setattr(shelf, name, counting(getattr(shelf, name), repairs, name))
                 layout, lam = shelf.shelf_layout(inst, assignment, d)
                 sched = shelf.add_small_jobs(layout, inst, cls.small)
-            assert (sched, lam) == driver._build(inst, d, cls, items)
+            assert (sched, lam) == dp_shelves(inst, d)
         assert reads == {}
         assert repairs["repair_s2_small_q"] and repairs["repair_s2_large_q"]

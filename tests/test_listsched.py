@@ -17,10 +17,10 @@ from moldsched import (
     solve,
     validate_schedule,
 )
-from moldsched import driver, listsched, shelf
+from moldsched import listsched, shelf
 from moldsched.listsched import list_schedule, window_max
 from moldsched.model import Schedule, classify_jobs
-from util import instance, job
+from util import dp_shelves, instance, job
 
 
 def _brute_window_max(x, k):
@@ -117,7 +117,7 @@ class TestFallback:
     CONFIG = GenConfig(n=20, m=10, seed=5)
 
     def _shelf(self, inst, d):
-        sched, lam = driver._build(inst, d, *driver._attempt(inst, d)[:2])
+        sched, lam = dp_shelves(inst, d)
         assert lam == LAMBDA_STAR_UPPER
         assert LAMBDA_Q0 * d < sched.makespan <= LAMBDA_SMALL_Q * d
         return sched

@@ -7,10 +7,10 @@ import pytest
 
 from moldsched import Reject, driver, mckp, rat
 from moldsched.mckp import (
-    Infeasible,
     MckpItems,
     build_items,
     decide,
+    pick_totals,
     solve_mckp,
 )
 from moldsched.model import classify_jobs
@@ -58,6 +58,16 @@ def dp_total(items) -> int:
     return sum(max(row, default=0) for row in costs) // unit
 
 
+def cost_of(items, pick):
+    """The exact total cost of a pick, None for no pick."""
+    return None if pick is None else pick_totals(items, pick)[0]
+
+
+def assert_same_pick(items, got, ref, *context):
+    """The DP's pick is the oracle's, and so are its exact totals."""
+    assert got == ref, context
+    assert pick_totals(items, got) == pick_totals(items, ref), context
+
 
 class TestBuildItems:
     def test_hand_example(self):
@@ -102,23 +112,33 @@ class TestBuildItems:
 
 class TestSolveMckp:
     def test_empty(self):
-        sol = solve_mckp(items_of([]), 5)
-        assert sol.assignment == {}
-        assert sol.total_cost == 0
-        assert sol.total_size2 == 0
+        items = items_of([])
+        pick = solve_mckp(items, 5)
+        assert pick == ()
+        assert pick_totals(items, pick) == (0, 0)
 
     def test_single_item_over_capacity(self):
         items = items_of([[(1, 2 * 3 + 2), None, None]])
-        assert isinstance(solve_mckp(items, 3), Infeasible)
+        assert solve_mckp(items, 3) is None
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_item_without_options(self, big):
+        # No pick exists when one item has no class at all, whichever dtype
+        # the DP's keys take.
+        c = 1 << 70 if big else 5
+        items = items_of([[(c, 2), (c + 1, 1), None], [None, None, None]])
+        assert (dp_total(items) > 1 << 59) == big
+        assert solve_mckp(items, 3) is None
+        assert brute_mckp(items, 3) is None
 
     def test_all_class3_available_feasible(self):
         rng = random.Random(5)
         items = random_items(rng, 8, 4)
         items = items_of([row[:2] + [(1, 0)] for row in options(items)])
         sol = solve_mckp(items, 4)
-        assert not isinstance(sol, Infeasible)
+        assert sol is not None
         ref = brute_mckp(items, 4)
-        assert sol.total_cost == ref.total_cost
+        assert cost_of(items, sol) == cost_of(items, ref)
 
     def test_full_ties_pick_lowest_class_in_input_order(self):
         same = (2, 1)
@@ -130,8 +150,8 @@ class TestSolveMckp:
             [(1, 2), (2, 0), None],
         ])
         sol = solve_mckp(items, 2)
-        assert sol.assignment == {1: 2, 2: 1, 3: 1, 4: 2}
-        assert sol == brute_mckp(items, 2)
+        assert dict(zip(items.ids, sol)) == {1: 2, 2: 1, 3: 1, 4: 2}
+        assert_same_pick(items, sol, brute_mckp(items, 2))
 
     def test_overflow_totals_match_oracle(self):
         # Distinct large-prime denominators push the integer cost totals past
@@ -157,10 +177,8 @@ class TestSolveMckp:
             assert dp_total(items) > 1 << 59
             got = solve_mckp(items, m)
             ref = brute_mckp(items, m)
-            assert type(got) is type(ref)
-            if not isinstance(got, Infeasible):
-                assert got == ref
-                feasible += 1
+            assert_same_pick(items, got, ref)
+            feasible += got is not None
         assert feasible >= 20
 
     @pytest.mark.parametrize("m, total, int64_keys", [
@@ -184,7 +202,7 @@ class TestSolveMckp:
             items = items_of(rows)
             assert dp_total(items) == total
             assert ((total + 1) * (2 * m + 1) <= 1 << 59) == int64_keys
-            assert solve_mckp(items, m) == brute_mckp(items, m)
+            assert_same_pick(items, solve_mckp(items, m), brute_mckp(items, m))
 
     def test_monotone_in_d(self):
         rng = random.Random(23)
@@ -200,21 +218,21 @@ class TestSolveMckp:
                 if isinstance(items, Reject):
                     costs.append(None)
                     continue
-                sol = solve_mckp(items, inst.m)
-                costs.append(None if isinstance(sol, Infeasible) else sol.total_cost)
+                costs.append(cost_of(items, solve_mckp(items, inst.m)))
             if costs[0] is not None and costs[1] is not None:
                 assert costs[0] >= costs[1]
 
 
 class TestBruteMckp:
     def test_empty(self):
-        sol = brute_mckp(items_of([]), 3)
-        assert sol.total_cost == 0 and sol.assignment == {}
+        items = items_of([])
+        sol = brute_mckp(items, 3)
+        assert cost_of(items, sol) == 0 and sol == ()
 
     def test_single_item_picks_cheapest_fitting(self):
         items = items_of([[(5, 1), (3, 2), (9, 0)]], ids=[7])
         sol = brute_mckp(items, 2)
-        assert sol.assignment == {7: 2}
+        assert dict(zip(items.ids, sol)) == {7: 2}
 
     def test_size_cap(self):
         rng = random.Random(3)
@@ -229,13 +247,7 @@ class TestBruteMckp:
             items = random_items(rng, n, m)
             got = solve_mckp(items, m)
             ref = brute_mckp(items, m)
-            if isinstance(ref, Infeasible):
-                assert isinstance(got, Infeasible), trial
-            else:
-                assert not isinstance(got, Infeasible), trial
-                assert got.total_cost == ref.total_cost, trial
-                assert got.total_size2 == ref.total_size2, trial
-                assert got.assignment == ref.assignment, trial
+            assert_same_pick(items, got, ref, trial)
 
     def test_oracle_equality_on_instances(self):
         rng = random.Random(37)
@@ -247,16 +259,14 @@ class TestBruteMckp:
             assert not isinstance(items, Reject)
             got = solve_mckp(items, inst.m)
             ref = brute_mckp(items, inst.m)
-            assert type(got) is type(ref)
-            if not isinstance(got, Infeasible):
-                assert got == ref
+            assert_same_pick(items, got, ref)
 
 
-def _verdict(solution, budget):
-    """The Reject reason a knapsack solution implies, or None to accept."""
-    if isinstance(solution, Infeasible):
+def _verdict(items, pick, budget):
+    """The Reject reason a knapsack pick implies, or None to accept."""
+    if pick is None:
         return "mckp-infeasible"
-    return "work-budget" if solution.total_cost > budget else None
+    return "work-budget" if cost_of(items, pick) > budget else None
 
 
 class TestDecide:
@@ -270,15 +280,17 @@ class TestDecide:
         half = min_size // 2
         for m in {m0, max(half - 1, 0), half, -(-min_size // 2), half + 2}:
             sol = solve_mckp(items, m)
-            ref = None if len(items) > 14 else brute_mckp(items, m)
-            assert type(ref) in (type(sol), type(None))
-            base = 0 if isinstance(sol, Infeasible) else sol.total_cost
+            oracle = len(items) <= 14
+            if oracle:
+                ref = brute_mckp(items, m)
+                assert_same_pick(items, sol, ref)
+            base = cost_of(items, sol) or 0
             step = abs(base) // 50 + 1
             for budget in (base - 1, base, base + 1, base - step, base + step):
                 got = decide(items, m, budget)
-                assert got.reason == _verdict(sol, budget), (items, m, budget, got)
-                if ref is not None:
-                    assert got.reason == _verdict(ref, budget)
+                assert got.reason == _verdict(items, sol, budget), (items, m, budget, got)
+                if oracle:
+                    assert got.reason == _verdict(items, ref, budget)
                 by[got.by, got.reason] = by.get((got.by, got.reason), 0) + 1
 
     @staticmethod
@@ -326,7 +338,7 @@ class TestDecide:
         dp = mckp.solve_mckp
         monkeypatch.setattr(mckp, "solve_mckp", lambda *a: calls.append(a) or dp(*a))
         assert decide(items, 2, 9) == mckp.Verdict(None, "dp", 9, (1, 2))
-        assert decide(items, 2, 9).pick == tuple(dp(items, 2).assignment.values())
+        assert decide(items, 2, 9).pick == dp(items, 2)
         assert decide(items, 2, 8) == mckp.Verdict("work-budget", "dp", 9)
         assert len(calls) == 3
         # Budget 10 accepts the greedy's own pick, above the DP's minimum.
@@ -374,17 +386,18 @@ def ref_decide(items, m, budget):
     lower = sum(min(r * c + p * s for c, s, _ in o) for o in opts) - p * cap
     if lower > r * budget:
         return mckp.Verdict("work-budget", "bound", Fraction(lower, r))
-    solution = solve_mckp(items, m)
-    if solution.total_cost > budget:
-        return mckp.Verdict("work-budget", "dp", solution.total_cost)
-    return mckp.Verdict(None, "dp", solution.total_cost, tuple(solution.assignment.values()))
+    pick = solve_mckp(items, m)
+    dp_cost = cost_of(items, pick)
+    if dp_cost > budget:
+        return mckp.Verdict("work-budget", "dp", dp_cost)
+    return mckp.Verdict(None, "dp", dp_cost, pick)
 
 
 class TestDecideMatchesReference:
     """The array decide returns the per-item reference's Verdict exactly:
     reason, certificate, cost and pick.  An accept's pick is one available
     class per item within capacity and budget at the verdict's cost, and
-    the DP's own assignment when the cheapest options already fit."""
+    the DP's own pick when the cheapest options already fit."""
 
     @staticmethod
     def _check(items, m0, by):
@@ -394,7 +407,7 @@ class TestDecideMatchesReference:
         half = min_size // 2
         for m in {m0, max(half - 1, 0), half, -(-min_size // 2), half + 2}:
             sol = solve_mckp(items, m)
-            base = 0 if isinstance(sol, Infeasible) else sol.total_cost
+            base = cost_of(items, sol) or 0
             step = abs(base) // 50 + 1
             for budget in (base - 1, base, base + 1, base - step, base + step, 2 * base + 1):
                 got = decide(items, m, budget)
@@ -406,7 +419,7 @@ class TestDecideMatchesReference:
                 cost, size = mckp.pick_totals(items, got.pick)
                 assert size <= 2 * m and cost == got.cost <= budget, (opts, m, budget)
                 if cheapest_size <= 2 * m:
-                    assert got.pick == tuple(sol.assignment.values()), (opts, m, budget)
+                    assert got.pick == sol, (opts, m, budget)
 
     @staticmethod
     def _draw(rng, n, cost, size, none=0.15):

@@ -289,6 +289,11 @@ class TestClassifyJobs:
         assert (c.small, c.big) == ({5, 9}, {2})
         assert classify_jobs(inst, rat(1)).ids is inst.ids
 
+    @pytest.mark.parametrize("d", [0, rat("-1/2")])
+    def test_guess_must_be_positive(self, d):
+        with pytest.raises(ValueError, match="d must be positive"):
+            classify_jobs(instance(1, job(1, 3)), d)
+
 
 class TestScheduleForms:
     def _list_schedule(self):

@@ -9,14 +9,15 @@ from moldsched import (
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
+    GenConfig,
     Reject,
     ShelfInvariantError,
+    generate,
     rat,
     solve,
     validate_schedule,
 )
-from moldsched.driver import _attempt
-from moldsched.mckp import Infeasible, build_items, solve_mckp
+from moldsched.mckp import build_items, pick_totals, solve_mckp
 from moldsched.model import classify_jobs, gamma, make_schedule
 from moldsched.shelf import (
     ColumnPart,
@@ -33,7 +34,7 @@ from moldsched.shelf import (
     repair_s2_small_q,
     shelf_layout,
 )
-from util import const_work_job, instance, job, options, random_instance
+from util import const_work_job, dp_assignment, instance, job, options, random_instance
 
 D1 = rat(1)
 _STRETCHES = (LAMBDA_Q0, LAMBDA_SMALL_Q, LAMBDA_STAR_UPPER)
@@ -113,6 +114,22 @@ class TestBuildThreeShelf:
         with pytest.raises(ShelfInvariantError):
             build_three_shelf(inst, {1: 1, 2: 1}, D1, LAMBDA_Q0)
 
+    def test_overflow_diagnostic_lists_the_attached_shelves(self):
+        # Every big job of this solve's accepted guess forced into class 1
+        # needs one more machine than there are; the error carries the
+        # shelves built so far, and its diagnostic prints them.
+        inst = generate(GenConfig(n=20, m=6, seed=4))
+        d = solve(inst).accepted_d
+        big = classify_jobs(inst, d).big
+        with pytest.raises(ShelfInvariantError) as info:
+            build_three_shelf(inst, dict.fromkeys(big, 1), d, LAMBDA_Q0)
+        assert info.value.shelf is not None
+        message, *lines = info.value.diagnostic().splitlines()
+        assert message == str(info.value) == "shelves 0+1 need 7 > m = 6 machines"
+        assert lines[0].startswith("shelf schedule: m=6 ")
+        (s1,) = [line for line in lines if line.lstrip().startswith("s1:")]
+        assert s1.count("[w=1 ") == 7
+
     def test_work_never_grows_through_pipeline(self):
         rng = random.Random(41)
         for _ in range(30):
@@ -122,11 +139,11 @@ class TestBuildThreeShelf:
             items = build_items(inst, cls.big, d)
             assert not isinstance(items, Reject)
             sol = solve_mckp(items, inst.m)
-            assert not isinstance(sol, Infeasible)
+            assert sol is not None
             budget = inst.m * d - cls.ws
-            total_cost = Fraction(sol.total_cost, inst.grid[0])  # costs are work * Q
+            total_cost = Fraction(pick_totals(items, sol)[0], inst.grid[0])  # costs are work * Q
             assert total_cost <= budget
-            ss = build_three_shelf(inst, sol.assignment, d, LAMBDA_Q0)
+            ss = build_three_shelf(inst, dict(zip(items.ids, sol)), d, LAMBDA_Q0)
             w_built = total_work(ss)
             assert w_built <= total_cost <= budget
             apply_transformations(ss)
@@ -351,7 +368,7 @@ class TestTransformationsMatchReference:
                 continue
             items = build_items(inst, cls.big, d)
             sol = None if isinstance(items, Reject) else solve_mckp(items, inst.m)
-            solved = None if sol is None or isinstance(sol, Infeasible) else sol.assignment
+            solved = None if sol is None else dict(zip(items.ids, sol))
             forced = _forced_partition(rng, inst, cls.big, d)
             for partition in (solved, forced):
                 if partition is None:
@@ -695,7 +712,7 @@ class TestForcedPartitionFuzz:
             if any(v is None for v in assignment.values()):
                 continue
             # The build's precondition: the partition fits the knapsack's 2m
-            # half-machine capacity, as every solve_mckp solution does.
+            # half-machine capacity, as every solve_mckp pick does.
             # Past it shelves 0 and 1 may need more than m machines.
             items = build_items(inst, cls.big, d)
             size2 = sum(row[assignment[job_id] - 1][1]
@@ -745,8 +762,7 @@ class TestLayout:
         for _ in range(200):
             inst = random_instance(rng, rng.randint(2, 14), rng.randint(2, 12))
             d = solve(inst).accepted_d
-            _, items, _ = _attempt(inst, d)
-            layout, lam = shelf_layout(inst, solve_mckp(items, inst.m).assignment, d)
+            layout, lam = shelf_layout(inst, dp_assignment(inst, d), d)
             _assert_gaps_are_exact(layout, inst.m, lam * d)
             hung += any(t < lam * d for t in layout.top)
         assert hung >= 15

@@ -31,7 +31,10 @@ def test_every_traced_name_is_counted(tmp_path):
         # n=6, m=4: the shelf schedule at the accepted guess ends in the
         # many-idle-machines repair for seed 2, in the few-idle-machines one
         # for seed 1.  Solves return the list schedule, so the shelves are
-        # driven through the per-guess contract.
+        # driven through the per-guess contract.  Their guesses are all
+        # settled by the knapsack bounds; the bounds leave guesses of the
+        # n=20, m=50, seed 5 solve at eps 1/1000 open, so the DP runs there.
+        driver.solve(gen.generate(GenConfig(n=20, m=50, seed=5)), Fraction(1, 1000))
         inst2 = gen.generate(GenConfig(n=6, m=4, seed=2))
         result = driver.solve(inst2)
         shelf_sched = driver.try_guess(inst2, result.accepted_d)

@@ -288,6 +288,9 @@ class TestBruteForceOpt:
         assert brute_force_opt(instance(1, job(1, 2), job(2, 2))) == 4
         assert brute_force_opt(instance(2, job(1, 4, 2), job(2, 4, 2))) == 4
 
+    def test_no_jobs(self):
+        assert brute_force_opt(instance(2)) == 0
+
     def test_caps(self):
         with pytest.raises(ValueError):
             brute_force_opt(instance(2, *[job(i, 1, 1) for i in range(1, 6)]))
@@ -332,3 +335,10 @@ class TestRatioReport:
         kind, ratio = rep.ratio_vs
         assert kind == "lower_bound"
         assert ratio >= 1 or r.makespan <= max(r.certified_lower, initial_bounds(inst).lower)
+
+    def test_empty_instance(self):
+        # No oracle for no jobs, and a zero makespan over a zero lower bound
+        # reads as ratio 1.
+        inst = instance(3)
+        rep = ratio_report(inst, solve(inst))
+        assert rep.ratio_vs == ("lower_bound", 1)

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from moldsched import Instance, Job, PlacedJob, Schedule, rat
-from moldsched.mckp import Infeasible, MckpItems, MckpSolution, _options, _solution
-from moldsched.model import int_array, int_matrix
+from moldsched import Instance, Job, PlacedJob, Reject, Schedule, driver, rat
+from moldsched.mckp import MckpItems, _options, build_items, solve_mckp
+from moldsched.model import classify_jobs, int_array, int_matrix
 
 
 def job(job_id, *times) -> Job:
@@ -89,17 +89,18 @@ def options(items: MckpItems) -> list[list]:
     ]
 
 
-def brute_mckp(items: MckpItems, m: int) -> MckpSolution | Infeasible:
+def brute_mckp(items: MckpItems, m: int) -> tuple[int, ...] | None:
     """Exhaustive oracle over all 3^n class vectors; n <= 14 enforced.
 
-    Applies the same tie-breaking as solve_mckp: minimum (cost, size), first
-    such vector in lexicographic class order.
+    Returns the pick, or None when none fits, with the same tie-breaking as
+    solve_mckp: minimum (cost, size), first such vector in lexicographic
+    class order.
     """
     if len(items) > 14:
         raise ValueError(f"brute_mckp is capped at 14 items, got {len(items)}")
     options = _options(items, items.cost)
     if not all(options):
-        return Infeasible("item-has-no-option")
+        return None
     cap, n = 2 * m, len(items)
     # Admissible per-item lower bounds on the remaining cost let the DFS prune
     # without ever cutting an equal-cost branch (ties matter for size/lex).
@@ -128,6 +129,24 @@ def brute_mckp(items: MckpItems, m: int) -> MckpSolution | Infeasible:
             dfs(j + 1, cost + c, size + s)
 
     dfs(0, 0, 0)
-    if best_choice is None:
-        return Infeasible()
-    return _solution(items, best_choice)
+    return None if best_choice is None else tuple(best_choice)
+
+
+def items_at(inst: Instance, d: Fraction) -> MckpItems:
+    """The knapsack items of the big jobs at a guess d every job can meet."""
+    items = build_items(inst, classify_jobs(inst, d).big, d)
+    assert not isinstance(items, Reject)
+    return items
+
+
+def dp_assignment(inst: Instance, d: Fraction) -> dict[int, int]:
+    """The DP's minimum-cost partition at an accepted d, job id -> class."""
+    items = items_at(inst, d)
+    return dict(zip(items.ids, solve_mckp(items, inst.m)))
+
+
+def dp_shelves(inst: Instance, d: Fraction) -> tuple[Schedule, Fraction]:
+    """The verified shelf schedule and stretch of the DP's minimum-cost
+    partition at an accepted d, built as try_guess builds the accepting one."""
+    cls = classify_jobs(inst, d)
+    return driver._shelves(inst, d, cls, dp_assignment(inst, d), {"verify": 0.0})
