@@ -5,16 +5,17 @@ of the big jobs fits the work budget) or certifies d < OPT.  The search needs
 only these verdicts, which exact knapsack bounds mostly settle without the
 DP.  An accept carries the partition that certified it, the greedy's or,
 for a guess the bounds left open, the DP's, recounted in exact integers.
-At the last accepted d the jobs are list-scheduled at that partition's
-allotment: each big job on its canonical machine count at its class height,
-each small job on one machine.  When that verified schedule ends by 10/7*d
-it is returned and no shelves are built.  Otherwise ``shelf.shelf_layout``
-builds the certified fallback from the same partition, picking its stretch
-lam, and the shelf schedule provably ends by lam*d; the shorter of the two
-is returned.  ``lambda_used`` is the smallest of 10/7, 13/9 and
-``LAMBDA_STAR_UPPER`` whose bound the returned schedule meets, which gives
-makespan <= lambda_used * (1 + eps) * OPT.  ``try_guess`` is one round on
-its own: the verified shelves of the pick that accepts its d.
+At the last accepted d the jobs are list-scheduled at that pick's
+allotment: each big job on the machine count its item counted at its class
+height, each job outside the partition (a small one) on one machine.  When
+that verified schedule ends by 10/7*d it is returned and no shelves are
+built.  Otherwise ``shelf.shelf_layout`` builds the certified fallback from
+the same partition, picking its stretch lam, and the shelf schedule provably
+ends by lam*d; the shorter of the two is returned.  ``lambda_used`` is the
+smallest of 10/7, 13/9 and ``LAMBDA_STAR_UPPER`` whose bound the returned
+schedule meets, which gives makespan <= lambda_used * (1 + eps) * OPT.
+``try_guess`` is one round on its own: the verified shelves of the pick that
+accepts its d.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+import numpy as np
+
 from . import listsched, mckp, shelf
 from .model import (
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
     Instance,
-    JobClassification,
     Schedule,
     classify_jobs,
     make_schedule,
@@ -56,9 +58,10 @@ class SolveResult:
     makespan: Fraction
     iterations: int
     # Wall seconds: "mckp" is the whole search, rejected guesses and the DP
-    # of every guess the bounds left open included; "list" is the list
-    # schedule there, "shelf" and "small" the fallback shelf build (0.0 when
-    # it is skipped), "verify" every verification of a built schedule.
+    # of every guess the bounds left open included; "list" is the accepted
+    # pick's allotment and partition dict and the list schedule of that
+    # allotment, "shelf" and "small" the fallback shelf build (0.0 when it
+    # is skipped), "verify" every verification of a built schedule.
     timings: dict[str, float] = field(default_factory=dict)
     certified_lower: Fraction = Fraction(0)
     mckp_assignment: dict[int, int] = field(default_factory=dict)
@@ -87,17 +90,17 @@ def try_guess(inst: Instance, d: Fraction) -> Union[Schedule, mckp.Reject]:
     outcome = _attempt(inst, d)
     if isinstance(outcome, mckp.Reject):
         return outcome
-    cls, assignment, _ = outcome
-    return _shelves(inst, d, cls, assignment, {"verify": 0.0})[0]
+    items, verdict = outcome
+    return _shelves(inst, d, dict(zip(items.ids, verdict.pick)), {"verify": 0.0})[0]
 
 
 def _attempt(
     inst: Instance, d: Fraction
-) -> Union[tuple[JobClassification, dict[int, int], mckp.Verdict], mckp.Reject]:
-    """The knapsack decision for d: (classes, the accepting pick as job id ->
-    class, the verdict) or Reject (d < OPT).  Raise ShelfInvariantError
-    unless the pick, recounted in exact integers, is one available class of
-    each item, fits 2m half-machines and costs the verdict's cost <= budget."""
+) -> Union[tuple[mckp.MckpItems, mckp.Verdict], mckp.Reject]:
+    """The knapsack decision for d: (the items, the accepting verdict with
+    its pick) or Reject (d < OPT).  Raise ShelfInvariantError unless the
+    pick, recounted in exact integers, is one available class of each item,
+    fits 2m half-machines and costs the verdict's cost <= budget."""
     cls = classify_jobs(inst, d)
     items = mckp.build_items(inst, cls.big, d)
     if isinstance(items, mckp.Reject):
@@ -117,22 +120,20 @@ def _attempt(
             f"partition by {verdict.by} at d={d} fails its recount: "
             f"(cost, size2) {totals}, verdict cost {verdict.cost}, budget {budget}"
         )
-    return cls, dict(zip(items.ids, verdict.pick)), verdict
+    return items, verdict
 
 
 def _shelves(
-    inst: Instance,
-    d: Fraction,
-    cls: JobClassification,
-    assignment: dict[int, int],
-    timings: dict[str, float],
+    inst: Instance, d: Fraction, assignment: dict[int, int], timings: dict[str, float]
 ) -> tuple[Schedule, Fraction]:
     """The shelf schedule of a partition and its stretch lam, verified within
-    lam*d; adds its phase times to timings."""
+    lam*d; the small jobs are the jobs outside the partition.  Adds its
+    phase times to timings."""
     t0 = time.perf_counter()
     layout, lam = shelf.shelf_layout(inst, assignment, d)
     t1 = time.perf_counter()
-    sched = shelf.add_small_jobs(layout, inst, cls.small)
+    small = [j for j in inst.ids if j not in assignment]
+    sched = shelf.add_small_jobs(layout, inst, small)
     t2 = time.perf_counter()
     _verify(inst, sched, d, "pipeline", lam)
     timings.update(shelf=t1 - t0, small=t2 - t1)
@@ -156,30 +157,35 @@ def _verify(
 def _construct(
     inst: Instance,
     d: Fraction,
-    cls: JobClassification,
-    assignment: dict[int, int],
+    items: mckp.MckpItems,
+    pick: tuple[int, ...],
     timings: dict[str, float],
-) -> tuple[Schedule, Fraction, str]:
-    """The returned schedule at the accepted d, its stretch and construction.
+) -> tuple[Schedule, Fraction, str, dict[int, int]]:
+    """The returned schedule at the accepted d, its stretch, construction
+    and partition (job id -> class).
 
-    The list schedule of the partition's allotment is returned when it ends
-    by 10/7*d; otherwise the shelves are built and the shorter of the two
-    verified schedules wins, the list one on a tie.
+    The list schedule of the pick's allotment (item i on width[i, pick[i]-1]
+    machines, every other row on one) is returned when it ends by 10/7*d;
+    otherwise the shelves are built and the shorter of the two verified
+    schedules wins, the list one on a tie.
     """
     t0 = time.perf_counter()
-    sched = listsched.list_schedule(inst, d, assignment, cls.small)
+    assignment = dict(zip(items.ids, pick))
+    width = np.ones(inst.n, dtype=np.int64)
+    width[items.rows] = items.width[np.arange(len(items)), np.array(pick, dtype=np.intp) - 1]
+    sched = listsched.list_schedule(inst, width)
     t1 = time.perf_counter()
     _verify(inst, sched, d, "list schedule")
     timings.update(list=t1 - t0, shelf=0.0, small=0.0, verify=time.perf_counter() - t1)
     if sched.makespan <= LAMBDA_Q0 * d:
-        return sched, LAMBDA_Q0, "list"
-    shelf_sched, _ = _shelves(inst, d, cls, assignment, timings)
+        return sched, LAMBDA_Q0, "list", assignment
+    shelf_sched, _ = _shelves(inst, d, assignment, timings)
     log.debug("list schedule %s past 10/7*d, shelves %s", sched.makespan, shelf_sched.makespan)
     construction = "list"
     if shelf_sched.makespan < sched.makespan:
         sched, construction = shelf_sched, "shelf"
     lam = next(lam for lam in LAMBDAS if sched.makespan <= lam * d)
-    return sched, lam, construction
+    return sched, lam, construction, assignment
 
 
 def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
@@ -215,10 +221,10 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
             lower = d
         else:
             upper, accepted = d, outcome
-    cls, assignment, verdict = accepted
+    items, verdict = accepted
     timings = {"mckp": time.perf_counter() - t0}
 
-    schedule, lam, construction = _construct(inst, upper, cls, assignment, timings)
+    schedule, lam, construction, assignment = _construct(inst, upper, items, verdict.pick, timings)
     return SolveResult(
         schedule=schedule,
         accepted_d=upper,

@@ -11,10 +11,11 @@ stays integral; the capacity is 2m.  The guess is workable iff the minimum
 total cost within total size 2m is at most the budget m*d - W_S.
 
 The knapsack is one ``MckpItems`` record of n x 3 arrays, row j the job
-ids[j] and column c-1 its class c: ``cost`` (the exact integers g*A[j,g-1],
-work at the grid scale Q, in the grid's dtype), ``size2`` and ``avail`` (g <=
-m); a class a job cannot meet has cost and size 0.  The budget is
-floor((m*d - W_S)*Q).
+ids[j] (grid row rows[j]) and column c-1 its class c: ``width`` (the
+canonical count g at the class height, which the driver's allotment reads
+back), ``cost`` (the exact integers g*A[j,g-1], work at the grid scale Q, in
+the grid's dtype) and ``size2``; a class a job cannot meet has width, cost
+and size 0 (``avail`` is width > 0).  The budget is floor((m*d - W_S)*Q).
 
 ``decide`` settles that verdict first by two exact certificates on integer
 costs: an integral greedy assignment within capacity and budget accepts, a
@@ -54,12 +55,18 @@ CLASS_HEIGHTS = (Fraction(1), Fraction(4, 7), Fraction(3, 7))
 @dataclass(frozen=True, eq=False)
 class MckpItems:
     """The options of the big jobs at one guess: row j is job ids[j] and
-    column c-1 its class c.  A class the job cannot meet has cost and size 0."""
+    column c-1 its class c.  A class the job cannot meet has width, cost and
+    size 0."""
 
     ids: list[int]
+    rows: np.ndarray   # the jobs' grid rows, intp
+    width: np.ndarray  # the canonical machine count g at the class height, int64
     cost: np.ndarray   # work at the grid scale g*A[j,g-1]; the grid's dtype
     size2: np.ndarray  # half-machines (2*g1, g2, 0), int64
-    avail: np.ndarray  # g <= m: the job meets the class deadline on some count
+
+    @property
+    def avail(self) -> np.ndarray:  # the job meets the class deadline on some count
+        return self.width > 0
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -95,14 +102,15 @@ def build_items(
     The three gammas of every job are one ``gammas`` count each; m+1 is none."""
     ids = sorted(big)
     q, a = inst.grid
-    rows, m = a[[inst.row_of[i] for i in ids]], inst.m
-    g = np.stack([gammas(rows, f * d, q) for f in CLASS_HEIGHTS], axis=1)
-    avail = g <= m
+    rows = np.array([inst.row_of[i] for i in ids], dtype=np.intp)
+    times = a[rows]
+    g = np.stack([gammas(times, f * d, q) for f in CLASS_HEIGHTS], axis=1)
+    avail = g <= inst.m
     if not avail[:, 0].all():
         return Reject(d, "job-exceeds-guess", ids[int(avail[:, 0].argmin())])
     g = np.where(avail, g, 0)
-    cost = np.take_along_axis(rows, np.maximum(g, 1) - 1, axis=1) * g
-    return MckpItems(ids, cost, g * np.array([2, 1, 0]), avail)
+    cost = np.take_along_axis(times, np.maximum(g, 1) - 1, axis=1) * g
+    return MckpItems(ids, rows, g, cost, g * np.array([2, 1, 0]))
 
 
 def _options(items: MckpItems, cost: np.ndarray) -> list[list[tuple[int, int, int]]]:

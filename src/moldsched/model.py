@@ -134,9 +134,7 @@ class Times(Sequence):
         return self._row.item(i), self._q
 
     def strings(self) -> list[str]:  # str() of each time, without building Fractions
-        q = self._q
-        return [f"{a // g}/{q // g}" if (g := math.gcd(a, q)) != q else str(a // g)
-                for a in self._row.tolist()]
+        return [ratio_str(a, self._q) for a in self._row.tolist()]
 
 
 @dataclass(frozen=True)
@@ -189,17 +187,13 @@ class JobClassification:
     """Partition of jobs into small and big relative to a makespan guess d.
 
     ``ws`` is the total one-machine work of the small jobs; the knapsack
-    budget for big jobs is m*d - ws.  The id sets ``small`` and ``big`` are
-    built from the row mask on first use.
+    budget for big jobs is m*d - ws.  The id set ``big`` is built from the
+    row mask on first use.
     """
 
     ids: tuple[int, ...]  # the instance's job ids in row order
     is_small: np.ndarray  # bool per row
     ws: Fraction
-
-    @cached_property
-    def small(self) -> frozenset[int]:
-        return frozenset(compress(self.ids, self.is_small.tolist()))
 
     @cached_property
     def big(self) -> frozenset[int]:

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from moldsched import (
     generate,
     listsched,
     mckp,
+    model,
     rat,
     solve,
     try_guess,
@@ -28,7 +30,15 @@ from moldsched import (
     validate_schedule,
 )
 from moldsched.driver import initial_bounds
-from util import const_work_job, dp_assignment, instance, items_at, job, random_instance
+from util import (
+    allotment,
+    const_work_job,
+    dp_assignment,
+    instance,
+    items_at,
+    job,
+    random_instance,
+)
 
 RATIO_CAP = rat("1.4594") * rat("1.05")
 
@@ -212,22 +222,52 @@ class TestSolve:
         # The bounds leave the last accepted guess of these solves open.
         inst = generate(GenConfig(n=n, m=m, seed=seed))
         r = solve(inst, Fraction(1, 1000))
-        cls, assignment, verdict = driver._attempt(inst, r.accepted_d)
+        items, verdict = driver._attempt(inst, r.accepted_d)
+        assignment = dict(zip(items.ids, verdict.pick))
         assert r.partition_by == verdict.by == "dp"
         assert r.mckp_assignment == assignment == dp_assignment(inst, r.accepted_d)
         assert r.construction == "list"
         assert r.schedule == listsched.list_schedule(
-            inst, r.accepted_d, r.mckp_assignment, cls.small)
+            inst, allotment(inst, r.accepted_d, r.mckp_assignment))
 
     def test_bound_accepted_guess_builds_from_the_greedy_pick(self):
         inst = generate(GenConfig(n=80, m=800, seed=1))
         r = solve(inst, Fraction(1, 1000))
-        _, assignment, verdict = driver._attempt(inst, r.accepted_d)
+        attempted, verdict = driver._attempt(inst, r.accepted_d)
         assert r.partition_by == verdict.by == "bound"
         items = items_at(inst, r.accepted_d)
-        assert r.mckp_assignment == assignment == dict(zip(items.ids, verdict.pick))
+        assert r.mckp_assignment == dict(zip(attempted.ids, verdict.pick))
+        assert r.mckp_assignment == dict(zip(items.ids, verdict.pick))
         best = mckp.pick_totals(items, mckp.solve_mckp(items, inst.m))[0]
         assert best <= mckp.pick_totals(items, verdict.pick)[0] == verdict.cost
+
+    @pytest.mark.parametrize("n, m, seed, eps", [
+        (40, 16, 3, Fraction(1, 20)), (80, 800, 1, Fraction(1, 1000)), (200, 8, 1, Fraction(1, 20)),
+    ])
+    def test_the_knapsack_counts_the_allotment_once(self, monkeypatch, n, m, seed, eps):
+        # Every canonical machine count of a list-schedule solve is one of
+        # build_items' three gammas per guess: the allotment at the accepted
+        # guess reuses the accepting items' widths and is not recounted.
+        callers, guesses = [], []
+        real = model.gammas
+
+        def recording(*args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            return real(*args)
+
+        for module in [sys.modules[name] for name in list(sys.modules)
+                       if name.startswith("moldsched.")]:
+            if getattr(module, "gammas", None) is real:
+                monkeypatch.setattr(module, "gammas", recording)
+        attempt = driver._attempt
+        monkeypatch.setattr(driver, "_attempt", lambda *a: guesses.append(a) or attempt(*a))
+        r = solve(generate(GenConfig(n=n, m=m, seed=seed)), eps)
+        assert r.construction == "list" and len(guesses) == r.iterations + 1
+        assert set(callers) == {"build_items"}
+        assert len(callers) == 3 * len(guesses)
 
     def test_debug_log_names_the_certificate(self, caplog):
         inst = generate(GenConfig(n=80, m=800, seed=1))
@@ -291,7 +331,7 @@ class TestPickRecount:
 
     @pytest.mark.parametrize("pick", [(3, 3, 1), (3, 1, 1)])
     def test_a_sound_pick_passes(self, monkeypatch, pick):
-        assert self._attempt(monkeypatch, pick, 12)[2].pick == pick
+        assert self._attempt(monkeypatch, pick, 12)[1].pick == pick
 
     @pytest.mark.parametrize("pick, cost", [
         ((3, 3, 3), 8),    # job 3 has no class 3

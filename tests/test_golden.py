@@ -159,8 +159,7 @@ def test_try_guess_builds_from_the_solves_partition():
         if not inst.jobs:
             continue
         d = result.accepted_d
-        cls = classify_jobs(inst, d)
-        own, _ = driver._shelves(inst, d, cls, result.mckp_assignment, {"verify": 0.0})
+        own, _ = driver._shelves(inst, d, result.mckp_assignment, {"verify": 0.0})
         sched = try_guess(inst, d)
         assert sched == own, name
         if sched != dp_shelves(inst, d)[0]:

@@ -13,10 +13,12 @@ import pytest
 from moldsched import GenConfig, Instance, Job, Reject, adversarial_instance, generate, solve
 from moldsched import cli, driver, mckp, shelf
 from moldsched.driver import SearchBounds, initial_bounds
+from moldsched.mckp import CLASS_HEIGHTS
 from moldsched.model import (
     _INT64_SAFE_TOTAL,
     Times,
     classify_jobs,
+    gamma,
     numerators,
     validate_instance,
 )
@@ -29,6 +31,7 @@ from util import (
     items_at,
     options,
     random_instance,
+    small_ids,
 )
 
 # ---------------------------------------------------------------------------
@@ -150,7 +153,7 @@ class TestDecisionPathMatchesFractions:
             assert initial_bounds(inst) == SearchBounds(*ref_initial_bounds(inst))
             for d in guesses(rng, inst):
                 cls = classify_jobs(inst, d)
-                assert (cls.small, cls.big, cls.ws) == ref_classify(inst, d), (name, d)
+                assert (small_ids(cls), cls.big, cls.ws) == ref_classify(inst, d), (name, d)
                 ref = ref_build_items(inst, cls.big, d)
                 assert as_work(inst, mckp.build_items(inst, cls.big, d)) == ref, (name, d)
                 # every job, small ones included, at every threshold
@@ -161,6 +164,33 @@ class TestDecisionPathMatchesFractions:
                 ties += any(t in (d, Fraction(4, 7) * d, Fraction(3, 7) * d)
                             for j in inst.jobs for t in j.times)
         assert rejects >= 20 and ties >= 100
+
+    def test_items_keep_the_canonical_counts(self):
+        # MckpItems.width is the scalar gamma at each class height, 0 where
+        # the class is out of reach; sizes, availability and costs follow it.
+        rng = random.Random(73)
+        unavailable, on_objects = 0, 0
+        for name, inst in corpus():
+            q, a = inst.grid
+            for d in guesses(rng, inst):
+                for big in (classify_jobs(inst, d).big, {j.id for j in inst.jobs}):
+                    items = mckp.build_items(inst, big, d)
+                    if isinstance(items, Reject):
+                        continue
+                    g = items.width
+                    assert g.dtype == np.int64 and g.shape == (len(items), 3), (name, d)
+                    assert items.rows.tolist() == [inst.row_of[j] for j in items.ids]
+                    for job_id, row in zip(items.ids, g.tolist()):
+                        want = [gamma(inst, job_id, f * d) or 0 for f in CLASS_HEIGHTS]
+                        assert row == want, (name, d, job_id)
+                    assert (items.size2 == g * np.array([2, 1, 0])).all(), (name, d)
+                    assert (items.avail == (g > 0)).all(), (name, d)
+                    cost = g * a[items.rows[:, None], g - 1]
+                    assert items.cost.dtype == a.dtype, (name, d)
+                    assert items.cost.tolist() == cost.tolist(), (name, d)
+                    unavailable += int((g == 0).sum())
+                    on_objects += len(items) * (a.dtype == object)
+        assert unavailable >= 100 and on_objects >= 100
 
 
 class TestDpStaysOnInt64:
@@ -353,7 +383,7 @@ class TestTimesView:
                 for name in ("repair_s2_small_q", "repair_s2_large_q"):
                     mp.setattr(shelf, name, counting(getattr(shelf, name), repairs, name))
                 layout, lam = shelf.shelf_layout(inst, assignment, d)
-                sched = shelf.add_small_jobs(layout, inst, cls.small)
+                sched = shelf.add_small_jobs(layout, inst, small_ids(cls))
             assert (sched, lam) == dp_shelves(inst, d)
         assert reads == {}
         assert repairs["repair_s2_small_q"] and repairs["repair_s2_large_q"]

@@ -1,5 +1,6 @@
 """The list schedule of the knapsack allotment and the shelves as its fallback."""
 
+import ast
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -19,8 +20,8 @@ from moldsched import (
 )
 from moldsched import listsched, shelf
 from moldsched.listsched import list_schedule, window_max
-from moldsched.model import Schedule, classify_jobs
-from util import dp_shelves, instance, job
+from moldsched.model import Schedule, classify_jobs, gamma
+from util import allotment, dp_shelves, instance, job
 
 
 def _brute_window_max(x, k):
@@ -50,7 +51,7 @@ class TestWindowMax:
 class TestPlacement:
     def test_equal_durations_go_by_job_id(self):
         inst = instance(1, job(3, 2), job(1, 2), job(2, 2), job(4, 5))
-        sched = list_schedule(inst, Fraction(20), {}, {1, 2, 3, 4})
+        sched = list_schedule(inst, np.ones(4, dtype=np.int64))
         order = [p.job_id for p in sorted(sched.placements, key=lambda p: p.start)]
         assert order == [4, 1, 2, 3]
         assert [p.job_id for p in sched.placements] == order  # placement order
@@ -63,7 +64,8 @@ class TestPlacement:
         inst = instance(
             4, job(1, 5, 5, 5, 5), job(2, 8, 4, 4, 4), job(3, 4, 4, 4, 4), job(4, 1, 1, 1, 1)
         )
-        sched = list_schedule(inst, Fraction(5), {2: 1}, {1, 3, 4})
+        assert gamma(inst, 2, Fraction(5)) == 2
+        sched = list_schedule(inst, np.array([1, 2, 1, 1]))
         placed = {p.job_id: (p.first_machine, p.width, p.start) for p in sched.placements}
         assert placed == {1: (0, 1, 0), 2: (1, 2, 0), 3: (3, 1, 0), 4: (1, 1, 4)}
 
@@ -72,9 +74,20 @@ class TestPlacement:
         # at 40 * 2^58 > 2^63: the skyline is kept in exact ints.
         inst = instance(1, *(job(i, 2**58) for i in range(1, 41)))
         assert inst.grid[1].dtype == np.int64
-        sched = list_schedule(inst, Fraction(2**59), {}, range(1, 41))
+        sched = list_schedule(inst, np.ones(40, dtype=np.int64))
         assert sched.makespan == 40 * 2**58
         assert [p.start for p in sched.placements] == [i * 2**58 for i in range(40)]
+
+    def test_skyline_is_bounded_by_the_placed_durations(self):
+        # Every one-machine time is 1, so sum(A[:,0]) = 33 is far below
+        # 2^62, but on their two machines the 33 jobs take 2^58 each and
+        # stack to 33 * 2^58 > 2^63: the bound is the placed durations' sum.
+        inst = instance(2, *(job(i, 1, 2**58) for i in range(1, 34)))
+        assert inst.grid[1].dtype == np.int64
+        sched = list_schedule(inst, np.full(33, 2, dtype=np.int64))
+        assert sched.makespan == 33 * 2**58
+        assert [p.start for p in sched.placements] == [i * 2**58 for i in range(33)]
+        assert all(p.first_machine == 0 and p.width == 2 for p in sched.placements)
 
     def test_class_heights_set_the_widths(self):
         inst = generate(GenConfig(n=40, m=16, seed=3))
@@ -87,8 +100,26 @@ class TestPlacement:
             k = widths[job_id]
             times = inst.job(job_id).times
             assert times[k - 1] <= heights[cls] and (k == 1 or times[k - 2] > heights[cls])
-        for job_id in classify_jobs(inst, d).small:
+        for job_id in set(inst.ids) - classify_jobs(inst, d).big:
             assert widths[job_id] == 1
+        assert r.schedule == list_schedule(inst, allotment(inst, d, r.mckp_assignment))
+
+
+def test_listsched_is_independent_of_the_knapsack():
+    """listsched places a given rigid allotment: it imports nothing from
+    mckp and counts no machine number."""
+    tree = ast.parse(open(listsched.__file__).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            assert module != "mckp" and "mckp" not in {a.name for a in node.names}
+            assert not {a.name for a in node.names} & {"gamma", "gammas", "CLASS_HEIGHTS"}
+        elif isinstance(node, ast.Import):
+            assert "mckp" not in {a.name.rsplit(".", 1)[-1] for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in {"gamma", "gammas", "row_of"}, ast.unparse(node)
+        elif isinstance(node, ast.Name):
+            assert node.id not in {"gamma", "gammas", "row_of", "CLASS_HEIGHTS"}, node.id
 
 
 def _counting(monkeypatch, module, name):
@@ -98,13 +129,13 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def _delayed_list(monkeypatch, end_at):
-    """Shift the list schedule so it ends at end_at(d): still feasible."""
+def _delayed_list(monkeypatch, end):
+    """Shift the list schedule so it ends at end: still feasible."""
     real = listsched.list_schedule
 
-    def delayed(inst, d, assignment, small):
-        sched = real(inst, d, assignment, small)
-        delta = end_at(d) - sched.makespan
+    def delayed(inst, width):
+        sched = real(inst, width)
+        delta = end - sched.makespan
         moved = tuple(replace(p, start=p.start + delta) for p in sched.placements)
         return Schedule(moved, sched.makespan + delta)
 
@@ -124,9 +155,11 @@ class TestFallback:
 
     def test_shorter_shelf_schedule_is_returned(self, monkeypatch):
         inst = generate(self.CONFIG)
-        _delayed_list(monkeypatch, lambda d: 2 * d)
+        d0 = solve(inst).accepted_d
+        _delayed_list(monkeypatch, 2 * d0)
         builds = _counting(monkeypatch, shelf, "build_three_shelf")
         r = solve(inst)
+        assert r.accepted_d == d0
         assert builds and r.construction == "shelf"
         assert r.schedule == self._shelf(inst, r.accepted_d)
         # the smallest bound the schedule meets, below the shelves' own stretch
@@ -138,7 +171,7 @@ class TestFallback:
         inst = generate(self.CONFIG)
         d0 = solve(inst).accepted_d
         mid = (LAMBDA_Q0 * d0 + self._shelf(inst, d0).makespan) / 2
-        _delayed_list(monkeypatch, lambda d: mid)
+        _delayed_list(monkeypatch, mid)
         builds = _counting(monkeypatch, shelf, "build_three_shelf")
         r = solve(inst)
         assert r.accepted_d == d0

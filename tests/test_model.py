@@ -39,6 +39,7 @@ from util import (
     job,
     random_instance,
     random_monotone_job,
+    small_ids,
 )
 
 
@@ -261,7 +262,7 @@ class TestClassifyJobs:
             1, job(1, 3), job(2, rat("3.5")), job(3, 10)
         )
         c = classify_jobs(inst, rat(7))
-        assert c.small == {1}
+        assert small_ids(c) == {1}
         assert c.big == {2, 3}
         assert c.ws == rat(3)
 
@@ -270,23 +271,25 @@ class TestClassifyJobs:
         c = classify_jobs(inst, rat(7))
         assert c.big == {1}
         inst2 = instance(1, job(1, 3))
-        assert classify_jobs(inst2, rat(7)).small == {1}
+        assert small_ids(classify_jobs(inst2, rat(7))) == {1}
 
     def test_small_fractions(self):
         inst = instance(1, job(1, rat("0.3")), job(2, rat("0.3")))
         c = classify_jobs(inst, rat("0.7"))
-        assert c.small == {1, 2}
+        assert small_ids(c) == {1, 2}
         assert c.ws == rat("0.6")
 
     def test_guesses_share_the_instance_ids(self):
         # One id tuple per instance; each guess keeps only its row mask and
-        # builds an id set on first use.
+        # builds the big id set on first use.  The small jobs need no id set:
+        # the driver reads them as the partition's complement.
         inst = instance(1, job(5, 3), job(2, 10), job(9, 1))
         c = classify_jobs(inst, rat(7))
         assert inst.ids == (5, 2, 9) and c.ids is inst.ids
         assert c.is_small.tolist() == [True, False, True]
         assert "small" not in vars(c) and "big" not in vars(c)
-        assert (c.small, c.big) == ({5, 9}, {2})
+        assert not hasattr(c, "small")
+        assert (small_ids(c), c.big) == ({5, 9}, {2})
         assert classify_jobs(inst, rat(1)).ids is inst.ids
 
     @pytest.mark.parametrize("d", [0, rat("-1/2")])

@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
 from moldsched import Instance, Job, PlacedJob, Reject, Schedule, driver, rat
-from moldsched.mckp import MckpItems, _options, build_items, solve_mckp
-from moldsched.model import classify_jobs, int_array, int_matrix
+from moldsched.mckp import CLASS_HEIGHTS, MckpItems, _options, build_items, solve_mckp
+from moldsched.model import JobClassification, classify_jobs, gamma, int_array, int_matrix
 
 
 def job(job_id, *times) -> Job:
@@ -70,14 +71,17 @@ def grid_rows(sched: Schedule) -> tuple[int, list[tuple], int]:
 def items_of(rows, ids=None) -> MckpItems:
     """Knapsack items from rows of three (integer cost, size) options, None
     for a class the job cannot meet; costs are int64 while 3*max fits 2^59,
-    as a grid's are, else exact ints.  Job ids default to 1..n."""
+    as a grid's are, else exact ints.  Job ids default to 1..n, on grid rows
+    0..n-1; each available class has width 1, as no grid counts it."""
     n = len(rows)
     opts = [[opt or (0, 0) for opt in row] for row in rows]
+    avail = np.array([[opt is not None for opt in row] for row in rows], dtype=bool).reshape(n, 3)
     return MckpItems(
-        list(range(1, n + 1)) if ids is None else list(ids),
-        int_matrix([[c for c, _ in row] for row in opts], 3),
-        np.array([[s for _, s in row] for row in opts], dtype=np.int64).reshape(n, 3),
-        np.array([[opt is not None for opt in row] for row in rows], dtype=bool).reshape(n, 3),
+        ids=list(range(1, n + 1)) if ids is None else list(ids),
+        rows=np.arange(n, dtype=np.intp),
+        width=avail.astype(np.int64),
+        cost=int_matrix([[c for c, _ in row] for row in opts], 3),
+        size2=np.array([[s for _, s in row] for row in opts], dtype=np.int64).reshape(n, 3),
     )
 
 
@@ -148,5 +152,18 @@ def dp_assignment(inst: Instance, d: Fraction) -> dict[int, int]:
 def dp_shelves(inst: Instance, d: Fraction) -> tuple[Schedule, Fraction]:
     """The verified shelf schedule and stretch of the DP's minimum-cost
     partition at an accepted d, built as try_guess builds the accepting one."""
-    cls = classify_jobs(inst, d)
-    return driver._shelves(inst, d, cls, dp_assignment(inst, d), {"verify": 0.0})
+    return driver._shelves(inst, d, dp_assignment(inst, d), {"verify": 0.0})
+
+
+def small_ids(cls: JobClassification) -> frozenset[int]:
+    """The ids of the small jobs of a classification, from its row mask."""
+    return frozenset(compress(cls.ids, cls.is_small.tolist()))
+
+
+def allotment(inst: Instance, d: Fraction, assignment: dict[int, int]) -> np.ndarray:
+    """The per-row machine counts of a partition at d, by the scalar gamma:
+    each big job its canonical count at its class height, every other job 1."""
+    width = np.ones(inst.n, dtype=np.int64)
+    for job_id, c in assignment.items():
+        width[inst.row_of[job_id]] = gamma(inst, job_id, CLASS_HEIGHTS[c - 1] * d)
+    return width
