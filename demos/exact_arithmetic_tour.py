@@ -9,8 +9,8 @@ knapsack options per job, and the stretch constant that caps the worst case.
 from fractions import Fraction
 
 from moldsched import LAMBDA_STAR_UPPER, Instance, Job, rat
-from moldsched.mckp import build_items, solve_mckp
-from moldsched.model import classify_jobs, gamma, lambda_star
+from moldsched.mckp import build_items, search, solve_mckp
+from moldsched.model import classify_jobs, gamma
 
 # A job that runs in 1 on one machine, 0.5 on two, 0.34 on three.
 job = Job(1, (rat(1), rat("0.5"), rat("0.34")))
@@ -24,8 +24,8 @@ print("\nwork is time * machines and never shrinks with more machines:")
 print(" ", [str(k * job.times[k - 1]) for k in (1, 2, 3)])
 
 d = rat(1)
-cls = classify_jobs(inst, d)
-items = build_items(inst, cls.big, d)
+small, _ = classify_jobs(inst, d)  # the small-job row mask, and their work
+items = build_items(inst, search(inst), small, d)
 q, a = inst.grid
 print(f"\nthe instance's integer grid: t(j,k) = A[j,k-1]/Q with Q = {q}, A = {a.tolist()}")
 print(f"knapsack options at guess d = {d} (integer cost = work * Q, half-machine size):")
@@ -35,9 +35,6 @@ for label, cost, size2 in zip(labels, items.cost[0].tolist(), items.size2[0].tol
 pick = solve_mckp(items, inst.m)  # one class per knapsack item, in item order
 print("minimum-cost pick, job id -> class:", dict(zip(items.ids, pick)))
 
-print("\nthe worst-case stretch is the root of ln(x) = 3x - 4 near 1.4593,")
-print("bracketed from above by exact bisection:")
-for tol in (Fraction(1, 10**4), Fraction(1, 10**6), Fraction(1, 10**8)):
-    lam = lambda_star(tol)
-    print(f"  tolerance {float(tol):.0e}: {lam} (~{float(lam):.9f})")
-print(f"packaged default: {LAMBDA_STAR_UPPER} (~{float(LAMBDA_STAR_UPPER):.9f})")
+print("\nthe worst-case stretch is the root of ln(x) = 3x - 4 near 1.4593;")
+print("the solver uses an exact upper bracket of it, within 1e-6:")
+print(f"  LAMBDA_STAR_UPPER = {LAMBDA_STAR_UPPER} (~{float(LAMBDA_STAR_UPPER):.9f})")

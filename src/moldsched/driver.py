@@ -87,7 +87,7 @@ def initial_bounds(inst: Instance) -> SearchBounds:
 def try_guess(inst: Instance, d: Fraction) -> Union[Schedule, mckp.Reject]:
     """One dual-approximation round: Reject (d < OPT), or the shelf schedule
     of the partition that accepted d, verified within lam*d."""
-    outcome = _attempt(inst, d)
+    outcome = _attempt(inst, d, mckp.search(inst))
     if isinstance(outcome, mckp.Reject):
         return outcome
     items, verdict = outcome
@@ -95,18 +95,18 @@ def try_guess(inst: Instance, d: Fraction) -> Union[Schedule, mckp.Reject]:
 
 
 def _attempt(
-    inst: Instance, d: Fraction
+    inst: Instance, d: Fraction, search: mckp.Search
 ) -> Union[tuple[mckp.MckpItems, mckp.Verdict], mckp.Reject]:
     """The knapsack decision for d: (the items, the accepting verdict with
     its pick) or Reject (d < OPT).  Raise ShelfInvariantError unless the
     pick, recounted in exact integers, is one available class of each item,
     fits 2m half-machines and costs the verdict's cost <= budget."""
-    cls = classify_jobs(inst, d)
-    items = mckp.build_items(inst, cls.big, d)
+    small, ws = classify_jobs(inst, d)
+    items = mckp.build_items(inst, search, small, d)
     if isinstance(items, mckp.Reject):
         log.debug("d=%s rejected: %s (job %s)", d, items.reason, items.job_id)
         return items
-    budget = math.floor((inst.m * d - cls.ws) * inst.grid[0])  # costs: work * Q
+    budget = math.floor((inst.m * d - ws) * inst.grid[0])  # costs: work * Q
     verdict = mckp.decide(items, inst.m, budget)
     log.debug(
         "d=%s, unit 1/%d: %s by %s: cost %s, budget %s",
@@ -194,6 +194,9 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
 
     Guarantee: makespan <= lambda_used * (1 + eps) * OPT, with lambda_used the
     smallest of 10/7, 13/9 and LAMBDA_STAR_UPPER whose bound the schedule meets.
+    It needs positive times non-increasing in k (``validate_instance``); on
+    others the canonical counts need not be the smallest (``model.gammas``),
+    and it returns a verified schedule or raises ShelfInvariantError.
     """
     eps = Fraction(eps)
     if not Fraction(0) < eps <= 1:
@@ -206,7 +209,8 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
     lower, upper = bounds.lower, bounds.upper
 
     t0 = time.perf_counter()
-    accepted = _attempt(inst, upper)
+    search = mckp.search(inst)  # the row keys and id order of every guess
+    accepted = _attempt(inst, upper, search)
     if isinstance(accepted, mckp.Reject):
         raise shelf.ShelfInvariantError(
             f"guess {upper} >= OPT was rejected ({accepted.reason}); "
@@ -216,7 +220,7 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
     while upper > (1 + eps) * lower:
         d = _geometric_mid(lower, upper)
         iterations += 1
-        outcome = _attempt(inst, d)
+        outcome = _attempt(inst, d, search)
         if isinstance(outcome, mckp.Reject):
             lower = d
         else:

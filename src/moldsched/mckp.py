@@ -16,6 +16,9 @@ canonical count g at the class height, which the driver's allotment reads
 back), ``cost`` (the exact integers g*A[j,g-1], work at the grid scale Q, in
 the grid's dtype) and ``size2``; a class a job cannot meet has width, cost
 and size 0 (``avail`` is width > 0).  The budget is floor((m*d - W_S)*Q).
+The items keep ascending job id, the order the DP's tie-break reads.  A
+guess's canonical counts are one ``gammas`` searchsorted over the row keys of
+the solve's ``Search``, O(n log(nm)), and only the big rows' costs are read.
 
 ``decide`` settles that verdict first by two exact certificates on integer
 costs: an integral greedy assignment within capacity and budget accepts, a
@@ -39,12 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 # gamma stays bound here for the benchmark tracer, which wraps mckp.gamma.
-from .model import _INT64_SAFE_TOTAL, Instance, gamma, gammas  # noqa: F401
+from .model import _INT64_SAFE_TOTAL, Instance, RowKeys, gamma, gammas, row_keys  # noqa: F401
 
 
 # The deadline of class c as a multiple of d: a class-c job runs on
@@ -95,21 +98,35 @@ class Verdict:
     pick: Optional[tuple[int, ...]] = None
 
 
+class Search(NamedTuple):
+    """What every guess of one solve reads (``search``): the grid's row keys,
+    and the grid rows in ascending job id with their ids."""
+
+    keys: RowKeys
+    rows: np.ndarray  # intp
+    ids: np.ndarray
+
+
+def search(inst: Instance) -> Search:
+    rows = np.argsort(ids := np.array(inst.ids), kind="stable")
+    return Search(row_keys(inst.grid[1]), rows, ids[rows])
+
+
 def build_items(
-    inst: Instance, big: Sequence[int] | frozenset[int], d: Fraction
+    inst: Instance, search: Search, small: np.ndarray, d: Fraction
 ) -> Union[MckpItems, Reject]:
-    """The big jobs' options, or Reject when some gamma(j, d) is infinite.
-    The three gammas of every job are one ``gammas`` count each; m+1 is none."""
-    ids = sorted(big)
+    """The options of the jobs outside the small row mask, in ascending job
+    id, or Reject when some gamma(j, d) is infinite.  Their three gammas are
+    one ``gammas`` count; m+1 is none."""
+    big = ~small[search.rows]
+    rows, ids = search.rows[big], search.ids[big].tolist()
     q, a = inst.grid
-    rows = np.array([inst.row_of[i] for i in ids], dtype=np.intp)
-    times = a[rows]
-    g = np.stack([gammas(times, f * d, q) for f in CLASS_HEIGHTS], axis=1)
+    g = gammas(search.keys, rows, [f * d for f in CLASS_HEIGHTS], q)
     avail = g <= inst.m
     if not avail[:, 0].all():
         return Reject(d, "job-exceeds-guess", ids[int(avail[:, 0].argmin())])
     g = np.where(avail, g, 0)
-    cost = np.take_along_axis(times, np.maximum(g, 1) - 1, axis=1) * g
+    cost = a[rows[:, None], np.maximum(g, 1) - 1] * g
     return MckpItems(ids, rows, g, cost, g * np.array([2, 1, 0]))
 
 

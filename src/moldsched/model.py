@@ -3,18 +3,17 @@
 Every time, work and makespan guess in this package is exact.  An instance
 holds its times as integers over a common denominator Q, the n x m matrix A
 of ``Instance.grid`` (int64 while it fits, else Python ints): t(j,k) =
-A[j,k-1]/Q.  The solver reads times only from the grid: the decision path
-as integer array compares, since t <= h iff A <= floor(h*Q), and the shelves
-through ``t`` and ``gamma``, the one canonical machine count.  A
+A[j,k-1]/Q.  The solver reads times only from the grid, by integers, as t
+<= h iff A <= floor(h*Q): each canonical machine count is one search over the
+grid's row keys (``gammas``; ``gamma`` for the shelves, which read ``t``).  A
 ``Schedule`` is given as PlacedJobs with Fraction times, or in integer form
 (one denominator and integer columns, as the list schedule builds it), whose
 PlacedJobs are made on first read.  Fractions appear at the API boundary
 (``Job.times``, guesses, shelf heights, placements); floats only in timing
 and plots.
 
-The stretch constant ``LAMBDA_STAR_UPPER`` is a Fraction literal, equal to
-``lambda_star()`` at its default tolerance; only calling ``lambda_star``
-needs mpmath.
+The stretch constant ``LAMBDA_STAR_UPPER`` is a Fraction literal: a strict
+upper bracket of the root of ln(x) = 3x - 4 near 1.4593, within 10^-6.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
-from typing import Iterable, Optional, Union
+from itertools import chain
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -57,42 +56,9 @@ LAMBDA_SMALL_Q = Fraction(13, 9)   # 0 < q <= m/6
 SMALL_THRESHOLD_FRAC = Fraction(3, 7)
 
 
-def lambda_star(tolerance: Fraction = Fraction(1, 10**6)) -> Fraction:
-    """Rational strict upper bracket of the root of ln(x) = 3x - 4 near 1.4593.
-
-    The worst-case stretch factor of the q > m/6 repair is the unique root of
-    ln(x) = 3x - 4 in (1.4, 1.5).  Bisection on f(x) = ln(x) - 3x + 4 with
-    high-precision evaluation returns the upper bracket endpoint, so the
-    result lam always satisfies ln(lam) < 3*lam - 4, i.e. lam is strictly
-    above the root, at distance at most ``tolerance``.
-    """
-    tolerance = Fraction(tolerance)
-    if not Fraction(0) < tolerance < Fraction(1, 1000):
-        raise ValueError(f"tolerance must be in (0, 1e-3), got {tolerance}")
-    lo = Fraction(14, 10)
-    hi = Fraction(15, 10)
-    if not (_log_gap_sign(lo) > 0 > _log_gap_sign(hi)):
-        raise AssertionError("bisection bracket lost its sign change")
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if _log_gap_sign(mid) < 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _log_gap_sign(x: Fraction) -> int:
-    """Sign of ln(x) - 3x + 4, evaluated with 60 significant digits."""
-    import mpmath
-
-    with mpmath.workdps(60):
-        val = mpmath.log(mpmath.mpf(x.numerator) / x.denominator) - 3 * x + 4
-        return int(mpmath.sign(val))
-
-
-# lambda_star() at the default tolerance: strictly above the root, so the
-# q > m/6 repair is guaranteed to succeed when run at this stretch.
+# The worst-case stretch of the q > m/6 repair is the root of ln(x) = 3x - 4
+# in (1.4, 1.5); this upper bracket of it (by bisection to within 10^-6) is
+# strictly above the root, so that repair is guaranteed to succeed at it.
 LAMBDA_STAR_UPPER = Fraction(956383, 655360)
 
 
@@ -180,24 +146,6 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.jobs)
-
-
-@dataclass(frozen=True, eq=False)
-class JobClassification:
-    """Partition of jobs into small and big relative to a makespan guess d.
-
-    ``ws`` is the total one-machine work of the small jobs; the knapsack
-    budget for big jobs is m*d - ws.  The id set ``big`` is built from the
-    row mask on first use.
-    """
-
-    ids: tuple[int, ...]  # the instance's job ids in row order
-    is_small: np.ndarray  # bool per row
-    ws: Fraction
-
-    @cached_property
-    def big(self) -> frozenset[int]:
-        return frozenset(compress(self.ids, (~self.is_small).tolist()))
 
 
 @dataclass(frozen=True)
@@ -362,15 +310,44 @@ def gamma(inst: Instance, job_id: int, h: Fraction) -> Optional[int]:
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     q, a = inst.grid
-    g = int(gammas(a[inst.row_of[job_id]], h, q))
+    row = inst.row_of[job_id]
+    g = int(gammas(row_keys(a[row : row + 1]), np.zeros(1, dtype=np.intp), (h,), q)[0, 0])
     return g if g <= inst.m else None
 
 
-def gammas(rows: np.ndarray, h: Fraction, q: int) -> np.ndarray:
-    """gamma(j, h) for each numerator row over Q = q, m+1 where there is none:
-    1 + #{k : A[j,k-1] > floor(h*Q)}, the smallest k with t(j,k) <= h when
-    times are non-increasing in k."""
-    return (rows > h.numerator * q // h.denominator).sum(axis=-1) + 1
+class RowKeys(NamedTuple):  # a grid's search keys, see row_keys
+    keys: np.ndarray  # int64 while n*span < 2^62, else exact ints
+    span: int
+    m: int
+
+
+def row_keys(a: np.ndarray) -> RowKeys:
+    """The search keys of the n x m grid a of positive numerators: with
+    top = max(A) and span = top + 1, row r's keys r*span + top - A[r,k-1]
+    for k = 1..m, row after row in one flat array.  Row r's keys lie in
+    [r*span, r*span + top] and ascend in k on a time-monotone row."""
+    n, m = a.shape
+    top = int(a.max(initial=0))
+    dtype = np.int64 if n * (top + 1) < 1 << 62 else object
+    first = np.arange(n, dtype=dtype) * (top + 1) + top
+    return RowKeys((first[:, None] - a).astype(dtype, copy=False).ravel(), top + 1, m)
+
+
+def gammas(keys: RowKeys, rows: np.ndarray, heights: Sequence[Fraction], q: int) -> np.ndarray:
+    """gamma(j, h) of each grid row in rows (intp) at each height over Q = q,
+    a len(rows) x len(heights) array, m+1 where there is none.
+
+    One searchsorted counts them all: the first key of row r at or above
+    r*span + top - min(floor(h*Q), top) is at the smallest k with t(j,k) <=
+    h when the times are non-increasing in k.  On other rows a k <= m still
+    has t(j,k) <= h (binary search ends only on a key at or above its
+    query), though not always the smallest.  Later rows' keys exceed every
+    query of row r, so no search passes the next row's first key: k <= m+1.
+    """
+    top, dtype = keys.span - 1, keys.keys.dtype
+    thr = np.array([top - min(h.numerator * q // h.denominator, top) for h in heights], dtype=dtype)
+    at = np.searchsorted(keys.keys, (rows.astype(dtype) * keys.span)[:, None] + thr)
+    return at - rows[:, None] * keys.m + 1
 
 
 def validate_instance(inst: Instance) -> list[InstanceViolation]:
@@ -398,10 +375,10 @@ def validate_instance(inst: Instance) -> list[InstanceViolation]:
     return out
 
 
-def classify_jobs(inst: Instance, d: Fraction) -> JobClassification:
-    """Split jobs at the small-job threshold t(j,1) <= (3/7)*d (ties small)."""
+def classify_jobs(inst: Instance, d: Fraction) -> tuple[np.ndarray, Fraction]:
+    """The small rows' mask, t(j,1) <= (3/7)*d (ties small), and their work ws."""
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     q, a = inst.grid
     is_small = a[:, 0] <= math.floor(SMALL_THRESHOLD_FRAC * d * q)
-    return JobClassification(inst.ids, is_small, Fraction(sum(a[is_small, 0].tolist()), q))
+    return is_small, Fraction(sum(a[is_small, 0].tolist()), q)

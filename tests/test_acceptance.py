@@ -31,12 +31,12 @@ from moldsched import (
     try_guess,
     validate_schedule,
 )
-from moldsched.mckp import pick_totals, solve_mckp
-from moldsched.model import lambda_star, make_schedule
+from moldsched.mckp import pick_totals, search, solve_mckp
+from moldsched.model import make_schedule
 from moldsched.driver import _attempt
 from moldsched.cli import main as cli_main
 from test_mckp import random_items
-from util import brute_mckp, dp_shelves
+from util import brute_mckp, dp_shelves, lambda_star
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 RATIO_CAP = rat("1.4594") * rat("1.05")
@@ -82,7 +82,7 @@ def test_criterion_1_dual_approximation_guarantee():
         # contract (the solver verifies its returned schedule inline, built
         # once at the last accepted guess).
         for d in (r.accepted_d, 2 * r.accepted_d):
-            assert not isinstance(_attempt(inst, d), Reject)
+            assert not isinstance(_attempt(inst, d, search(inst)), Reject)
             sched, lam = dp_shelves(inst, d)
             rep = validate_schedule(inst, sched, require_contiguous=True)
             assert rep.feasible and rep.contiguous

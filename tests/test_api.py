@@ -39,6 +39,11 @@ def test_all_is_the_user_api():
         assert getattr(moldsched, name) is not None
 
 
+def test_the_package_never_imports_mpmath():
+    for path in Path(moldsched.__file__).parent.glob("*.py"):
+        assert "mpmath" not in path.read_text(), path.name
+
+
 def test_import_does_not_load_mpmath():
     code = "import sys, moldsched; print('mpmath' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(moldsched.__file__).parents[1])}

@@ -401,6 +401,20 @@ class TestBenchCommand:
         assert (first[0], first[1], first[2]) == ("4", "6", "1")  # sorted rows
         assert all(row.endswith(",") or row.split(",")[-1] == "" for row in lines[1:])
 
+    def test_each_row_times_a_solve_after_a_warm_up(self, tmp_path, monkeypatch):
+        # One task runs in-process: its row solves the instance twice and
+        # reports the second solve.
+        solves, real = [], cli.solve
+        monkeypatch.setattr(cli, "solve", lambda *a: solves.append(real(*a)) or solves[-1])
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "rows.csv"
+        cfg.write_text(json.dumps({"runs": [{"n": 6, "m": 4, "seeds": [1]}]}))
+        assert run("bench", cfg, "--out", out) == 0
+        assert len(solves) == 2 and solves[0].makespan == solves[1].makespan
+        row = out.read_text().strip().splitlines()[1].split(",")
+        assert row[4] == str(solves[1].makespan)
+        assert row[11:16] == [f"{t * 1000.0:.3f}" for t in solves[1].timings.values()]
+
     def test_empty_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         out = tmp_path / "rows.csv"

@@ -11,6 +11,7 @@ import pytest
 
 from moldsched import (
     GenConfig,
+    Instance,
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
@@ -165,8 +166,8 @@ class TestSolve:
         verified = []
         attempt, validate = driver._attempt, driver.validate_schedule
 
-        def counting_attempt(inst, d):
-            out = attempt(inst, d)
+        def counting_attempt(*args):
+            out = attempt(*args)
             verdicts.append(not isinstance(out, Reject))
             return out
 
@@ -178,7 +179,7 @@ class TestSolve:
         monkeypatch.setattr(driver, "validate_schedule", counting_validate)
         inst = generate(GenConfig(n=12, m=8, seed=0))
         r = solve(inst, rat("0.05"))
-        assert sum(verdicts) >= 2
+        assert sum(verdicts) >= 2 and len(verdicts) == r.iterations + 1
         assert len(verified) == 1
         assert verified[0][1] is r.schedule
         assert set(r.timings) == {"mckp", "list", "shelf", "small", "verify"}
@@ -222,7 +223,7 @@ class TestSolve:
         # The bounds leave the last accepted guess of these solves open.
         inst = generate(GenConfig(n=n, m=m, seed=seed))
         r = solve(inst, Fraction(1, 1000))
-        items, verdict = driver._attempt(inst, r.accepted_d)
+        items, verdict = driver._attempt(inst, r.accepted_d, mckp.search(inst))
         assignment = dict(zip(items.ids, verdict.pick))
         assert r.partition_by == verdict.by == "dp"
         assert r.mckp_assignment == assignment == dp_assignment(inst, r.accepted_d)
@@ -233,7 +234,7 @@ class TestSolve:
     def test_bound_accepted_guess_builds_from_the_greedy_pick(self):
         inst = generate(GenConfig(n=80, m=800, seed=1))
         r = solve(inst, Fraction(1, 1000))
-        attempted, verdict = driver._attempt(inst, r.accepted_d)
+        attempted, verdict = driver._attempt(inst, r.accepted_d, mckp.search(inst))
         assert r.partition_by == verdict.by == "bound"
         items = items_at(inst, r.accepted_d)
         assert r.mckp_assignment == dict(zip(attempted.ids, verdict.pick))
@@ -245,29 +246,35 @@ class TestSolve:
         (40, 16, 3, Fraction(1, 20)), (80, 800, 1, Fraction(1, 1000)), (200, 8, 1, Fraction(1, 20)),
     ])
     def test_the_knapsack_counts_the_allotment_once(self, monkeypatch, n, m, seed, eps):
-        # Every canonical machine count of a list-schedule solve is one of
-        # build_items' three gammas per guess: the allotment at the accepted
-        # guess reuses the accepting items' widths and is not recounted.
-        callers, guesses = [], []
-        real = model.gammas
+        # Every canonical machine count of a list-schedule solve comes from
+        # one gammas search per guess, made by build_items over row keys
+        # built once per solve: the allotment at the accepted guess reuses
+        # the accepting items' widths and is not recounted.
+        callers = {"gammas": [], "row_keys": []}
+        guesses = []
 
-        def recording(*args):
-            frame = sys._getframe(1)
-            while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
-                frame = frame.f_back
-            callers.append(frame.f_code.co_name)
-            return real(*args)
+        def recording(name, real):
+            def wrapped(*args):
+                frame = sys._getframe(1)
+                while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+                    frame = frame.f_back
+                callers[name].append(frame.f_code.co_name)
+                return real(*args)
+            return wrapped
 
-        for module in [sys.modules[name] for name in list(sys.modules)
-                       if name.startswith("moldsched.")]:
-            if getattr(module, "gammas", None) is real:
-                monkeypatch.setattr(module, "gammas", recording)
+        for name in callers:
+            real = getattr(model, name)
+            for module in [sys.modules[mod] for mod in list(sys.modules)
+                           if mod.startswith("moldsched.")]:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, recording(name, real))
         attempt = driver._attempt
         monkeypatch.setattr(driver, "_attempt", lambda *a: guesses.append(a) or attempt(*a))
         r = solve(generate(GenConfig(n=n, m=m, seed=seed)), eps)
         assert r.construction == "list" and len(guesses) == r.iterations + 1
-        assert set(callers) == {"build_items"}
-        assert len(callers) == 3 * len(guesses)
+        assert callers["gammas"] == ["build_items"] * len(guesses)
+        assert callers["row_keys"] == ["search"]
+        assert len({id(a[2]) for a in guesses}) == 1  # every guess reads the one search
 
     def test_debug_log_names_the_certificate(self, caplog):
         inst = generate(GenConfig(n=80, m=800, seed=1))
@@ -280,6 +287,32 @@ class TestSolve:
         for line in rejects:
             cost, budget = re.fullmatch(r"d=\S+ .*: cost (\S+), budget (\S+)", line).groups()
             assert Fraction(cost) > Fraction(budget)  # a lower bound above the budget
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_items_and_solve_follow_the_job_ids_not_the_rows(order):
+    # The same jobs in another row order: the items still ascend by job id,
+    # each id with the same options, so the DP's tie-break and the solve's
+    # guesses and partition are those of the id-ordered instance.  The
+    # accepted guess of this solve is left open, so the DP picks it.
+    inst = generate(GenConfig(n=40, m=100, seed=1))
+    jobs = list(inst.jobs)
+    if order == "reversed":
+        jobs.reverse()
+    else:
+        random.Random(5).shuffle(jobs)
+    moved = Instance(inst.m, tuple(jobs))
+    assert inst.ids == tuple(sorted(inst.ids)) != moved.ids
+    r, got = solve(inst, Fraction(1, 1000)), solve(moved, Fraction(1, 1000))
+    assert r.partition_by == got.partition_by == "dp"
+    assert (got.accepted_d, got.mckp_assignment) == (r.accepted_d, r.mckp_assignment)
+    assert got.certified_lower == r.certified_lower
+    for d in (r.accepted_d, r.certified_lower, (r.accepted_d + r.certified_lower) / 2):
+        want, items = items_at(inst, d), items_at(moved, d)
+        assert items.ids == sorted(items.ids) == want.ids
+        assert [moved.ids[row] for row in items.rows.tolist()] == items.ids
+        for name in ("width", "cost", "size2"):
+            assert getattr(items, name).tolist() == getattr(want, name).tolist(), name
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -327,7 +360,7 @@ class TestPickRecount:
     def _attempt(self, monkeypatch, pick, cost):
         monkeypatch.setattr(
             mckp, "decide", lambda items, m, budget: mckp.Verdict(None, "bound", cost, pick))
-        return driver._attempt(self.INST, Fraction(6))
+        return driver._attempt(self.INST, Fraction(6), mckp.search(self.INST))
 
     @pytest.mark.parametrize("pick", [(3, 3, 1), (3, 1, 1)])
     def test_a_sound_pick_passes(self, monkeypatch, pick):

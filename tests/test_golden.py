@@ -33,9 +33,9 @@ from functools import cache
 from pathlib import Path
 
 from moldsched import Instance, Reject, adversarial_instance, driver, rat, solve, try_guess
-from moldsched.mckp import build_items
-from moldsched.model import classify_jobs
-from util import const_work_job, dp_shelves, instance, job, options, random_instance
+from util import (
+    big_ids, const_work_job, dp_shelves, instance, items_for, job, options, random_instance,
+)
 
 GOLDEN = Path(__file__).with_name("golden_hashes.json")
 GOLDEN_SOLVE = Path(__file__).with_name("golden_solve_hashes.json")
@@ -123,7 +123,7 @@ def solved() -> tuple:
 def scaled_total(inst: Instance, d: Fraction) -> int:
     """Sum over the knapsack items at d of their largest cost, in the DP's own
     integer unit: the items' costs (work at the grid scale) over their gcd."""
-    items = build_items(inst, classify_jobs(inst, d).big, d)
+    items = items_for(inst, big_ids(inst, d), d)
     assert not isinstance(items, Reject)
     costs = [[o[0] for o in row if o] for row in options(items)]
     unit = math.gcd(*(c for row in costs for c in row))

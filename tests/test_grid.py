@@ -24,11 +24,13 @@ from moldsched.model import (
 )
 from moldsched.verify import validate_schedule
 from util import (
+    big_ids,
     const_work_job,
     dp_assignment,
     dp_shelves,
     instance,
     items_at,
+    items_for,
     options,
     random_instance,
     small_ids,
@@ -152,14 +154,16 @@ class TestDecisionPathMatchesFractions:
         for name, inst in corpus():
             assert initial_bounds(inst) == SearchBounds(*ref_initial_bounds(inst))
             for d in guesses(rng, inst):
-                cls = classify_jobs(inst, d)
-                assert (small_ids(cls), cls.big, cls.ws) == ref_classify(inst, d), (name, d)
-                ref = ref_build_items(inst, cls.big, d)
-                assert as_work(inst, mckp.build_items(inst, cls.big, d)) == ref, (name, d)
+                small, ws = classify_jobs(inst, d)
+                big = big_ids(inst, d)
+                assert (small_ids(inst, d), big, ws) == ref_classify(inst, d), (name, d)
+                assert small.tolist() == [j.id not in big for j in inst.jobs]
+                ref = ref_build_items(inst, big, d)
+                assert as_work(inst, items_for(inst, big, d)) == ref, (name, d)
                 # every job, small ones included, at every threshold
                 everyone = {j.id for j in inst.jobs}
                 ref_all = ref_build_items(inst, everyone, d)
-                assert as_work(inst, mckp.build_items(inst, everyone, d)) == ref_all, (name, d)
+                assert as_work(inst, items_for(inst, everyone, d)) == ref_all, (name, d)
                 rejects += ref_all[0] == "reject"
                 ties += any(t in (d, Fraction(4, 7) * d, Fraction(3, 7) * d)
                             for j in inst.jobs for t in j.times)
@@ -173,8 +177,8 @@ class TestDecisionPathMatchesFractions:
         for name, inst in corpus():
             q, a = inst.grid
             for d in guesses(rng, inst):
-                for big in (classify_jobs(inst, d).big, {j.id for j in inst.jobs}):
-                    items = mckp.build_items(inst, big, d)
+                for big in (big_ids(inst, d), {j.id for j in inst.jobs}):
+                    items = items_for(inst, big, d)
                     if isinstance(items, Reject):
                         continue
                     g = items.width
@@ -233,7 +237,7 @@ class TestGridBeyondFloatRange:
         q, a = inst.grid
         assert q.bit_length() > 1100 and a.dtype == object
         d = Fraction(21, 20)  # job 2's options cost 1, 6/5 and 27/20 at sizes 2, 2, 0
-        items = mckp.build_items(inst, classify_jobs(inst, d).big, d)
+        items = items_for(inst, big_ids(inst, d), d)
         best = mckp.pick_totals(items, mckp.solve_mckp(items, self.M))[0]
         for budget in (best - 1, best, best + q):
             verdict = mckp.decide(items, self.M, budget)
@@ -376,14 +380,14 @@ class TestTimesView:
         for config in configs:
             inst = generate(config)
             d = solve(inst).accepted_d
-            cls, assignment = classify_jobs(inst, d), dp_assignment(inst, d)
+            assignment = dp_assignment(inst, d)
             with monkeypatch.context() as mp:
                 for name in ("__getitem__", "__iter__"):
                     mp.setattr(Times, name, counting(getattr(Times, name), reads, name))
                 for name in ("repair_s2_small_q", "repair_s2_large_q"):
                     mp.setattr(shelf, name, counting(getattr(shelf, name), repairs, name))
                 layout, lam = shelf.shelf_layout(inst, assignment, d)
-                sched = shelf.add_small_jobs(layout, inst, small_ids(cls))
+                sched = shelf.add_small_jobs(layout, inst, small_ids(inst, d))
             assert (sched, lam) == dp_shelves(inst, d)
         assert reads == {}
         assert repairs["repair_s2_small_q"] and repairs["repair_s2_large_q"]

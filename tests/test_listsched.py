@@ -20,8 +20,8 @@ from moldsched import (
 )
 from moldsched import listsched, shelf
 from moldsched.listsched import list_schedule, window_max
-from moldsched.model import Schedule, classify_jobs, gamma
-from util import allotment, dp_shelves, instance, job
+from moldsched.model import Schedule, gamma
+from util import allotment, big_ids, dp_shelves, instance, job, small_ids
 
 
 def _brute_window_max(x, k):
@@ -100,7 +100,7 @@ class TestPlacement:
             k = widths[job_id]
             times = inst.job(job_id).times
             assert times[k - 1] <= heights[cls] and (k == 1 or times[k - 2] > heights[cls])
-        for job_id in set(inst.ids) - classify_jobs(inst, d).big:
+        for job_id in small_ids(inst, d):
             assert widths[job_id] == 1
         assert r.schedule == list_schedule(inst, allotment(inst, d, r.mckp_assignment))
 
@@ -198,7 +198,7 @@ def test_all_small_jobs_build_no_shelves(monkeypatch):
     inst = generate(GenConfig(n=200, m=8, seed=1))
     builds = _counting(monkeypatch, shelf, "build_three_shelf")
     r = solve(inst)
-    assert classify_jobs(inst, r.accepted_d).big == frozenset()
+    assert big_ids(inst, r.accepted_d) == frozenset()
     assert len(builds) == 0
     assert r.lambda_used == LAMBDA_Q0 and r.construction == "list"
     assert r.timings["shelf"] == r.timings["small"] == 0.0

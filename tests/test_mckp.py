@@ -8,16 +8,16 @@ import pytest
 from moldsched import Reject, driver, mckp, rat
 from moldsched.mckp import (
     MckpItems,
-    build_items,
     decide,
     pick_totals,
     solve_mckp,
 )
-from moldsched.model import classify_jobs
 from util import (
+    big_ids,
     brute_mckp,
     const_work_job,
     instance,
+    items_for,
     items_of,
     job,
     options,
@@ -72,7 +72,7 @@ def assert_same_pick(items, got, ref, *context):
 class TestBuildItems:
     def test_hand_example(self):
         inst = instance(3, job(1, 1, rat("0.5"), rat("0.34")))
-        items = build_items(inst, {1}, rat(1))
+        items = items_for(inst, {1}, rat(1))
         assert not isinstance(items, Reject)
         (item,) = options(items)
         q = inst.grid[0]  # costs are work at the grid scale
@@ -83,7 +83,7 @@ class TestBuildItems:
 
     def test_reject_when_job_cannot_meet_d(self):
         inst = instance(2, job(1, 10, 6))
-        out = build_items(inst, {1}, rat(5))
+        out = items_for(inst, {1}, rat(5))
         assert isinstance(out, Reject)
         assert out.job_id == 1
 
@@ -92,7 +92,7 @@ class TestBuildItems:
         # 13 machines: 6.01/13 > 3/7.
         inst = instance(13, const_work_job(1, rat("6.01"), 13))
         assert rat("6.01") / 13 > Fraction(3, 7)
-        items = build_items(inst, {1}, rat(1))
+        items = items_for(inst, {1}, rat(1))
         assert not isinstance(items, Reject)
         (item,) = options(items)
         assert item[2] is None
@@ -103,7 +103,7 @@ class TestBuildItems:
     def test_unavailable_options_in_middle(self):
         # Meets d on all machines but never (4/7)d or (3/7)d.
         inst = instance(2, job(1, 10, 6))
-        items = build_items(inst, {1}, rat(6))
+        items = items_for(inst, {1}, rat(6))
         (item,) = options(items)
         assert item[0] is not None
         assert item[1] is None
@@ -213,8 +213,7 @@ class TestSolveMckp:
             d2 = d1 + Fraction(rng.randint(1, 200), 100)
             costs = []
             for d in (d1, d2):
-                big = classify_jobs(inst, d).big
-                items = build_items(inst, big, d)
+                items = items_for(inst, big_ids(inst, d), d)
                 if isinstance(items, Reject):
                     costs.append(None)
                     continue
@@ -254,8 +253,7 @@ class TestBruteMckp:
         for _ in range(40):
             inst = random_instance(rng, rng.randint(1, 9), rng.randint(1, 8))
             d = max(j.times[-1] for j in inst.jobs) + Fraction(rng.randint(0, 300), 100)
-            big = classify_jobs(inst, d).big
-            items = build_items(inst, big, d)
+            items = items_for(inst, big_ids(inst, d), d)
             assert not isinstance(items, Reject)
             got = solve_mckp(items, inst.m)
             ref = brute_mckp(items, inst.m)
@@ -301,20 +299,23 @@ class TestDecide:
         }
 
     def test_agrees_with_the_dp_on_solver_guesses(self, monkeypatch):
-        guesses = []
+        guesses, built = [], []
         build = mckp.build_items
 
-        def recording_build(inst, big, d):
-            items = build(inst, big, d)
+        def recording_build(inst, *args):
+            items = build(inst, *args)
+            built.append(items)
             if not isinstance(items, Reject):
                 guesses.append((items, inst.m))
             return items
 
         monkeypatch.setattr(mckp, "build_items", recording_build)
         rng = random.Random(41)
+        tried = 0
         for _ in range(40):
-            driver.solve(random_instance(rng, rng.randint(1, 16), rng.randint(1, 10)))
+            tried += driver.solve(random_instance(rng, rng.randint(1, 16), rng.randint(1, 10))).iterations + 1
         monkeypatch.undo()
+        assert len(built) == tried  # every guess of every solve
         assert len(guesses) >= 200
         by = {}
         for items, m in guesses:

@@ -1,3 +1,4 @@
+import collections
 import pickle
 import random
 from fractions import Fraction
@@ -27,8 +28,10 @@ from moldsched.model import (
     classify_jobs,
     Times,
     gamma,
-    lambda_star,
+    gammas,
+    int_matrix,
     make_schedule,
+    row_keys,
 )
 from util import (
     const_work_job,
@@ -38,6 +41,7 @@ from util import (
     int_schedule,
     job,
     random_instance,
+    lambda_star,
     random_monotone_job,
     small_ids,
 )
@@ -115,6 +119,101 @@ class TestGamma:
             assert g is not None
             for k in range(g, m + 1):
                 assert g * j.times[g - 1] <= k * j.times[k - 1]
+
+
+def _monotone_rows(rng, n, m, top):
+    """n rows of m positive integers, each non-increasing, at most top."""
+    rows = []
+    for _ in range(n):
+        row = sorted((rng.randint(1, top) for _ in range(m)), reverse=True)
+        if rng.random() < 0.3:  # runs of equal values
+            row = [row[k - k % 3] for k in range(m)]
+        rows.append(row)
+    return rows
+
+
+def _heights(rng, a, q):
+    """Heights at, just below and just above grid values, under every
+    row's t(j,m), at and over every row's t(j,1), and over max(A)."""
+    values = sorted({v for row in a.tolist() for v in row})
+    hs = set()
+    for v in rng.sample(values, min(len(values), 12)):
+        hs |= {Fraction(v, q), Fraction(10 * v - 1, 10 * q), Fraction(10 * v + 1, 10 * q)}
+    low = min(row[-1] for row in a.tolist())
+    hs |= {Fraction(2 * low - 1, 2 * q), Fraction(low, 3 * q)}
+    hs |= {Fraction(row[0], q) for row in a.tolist()[:3]} | {Fraction(2 * values[-1] + 1, q)}
+    return sorted(hs)
+
+
+def _row_orders(rng, n):
+    """Grid rows as build_items passes them, ascending, and in other orders."""
+    subset = sorted(rng.sample(range(n), rng.randint(0, n)))
+    shuffled = rng.sample(range(n), n)
+    repeated = sorted(rng.choices(range(n), k=n))
+    return [np.array(r, dtype=np.intp) for r in (range(n), subset, shuffled, repeated,
+                                                  shuffled[::-1] + shuffled)]
+
+
+def _smallest_k(row, h, q):
+    return next((k for k, v in enumerate(row, start=1) if Fraction(v, q) <= h), len(row) + 1)
+
+
+class TestGammas:
+    """One searchsorted over a grid's row keys gives every row's gamma at
+    every height: the smallest k on time-monotone rows, and a sound k on
+    any row of positive times."""
+
+    @pytest.mark.parametrize("top, keys_dtype", [
+        (10**6, np.int64),        # an int64 grid
+        (1 << 57, np.int64),      # an object grid whose keys still fit int64
+        (1 << 80, object),        # huge numerators: exact keys
+    ])
+    def test_monotone_rows_give_the_smallest_k(self, top, keys_dtype):
+        rng = random.Random(top % 1000 + 11)
+        seen = collections.Counter()
+        for _ in range(12):
+            n, m, q = rng.randint(1, 9), rng.randint(1, 12), rng.choice([1, 7, 100, 10**9 + 7])
+            a = int_matrix(_monotone_rows(rng, n, m, top), m)
+            keys = row_keys(a)
+            assert keys.keys.dtype == keys_dtype
+            hs = _heights(rng, a, q)
+            for rows in _row_orders(rng, n):
+                g = gammas(keys, rows, hs, q)
+                assert g.shape == (len(rows), len(hs))
+                want = [[_smallest_k(a[r].tolist(), h, q) for h in hs] for r in rows.tolist()]
+                assert g.tolist() == want, (n, m, q, rows)
+                seen.update(("none" if k > m else "one" if k == 1 else "inner")
+                            for row in want for k in row)
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("top", [400, 1 << 80])
+    def test_other_rows_give_a_sound_k(self, top):
+        # On rows that break time monotony a k <= m is one the job meets h
+        # on; m+1 may also come when the search leaves the row's keys.
+        rng = random.Random(top % 1000 + 17)
+        smaller = 0
+        for _ in range(60):
+            n, m, q = rng.randint(1, 8), rng.randint(2, 10), rng.choice([1, 100])
+            a = int_matrix([[rng.randint(1, top) for _ in range(m)] for _ in range(n)], m)
+            hs = _heights(rng, a, q)
+            for rows in _row_orders(rng, n):
+                for r, row_g in zip(rows.tolist(), gammas(row_keys(a), rows, hs, q).tolist()):
+                    row = a[r].tolist()
+                    for h, k in zip(hs, row_g):
+                        assert 1 <= k <= m + 1
+                        if k <= m:
+                            assert Fraction(row[k - 1], q) <= h, (row, h, k)
+                        smaller += k != _smallest_k(row, h, q)
+        assert smaller  # not always the smallest: the search skips some
+
+    def test_scalar_gamma_is_the_same_count(self):
+        rng = random.Random(19)
+        inst = random_instance(rng, 6, 9)
+        q, a = inst.grid
+        hs = _heights(rng, a, q)
+        g = gammas(row_keys(a), np.arange(inst.n, dtype=np.intp), hs, q)
+        for j, row in zip(inst.jobs, g.tolist()):
+            assert [gamma(inst, j.id, h) or inst.m + 1 for h in hs] == row
 
 
 class TestValidateInstance:
@@ -261,36 +360,27 @@ class TestClassifyJobs:
         inst = instance(
             1, job(1, 3), job(2, rat("3.5")), job(3, 10)
         )
-        c = classify_jobs(inst, rat(7))
-        assert small_ids(c) == {1}
-        assert c.big == {2, 3}
-        assert c.ws == rat(3)
+        small, ws = classify_jobs(inst, rat(7))
+        assert small.tolist() == [True, False, False]
+        assert ws == rat(3)
 
     def test_tie_is_small_and_just_above_is_big(self):
         inst = instance(1, job(1, rat("3.0001")))
-        c = classify_jobs(inst, rat(7))
-        assert c.big == {1}
+        assert small_ids(inst, rat(7)) == set()
         inst2 = instance(1, job(1, 3))
-        assert small_ids(classify_jobs(inst2, rat(7))) == {1}
+        assert small_ids(inst2, rat(7)) == {1}
 
     def test_small_fractions(self):
         inst = instance(1, job(1, rat("0.3")), job(2, rat("0.3")))
-        c = classify_jobs(inst, rat("0.7"))
-        assert small_ids(c) == {1, 2}
-        assert c.ws == rat("0.6")
+        assert small_ids(inst, rat("0.7")) == {1, 2}
+        assert classify_jobs(inst, rat("0.7"))[1] == rat("0.6")
 
-    def test_guesses_share_the_instance_ids(self):
-        # One id tuple per instance; each guess keeps only its row mask and
-        # builds the big id set on first use.  The small jobs need no id set:
-        # the driver reads them as the partition's complement.
+    def test_a_guess_is_a_row_mask_and_ws(self):
+        # No id set per guess: the mask is in row order, whatever the ids.
         inst = instance(1, job(5, 3), job(2, 10), job(9, 1))
-        c = classify_jobs(inst, rat(7))
-        assert inst.ids == (5, 2, 9) and c.ids is inst.ids
-        assert c.is_small.tolist() == [True, False, True]
-        assert "small" not in vars(c) and "big" not in vars(c)
-        assert not hasattr(c, "small")
-        assert (small_ids(c), c.big) == ({5, 9}, {2})
-        assert classify_jobs(inst, rat(1)).ids is inst.ids
+        small, ws = classify_jobs(inst, rat(7))
+        assert small.dtype == bool and small.tolist() == [True, False, True]
+        assert ws == 4
 
     @pytest.mark.parametrize("d", [0, rat("-1/2")])
     def test_guess_must_be_positive(self, d):

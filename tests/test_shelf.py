@@ -17,7 +17,7 @@ from moldsched import (
     solve,
     validate_schedule,
 )
-from moldsched.mckp import build_items, pick_totals, solve_mckp
+from moldsched.mckp import pick_totals, solve_mckp
 from moldsched.model import classify_jobs, gamma, make_schedule
 from moldsched.shelf import (
     ColumnPart,
@@ -34,7 +34,9 @@ from moldsched.shelf import (
     repair_s2_small_q,
     shelf_layout,
 )
-from util import const_work_job, dp_assignment, instance, job, options, random_instance
+from util import (
+    big_ids, const_work_job, dp_assignment, instance, items_for, job, options, random_instance,
+)
 
 D1 = rat(1)
 _STRETCHES = (LAMBDA_Q0, LAMBDA_SMALL_Q, LAMBDA_STAR_UPPER)
@@ -120,7 +122,7 @@ class TestBuildThreeShelf:
         # shelves built so far, and its diagnostic prints them.
         inst = generate(GenConfig(n=20, m=6, seed=4))
         d = solve(inst).accepted_d
-        big = classify_jobs(inst, d).big
+        big = big_ids(inst, d)
         with pytest.raises(ShelfInvariantError) as info:
             build_three_shelf(inst, dict.fromkeys(big, 1), d, LAMBDA_Q0)
         assert info.value.shelf is not None
@@ -135,12 +137,11 @@ class TestBuildThreeShelf:
         for _ in range(30):
             inst = random_instance(rng, rng.randint(1, 12), rng.randint(1, 10))
             d = sum(j.times[0] for j in inst.jobs)  # >= OPT: always accepted
-            cls = classify_jobs(inst, d)
-            items = build_items(inst, cls.big, d)
+            items = items_for(inst, big_ids(inst, d), d)
             assert not isinstance(items, Reject)
             sol = solve_mckp(items, inst.m)
             assert sol is not None
-            budget = inst.m * d - cls.ws
+            budget = inst.m * d - classify_jobs(inst, d)[1]
             total_cost = Fraction(pick_totals(items, sol)[0], inst.grid[0])  # costs are work * Q
             assert total_cost <= budget
             ss = build_three_shelf(inst, dict(zip(items.ids, sol)), d, LAMBDA_Q0)
@@ -363,13 +364,13 @@ class TestTransformationsMatchReference:
             inst = random_instance(rng, rng.randint(2, 16), rng.randint(2, 12))
             d = sum(j.times[0] for j in inst.jobs) * Fraction(rng.randint(15, 60), 100)
             d = max(d, max(j.times[-1] for j in inst.jobs))
-            cls = classify_jobs(inst, d)
-            if not cls.big:
+            big = big_ids(inst, d)
+            if not big:
                 continue
-            items = build_items(inst, cls.big, d)
+            items = items_for(inst, big, d)
             sol = None if isinstance(items, Reject) else solve_mckp(items, inst.m)
             solved = None if sol is None else dict(zip(items.ids, sol))
-            forced = _forced_partition(rng, inst, cls.big, d)
+            forced = _forced_partition(rng, inst, big, d)
             for partition in (solved, forced):
                 if partition is None:
                     continue
@@ -698,11 +699,11 @@ class TestForcedPartitionFuzz:
             inst = random_instance(rng, rng.randint(2, 14), rng.randint(2, 12))
             cls_d = sorted(j.times[0] for j in inst.jobs)[len(inst.jobs) // 2]
             d = cls_d * Fraction(7, 3) + Fraction(rng.randint(0, 100), 100)
-            cls = classify_jobs(inst, d)
-            if not cls.big:
+            big, (_, ws) = big_ids(inst, d), classify_jobs(inst, d)
+            if not big:
                 continue
             assignment = {}
-            for job_id in sorted(cls.big):
+            for job_id in sorted(big):
                 if gamma(inst, job_id, Fraction(4, 7) * d) is not None:
                     assignment[job_id] = 2
                 elif gamma(inst, job_id, d) is not None:
@@ -714,7 +715,7 @@ class TestForcedPartitionFuzz:
             # The build's precondition: the partition fits the knapsack's 2m
             # half-machine capacity, as every solve_mckp pick does.
             # Past it shelves 0 and 1 may need more than m machines.
-            items = build_items(inst, cls.big, d)
+            items = items_for(inst, big, d)
             size2 = sum(row[assignment[job_id] - 1][1]
                         for job_id, row in zip(items.ids, options(items)))
             if size2 > 2 * inst.m:
@@ -723,7 +724,7 @@ class TestForcedPartitionFuzz:
             if ss.split_job is not None:
                 splits += 1
             apply_transformations(ss)
-            if total_work(ss) > inst.m * d - cls.ws:
+            if total_work(ss) > inst.m * d - ws:
                 continue  # forced partition broke the budget: repairs not owed
             m_eff = inst.m - ss.m0
             if 6 * ss.q <= m_eff:
@@ -732,7 +733,7 @@ class TestForcedPartitionFuzz:
                 ss = build_three_shelf(inst, assignment, d, LAMBDA_STAR_UPPER)
                 apply_transformations(ss)
                 m_eff = inst.m - ss.m0
-                if total_work(ss) > inst.m * d - cls.ws:
+                if total_work(ss) > inst.m * d - ws:
                     continue
                 if 6 * ss.q <= m_eff:
                     layout = repair_s2_small_q(ss)

@@ -61,9 +61,9 @@ def test_knapsack_counters_count_each_dp(monkeypatch):
     with tracer.patched(), monkeypatch.context() as mp:
         build, dp = mckp.build_items, mckp.solve_mckp
 
-        def recording_build(inst, big, d):
-            items = build(inst, big, d)
-            big_of[id(items)] = (items, len(big))
+        def recording_build(inst, search, small, d):
+            items = build(inst, search, small, d)
+            big_of[id(items)] = (items, int((~small).sum()))
             return items
 
         def counting_dp(items, m):

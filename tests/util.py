@@ -10,8 +10,8 @@ from itertools import compress
 import numpy as np
 
 from moldsched import Instance, Job, PlacedJob, Reject, Schedule, driver, rat
-from moldsched.mckp import CLASS_HEIGHTS, MckpItems, _options, build_items, solve_mckp
-from moldsched.model import JobClassification, classify_jobs, gamma, int_array, int_matrix
+from moldsched.mckp import CLASS_HEIGHTS, MckpItems, _options, build_items, search, solve_mckp
+from moldsched.model import classify_jobs, gamma, int_array, int_matrix
 
 
 def job(job_id, *times) -> Job:
@@ -136,9 +136,15 @@ def brute_mckp(items: MckpItems, m: int) -> tuple[int, ...] | None:
     return None if best_choice is None else tuple(best_choice)
 
 
+def items_for(inst: Instance, big, d: Fraction) -> MckpItems | Reject:
+    """build_items over the jobs whose ids are in big, at a guess d."""
+    small = np.array([job_id not in big for job_id in inst.ids], dtype=bool)
+    return build_items(inst, search(inst), small, d)
+
+
 def items_at(inst: Instance, d: Fraction) -> MckpItems:
     """The knapsack items of the big jobs at a guess d every job can meet."""
-    items = build_items(inst, classify_jobs(inst, d).big, d)
+    items = items_for(inst, big_ids(inst, d), d)
     assert not isinstance(items, Reject)
     return items
 
@@ -155,9 +161,48 @@ def dp_shelves(inst: Instance, d: Fraction) -> tuple[Schedule, Fraction]:
     return driver._shelves(inst, d, dp_assignment(inst, d), {"verify": 0.0})
 
 
-def small_ids(cls: JobClassification) -> frozenset[int]:
-    """The ids of the small jobs of a classification, from its row mask."""
-    return frozenset(compress(cls.ids, cls.is_small.tolist()))
+def small_ids(inst: Instance, d: Fraction) -> frozenset[int]:
+    """The ids of the small jobs at d, from classify_jobs' row mask."""
+    return frozenset(compress(inst.ids, classify_jobs(inst, d)[0].tolist()))
+
+
+def big_ids(inst: Instance, d: Fraction) -> frozenset[int]:
+    """The ids of the big jobs at d, the knapsack's jobs."""
+    return frozenset(inst.ids) - small_ids(inst, d)
+
+
+def lambda_star(tolerance: Fraction = Fraction(1, 10**6)) -> Fraction:
+    """Rational strict upper bracket of the root of ln(x) = 3x - 4 near 1.4593.
+
+    The worst-case stretch factor of the q > m/6 repair is the unique root of
+    ln(x) = 3x - 4 in (1.4, 1.5).  Bisection on f(x) = ln(x) - 3x + 4 with
+    high-precision evaluation returns the upper bracket endpoint, so the
+    result lam always satisfies ln(lam) < 3*lam - 4, i.e. lam is strictly
+    above the root, at distance at most ``tolerance``.
+    """
+    tolerance = Fraction(tolerance)
+    if not Fraction(0) < tolerance < Fraction(1, 1000):
+        raise ValueError(f"tolerance must be in (0, 1e-3), got {tolerance}")
+    lo = Fraction(14, 10)
+    hi = Fraction(15, 10)
+    if not (log_gap_sign(lo) > 0 > log_gap_sign(hi)):
+        raise AssertionError("bisection bracket lost its sign change")
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        if log_gap_sign(mid) < 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def log_gap_sign(x: Fraction) -> int:
+    """Sign of ln(x) - 3x + 4, evaluated with 60 significant digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        val = mpmath.log(mpmath.mpf(x.numerator) / x.denominator) - 3 * x + 4
+        return int(mpmath.sign(val))
 
 
 def allotment(inst: Instance, d: Fraction, assignment: dict[int, int]) -> np.ndarray:
