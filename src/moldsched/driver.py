@@ -37,7 +37,6 @@ from .model import (
     Instance,
     Schedule,
     classify_jobs,
-    make_schedule,
 )
 from .verify import validate_schedule
 
@@ -202,9 +201,8 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
     if not Fraction(0) < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     if not inst.jobs:
-        return SolveResult(
-            make_schedule([]), Fraction(0), LAMBDA_Q0, Fraction(0), 0
-        )
+        empty = Schedule.of_ints(1, (np.zeros(0, dtype=np.int64),) * 5, Fraction(0))
+        return SolveResult(empty, Fraction(0), LAMBDA_Q0, Fraction(0), 0)
     bounds = initial_bounds(inst)
     lower, upper = bounds.lower, bounds.upper
 

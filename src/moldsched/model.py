@@ -5,12 +5,11 @@ holds its times as integers over a common denominator Q, the n x m matrix A
 of ``Instance.grid`` (int64 while it fits, else Python ints): t(j,k) =
 A[j,k-1]/Q.  The solver reads times only from the grid, by integers, as t
 <= h iff A <= floor(h*Q): each canonical machine count is one search over the
-grid's row keys (``gammas``; ``gamma`` for the shelves, which read ``t``).  A
-``Schedule`` is given as PlacedJobs with Fraction times, or in integer form
-(one denominator and integer columns, as the list schedule builds it), whose
-PlacedJobs are made on first read.  Fractions appear at the API boundary
-(``Job.times``, guesses, shelf heights, placements); floats only in timing
-and plots.
+grid's row keys (``gammas``; ``gamma`` counts one job).  A ``Schedule`` is
+given as PlacedJobs with Fraction times, or in integer form (one denominator
+and integer columns, the form of every solver schedule), whose PlacedJobs are
+made on first read.  Fractions appear at the API boundary (``Job.times``,
+guesses, placements); floats only in timing and plots.
 
 The stretch constant ``LAMBDA_STAR_UPPER`` is a Fraction literal: a strict
 upper bracket of the root of ln(x) = 3x - 4 near 1.4593, within 10^-6.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -288,18 +287,6 @@ def ratio_str(p: int, q: int) -> str:
     """str(Fraction(p, q)) for q > 0, without building the Fraction."""
     g = math.gcd(p, q)
     return f"{p // g}/{q // g}" if g != q else str(p // g)
-
-
-def make_schedule(placements: Iterable[PlacedJob]) -> Schedule:
-    placements = tuple(placements)
-    makespan = max((p.end for p in placements), default=Fraction(0))
-    return Schedule(placements, makespan)
-
-
-def t(inst: Instance, job_id: int, k: int) -> Fraction:
-    """t(j,k), the job's time on k machines, read off the grid."""
-    q, a = inst.grid
-    return Fraction(a.item(inst.row_of[job_id], k - 1), q)
 
 
 def gamma(inst: Instance, job_id: int, h: Fraction) -> Optional[int]:

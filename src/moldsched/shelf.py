@@ -36,30 +36,38 @@ Machine bookkeeping: shelf 0 owns machines [0, m0); shelves 1 and 2 share
 the remaining m' = m - m0 machines, and all repair thresholds (q vs m'/6,
 shelf-2 width vs m') are taken relative to m'.
 
-Times come from the instance's integer grid only: every height is
-``t(inst, j, k)`` and every canonical count ``gamma(inst, j, h)``, the same
-count the knapsack items are built from.
+Heights are integers over one scale per build, L = lcm(Q, den(d), den(lam*d)):
+t(j,k)*L = A[j,k-1]*L/Q, so every stack, gap and shelf-2 start is an exact
+integer sum.  A build counts its machine numbers with one ``gammas`` search
+at d, (4/7)d, (lam-1)d and lam*d, the knapsack's own count, and
+``add_small_jobs`` returns the schedule in integer form (``Schedule.of_ints``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from .model import (
+import numpy as np
+
+# gamma stays bound here for the benchmark tracer, which wraps shelf.gamma.
+from .model import (  # noqa: F401
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
     Instance,
-    PlacedJob,
     Schedule,
     gamma,
-    make_schedule,
-    t,
+    gammas,
+    int_array,
+    ratio_str,
+    row_keys,
 )
 
 
@@ -84,7 +92,7 @@ class ShelfInvariantError(RuntimeError):
 @dataclass(frozen=True)
 class ColumnPart:
     job_id: int
-    height: Fraction
+    height: int  # over the shelves' scale L
 
 
 @dataclass
@@ -102,8 +110,8 @@ class ShelfColumn:
     lane: Optional[int] = None  # 0 = lane with the partner on top, 1 = bare lane
 
     @property
-    def height(self) -> Fraction:
-        return sum((p.height for p in self.parts), Fraction(0))
+    def height(self) -> int:
+        return sum(p.height for p in self.parts)
 
     def min_job_id(self) -> int:
         return min(p.job_id for p in self.parts)
@@ -113,7 +121,7 @@ class ShelfColumn:
 class S2Job:
     job_id: int
     width: int
-    height: Fraction
+    height: int
 
 
 @dataclass(frozen=True)
@@ -123,11 +131,14 @@ class IdleRun:
 
 @dataclass(frozen=True)
 class Layout:
-    """A laid-out shelf schedule and each machine i's idle gap [bottom[i], top[i])."""
+    """Laid-out shelves over their scale L: the placements as rows (job id,
+    first machine, width, start, duration) in placement order, and each
+    machine i's idle gap [bottom[i], top[i])."""
 
-    schedule: Schedule
-    bottom: list[Fraction]
-    top: list[Fraction]
+    scale: int
+    placed: list[tuple[int, int, int, int, int]]
+    bottom: list[int]
+    top: list[int]
 
 
 @dataclass
@@ -168,10 +179,35 @@ class ShelfSchedule:
             return 0
         return 1 if 6 * self.q <= self.m_eff else 2
 
+    @cached_property
+    def scale(self) -> int:
+        """L = lcm(Q, den(d), den(lam*d)), the denominator of every height."""
+        return math.lcm(self.inst.grid[0], self.d.denominator, (self.lam * self.d).denominator)
+
+    def units(self, x: Fraction) -> int:
+        """x*L, for x a multiple of 1/L such as d or lam*d."""
+        return x.numerator * (self.scale // x.denominator)
+
+    def height(self, job_id: int, k: int) -> int:
+        """t(j,k)*L, read off the grid."""
+        q, a = self.inst.grid
+        return a.item(self.inst.row_of[job_id], k - 1) * (self.scale // q)
+
+    @cached_property
+    def counts(self) -> dict[int, list[int]]:
+        """Each job's canonical machine counts at d, (4/7)d, (lam-1)d and
+        lam*d, m+1 where there is none: one search over the grid's rows."""
+        q, a = self.inst.grid
+        d, lam = self.d, self.lam
+        heights = (d, Fraction(4, 7) * d, (lam - 1) * d, lam * d)
+        g = gammas(row_keys(a), np.arange(self.inst.n), heights, q)
+        return dict(zip(self.inst.ids, g.tolist()))
+
     def summary(self) -> str:
         def cols(cs: list[ShelfColumn]) -> str:
             return ", ".join(
-                f"[w={c.width} h={c.height} jobs={[p.job_id for p in c.parts]}"
+                f"[w={c.width} h={ratio_str(c.height, self.scale)} "
+                f"jobs={[p.job_id for p in c.parts]}"
                 + (f" split={c.split_of}/{c.lane}" if c.split_of is not None else "")
                 + "]"
                 for c in cs
@@ -181,7 +217,7 @@ class ShelfSchedule:
             f"shelf schedule: m={self.inst.m} d={self.d} lam={self.lam} "
             f"m0={self.m0} m1_used={self.m1_used} q={self.q} m2={self.m2}\n"
             f"  s0: {cols(self.s0)}\n  s1: {cols(self.s1)}\n"
-            f"  s2: {[(j.job_id, j.width, str(j.height)) for j in self.s2]}\n"
+            f"  s2: {[(j.job_id, j.width, ratio_str(j.height, self.scale)) for j in self.s2]}\n"
             f"  split_job={self.split_job}"
         )
 
@@ -232,52 +268,40 @@ def build_three_shelf(
     if not LAMBDA_Q0 <= lam < Fraction(3, 2):
         raise ValueError(f"lam must be in [10/7, 3/2), got {lam}")
     ss = ShelfSchedule(inst, d, lam)
-    lam_d = lam * d
-    h2 = Fraction(4, 7) * d
+    d_units, lam_d = ss.units(d), ss.units(lam * d)
 
     def drop(col: ShelfColumn) -> None:
         if col.height > lam_d:
             raise ShelfInvariantError(
-                f"column height {col.height} exceeds lam*d = {lam_d}", ss
+                f"column height {ratio_str(col.height, ss.scale)} exceeds lam*d = {lam * d}", ss
             )
-        (ss.s0 if col.height > d else ss.s1).append(col)
+        (ss.s0 if col.height > d_units else ss.s1).append(col)
 
     threes: list[int] = []
     ones: list[int] = []
     for job_id in sorted(assignment):
         cls = assignment[job_id]
-        if cls == 1:
-            g = gamma(inst, job_id, d)
-            if g is None:
-                raise ShelfInvariantError(f"class-1 job {job_id} cannot meet d", ss)
-            drop(ShelfColumn(g, [ColumnPart(job_id, t(inst, job_id, g))]))
-        elif cls == 2:
-            g = gamma(inst, job_id, h2)
-            if g is None:
-                raise ShelfInvariantError(f"class-2 job {job_id} cannot meet (4/7)d", ss)
-            if g >= 4:
-                w = g // 2
-                drop(ShelfColumn(w, [ColumnPart(job_id, t(inst, job_id, w))]))
-            elif g == 2:
-                drop(ShelfColumn(1, [ColumnPart(job_id, t(inst, job_id, 1))]))
-            elif g == 3:
-                threes.append(job_id)
-            else:
-                ones.append(job_id)
-        elif cls == 3:
-            g = gamma(inst, job_id, (lam - 1) * d)
-            if g is None:
-                raise ShelfInvariantError(f"class-3 job {job_id} cannot meet (lam-1)d", ss)
-            ss.s2.append(S2Job(job_id, g, t(inst, job_id, g)))
-        else:
+        if cls not in (1, 2, 3):
             raise ValueError(f"job {job_id}: class must be 1..3, got {cls}")
+        g = ss.counts[job_id][cls - 1]
+        if g > inst.m:
+            height = ("d", "(4/7)d", "(lam-1)d")[cls - 1]
+            raise ShelfInvariantError(f"class-{cls} job {job_id} cannot meet {height}", ss)
+        if cls == 1:
+            drop(ShelfColumn(g, [ColumnPart(job_id, ss.height(job_id, g))]))
+        elif cls == 3:
+            ss.s2.append(S2Job(job_id, g, ss.height(job_id, g)))
+        elif g in (1, 3):
+            (ones if g == 1 else threes).append(job_id)
+        else:  # g == 2 or g >= 4: half the machines, rounded down
+            drop(ShelfColumn(g // 2, [ColumnPart(job_id, ss.height(job_id, g // 2))]))
 
     leftover3 = _pair_up(ss, threes, width=3, drop=drop)
     leftover1 = _pair_up(ss, ones, width=1, drop=drop)
 
     if leftover3 is not None and leftover1 is not None:
-        t3 = t(inst, leftover3, 2)
-        t1 = t(inst, leftover1, 1)
+        t3 = ss.height(leftover3, 2)
+        t1 = ss.height(leftover1, 1)
         lane0 = ShelfColumn(
             1,
             [ColumnPart(leftover3, t3), ColumnPart(leftover1, t1)],
@@ -285,20 +309,20 @@ def build_three_shelf(
             lane=0,
         )
         lane1 = ShelfColumn(1, [ColumnPart(leftover3, t3)], split_of=leftover3, lane=1)
-        if lane0.height > lam_d or not lane0.height > d:
+        if lane0.height > lam_d or not lane0.height > d_units:
             raise ShelfInvariantError("split column height out of range", ss)
         ss.s0.append(lane0)
         ss.s1.append(lane1)
         ss.split_job = leftover3
     elif leftover3 is not None:
-        g = gamma(inst, leftover3, lam_d)
-        if g is None or g > 2:
+        g = ss.counts[leftover3][3]
+        if g > 2:
             raise ShelfInvariantError(
                 f"leftover 3-machine job {leftover3} needs more than 2 machines", ss
             )
-        drop(ShelfColumn(g, [ColumnPart(leftover3, t(inst, leftover3, g))]))
+        drop(ShelfColumn(g, [ColumnPart(leftover3, ss.height(leftover3, g))]))
     elif leftover1 is not None:
-        drop(ShelfColumn(1, [ColumnPart(leftover1, t(inst, leftover1, 1))]))
+        drop(ShelfColumn(1, [ColumnPart(leftover1, ss.height(leftover1, 1))]))
 
     if ss.m0 + ss.m1_used > inst.m:
         raise ShelfInvariantError(
@@ -310,7 +334,7 @@ def build_three_shelf(
 def _pair_up(ss: ShelfSchedule, job_ids: list[int], width: int, drop) -> Optional[int]:
     """Stack jobs in pairs on ``width`` machines (tallest with next-tallest);
     return the odd one out."""
-    height = {j: t(ss.inst, j, width) for j in job_ids}
+    height = {j: ss.height(j, width) for j in job_ids}
     ordered = sorted(job_ids, key=lambda j: (-height[j], j))
     for a, b in zip(ordered[0::2], ordered[1::2]):
         drop(ShelfColumn(width, [ColumnPart(a, height[a]), ColumnPart(b, height[b])]))
@@ -342,29 +366,28 @@ def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
     leave shelf 1, except for drained ones, which join its end; so the shrink
     candidates form a FIFO in shelf-1 order and the stack candidates a heap,
     both built once, and a drained column joins whichever one it qualifies
-    for.  Shelf 1 keeps its order, minus the columns that left.  A shrink
-    costs one gamma, an array count over the job's m grid numerators, and a
-    stack O(log n) in the heap, so the loop is O(n (log n + m)) plus one pass
-    over shelf 2 per drain.  Each move pushes a job toward shelf 0 (or out of
+    for.  Shelf 1 keeps its order, minus the columns that left.  Shrinks and
+    drains read gamma(j, lam*d) from ``counts`` and a stack costs
+    O(log n) in the heap, so the loop is O(n log n) plus one pass over
+    shelf 2 per drain.  Each move pushes a job toward shelf 0 (or out of
     shelf 2), so the loop runs at most twice per job; a generous guard turns
     any unexpected cycling into a loud error.
     """
-    inst, d = ss.inst, ss.d
-    lam_d = ss.lam * d
-    half = lam_d / 2
+    inst, counts = ss.inst, ss.counts
+    d, lam_d = ss.units(ss.d), ss.units(ss.lam * ss.d)
     n_jobs = sum(len(c.parts) for c in ss.s0 + ss.s1) + len(ss.s2)
     guard = 4 * n_jobs + 16
     m0, m1_used = ss.m0, ss.m1_used
     shrinks: deque[ShelfColumn] = deque()
-    stacks: list[tuple[bool, Fraction, int, int, ShelfColumn]] = []
+    stacks: list[tuple[bool, int, int, int, ShelfColumn]] = []
     arrival = itertools.count()  # shelf-1 order, the last stack tie-break
     left_s1: set[int] = set()  # id() of the columns that left shelf 1
 
-    def enqueue(col: ShelfColumn, height: Fraction) -> None:
+    def enqueue(col: ShelfColumn, height: int) -> None:  # (lam/2)d as 2*height vs lam*d
         if col.width > 1:
-            if height <= half:
+            if 2 * height <= lam_d:
                 shrinks.append(col)
-        elif height < half:
+        elif 2 * height < lam_d:
             key = (col.split_of is None, -height, col.min_job_id(), next(arrival))
             heapq.heappush(stacks, (*key, col))
 
@@ -382,13 +405,13 @@ def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
                         "composite column met the shrink rule", ss
                     )
                 job_id = col.parts[0].job_id
-                g = gamma(inst, job_id, lam_d)
-                if g is None or g > col.width:
+                g = counts[job_id][3]
+                if g > col.width:
                     raise ShelfInvariantError("shrink would widen a job", ss)
                 m1_used -= col.width
                 m0 += g
                 col.width = g
-                col.parts[0] = ColumnPart(job_id, t(inst, job_id, g))
+                col.parts[0] = ColumnPart(job_id, ss.height(job_id, g))
                 left_s1.add(id(col))
                 ss.s0.append(col)
             elif len(stacks) >= 2:
@@ -407,19 +430,19 @@ def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
                 if q < 1:
                     break
                 i = next(
-                    (i for i, j in enumerate(ss.s2) if t(inst, j.job_id, q) <= lam_d),
+                    (i for i, j in enumerate(ss.s2) if ss.height(j.job_id, q) <= lam_d),
                     None,
                 )
                 if i is None:
                     break
                 job_id = ss.s2[i].job_id
-                g = gamma(inst, job_id, lam_d)
-                if g is None or g > q:
+                g = counts[job_id][3]
+                if g > q:
                     raise ShelfInvariantError(
                         "shelf-2 drain does not fit idle machines", ss
                     )
                 del ss.s2[i]
-                height = t(inst, job_id, g)
+                height = ss.height(job_id, g)
                 col = ShelfColumn(g, [ColumnPart(job_id, height)])
                 if height <= d:
                     m1_used += g
@@ -439,15 +462,15 @@ def _check_transformed(ss: ShelfSchedule) -> None:
     """Structural facts the repairs rely on; violations are internal errors."""
     if ss.m0 + ss.m1_used > ss.inst.m:
         raise ShelfInvariantError("shelves 0+1 exceed the machine count", ss)
-    half = ss.lam / 2 * ss.d
-    shorts = [c for c in ss.s1 if c.height < half]
+    lam_d = ss.units(ss.lam * ss.d)
+    shorts = [c for c in ss.s1 if 2 * c.height < lam_d]
     if len(shorts) > 1:
         raise ShelfInvariantError(
             f"{len(shorts)} shelf-1 machines run jobs shorter than (lam/2)d", ss
         )
     q = ss.q
     if q >= 1:
-        bound = ss.lam * ss.d * q
+        bound = lam_d * q
         for j in ss.s2:  # heights are still t(j, width): no repair has run
             if j.height * j.width <= bound:
                 raise ShelfInvariantError(
@@ -479,7 +502,7 @@ def repair_s2_small_q(ss: ShelfSchedule) -> Layout:
         if j.width <= 1:
             raise ShelfInvariantError("flattest shelf-2 job is already one machine", ss)
         j.width -= 1
-        j.height = t(ss.inst, j.job_id, j.width)
+        j.height = ss.height(j.job_id, j.width)
     return _place_right_aligned(ss)
 
 
@@ -504,14 +527,13 @@ def repair_s2_large_q(ss: ShelfSchedule) -> Layout:
         return _place_right_aligned(ss)
 
     j0 = ss.s2[0]
-    inst = ss.inst
-    lam_d = ss.lam * ss.d
+    lam_d = ss.units(ss.lam * ss.d)
     cols = _descending(ss.s1)
-    loads: list[Fraction] = []
+    loads: list[int] = []
     for col in cols:
         loads.extend([col.height] * col.width)
     chosen_i = next(
-        (i for i, load in enumerate(loads) if load + t(inst, j0.job_id, m_eff - i) <= lam_d),
+        (i for i, load in enumerate(loads) if load + ss.height(j0.job_id, m_eff - i) <= lam_d),
         None,
     )
     if chosen_i is None:
@@ -519,20 +541,17 @@ def repair_s2_large_q(ss: ShelfSchedule) -> Layout:
             "no machine suffix admits the shelf-2 job within lam*d", ss
         )
     j0.width = m_eff - chosen_i
-    j0.height = t(inst, j0.job_id, j0.width)
+    j0.height = ss.height(j0.job_id, j0.width)
 
-    offset = 0
-    for col in cols:
-        if col.split_of is not None and offset >= chosen_i:
-            # The split lane lies under the job but must stay on the first
-            # shared machine, next to its shelf-0 twin, so mirror the runs:
-            # the job hangs from that machine over the covered columns.  Any
-            # column under it has height <= loads[chosen_i], so reordering
-            # within the covered/uncovered groups stays feasible.
-            prefix, straddler, suffix = _split_at(cols, chosen_i)
-            runs = suffix + straddler + [IdleRun(ss.q)] + prefix
-            return layout_contiguous(ss, runs, [(j0, ss.m0)])
-        offset += col.width
+    prefix, straddler, suffix = _split_at(cols, chosen_i)
+    if any(col.split_of is not None for col in suffix):
+        # The split lane lies under the job but must stay on the first
+        # shared machine, next to its shelf-0 twin, so mirror the runs: the
+        # job hangs from that machine over the covered columns.  Any column
+        # under it has height <= loads[chosen_i], so reordering within the
+        # covered/uncovered groups stays feasible.
+        runs = suffix + straddler + [IdleRun(ss.q)] + prefix
+        return layout_contiguous(ss, runs, [(j0, ss.m0)])
     return _place_right_aligned(ss)
 
 
@@ -591,29 +610,25 @@ def layout_contiguous(
     bottom <= top on every machine (so no shelf-2 job starts before 0) prove
     the placements disjoint and within [0, lam*d].
     """
-    inst = ss.inst
-    lam_d = ss.lam * ss.d
-    placements: list[PlacedJob] = []
+    inst, scale = ss.inst, ss.scale
+    lam_d = ss.units(ss.lam * ss.d)
+    placed: list[tuple[int, int, int, int, int]] = []
     split_lanes: list[tuple[int, int, ColumnPart]] = []  # (lane, machine, part)
-    bottom = [Fraction(0)] * inst.m
-    hung: list[Optional[Fraction]] = [None] * inst.m  # shelf-2 start per machine
+    bottom = [0] * inst.m
+    hung: list[Optional[int]] = [None] * inst.m  # shelf-2 start per machine
 
     def emit(col: ShelfColumn, first: int) -> None:
-        y = Fraction(0)
+        y = 0
         for idx, part in enumerate(col.parts):
             if col.split_of is not None and idx == 0:
                 split_lanes.append((col.lane or 0, first, part))
             else:
-                placements.append(PlacedJob(part.job_id, first, col.width, y, part.height))
+                placed.append((part.job_id, first, col.width, y, part.height))
             y += part.height
         bottom[first:first + col.width] = [y] * col.width
 
-    s0_normal = [c for c in ss.s0 if c.split_of is None]
-    s0_lanes = sorted(
-        (c for c in ss.s0 if c.split_of is not None), key=lambda c: c.lane or 0
-    )
     cursor = 0
-    for col in s0_normal + s0_lanes:
+    for col in sorted(ss.s0, key=lambda c: (c.split_of is not None, c.lane or 0)):
         emit(col, cursor)
         cursor += col.width
     if cursor != ss.m0:
@@ -632,9 +647,7 @@ def layout_contiguous(
         (_, mach0, part0), (_, mach1, part1) = split_lanes
         if abs(mach0 - mach1) != 1 or part0.height != part1.height:
             raise ShelfInvariantError("split lanes are not adjacent twins", ss)
-        placements.append(
-            PlacedJob(ss.split_job, min(mach0, mach1), 2, Fraction(0), part0.height)
-        )
+        placed.append((ss.split_job, min(mach0, mach1), 2, 0, part0.height))
     elif split_lanes:
         raise ShelfInvariantError("stray split lane", ss)
 
@@ -646,15 +659,16 @@ def layout_contiguous(
             if hung[mach] is not None:
                 raise ShelfInvariantError(f"two shelf-2 jobs on machine {mach}", ss)
             hung[mach] = start
-        placements.append(PlacedJob(j.job_id, first, j.width, start, j.height))
+        placed.append((j.job_id, first, j.width, start, j.height))
 
     top = [lam_d if start is None else start for start in hung]
     for mach in range(inst.m):
         if bottom[mach] > top[mach]:
             raise ShelfInvariantError(
-                f"machine {mach}: columns end at {bottom[mach]} past {top[mach]}", ss
+                f"machine {mach}: columns end at {ratio_str(bottom[mach], scale)} "
+                f"past {ratio_str(top[mach], scale)}", ss
             )
-    return Layout(make_schedule(placements), bottom, top)
+    return Layout(scale, placed, bottom, top)
 
 
 def add_small_jobs(layout: Layout, inst: Instance, small: Iterable[int]) -> Schedule:
@@ -662,25 +676,27 @@ def add_small_jobs(layout: Layout, inst: Instance, small: Iterable[int]) -> Sche
 
     Each small job goes to the machine with the least busy time, that is the
     widest idle gap (lowest index on ties), and starts at the gap's bottom;
-    the work budget guarantees it fits below the gap's top.
+    the work budget guarantees it fits below the gap's top.  The schedule
+    is returned in integer form over the layout's scale.
     """
-    small = sorted(small)
-    if not small:
-        return layout.schedule
+    scale = layout.scale
+    q, a = inst.grid
     bottom, top = list(layout.bottom), layout.top
     # Busy time is bottom + (lam*d - top); the constant lam*d drops out of the order.
     heap = [(bottom[i] - top[i], i) for i in range(inst.m)]
     heapq.heapify(heap)
-    placements = list(layout.schedule.placements)
-    for job_id in small:
-        t1 = t(inst, job_id, 1)
+    placed = list(layout.placed)
+    for job_id in sorted(small):
+        t1 = a.item(inst.row_of[job_id], 0) * (scale // q)
         key, i = heapq.heappop(heap)
         start = bottom[i]
         if start + t1 > top[i]:
             raise ShelfInvariantError(
-                f"small job {job_id} would end at {start + t1} past the gap", None
+                f"small job {job_id} would end at {ratio_str(start + t1, scale)} past the gap"
             )
-        placements.append(PlacedJob(job_id, i, 1, start, t1))
+        placed.append((job_id, i, 1, start, t1))
         bottom[i] = start + t1
         heapq.heappush(heap, (key + t1, i))
-    return make_schedule(placements)
+    columns = [int_array(c) for c in zip(*placed)] or [int_array([])] * 5
+    makespan = max((s + t for *_, s, t in placed), default=0)
+    return Schedule.of_ints(scale, tuple(columns), Fraction(makespan, scale))

@@ -8,11 +8,10 @@ as an integer pair), never the instance's integer grid.
 
 Times are compared as exact integers over a scale L that comes with the
 schedule: a start s is the integer s*L, an end (s + t)*L.  A schedule in
-integer form (the list schedule) brings its own L and numerators.  For one
-given as PlacedJobs, L is the lcm of the denominators of every start and
-duration; a solver schedule's starts are sums of times and shelf heights, so
-L is mostly its widest denominator.  A schedule file can instead make L grow
-with its length (one distinct prime denominator per placement); L is built
+integer form (every solver schedule) brings its own L and numerators.  For
+one given as PlacedJobs (a schedule file, an API caller), L is the lcm of
+the denominators of every start and duration.  A schedule file can make L
+grow with its length (one distinct prime denominator per placement); L is built
 one denominator at a time, widest first, and once it outgrows the widest
 single denominator by ``_LCM_MARGIN_BITS`` the same checks run on the
 Fractions as given, whose cost does not grow with L.  Start and duration

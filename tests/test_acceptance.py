@@ -32,11 +32,10 @@ from moldsched import (
     validate_schedule,
 )
 from moldsched.mckp import pick_totals, search, solve_mckp
-from moldsched.model import make_schedule
 from moldsched.driver import _attempt
 from moldsched.cli import main as cli_main
 from test_mckp import random_items
-from util import brute_mckp, dp_shelves, lambda_star
+from util import brute_mckp, dp_shelves, lambda_star, make_schedule
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 RATIO_CAP = rat("1.4594") * rat("1.05")

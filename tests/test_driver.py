@@ -25,6 +25,7 @@ from moldsched import (
     mckp,
     model,
     rat,
+    shelf,
     solve,
     try_guess,
     validate_instance,
@@ -184,6 +185,29 @@ class TestSolve:
         assert verified[0][1] is r.schedule
         assert set(r.timings) == {"mckp", "list", "shelf", "small", "verify"}
         assert all(t >= 0 for t in r.timings.values())
+
+    def test_every_returned_schedule_is_in_integer_form(self, monkeypatch):
+        # The list schedule, the shelves forced at the accepted guess (n=6,
+        # m=4: seed 2 ends in the many-idle-machines repair, seed 1 in the
+        # few-idle-machines one), try_guess's shelves and the empty result.
+        repairs = collections.Counter()
+
+        def counted(name, repair):
+            def wrapped(ss):
+                repairs[name] += 1
+                return repair(ss)
+            return wrapped
+
+        for name in ("repair_s2_small_q", "repair_s2_large_q"):
+            monkeypatch.setattr(shelf, name, counted(name, getattr(shelf, name)))
+        for seed in (2, 1):
+            inst = generate(GenConfig(n=6, m=4, seed=seed))
+            r = solve(inst)
+            forced, _ = driver._shelves(inst, r.accepted_d, r.mckp_assignment, {"verify": 0.0})
+            for sched in (r.schedule, forced, try_guess(inst, r.accepted_d)):
+                assert sched.ints is not None and validate_schedule(inst, sched).ok()
+        assert repairs["repair_s2_small_q"] and repairs["repair_s2_large_q"]
+        assert solve(instance(3)).schedule.ints is not None
 
     def test_one_knapsack_dp_per_solve(self, monkeypatch):
         # Exact bounds settle most guesses, and an accept carries the

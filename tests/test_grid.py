@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from moldsched import GenConfig, Instance, Job, Reject, adversarial_instance, generate, solve
-from moldsched import cli, driver, mckp, shelf
+from moldsched import cli, driver, mckp, model, shelf
 from moldsched.driver import SearchBounds, initial_bounds
 from moldsched.mckp import CLASS_HEIGHTS
 from moldsched.model import (
@@ -364,12 +364,14 @@ class TestTimesView:
 
     def test_construction_reads_no_view(self, monkeypatch):
         # Shelves and small jobs read t(j,k) off the grid, so building the
-        # schedule of a generated instance makes no Fraction from a view.
-        # n=6, m=4: seed 2 ends in the many-idle-machines repair, seed 1 in
-        # the few-idle-machines one.
+        # schedule of a generated instance makes no Fraction from a view;
+        # and each build counts its machine numbers with one gammas search,
+        # never with the scalar gamma.  n=6, m=4: seed 2 ends in the
+        # many-idle-machines repair, seed 1 in the few-idle-machines one.
         configs = [GenConfig(n=6, m=4, seed=2), GenConfig(n=6, m=4, seed=1)]
         configs += [GenConfig(n=40, m=16, seed=s) for s in range(3)]
         reads, repairs = collections.Counter(), collections.Counter()
+        counts = collections.Counter()
 
         def counting(fn, counter, name):
             def wrapped(*args, **kwargs):
@@ -386,8 +388,14 @@ class TestTimesView:
                     mp.setattr(Times, name, counting(getattr(Times, name), reads, name))
                 for name in ("repair_s2_small_q", "repair_s2_large_q"):
                     mp.setattr(shelf, name, counting(getattr(shelf, name), repairs, name))
+                for module in (model, shelf):
+                    for name in ("gamma", "gammas"):
+                        mp.setattr(module, name, counting(getattr(module, name), counts, name))
+                mp.setattr(shelf, "build_three_shelf",
+                           counting(shelf.build_three_shelf, counts, "builds"))
                 layout, lam = shelf.shelf_layout(inst, assignment, d)
                 sched = shelf.add_small_jobs(layout, inst, small_ids(inst, d))
             assert (sched, lam) == dp_shelves(inst, d)
         assert reads == {}
         assert repairs["repair_s2_small_q"] and repairs["repair_s2_large_q"]
+        assert counts["gamma"] == 0 and 0 < counts["gammas"] <= counts["builds"]

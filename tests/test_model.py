@@ -30,7 +30,6 @@ from moldsched.model import (
     gamma,
     gammas,
     int_matrix,
-    make_schedule,
     row_keys,
 )
 from util import (
@@ -40,6 +39,7 @@ from util import (
     instance,
     int_schedule,
     job,
+    make_schedule,
     random_instance,
     lambda_star,
     random_monotone_job,

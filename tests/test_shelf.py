@@ -1,5 +1,6 @@
 import collections
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from moldsched import (
     validate_schedule,
 )
 from moldsched.mckp import pick_totals, solve_mckp
-from moldsched.model import classify_jobs, gamma, make_schedule
+from moldsched.model import classify_jobs, gamma
 from moldsched.shelf import (
     ColumnPart,
     Layout,
@@ -42,12 +43,29 @@ D1 = rat(1)
 _STRETCHES = (LAMBDA_Q0, LAMBDA_SMALL_Q, LAMBDA_STAR_UPPER)
 
 
+def units(ss, x) -> int:
+    """x on the shelves' integer scale: x*L, which must be a whole number."""
+    y = rat(x) * ss.scale
+    assert y.denominator == 1, (x, ss.scale)
+    return y.numerator
+
+
+def exact(ss, h: int) -> Fraction:
+    """A height on the shelves' integer scale back as the time it stands for."""
+    return Fraction(h, ss.scale)
+
+
+def placed(layout, inst):
+    """The layout's schedule, with no small jobs added."""
+    return add_small_jobs(layout, inst, [])
+
+
 def total_work(ss) -> Fraction:
     """The work of every job on the shelves.  The split job's bottom part
     appears once per lane at width 1, which sums to its true two-machine
     work, so a plain sum is exact."""
-    return sum((part.height * col.width for col in ss.s0 + ss.s1 for part in col.parts),
-               Fraction(0)) + sum((j.height * j.width for j in ss.s2), Fraction(0))
+    return exact(ss, sum(part.height * col.width for col in ss.s0 + ss.s1 for part in col.parts)
+                 + sum(j.height * j.width for j in ss.s2))
 
 
 class TestBuildThreeShelf:
@@ -57,13 +75,13 @@ class TestBuildThreeShelf:
         ss = build_three_shelf(inst, {1: 2}, D1, LAMBDA_Q0)
         (col,) = ss.s1
         assert col.width == 2
-        assert col.height == 1  # exactly d: shelf 1
+        assert exact(ss, col.height) == 1  # exactly d: shelf 1
 
     def test_class2_canonical4_tall_goes_to_shelf0(self):
         inst = instance(4, const_work_job(1, rat("2.2"), 4))
         ss = build_three_shelf(inst, {1: 2}, D1, LAMBDA_Q0)
         (col,) = ss.s0
-        assert col.width == 2 and col.height == rat("1.1")
+        assert col.width == 2 and exact(ss, col.height) == rat("1.1")
         assert not ss.s1
 
     def test_class2_pair_of_singles_stacks(self):
@@ -72,14 +90,14 @@ class TestBuildThreeShelf:
         (col,) = ss.s0
         assert col.width == 1
         assert [p.job_id for p in col.parts] == [2, 1]  # taller at the bottom
-        assert col.height == rat("1.05")
+        assert exact(ss, col.height) == rat("1.05")
 
     def test_class2_canonical2_runs_on_one_machine(self):
         # gamma(j, 4/7) = 2: t(j,1) in (4/7, 8/7] by monotony; one machine.
         inst = instance(2, const_work_job(1, rat("1.1"), 2))
         ss = build_three_shelf(inst, {1: 2}, D1, LAMBDA_Q0)
         (col,) = ss.s0
-        assert col.width == 1 and col.height == rat("1.1")
+        assert col.width == 1 and exact(ss, col.height) == rat("1.1")
 
     def test_class3_adversarial_job_on_all_machines(self):
         d = rat("1.08")
@@ -88,7 +106,7 @@ class TestBuildThreeShelf:
         ss = build_three_shelf(inst, {1: 3}, d, LAMBDA_Q0)
         (j,) = ss.s2
         assert j.width == 13
-        assert j.height == rat("6.01") / 13
+        assert exact(ss, j.height) == rat("6.01") / 13
 
     def test_split_pair_of_leftovers(self):
         # One 3-machine-class job (work 1.5) and one 1-machine-class job
@@ -101,14 +119,14 @@ class TestBuildThreeShelf:
         (lane1,) = ss.s1
         assert lane0.split_of == 1 and lane0.lane == 0
         assert [p.job_id for p in lane0.parts] == [1, 2]
-        assert lane0.height == rat("1.25")
-        assert lane1.split_of == 1 and lane1.parts[0].height == rat("0.75")
+        assert exact(ss, lane0.height) == rat("1.25")
+        assert lane1.split_of == 1 and exact(ss, lane1.parts[0].height) == rat("0.75")
 
     def test_leftover_three_alone(self):
         inst = instance(4, const_work_job(1, rat("1.5"), 4))
         ss = build_three_shelf(inst, {1: 2}, D1, LAMBDA_Q0)
         (col,) = ss.s1
-        assert col.width == 2 and col.height == rat("0.75")
+        assert col.width == 2 and exact(ss, col.height) == rat("0.75")
         assert ss.split_job is None
 
     def test_machine_overflow_is_loud(self):
@@ -155,19 +173,19 @@ class TestTransformations:
     def test_wide_short_job_drops_to_shelf0(self):
         inst = instance(3, job(1, rat("1.1"), rat("0.6"), rat("0.5")))
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s1.append(ShelfColumn(2, [ColumnPart(1, rat("0.6"))]))
+        ss.s1.append(ShelfColumn(2, [ColumnPart(1, units(ss, "0.6"))]))
         apply_transformations(ss)
         assert not ss.s1
         (col,) = ss.s0
-        assert col.width == 1 and col.height == rat("1.1")
+        assert col.width == 1 and exact(ss, col.height) == rat("1.1")
 
     def test_two_shorts_stack_and_free_a_machine(self):
         inst = instance(
             2, job(1, rat("0.6"), rat("0.35")), job(2, rat("0.55"), rat("0.3"))
         )
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.6"))]))
-        ss.s1.append(ShelfColumn(1, [ColumnPart(2, rat("0.55"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.6"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(2, units(ss, "0.55"))]))
         assert ss.q == 0
         apply_transformations(ss)
         assert ss.q == 1
@@ -181,13 +199,13 @@ class TestTransformations:
             job(2, rat("1.5"), rat("1.3"), rat("1.2"), rat("1.1")),
         )
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.8"))]))
-        ss.s2.append(S2Job(2, 3, rat("1.2")))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))]))
+        ss.s2.append(S2Job(2, 3, units(ss, "1.2")))
         # q = 3 and t(2, 3) = 1.2 <= (10/7)d, so the job leaves shelf 2 for
         # gamma(2, 10/7) = 2 machines at height 1.3 > d: shelf 0.
         apply_transformations(ss)
         assert not ss.s2
-        assert any(c.width == 2 and c.height == rat("1.3") for c in ss.s0)
+        assert any(c.width == 2 and exact(ss, c.height) == rat("1.3") for c in ss.s0)
 
     def test_drained_short_job_stacks_with_a_waiting_short(self):
         # Shelf 1 holds one short column, so nothing stacks at first.  The
@@ -199,14 +217,14 @@ class TestTransformations:
             job(2, rat("0.6"), rat("0.3"), rat("0.2")),
         )
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.55"))]))
-        ss.s2.append(S2Job(2, 2, rat("0.3")))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.55"))]))
+        ss.s2.append(S2Job(2, 2, units(ss, "0.3")))
         assert ss.q == 2
         apply_transformations(ss)
         assert not ss.s1 and not ss.s2
         (col,) = ss.s0
         assert col.width == 1
-        assert [(p.job_id, p.height) for p in col.parts] == [
+        assert [(p.job_id, exact(ss, p.height)) for p in col.parts] == [
             (2, rat("0.6")),
             (1, rat("0.55")),
         ]
@@ -214,7 +232,7 @@ class TestTransformations:
     def test_leftover_short_is_at_most_one(self):
         inst = instance(1, job(1, rat("0.6")))
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.6"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.6"))]))
         apply_transformations(ss)  # single short job: nothing to stack, no error
         assert len(ss.s1) == 1
 
@@ -238,15 +256,15 @@ def _reference_transformations(ss):
 def _ref_shrink(ss):
     half = ss.lam / 2 * ss.d
     for col in ss.s1:
-        if col.width > 1 and col.height <= half:
+        if col.width > 1 and exact(ss, col.height) <= half:
             if len(col.parts) != 1 or col.split_of is not None:
                 raise ShelfInvariantError("composite column met the shrink rule", ss)
             job = ss.inst.job(col.parts[0].job_id)
-            g = gamma(ss.inst, job.id, ss.lam * ss.d)
-            if g is None or g > col.width:
+            g = ss.counts[job.id][3]  # the shelves' count, m+1 where none
+            if g > col.width:
                 raise ShelfInvariantError("shrink would widen a job", ss)
             col.width = g
-            col.parts[0] = ColumnPart(job.id, job.times[g - 1])
+            col.parts[0] = ColumnPart(job.id, units(ss, job.times[g - 1]))
             ss.s1.remove(col)
             ss.s0.append(col)
             return True
@@ -255,7 +273,7 @@ def _ref_shrink(ss):
 
 def _ref_stack(ss):
     half = ss.lam / 2 * ss.d
-    cands = [c for c in ss.s1 if c.width == 1 and c.height < half]
+    cands = [c for c in ss.s1 if c.width == 1 and exact(ss, c.height) < half]
     if len(cands) < 2:
         return False
     cands.sort(key=lambda c: (c.split_of is None, -c.height, c.min_job_id()))
@@ -279,12 +297,12 @@ def _ref_drain(ss):
     for j in ss.s2:
         job = ss.inst.job(j.job_id)
         if job.times[q - 1] <= lam_d:
-            g = gamma(ss.inst, job.id, lam_d)
-            if g is None or g > q:
+            g = ss.counts[job.id][3]
+            if g > q:
                 raise ShelfInvariantError("shelf-2 drain does not fit idle machines", ss)
-            col = ShelfColumn(g, [ColumnPart(j.job_id, job.times[g - 1])])
+            col = ShelfColumn(g, [ColumnPart(j.job_id, units(ss, job.times[g - 1]))])
             ss.s2.remove(j)
-            (ss.s1 if col.height <= ss.d else ss.s0).append(col)
+            (ss.s1 if exact(ss, col.height) <= ss.d else ss.s0).append(col)
             return True
     return False
 
@@ -342,14 +360,14 @@ def _hand_built_shelf(rng):
         w = rng.randint(1, min(3, m)) if k >= lanes else 1
         where = rng.random()
         if where < 0.3 or w > free:
-            ss.s2.append(S2Job(j.id, w, j.times[w - 1]))
+            ss.s2.append(S2Job(j.id, w, units(ss, j.times[w - 1])))
             continue
         free -= w
-        col = ShelfColumn(w, [ColumnPart(j.id, j.times[w - 1])])
+        col = ShelfColumn(w, [ColumnPart(j.id, units(ss, j.times[w - 1]))])
         if k < lanes:
             col.split_of, col.lane = j.id, 1
-        if rng.random() < 0.2:
-            col.parts.append(ColumnPart(j.id + 100, Fraction(rng.randint(5, 40), 100)))
+        if rng.random() < 0.2:  # a height in (0.05, 0.4), rounded up onto the scale
+            col.parts.append(ColumnPart(j.id + 100, -(-rng.randint(5, 40) * ss.scale // 100)))
         (ss.s0 if where > 0.8 and k >= lanes else ss.s1).append(col)
     return ss
 
@@ -408,9 +426,9 @@ def _compression_fixture():
     inst = instance(7, *jobs)
     ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
     for i in range(1, 8):
-        ss.s1.append(ShelfColumn(1, [ColumnPart(i, rat("0.73"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(i, units(ss, "0.73"))]))
     for i in range(8, 12):
-        ss.s2.append(S2Job(i, 2, rat("0.22")))
+        ss.s2.append(S2Job(i, 2, units(ss, "0.22")))
     return inst, ss
 
 
@@ -418,20 +436,20 @@ class TestRepairSmallQ:
     def test_no_shelf2_is_descending_shelf1(self):
         inst = instance(2, job(1, rat("0.9"), rat("0.5")), job(2, rat("0.8"), rat("0.45")))
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.9"))]))
-        ss.s1.append(ShelfColumn(1, [ColumnPart(2, rat("0.8"))]))
-        sched = repair_s2_small_q(ss).schedule
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.9"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(2, units(ss, "0.8"))]))
+        sched = placed(repair_s2_small_q(ss), inst)
         assert sched.makespan == rat("0.9")
         by_job = {p.job_id: p for p in sched.placements}
         assert by_job[1].first_machine == 0 and by_job[2].first_machine == 1
 
     def test_one_compression_step_then_placement(self):
         inst, ss = _compression_fixture()
-        sched = repair_s2_small_q(ss).schedule
+        sched = placed(repair_s2_small_q(ss), inst)
         widths = sorted(j.width for j in ss.s2)
         assert widths == [1, 2, 2, 2]          # exactly one job lost one machine
         assert ss.s2[0].job_id == 8            # smallest height, lowest id compressed
-        assert ss.s2[0].height == rat("0.44")  # height recomputed from its times
+        assert exact(ss, ss.s2[0].height) == rat("0.44")  # height recomputed from its times
         by_job = {p.job_id: p for p in sched.placements}
         assert by_job[8].first_machine == 6    # ascending: tallest shelf-2 job rightmost
         assert by_job[8].end == LAMBDA_Q0      # hangs at lam*d
@@ -442,7 +460,7 @@ class TestRepairSmallQ:
     def test_rejects_wrong_regime(self):
         inst = instance(6, job(1, *([rat("0.9")] + [rat("0.9")] * 5)))
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.9"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.9"))]))
         assert ss.q == 5  # way above m'/6
         with pytest.raises(ShelfInvariantError):
             repair_s2_small_q(ss)
@@ -457,10 +475,10 @@ def _large_q_fixture(j0_work):
     ]
     inst = instance(5, *jobs)
     ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER)
-    ss.s0.append(ShelfColumn(1, [ColumnPart(1, rat("1.2"))]))
-    ss.s1.append(ShelfColumn(1, [ColumnPart(2, rat("0.9"))]))
-    ss.s1.append(ShelfColumn(1, [ColumnPart(3, rat("0.8"))]))
-    ss.s2.append(S2Job(4, 5, rat(j0_work) / 5))
+    ss.s0.append(ShelfColumn(1, [ColumnPart(1, units(ss, "1.2"))]))
+    ss.s1.append(ShelfColumn(1, [ColumnPart(2, units(ss, "0.9"))]))
+    ss.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss, "0.8"))]))
+    ss.s2.append(S2Job(4, 5, units(ss, rat(j0_work) / 5)))
     return inst, ss
 
 
@@ -468,9 +486,9 @@ class TestRepairLargeQ:
     def test_no_shelf2_is_descending_shelf1(self):
         inst = instance(4, job(1, rat("0.9"), *[rat("0.5")] * 3))
         ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER)
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.9"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.9"))]))
         assert ss.q == 3
-        sched = repair_s2_large_q(ss).schedule
+        sched = placed(repair_s2_large_q(ss), inst)
         assert sched.makespan == rat("0.9")
 
     def test_widest_suffix_wins(self):
@@ -479,7 +497,7 @@ class TestRepairLargeQ:
         # shelf-2 job ends up on all four shared machines.
         inst, ss = _large_q_fixture(1)
         assert ss.q == 2
-        sched = repair_s2_large_q(ss).schedule
+        sched = placed(repair_s2_large_q(ss), inst)
         by_job = {p.job_id: p for p in sched.placements}
         p = by_job[4]
         assert (p.first_machine, p.width) == (1, 4)
@@ -499,10 +517,10 @@ class TestRepairLargeQ:
         ]
         inst2 = instance(5, *jobs)
         ss2 = ShelfSchedule(inst2, D1, LAMBDA_STAR_UPPER)
-        ss2.s0.append(ShelfColumn(1, [ColumnPart(1, rat("1.2"))]))
-        ss2.s1.append(ShelfColumn(1, [ColumnPart(2, rat(1))]))
-        ss2.s1.append(ShelfColumn(1, [ColumnPart(3, rat(1))]))
-        ss2.s2.append(S2Job(4, 5, rat("0.45")))
+        ss2.s0.append(ShelfColumn(1, [ColumnPart(1, units(ss2, "1.2"))]))
+        ss2.s1.append(ShelfColumn(1, [ColumnPart(2, units(ss2, 1))]))
+        ss2.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss2, 1))]))
+        ss2.s2.append(S2Job(4, 5, units(ss2, "0.45")))
         with pytest.raises(ShelfInvariantError):
             repair_s2_large_q(ss2)
 
@@ -514,9 +532,9 @@ class TestRepairLargeQ:
             const_work_job(3, rat("0.9"), 5),
         )
         ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER)
-        ss.s1.append(ShelfColumn(1, [ColumnPart(3, rat("0.9"))]))
-        ss.s2.append(S2Job(1, 5, rat("0.4")))
-        ss.s2.append(S2Job(2, 5, rat("0.4")))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss, "0.9"))]))
+        ss.s2.append(S2Job(1, 5, units(ss, "0.4")))
+        ss.s2.append(S2Job(2, 5, units(ss, "0.4")))
         with pytest.raises(ShelfInvariantError):
             repair_s2_large_q(ss)
 
@@ -537,14 +555,14 @@ def _split_large_q_fixture(j0_work):
     ss.s0.append(
         ShelfColumn(
             1,
-            [ColumnPart(1, rat("0.8")), ColumnPart(2, rat("0.5"))],
+            [ColumnPart(1, units(ss, "0.8")), ColumnPart(2, units(ss, "0.5"))],
             split_of=1,
             lane=0,
         )
     )
-    ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.8"))], split_of=1, lane=1))
-    ss.s1.append(ShelfColumn(1, [ColumnPart(3, rat("0.95"))]))
-    ss.s2.append(S2Job(4, 9, rat(j0_work) / 9))
+    ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1, lane=1))
+    ss.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss, "0.95"))]))
+    ss.s2.append(S2Job(4, 9, units(ss, rat(j0_work) / 9)))
     return inst, ss
 
 
@@ -554,7 +572,7 @@ class TestSplitInLargeQRepair:
         # suffix wins and the bare lane sits under the shelf-2 job, still
         # adjacent to its shelf-0 twin.
         inst, ss = _split_large_q_fixture(4)
-        sched = repair_s2_large_q(ss).schedule
+        sched = placed(repair_s2_large_q(ss), inst)
         by_job = {p.job_id: p for p in sched.placements}
         assert (by_job[4].first_machine, by_job[4].width) == (1, 8)
         assert by_job[1].width == 2 and by_job[1].first_machine == 0
@@ -584,17 +602,17 @@ class TestSplitInLargeQRepair:
         ss.s0.append(
             ShelfColumn(
                 1,
-                [ColumnPart(1, rat("0.8")), ColumnPart(2, rat("0.5"))],
+                [ColumnPart(1, units(ss, "0.8")), ColumnPart(2, units(ss, "0.5"))],
                 split_of=1,
                 lane=0,
             )
         )
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.8"))], split_of=1, lane=1))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1, lane=1))
         for jid, h in ((3, "0.95"), (4, "0.95"), (5, "0.75"), (6, "0.75")):
-            ss.s1.append(ShelfColumn(1, [ColumnPart(jid, rat(h))]))
-        ss.s2.append(S2Job(7, 13, rat("0.54")))
+            ss.s1.append(ShelfColumn(1, [ColumnPart(jid, units(ss, h))]))
+        ss.s2.append(S2Job(7, 13, units(ss, "0.54")))
         assert ss.q == 7 and 6 * ss.q > 13 - ss.m0
-        sched = repair_s2_large_q(ss).schedule
+        sched = placed(repair_s2_large_q(ss), inst)
         by_job = {p.job_id: p for p in sched.placements}
         assert (by_job[7].first_machine, by_job[7].width) == (4, 9)
         assert by_job[7].duration == rat("0.7")
@@ -625,18 +643,19 @@ class TestSplitInLargeQRepair:
         ss.s0.append(
             ShelfColumn(
                 1,
-                [ColumnPart(1, rat("0.8")), ColumnPart(2, rat("0.5"))],
+                [ColumnPart(1, units(ss, "0.8")), ColumnPart(2, units(ss, "0.5"))],
                 split_of=1,
                 lane=0,
             )
         )
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.8"))], split_of=1, lane=1))
-        ss.s1.append(ShelfColumn(2, [ColumnPart(4, rat("0.9"))]))
-        ss.s1.append(ShelfColumn(1, [ColumnPart(3, rat("0.95"))]))
-        ss.s2.append(S2Job(5, 10, rat("0.6")))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1, lane=1))
+        ss.s1.append(ShelfColumn(2, [ColumnPart(4, units(ss, "0.9"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss, "0.95"))]))
+        ss.s2.append(S2Job(5, 10, units(ss, "0.6")))
         assert ss.q == 5 and ss.regime == 2
         layout = repair_s2_large_q(ss)
-        by_job = {p.job_id: p for p in layout.schedule.placements}
+        sched = placed(layout, inst)
+        by_job = {p.job_id: p for p in sched.placements}
         assert (by_job[5].first_machine, by_job[5].width) == (1, 7)
         assert by_job[5].duration == rat("0.55")
         assert (by_job[4].first_machine, by_job[4].width) == (2, 2)
@@ -644,7 +663,7 @@ class TestSplitInLargeQRepair:
         assert (by_job[1].first_machine, by_job[1].width) == (0, 2)
         assert by_job[2].first_machine in by_job[1].machines
         _assert_gaps_are_exact(layout, inst.m, LAMBDA_STAR_UPPER * D1)
-        report = validate_schedule(inst, layout.schedule)
+        report = validate_schedule(inst, sched)
         assert report.feasible and report.contiguous
 
 
@@ -656,7 +675,7 @@ class TestSplitContiguity:
         ss = build_three_shelf(inst, {1: 2, 2: 2}, D1, LAMBDA_Q0)
         apply_transformations(ss)
         repair = repair_s2_small_q if 6 * ss.q <= 4 - ss.m0 else repair_s2_large_q
-        sched = repair(ss).schedule
+        sched = placed(repair(ss), inst)
         by_job = {p.job_id: p for p in sched.placements}
         assert by_job[1].width == 2 and by_job[1].start == 0
         assert by_job[2].width == 1
@@ -673,12 +692,14 @@ def _assert_gaps_are_exact(layout, m, lam_d):
 
     Nothing runs inside the gap, bottom is 0 or where a placement ends, top
     is lam*d or where a placement starts, and the machine is busy for
-    exactly the time outside the gap.
+    exactly the time outside the gap.  All of them over the layout's scale.
     """
+    lam_d = lam_d * layout.scale
+    assert lam_d.denominator == 1
     per_machine = [[] for _ in range(m)]
-    for p in layout.schedule.placements:
-        for mach in p.machines:
-            per_machine[mach].append((p.start, p.end))
+    for _, first, width, start, dur in layout.placed:
+        for mach in range(first, first + width):
+            per_machine[mach].append((start, start + dur))
     for mach, ivs in enumerate(per_machine):
         lo, hi = layout.bottom[mach], layout.top[mach]
         assert 0 <= lo <= hi <= lam_d, mach
@@ -741,11 +762,11 @@ class TestForcedPartitionFuzz:
                     layout = repair_s2_large_q(ss)
             repaired += 1
             _assert_gaps_are_exact(layout, inst.m, ss.lam * d)
-            sched = layout.schedule
-            placed = {p.job_id for p in sched.placements}
-            assert placed == set(assignment), trial
+            sched = placed(layout, inst)
+            ids = {p.job_id for p in sched.placements}
+            assert ids == set(assignment), trial
             report = validate_schedule(
-                instance(inst.m, *[inst.job(j) for j in sorted(placed)]), sched
+                instance(inst.m, *[inst.job(j) for j in sorted(ids)]), sched
             )
             assert report.feasible and report.contiguous, (trial, report.violations)
         assert repaired >= 100
@@ -765,7 +786,7 @@ class TestLayout:
             d = solve(inst).accepted_d
             layout, lam = shelf_layout(inst, dp_assignment(inst, d), d)
             _assert_gaps_are_exact(layout, inst.m, lam * d)
-            hung += any(t < lam * d for t in layout.top)
+            hung += any(t < lam * d * layout.scale for t in layout.top)
         assert hung >= 15
 
     @staticmethod
@@ -777,44 +798,46 @@ class TestLayout:
     def test_shelf2_job_hanging_into_a_column(self):
         inst = instance(2, job(1, rat("0.9"), rat("0.5")), job(2, rat("0.6"), rat("0.3")))
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, rat("0.9"))]))
-        ss.s2.append(S2Job(2, 1, rat("0.6")))  # starts at 10/7 - 0.6 < 0.9
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.9"))]))
+        ss.s2.append(S2Job(2, 1, units(ss, "0.6")))  # starts at 10/7 - 0.6 < 0.9
         self._raises(ss, ss.s1, [(ss.s2[0], 0)])
 
     def test_two_shelf2_jobs_on_one_machine(self):
         inst = instance(3, *(const_work_job(i, rat("0.6"), 3) for i in (1, 2)))
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s2 += [S2Job(1, 2, rat("0.3")), S2Job(2, 2, rat("0.3"))]
+        ss.s2 += [S2Job(1, 2, units(ss, "0.3")), S2Job(2, 2, units(ss, "0.3"))]
         self._raises(ss, [], [(ss.s2[0], 0), (ss.s2[1], 1)])
 
     def test_column_taller_than_lam_d(self):
         inst = instance(2, job(1, rat("1.5"), rat("0.75")))
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s0.append(ShelfColumn(1, [ColumnPart(1, rat("1.5"))]))
+        ss.s0.append(ShelfColumn(1, [ColumnPart(1, units(ss, "1.5"))]))
         self._raises(ss, [], [])
 
     def test_shelf2_job_starting_before_zero(self):
         inst = instance(2, job(1, rat(3), rat("1.5")))
         ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
-        ss.s2.append(S2Job(1, 2, rat("1.5")))
+        ss.s2.append(S2Job(1, 2, units(ss, "1.5")))
         self._raises(ss, [], [(ss.s2[0], 0)])
 
 
-def _empty_layout(m, cap):
-    return Layout(make_schedule([]), [Fraction(0)] * m, [cap] * m)
+def _empty_layout(inst, cap):
+    scale = math.lcm(inst.grid[0], cap.denominator)
+    return Layout(scale, [], [0] * inst.m, [cap.numerator * (scale // cap.denominator)] * inst.m)
 
 
 class TestAddSmallJobs:
     def test_no_smalls_is_identity(self):
-        layout = _empty_layout(2, rat(5) * LAMBDA_Q0)
         inst = instance(2, job(1, 3, rat("1.6")))
-        assert add_small_jobs(layout, inst, []) is layout.schedule
+        layout = _empty_layout(inst, rat(5) * LAMBDA_Q0)
+        sched = add_small_jobs(layout, inst, [])
+        assert sched.ints is not None and sched.placements == () and sched.makespan == 0
 
     def test_greedy_on_empty_schedule(self):
         inst = instance(
             2, job(1, 3, rat("1.6")), job(2, 3, rat("1.6")), job(3, 3, rat("1.6"))
         )
-        sched = add_small_jobs(_empty_layout(2, rat("4.9") * LAMBDA_Q0), inst, [1, 2, 3])
+        sched = add_small_jobs(_empty_layout(inst, rat("4.9") * LAMBDA_Q0), inst, [1, 2, 3])
         by_job = {p.job_id: p for p in sched.placements}
         assert by_job[1].first_machine == 0       # tie -> lowest index
         assert by_job[2].first_machine == 1
@@ -825,4 +848,4 @@ class TestAddSmallJobs:
     def test_overflow_raises(self):
         inst = instance(2, job(1, 5, 3), job(2, 5, 3), job(3, 5, 3))
         with pytest.raises(ShelfInvariantError):
-            add_small_jobs(_empty_layout(2, rat("4.9") * LAMBDA_Q0), inst, [1, 2, 3])
+            add_small_jobs(_empty_layout(inst, rat("4.9") * LAMBDA_Q0), inst, [1, 2, 3])

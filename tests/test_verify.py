@@ -20,9 +20,10 @@ from moldsched import (
     verify,
 )
 from moldsched.driver import initial_bounds
-from moldsched.model import make_schedule
 from moldsched.verify import _common_denominator
-from util import fraction_schedule, grid_rows, instance, int_schedule, job, random_instance
+from util import (
+    fraction_schedule, grid_rows, instance, int_schedule, job, make_schedule, random_instance,
+)
 
 # A prime quantum: generated times over it need the object-dtype grid.
 PRIME_Q = 10**15 + 37
@@ -187,13 +188,17 @@ class TestValidateSchedule:
         assert not rep.feasible and rep.contiguous and rep.makespan == Fraction(1207, 67)
 
 
-def _solver_outputs():
+def _solver_results():
     rng = random.Random(131)
     insts = [random_instance(rng, rng.randint(1, 9), rng.randint(1, 7)) for _ in range(30)]
     insts += [generate(GenConfig(n=30, m=12, seed=s)) for s in range(3)]
     insts.append(generate(GenConfig(n=12, m=40, seed=3)))
     insts.append(generate(GenConfig(n=25, m=9, seed=2, quantization_denominator=PRIME_Q)))
-    return [(inst, solve(inst).schedule) for inst in insts]
+    return [(inst, solve(inst)) for inst in insts]
+
+
+def _solver_outputs():
+    return [(inst, r.schedule) for inst, r in _solver_results()]
 
 
 def _mutants(rng, rows, makespan):
@@ -224,9 +229,12 @@ class TestIntegerForm:
     same schedule given as Fractions, field by field."""
 
     def test_corpus_covers_both_forms_and_the_object_grid(self):
-        outputs = _solver_outputs()
-        assert {sched.ints is None for _, sched in outputs} == {True, False}  # shelves too
-        assert outputs[-1][1].ints[3].dtype == object
+        # Every solver schedule, list or shelf, is in integer form; the
+        # mutants test gives each one as Fractions too.
+        results = _solver_results()
+        assert {r.construction for _, r in results} == {"list", "shelf"}
+        assert all(r.schedule.ints is not None for _, r in results)
+        assert results[-1][1].schedule.ints[3].dtype == object
 
     def test_solver_outputs_and_mutants(self):
         rng = random.Random(137)

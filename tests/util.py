@@ -50,6 +50,12 @@ def int_schedule(scale: int, rows, makespan: int) -> Schedule:
     return Schedule.of_ints(scale, tuple(columns), Fraction(makespan, scale))
 
 
+def make_schedule(placements) -> Schedule:
+    """A schedule given as PlacedJobs, its makespan their latest end."""
+    placements = tuple(placements)
+    return Schedule(placements, max((p.end for p in placements), default=Fraction(0)))
+
+
 def fraction_schedule(scale: int, rows, makespan: int) -> Schedule:
     """The same schedule given as PlacedJobs with Fraction times."""
     placements = tuple(
