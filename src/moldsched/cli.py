@@ -15,9 +15,9 @@ to stderr; for bench, any row that failed on a valid config).
 
 An instance file is read straight onto the integer grid: each time in plain
 form ("p" or "p/q" in ASCII digits) is split into integers, without a
-Fraction, and the jobs get Times views of one (Q, A), as generated instances
-do.  Any other value (a decimal, a sign, whitespace, a JSON number) is read
-exactly by ``rat`` as before.  Schedule files are read by the same reader.
+Fraction, and the instance is built on one (Q, A) by ``Instance.of_grid``, as
+generated instances are.  Any other value (a decimal, a sign, whitespace, a
+JSON number) is read exactly by ``rat``.  Schedule files are read alike.
 
 The bench harness runs solves in a process pool of MOLDSCHED_WORKERS workers
 (a non-negative integer; 0 or unset is one per CPU), never more than there
@@ -108,9 +108,9 @@ def _rational(value) -> Fraction:
 
 
 def instance_from_obj(obj: dict) -> Instance:
-    """Read the times straight onto the grid (Q, A): each job of m times gets
-    a Times view of its row, as a generated job does.  A job of another
-    length keeps a tuple of Fractions for validate_instance to report."""
+    """Read the times straight onto the grid (Q, A) and build the instance on
+    it, as a generated one is.  If a job has other than m times, the jobs keep
+    tuples of Fractions for validate_instance to report."""
     m = _json(obj["m"], int, "m")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
@@ -118,13 +118,9 @@ def instance_from_obj(obj: dict) -> Instance:
     for j in _json(obj["jobs"], list, "jobs"):
         ids.append(_json(j["id"], int, "job id"))
         rows.append(_ratios(_json(j["times"], list, "times")))
-    q, a = ratio_grid([row for row in rows if len(row) == m], m)
-    full = (Times(row, q, i) for i, row in enumerate(a))
-    jobs = tuple(
-        Job(i, next(full) if len(row) == m else tuple(Fraction(*t) for t in row))
-        for i, row in zip(ids, rows)
-    )
-    return Instance(m, jobs)
+    if all(len(row) == m for row in rows):
+        return Instance.of_grid(m, ids, *ratio_grid(rows, m))
+    return Instance(m, tuple(Job(i, tuple(Fraction(*t) for t in row)) for i, row in zip(ids, rows)))
 
 
 def schedule_to_obj(sched: Schedule, lam: Fraction, accepted_d: Fraction) -> dict:

@@ -9,7 +9,7 @@ t(j,k) <= t(j,k-1) and k*t(j,k) >= (k-1)*t(j,k-1).
 Each job draws from its own numpy Philox stream (SeedSequence spawn key =
 job index), so generation is deterministic per (seed, config) and could be
 parallelized per job without changing the output.  The numerators are the
-instance's grid; each job's ``times`` is a read-only view over its row.
+instance's grid (``Instance.of_grid``); each job's ``times`` views its row.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Instance, Job, Times, int_matrix, rat
+from .model import Instance, Job, int_matrix, rat
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def generate(cfg: GenConfig) -> Instance:
             v = _bounded_draw(words, rng, vlo, v)
             nums.append(v)
         rows.append(nums)
-    a = int_matrix(rows, cfg.m)
-    return Instance(cfg.m, tuple(Job(i + 1, Times(row, q, i)) for i, row in enumerate(a)))
+    return Instance.of_grid(cfg.m, range(1, cfg.n + 1), q, int_matrix(rows, cfg.m))
 
 
 def _bounded_draw(words, rng, lo: int, hi: int) -> int:

@@ -66,13 +66,13 @@ _INT64_SAFE_TOTAL = 1 << 59
 
 
 class Times(Sequence):
-    """Read-only view of a numerator row: item k-1 is Fraction(row[k-1], q).
+    """Read-only view of a grid row: item k-1 is Fraction(row[k-1], q).
     It compares and hashes like the tuple of those Fractions."""
 
-    __slots__ = ("_row", "_q", "_i")
+    __slots__ = ("_row", "_q")
 
-    def __init__(self, row: np.ndarray, q: int, i: Optional[int] = None) -> None:
-        self._row, self._q, self._i = row, q, i  # i: the row's index in row.base
+    def __init__(self, row: np.ndarray, q: int) -> None:
+        self._row, self._q = row, q
 
     def __len__(self) -> int:
         return len(self._row)
@@ -107,7 +107,7 @@ class Job:
     """A moldable job: ``times[k-1]`` is its execution time on k machines."""
 
     id: int
-    times: Sequence[Fraction]  # a tuple, or a Times view for generated jobs
+    times: Sequence[Fraction]  # a tuple, or a Times view of a grid row
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,24 @@ class Instance:
 
     Jobs are expected to satisfy time monotony (t non-increasing in k) and
     work monotony (k*t(j,k) non-decreasing in k); use :func:`validate_instance`
-    to check, construction does not enforce it.
+    to check, construction does not enforce it.  ``of_grid`` builds one on a
+    given grid; else the grid is derived from the jobs' times on first read.
     """
 
     m: int
     jobs: tuple[Job, ...]
+
+    @classmethod
+    def of_grid(cls, m: int, ids: Sequence[int], q: int, a: np.ndarray) -> Instance:
+        """The instance whose grid is (q, a): row i holds the numerators of
+        job ids[i], whose times are a Times view of that row."""
+        if a.shape != (len(ids), m):
+            raise ValueError(f"grid shape {a.shape} is not (n, m) = {(len(ids), m)}")
+        a = a.view()
+        a.setflags(write=False)
+        inst = cls(m, tuple(Job(i, Times(row, q)) for i, row in zip(ids, a)))
+        inst.__dict__["grid"] = (q, a)  # seeds the cached property
+        return inst
 
     @cached_property
     def grid(self) -> tuple[int, np.ndarray]:
@@ -230,18 +243,9 @@ class Schedule:
 
 def numerators(jobs: Sequence[Job], m: int) -> tuple[int, np.ndarray]:
     """The grid of the jobs' times: the rows of their Times views when these
-    share one q, else Q is the lcm of every denominator.  When the views are
-    the rows of one matrix in order, each with its index, the grid is that
-    matrix itself, read-only and uncopied."""
+    share one q, else Q is the lcm of every denominator."""
     if len(qs := {getattr(j.times, "_q", None) for j in jobs}) == 1 and None not in qs:
-        rows = [j.times._row for j in jobs]
-        base = rows[0].base
-        if [j.times._i for j in jobs] == list(range(len(jobs))) and base is not None \
-                and base.shape == (len(jobs), m) and all(r.base is base for r in rows):
-            base = base.view()
-            base.setflags(write=False)
-            return qs.pop(), base
-        return qs.pop(), int_matrix(rows, m)
+        return qs.pop(), int_matrix([j.times._row for j in jobs], m)
     return ratio_grid([[t.as_integer_ratio() for t in j.times] for j in jobs], m)
 
 

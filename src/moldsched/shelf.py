@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -122,11 +122,6 @@ class S2Job:
     job_id: int
     width: int
     height: int
-
-
-@dataclass(frozen=True)
-class IdleRun:
-    width: int
 
 
 @dataclass(frozen=True)
@@ -550,7 +545,7 @@ def repair_s2_large_q(ss: ShelfSchedule) -> Layout:
         # job hangs from that machine over the covered columns.  Any column
         # under it has height <= loads[chosen_i], so reordering within the
         # covered/uncovered groups stays feasible.
-        runs = suffix + straddler + [IdleRun(ss.q)] + prefix
+        runs = suffix + straddler + [ShelfColumn(ss.q, [])] + prefix  # idle machines
         return layout_contiguous(ss, runs, [(j0, ss.m0)])
     return _place_right_aligned(ss)
 
@@ -592,7 +587,7 @@ def _place_right_aligned(ss: ShelfSchedule) -> Layout:
 
 def layout_contiguous(
     ss: ShelfSchedule,
-    s1_runs: Sequence[Union[ShelfColumn, IdleRun]],
+    s1_runs: Sequence[ShelfColumn],
     s2_plan: Sequence[tuple[S2Job, int]],
 ) -> Layout:
     """Assign machine indices, emit the placements and record each gap.
@@ -633,9 +628,8 @@ def layout_contiguous(
         cursor += col.width
     if cursor != ss.m0:
         raise ShelfInvariantError("shelf-0 width accounting is off", ss)
-    for run in sorted(s1_runs, key=lambda r: getattr(r, "split_of", None) is None):
-        if isinstance(run, ShelfColumn):
-            emit(run, cursor)
+    for run in sorted(s1_runs, key=lambda r: r.split_of is None):
+        emit(run, cursor)
         cursor += run.width
     if cursor > inst.m:
         raise ShelfInvariantError("layout overruns the machine count", ss)

@@ -1,11 +1,14 @@
-"""The package's public surface: exactly the user API, no mpmath at import."""
+"""The package's public surface: exactly the user API, no mpmath at import,
+and a grid that only model.py looks behind."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import moldsched
+from moldsched import GenConfig, cli, generate, model, solve, validate_instance
 
 PUBLIC = [
     "GenConfig",
@@ -51,3 +54,33 @@ def test_import_does_not_load_mpmath():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_only_the_model_looks_behind_a_times_view():
+    """Outside model.py no module makes a Times view or reads its row, its q
+    or an array's base: instances are built on their grid by of_grid."""
+    private = {"_row", "_q", "_i", "base"}
+    for path in Path(moldsched.__file__).parent.glob("*.py"):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = ast.unparse(node.func).rsplit(".", 1)[-1]
+                assert callee != "Times", f"{path.name}: {ast.unparse(node)}"
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in private, f"{path.name}: {ast.unparse(node)}"
+
+
+def test_generated_and_loaded_instances_never_derive_their_grid(monkeypatch):
+    gen = generate(GenConfig(n=12, m=8, seed=3))
+    loaded = cli.instance_from_obj(cli.instance_to_obj(gen))
+
+    def derive(*args):
+        raise AssertionError("numerators called")
+
+    monkeypatch.setattr(model, "numerators", derive)
+    for inst in (gen, loaded):
+        q, a = inst.grid
+        assert q == 10**6 and a.shape == (12, 8)
+        assert validate_instance(inst) == []
+    assert solve(loaded).schedule == solve(gen).schedule

@@ -31,7 +31,7 @@ from moldsched import (
     validate_instance,
     validate_schedule,
 )
-from moldsched.driver import initial_bounds
+from moldsched.driver import SearchBounds, initial_bounds
 from util import (
     allotment,
     const_work_job,
@@ -60,6 +60,9 @@ class TestInitialBounds:
         b = initial_bounds(inst)
         assert b.lower == 1  # total work 13 over 13 machines
         assert b.upper == 13
+
+    def test_no_jobs(self):
+        assert initial_bounds(Instance(3, ())) == SearchBounds(0, 0)
 
 
 class TestTryGuess:

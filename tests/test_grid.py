@@ -315,13 +315,26 @@ class TestTimesView:
     def test_grid_is_the_matrix_the_views_share(self):
         gen = generate(GenConfig(n=8, m=6, seed=5))
         loaded = cli.instance_from_obj(cli.instance_to_obj(gen))
-        for inst in (gen, loaded, Instance(6, gen.jobs)):
+        for inst in (gen, loaded):
+            assert all(np.shares_memory(inst.grid[1], j.times._row) for j in inst.jobs)
+        rewrapped = Instance(6, gen.jobs)  # derives a fresh grid of equal values
+        for inst in (gen, loaded, rewrapped):
             q, a = inst.grid
-            assert all(np.shares_memory(a, j.times._row) for j in inst.jobs)
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 1
         assert np.array_equal(loaded.grid[1], gen.grid[1])
+        assert rewrapped.grid[0] == gen.grid[0] and np.array_equal(rewrapped.grid[1], gen.grid[1])
+
+    def test_of_grid_keeps_a_read_only_view_of_the_matrix(self):
+        a = np.arange(1, 9, dtype=np.int64).reshape(2, 4)
+        for m, ids in ((4, (1,)), (3, (1, 2)), (4, (1, 2, 3))):
+            with pytest.raises(ValueError, match="grid shape"):
+                Instance.of_grid(m, ids, 2, a)
+        inst = Instance.of_grid(4, (7, 9), 2, a)
+        assert inst.ids == (7, 9) and inst.grid[0] == 2 and np.shares_memory(inst.grid[1], a)
+        assert a.flags.writeable and not inst.grid[1].flags.writeable
+        assert inst.jobs[1].times == tuple(Fraction(x, 2) for x in range(5, 9))
 
     def test_other_jobs_get_a_fresh_grid(self):
         gen = generate(GenConfig(n=8, m=6, seed=5))

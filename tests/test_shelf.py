@@ -27,6 +27,7 @@ from moldsched.shelf import (
     ShelfColumn,
     ShelfSchedule,
     _check_transformed,
+    _place_right_aligned,
     add_small_jobs,
     apply_transformations,
     build_three_shelf,
@@ -849,3 +850,115 @@ class TestAddSmallJobs:
         inst = instance(2, job(1, 5, 3), job(2, 5, 3), job(3, 5, 3))
         with pytest.raises(ShelfInvariantError):
             add_small_jobs(_empty_layout(inst, rat("4.9") * LAMBDA_Q0), inst, [1, 2, 3])
+
+
+def _shelves_on(m, *jobs, lam=LAMBDA_Q0):
+    return ShelfSchedule(instance(m, *jobs), D1, lam)
+
+
+def _split_state(lane1_height):
+    """m = 2, split job 1 (height 0.6 per lane) with job 2 on lane 0 in
+    shelf 0; the bare lane, of the given height, is returned as a run."""
+    ss = _shelves_on(2, job(1, rat("1.2"), rat("0.6")), job(2, rat("0.5"), rat("0.5")))
+    lane = units(ss, "0.6")
+    ss.s0.append(ShelfColumn(1, [ColumnPart(1, lane), ColumnPart(2, units(ss, "0.5"))], 1, 0))
+    ss.split_job = 1
+    return ss, ShelfColumn(1, [ColumnPart(1, units(ss, lane1_height))], 1, 1)
+
+
+def _lam_out_of_range():
+    build_three_shelf(instance(2, job(1, 1, rat("0.5"))), {1: 1}, D1, Fraction(3, 2))
+
+
+def _class_out_of_range():
+    build_three_shelf(instance(2, job(1, 1, rat("0.5"))), {1: 4}, D1, LAMBDA_Q0)
+
+
+def _class1_misses_d():
+    build_three_shelf(instance(2, job(1, 3, 2)), {1: 1}, D1, LAMBDA_Q0)
+
+
+def _small_q_shelf2_too_wide():
+    ss = _shelves_on(1, job(1, rat("0.9")), job(2, rat("0.9")))
+    ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.9"))]))
+    ss.s2.append(S2Job(2, 3, units(ss, "0.3")))
+    repair_s2_small_q(ss)
+
+
+def _small_q_flattest_on_one_machine():
+    ss = _shelves_on(2, job(1, rat("0.9"), rat("0.9")), job(2, rat("0.2"), rat("0.2")),
+                     job(3, rat("0.6"), rat("0.3")))
+    ss.s1.append(ShelfColumn(2, [ColumnPart(1, units(ss, "0.9"))]))
+    ss.s2 += [S2Job(2, 1, units(ss, "0.2")), S2Job(3, 2, units(ss, "0.3"))]
+    repair_s2_small_q(ss)
+
+
+def _large_q_at_small_q():
+    ss = _shelves_on(1, job(1, rat("0.9")), lam=LAMBDA_STAR_UPPER)
+    ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.9"))]))
+    repair_s2_large_q(ss)
+
+
+def _right_aligned_too_wide():
+    ss = _shelves_on(1, job(1, rat("0.3")))
+    ss.s2.append(S2Job(1, 2, units(ss, "0.3")))
+    _place_right_aligned(ss)
+
+
+def _runs_past_m():
+    ss = _shelves_on(1, job(1, rat("0.9")))
+    layout_contiguous(ss, [ShelfColumn(2, [])], [])
+
+
+def _one_split_lane():
+    ss, _ = _split_state("0.6")
+    layout_contiguous(ss, [], [])
+
+
+def _split_lanes_not_twins():
+    ss, lane1 = _split_state("0.5")
+    layout_contiguous(ss, [lane1], [])
+
+
+def _stray_split_lane():
+    ss, lane1 = _split_state("0.6")
+    ss.s0.clear()
+    ss.split_job = None
+    layout_contiguous(ss, [lane1], [])
+
+
+def _shelf2_plan_over_shelf0():
+    ss = _shelves_on(2, job(1, rat("1.2"), rat("0.6")), job(2, rat("0.3"), rat("0.3")))
+    ss.s0.append(ShelfColumn(1, [ColumnPart(1, units(ss, "1.2"))]))
+    ss.s2.append(S2Job(2, 1, units(ss, "0.3")))
+    layout_contiguous(ss, [], [(ss.s2[0], 0)])
+
+
+_GUARDS = [
+    (_lam_out_of_range, ValueError, "lam must be in [10/7, 3/2), got 3/2"),
+    (_class_out_of_range, ValueError, "job 1: class must be 1..3, got 4"),
+    (_class1_misses_d, ShelfInvariantError, "class-1 job 1 cannot meet d"),
+    (_small_q_shelf2_too_wide, ShelfInvariantError, "shelf 2 uses 3 >= 3*m' = 3 machines"),
+    (_small_q_flattest_on_one_machine, ShelfInvariantError,
+     "flattest shelf-2 job is already one machine"),
+    (_large_q_at_small_q, ShelfInvariantError, "large-q repair called with q <= m'/6"),
+    (_right_aligned_too_wide, ShelfInvariantError, "shelf 2 still too wide for placement"),
+    (_runs_past_m, ShelfInvariantError, "layout overruns the machine count"),
+    (_one_split_lane, ShelfInvariantError, "expected exactly two split lanes"),
+    (_split_lanes_not_twins, ShelfInvariantError, "split lanes are not adjacent twins"),
+    (_stray_split_lane, ShelfInvariantError, "stray split lane"),
+    (_shelf2_plan_over_shelf0, ShelfInvariantError,
+     "shelf-2 placement outside the shared region"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _GUARDS, ids=[g[0].__name__[1:] for g in _GUARDS])
+def test_guard_raises(call, error, message):
+    # Each guard fires on a hand-built state with its own type and message,
+    # and an invariant error carries the shelves it found.
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+    if error is ShelfInvariantError:
+        assert info.value.shelf is not None
+        assert f"{message}\nshelf schedule: " in info.value.diagnostic()
