@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -297,6 +297,8 @@ def gamma(inst: Instance, job_id: int, h: Fraction) -> Optional[int]:
     """Canonical number of machines: smallest k with t(j,k) <= h.
 
     Returns None when the job cannot finish within h even on all m machines.
+    No solver path calls it (they count with ``gammas``); it stays for the
+    tests and for the benchmark tracer's ``mckp.gamma``/``shelf.gamma``.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -351,9 +353,13 @@ def validate_instance(inst: Instance) -> list[InstanceViolation]:
     bad[:, 1:, 1] = a[:, 1:] > a[:, :-1]
     bad[:, 1:, 2] = np.arange(2, inst.m + 1) * a[:, 1:] < np.arange(1, inst.m) * a[:, :-1]
     kinds = ("positive", "time-monotony", "work-monotony")
+    found: dict[int, list[InstanceViolation]] = {}  # grid row -> its violations
+    hits = np.unravel_index(np.flatnonzero(bad), bad.shape)  # (row, k-1, kind), C order
+    for r, c, kind in zip(*(ix.tolist() for ix in hits)):
+        found.setdefault(r, []).append(InstanceViolation(full[r].id, c + 1, kinds[kind]))
     out: list[InstanceViolation] = []
     seen: set[int] = set()
-    rows = iter(bad)  # an m x 3 violation mask per job of length m
+    rows = count()  # the grid row of each job of length m
     for job in inst.jobs:
         if job.id in seen:
             out.append(InstanceViolation(job.id, 0, "duplicate-id"))
@@ -361,8 +367,7 @@ def validate_instance(inst: Instance) -> list[InstanceViolation]:
         if len(job.times) != inst.m:
             out.append(InstanceViolation(job.id, len(job.times), "length"))
             continue
-        for c, kind in zip(*(ix.tolist() for ix in np.nonzero(next(rows)))):
-            out.append(InstanceViolation(job.id, c + 1, kinds[kind]))
+        out += found.get(next(rows), ())
     return out
 
 

@@ -95,29 +95,32 @@ class ColumnPart:
     height: int  # over the shelves' scale L
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShelfColumn:
     """One column of shelf 0 or 1: stacked jobs sharing a machine interval.
 
-    ``split_of`` marks the two single-machine lanes of a two-machine class-2
-    job that carries a one-machine partner on top of one lane; the layout
-    step recombines the lanes onto adjacent machines.
+    A value: a move that changes a column builds a new one, so ``height``,
+    the sum of its parts' heights, is fixed at construction.  ``split_of``
+    marks the two single-machine lanes of a two-machine class-2 job that
+    carries a one-machine partner on top of one lane; the layout step
+    recombines the lanes onto adjacent machines.
     """
 
     width: int
-    parts: list[ColumnPart]
+    parts: Sequence[ColumnPart]  # kept as a tuple
     split_of: Optional[int] = None
     lane: Optional[int] = None  # 0 = lane with the partner on top, 1 = bare lane
+    height: int = field(init=False)
 
-    @property
-    def height(self) -> int:
-        return sum(p.height for p in self.parts)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "height", sum(p.height for p in self.parts))
 
     def min_job_id(self) -> int:
         return min(p.job_id for p in self.parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class S2Job:
     job_id: int
     width: int
@@ -378,16 +381,16 @@ def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
     arrival = itertools.count()  # shelf-1 order, the last stack tie-break
     left_s1: set[int] = set()  # id() of the columns that left shelf 1
 
-    def enqueue(col: ShelfColumn, height: int) -> None:  # (lam/2)d as 2*height vs lam*d
+    def enqueue(col: ShelfColumn) -> None:  # (lam/2)d as 2*height vs lam*d
         if col.width > 1:
-            if 2 * height <= lam_d:
+            if 2 * col.height <= lam_d:
                 shrinks.append(col)
-        elif 2 * height < lam_d:
-            key = (col.split_of is None, -height, col.min_job_id(), next(arrival))
+        elif 2 * col.height < lam_d:
+            key = (col.split_of is None, -col.height, col.min_job_id(), next(arrival))
             heapq.heappush(stacks, (*key, col))
 
     for col in ss.s1:
-        enqueue(col, col.height)
+        enqueue(col)
     try:
         while True:
             guard -= 1
@@ -405,10 +408,8 @@ def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
                     raise ShelfInvariantError("shrink would widen a job", ss)
                 m1_used -= col.width
                 m0 += g
-                col.width = g
-                col.parts[0] = ColumnPart(job_id, ss.height(job_id, g))
                 left_s1.add(id(col))
-                ss.s0.append(col)
+                ss.s0.append(ShelfColumn(g, [ColumnPart(job_id, ss.height(job_id, g))]))
             elif len(stacks) >= 2:
                 bottom = heapq.heappop(stacks)[-1]
                 top = heapq.heappop(stacks)[-1]
@@ -437,12 +438,11 @@ def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
                         "shelf-2 drain does not fit idle machines", ss
                     )
                 del ss.s2[i]
-                height = ss.height(job_id, g)
-                col = ShelfColumn(g, [ColumnPart(job_id, height)])
-                if height <= d:
+                col = ShelfColumn(g, [ColumnPart(job_id, ss.height(job_id, g))])
+                if col.height <= d:
                     m1_used += g
                     ss.s1.append(col)
-                    enqueue(col, height)
+                    enqueue(col)
                 else:
                     m0 += g
                     ss.s0.append(col)
@@ -493,11 +493,10 @@ def repair_s2_small_q(ss: ShelfSchedule) -> Layout:
             f"shelf 2 uses {ss.m2} >= 3*m' = {3 * m_eff} machines", ss
         )
     while ss.m2 > m_eff:
-        j = min(ss.s2, key=lambda s: (s.height, s.job_id))
+        i, j = min(enumerate(ss.s2), key=lambda e: (e[1].height, e[1].job_id))
         if j.width <= 1:
             raise ShelfInvariantError("flattest shelf-2 job is already one machine", ss)
-        j.width -= 1
-        j.height = ss.height(j.job_id, j.width)
+        ss.s2[i] = S2Job(j.job_id, j.width - 1, ss.height(j.job_id, j.width - 1))
     return _place_right_aligned(ss)
 
 
@@ -509,7 +508,8 @@ def repair_s2_large_q(ss: ShelfSchedule) -> Layout:
     shelf-2 job is placed on the first (widest) suffix whose tallest machine
     leaves room under lam*d; at the stretch LAMBDA_STAR_UPPER such an i
     always exists while the work budget holds.  It then hangs right-aligned
-    like any shelf-2 job, unless the split lane lies under it.
+    like any shelf-2 job, unless the split lane lies under it: then it hangs
+    from the first shared machine over the columns that reach past i.
     """
     if ss.regime != 2:
         raise ShelfInvariantError("large-q repair called with q <= m'/6", ss)
@@ -524,49 +524,28 @@ def repair_s2_large_q(ss: ShelfSchedule) -> Layout:
     j0 = ss.s2[0]
     lam_d = ss.units(ss.lam * ss.d)
     cols = _descending(ss.s1)
-    loads: list[int] = []
-    for col in cols:
-        loads.extend([col.height] * col.width)
+    at = [k for k, col in enumerate(cols) for _ in range(col.width)]  # cols[at[i]] is on i
     chosen_i = next(
-        (i for i, load in enumerate(loads) if load + ss.height(j0.job_id, m_eff - i) <= lam_d),
+        (i for i, k in enumerate(at) if cols[k].height + ss.height(j0.job_id, m_eff - i) <= lam_d),
         None,
     )
     if chosen_i is None:
         raise ShelfInvariantError(
             "no machine suffix admits the shelf-2 job within lam*d", ss
         )
-    j0.width = m_eff - chosen_i
-    j0.height = ss.height(j0.job_id, j0.width)
+    width = m_eff - chosen_i
+    ss.s2[0] = j0 = S2Job(j0.job_id, width, ss.height(j0.job_id, width))
 
-    prefix, straddler, suffix = _split_at(cols, chosen_i)
-    if any(col.split_of is not None for col in suffix):
+    first = at[chosen_i]  # the first covered column, the one on machine chosen_i
+    if any(col.split_of is not None for col in cols[first:]):
         # The split lane lies under the job but must stay on the first
         # shared machine, next to its shelf-0 twin, so mirror the runs: the
-        # job hangs from that machine over the covered columns.  Any column
-        # under it has height <= loads[chosen_i], so reordering within the
-        # covered/uncovered groups stays feasible.
-        runs = suffix + straddler + [ShelfColumn(ss.q, [])] + prefix  # idle machines
+        # job hangs from that machine over the covered columns, then the
+        # idle machines.  No covered column is taller than the first, over
+        # which the job was chosen to fit, so it fits over each of them.
+        runs = cols[first:] + [ShelfColumn(ss.q, [])] + cols[:first]  # idle machines
         return layout_contiguous(ss, runs, [(j0, ss.m0)])
     return _place_right_aligned(ss)
-
-
-def _split_at(
-    cols: list[ShelfColumn], boundary: int
-) -> tuple[list[ShelfColumn], list[ShelfColumn], list[ShelfColumn]]:
-    """Partition columns by position relative to a machine boundary."""
-    prefix: list[ShelfColumn] = []
-    straddler: list[ShelfColumn] = []
-    suffix: list[ShelfColumn] = []
-    x = 0
-    for col in cols:
-        if x + col.width <= boundary:
-            prefix.append(col)
-        elif x >= boundary:
-            suffix.append(col)
-        else:
-            straddler.append(col)
-        x += col.width
-    return prefix, straddler, suffix
 
 
 def _descending(cols: Iterable[ShelfColumn]) -> list[ShelfColumn]:

@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -264,10 +265,8 @@ def _ref_shrink(ss):
             g = ss.counts[job.id][3]  # the shelves' count, m+1 where none
             if g > col.width:
                 raise ShelfInvariantError("shrink would widen a job", ss)
-            col.width = g
-            col.parts[0] = ColumnPart(job.id, units(ss, job.times[g - 1]))
             ss.s1.remove(col)
-            ss.s0.append(col)
+            ss.s0.append(ShelfColumn(g, [ColumnPart(job.id, units(ss, job.times[g - 1]))]))
             return True
     return False
 
@@ -364,11 +363,11 @@ def _hand_built_shelf(rng):
             ss.s2.append(S2Job(j.id, w, units(ss, j.times[w - 1])))
             continue
         free -= w
-        col = ShelfColumn(w, [ColumnPart(j.id, units(ss, j.times[w - 1]))])
-        if k < lanes:
-            col.split_of, col.lane = j.id, 1
+        parts = [ColumnPart(j.id, units(ss, j.times[w - 1]))]
         if rng.random() < 0.2:  # a height in (0.05, 0.4), rounded up onto the scale
-            col.parts.append(ColumnPart(j.id + 100, -(-rng.randint(5, 40) * ss.scale // 100)))
+            parts.append(ColumnPart(j.id + 100, -(-rng.randint(5, 40) * ss.scale // 100)))
+        split = (j.id, 1) if k < lanes else (None, None)  # a bare split lane
+        col = ShelfColumn(w, parts, *split)
         (ss.s0 if where > 0.8 and k >= lanes else ss.s1).append(col)
     return ss
 
@@ -416,6 +415,52 @@ class TestTransformationsMatchReference:
         assert seen["moved"] >= 450 and seen["raised"] >= 150
         assert seen["split"] >= 20 and seen["lane_stacked"] >= 25
         assert seen["drained_then_stacked"] >= 40
+
+
+class TestMovesKeepTheirInputs:
+    def test_columns_and_shelf2_jobs_are_never_changed(self):
+        # The solver's partitions at the accepted guess (TestLayout's corpus)
+        # built at all three stretches and hand-built shelves go through the
+        # transformations and the repair; two fixtures whose large-q repair
+        # narrows the shelf-2 job go through the repair alone.  Every column
+        # and shelf-2 job that the moves are given keeps its fields: a move
+        # that changes one builds a new one.
+        rng = random.Random(98)
+        shelves = []
+        for _ in range(200):
+            inst = random_instance(rng, rng.randint(2, 14), rng.randint(2, 12))
+            d = solve(inst).accepted_d
+            assignment = dp_assignment(inst, d)
+            shelves += [build_three_shelf(inst, assignment, d, lam) for lam in _STRETCHES]
+        shelves += [_hand_built_shelf(rng) for _ in range(300)]
+        cases = [(ss, True) for ss in shelves]
+        cases += [(_large_q_fixture(1)[1], False), (_split_large_q_fixture(4)[1], False)]
+
+        seen = collections.Counter()
+        for ss, transform in cases:
+            given = {}  # id -> (object, its fields when it was handed over)
+
+            def record():
+                for obj in ss.s0 + ss.s1 + ss.s2:
+                    given.setdefault(id(obj), (obj, dataclasses.astuple(obj)))
+
+            record()
+            wide = {c.parts[0].job_id: c.width for c in ss.s1 if c.width > 1}
+            widths = {}  # shelf 2 as the repair is given it
+            try:
+                if transform:
+                    apply_transformations(ss)
+                    record()
+                widths = {j.job_id: j.width for j in ss.s2}
+                (repair_s2_large_q if ss.regime == 2 else repair_s2_small_q)(ss)
+            except ShelfInvariantError:
+                seen["raised"] += 1
+            seen["shrunk"] += sum(c.width < wide.get(c.parts[0].job_id, 0) for c in ss.s0)
+            seen["narrowed", ss.regime == 2] += sum(j.width < widths.get(j.job_id, 0) for j in ss.s2)
+            for obj, fields in given.values():
+                assert dataclasses.astuple(obj) == fields, ss.summary()
+        assert seen["shrunk"] >= 20 and seen["raised"] >= 20
+        assert seen["narrowed", False] >= 20 and seen["narrowed", True] == 2
 
 
 def _compression_fixture():
@@ -661,6 +706,50 @@ class TestSplitInLargeQRepair:
         assert by_job[5].duration == rat("0.55")
         assert (by_job[4].first_machine, by_job[4].width) == (2, 2)
         assert by_job[3].first_machine == 9
+        assert (by_job[1].first_machine, by_job[1].width) == (0, 2)
+        assert by_job[2].first_machine in by_job[1].machines
+        _assert_gaps_are_exact(layout, inst.m, LAMBDA_STAR_UPPER * D1)
+        report = validate_schedule(inst, sched)
+        assert report.feasible and report.contiguous
+
+        # A second covered column, job 6 (0.85) on relative machine 3,
+        # between the straddler and the lane: job 5 fails the suffixes at 0
+        # and 1 (t = 0.6 on 10 and 9 machines) and fits the one at 2 (t =
+        # 0.55 on 8).  The covered columns keep their descending order, the
+        # straddler first, and the lane moves next to its twin: lane, job 4,
+        # job 6, then the five idle machines and job 3.
+        j5_times = [Fraction(44, 10) / k for k in range(1, 9)] + [rat("0.6")] * 3
+        jobs = [
+            const_work_job(1, rat("1.6"), 11),
+            const_work_job(2, rat("0.5"), 11),
+            const_work_job(3, rat("0.95"), 11),
+            const_work_job(4, rat("1.8"), 11),
+            job(5, *j5_times),
+            const_work_job(6, rat("0.85"), 11),
+        ]
+        inst = instance(11, *jobs)
+        ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER, split_job=1)
+        ss.s0.append(
+            ShelfColumn(
+                1,
+                [ColumnPart(1, units(ss, "0.8")), ColumnPart(2, units(ss, "0.5"))],
+                split_of=1,
+                lane=0,
+            )
+        )
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1, lane=1))
+        ss.s1.append(ShelfColumn(2, [ColumnPart(4, units(ss, "0.9"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(6, units(ss, "0.85"))]))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss, "0.95"))]))
+        ss.s2.append(S2Job(5, 11, units(ss, "0.6")))
+        assert ss.q == 5 and ss.regime == 2
+        layout = repair_s2_large_q(ss)
+        sched = placed(layout, inst)
+        by_job = {p.job_id: p for p in sched.placements}
+        assert (by_job[5].first_machine, by_job[5].width) == (1, 8)
+        assert by_job[5].duration == rat("0.55")
+        assert (by_job[4].first_machine, by_job[4].width) == (2, 2)
+        assert by_job[6].first_machine == 4 and by_job[3].first_machine == 10
         assert (by_job[1].first_machine, by_job[1].width) == (0, 2)
         assert by_job[2].first_machine in by_job[1].machines
         _assert_gaps_are_exact(layout, inst.m, LAMBDA_STAR_UPPER * D1)
