@@ -10,14 +10,15 @@ on input and converted exactly):
                                    "duration": "p/q"}]}
 
 Exit codes: 0 success / feasible, 1 infeasible schedule, 2 invalid input or
-an unwritable output path, 3 internal invariant violation (diagnostic dumped
-to stderr; for bench, any row that failed on a valid config).
+an output that cannot be written (a path, or an exact value past int()'s
+digit limit), 3 internal invariant violation (diagnostic dumped to stderr;
+for bench, any row that failed on a valid config).
 
-An instance file is read straight onto the integer grid: each time in plain
-form ("p" or "p/q" in ASCII digits) is split into integers, without a
-Fraction, and the instance is built on one (Q, A) by ``Instance.of_grid``, as
-generated instances are.  Any other value (a decimal, a sign, whitespace, a
-JSON number) is read exactly by ``rat``.  Schedule files are read alike.
+An instance file is read straight onto the integer grid, one job's times at
+a time, and a schedule file one column at a time: each value in plain form
+("p" or "p/q" in ASCII digits) is split into integers, without a Fraction,
+and any other (a decimal, a sign, whitespace, a JSON number) is read exactly
+by ``rat``.  The instance is built on one (Q, A) by ``Instance.of_grid``.
 
 The bench harness runs solves in a process pool of MOLDSCHED_WORKERS workers
 (a non-negative integer; 0 or unset is one per CPU), never more than there
@@ -38,6 +39,7 @@ import os
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -91,7 +93,9 @@ _PLAIN_LIST = re.compile(f"{_PLAIN}(?:,{_PLAIN})*")
 def _ratios(values: list) -> list[tuple[int, int]]:
     """Each value of a file as an exact (p, q) with q > 0.  A list of plain
     strings is split and read by int(); any other list goes value by value
-    through rat, which accepts decimals and raises for what it rejects."""
+    through rat, which accepts decimals and raises for what it rejects.  Both
+    read digit runs under int()'s digit limit; an exponent that reaches it is
+    refused before rat builds 10**e, which alone takes seconds at e = 10**7."""
     try:
         text = ",".join(values)
     except TypeError:  # a value that is not a string
@@ -99,12 +103,11 @@ def _ratios(values: list) -> list[tuple[int, int]]:
     if _PLAIN_LIST.fullmatch(text) and text.count(",") == len(values) - 1:
         parts = map(str.partition, values, repeat("/"))
         return [(int(p), int(q) if q else 1) for p, _, q in parts]
+    limit = sys.get_int_max_str_digits() or float("inf")  # 0: no limit
+    strings = ",".join(v for v in values if isinstance(v, str))
+    if any(abs(int(e)) >= limit for e in re.findall(r"[eE]([-+]?\d+(?:_\d+)*)", strings)):
+        raise ValueError(f"an exponent reaches the {limit}-digit limit")
     return [rat(v).as_integer_ratio() for v in values]
-
-
-def _rational(value) -> Fraction:
-    """One rational of a schedule file, read as a time is."""
-    return Fraction(*_ratios([value])[0])
 
 
 def instance_from_obj(obj: dict) -> Instance:
@@ -145,18 +148,13 @@ def schedule_to_obj(sched: Schedule, lam: Fraction, accepted_d: Fraction) -> dic
 
 
 def schedule_from_obj(obj: dict) -> tuple[Schedule, Fraction, Fraction]:
-    placements = tuple(
-        PlacedJob(
-            _json(p["job"], int, "job"),
-            _json(p["first_machine"], int, "first_machine"),
-            _json(p["width"], int, "width"),
-            _rational(p["start"]),
-            _rational(p["duration"]),
-        )
-        for p in _json(obj["placements"], list, "placements")
-    )
-    sched = Schedule(placements, _rational(obj["makespan"]))
-    return sched, _rational(obj["lambda"]), _rational(obj["accepted_d"])
+    rows = _json(obj["placements"], list, "placements")
+    ints = [[_json(p[key], int, key) for key in ("job", "first_machine", "width")] for p in rows]
+    columns = ([p["start"] for p in rows], [p["duration"] for p in rows],
+               [obj["makespan"], obj["lambda"], obj["accepted_d"]])
+    starts, durations, (makespan, lam, d) = ([Fraction(*t) for t in _ratios(c)] for c in columns)
+    placements = tuple(PlacedJob(*r, s, t) for r, s, t in zip(ints, starts, durations))
+    return Schedule(placements, makespan), lam, d
 
 
 def _dump_json(obj: dict, path: str) -> None:
@@ -195,10 +193,17 @@ def _invalid_instance(inst: Instance) -> bool:
     return bool(problems)
 
 
-def _output_error(exc: OSError) -> int:
-    """Report an unwritable output file on one stderr line; returns exit code 2."""
-    print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+def _output_error(exc: Exception) -> int:
+    """Report an unwritable file or an exact value past the int-string digit
+    limit, which str() cannot write, on one stderr line; returns exit code 2."""
+    detail = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else f"the output: {exc}"
+    print(f"error: cannot write {detail}", file=sys.stderr)
     return 2
+
+
+def _approx(x: Fraction) -> str:  # 6 significant digits, also past the float range
+    big = abs(x) >= 1e308  # float(x) overflows from about 1.8e308 on
+    return f"{(Decimal(x.numerator) / x.denominator).normalize() if big else float(x):.6g}"
 
 
 def _epsilon(text: str) -> Fraction:
@@ -221,8 +226,7 @@ def gantt_svg(inst: Instance, sched: Schedule) -> str:
     m = inst.m
     width, row, margin = 900, 22, 60
     height = m * row + 2 * margin
-    span = float(sched.makespan) or 1.0
-    scale = (width - 2 * margin) / span
+    span = sched.makespan or 1  # x and w as shares of it: no float of a time
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -234,8 +238,8 @@ def gantt_svg(inst: Instance, sched: Schedule) -> str:
         f'font-size="11" text-anchor="end">t = {sched.makespan}</text>',
     ]
     for p in sched.placements:
-        x = margin + float(p.start) * scale
-        w = max(float(p.duration) * scale, 1.0)
+        x = margin + float(p.start / span) * (width - 2 * margin)
+        w = max(float(p.duration / span) * (width - 2 * margin), 1.0)
         y = margin + p.first_machine * row
         h = p.width * row - 2
         hue = (p.job_id * 61) % 360
@@ -277,18 +281,17 @@ def cmd_solve(
         return 3
     wall = time.perf_counter() - t0
     try:
+        values = [f"{name:<12}{x}  (~{_approx(x)})" for name, x in (
+            ("makespan", result.makespan), ("accepted_d", result.accepted_d),
+            ("lambda", result.lambda_used))]
         if out_path:
-            _dump_json(
-                schedule_to_obj(result.schedule, result.lambda_used, result.accepted_d),
-                out_path,
-            )
+            obj = schedule_to_obj(result.schedule, result.lambda_used, result.accepted_d)
+            _dump_json(obj, out_path)
         if gantt_path:
             Path(gantt_path).write_text(gantt_svg(inst, result.schedule))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: str() past the digit limit
         return _output_error(exc)
-    print(f"makespan    {result.makespan}  (~{float(result.makespan):.6g})")
-    print(f"accepted_d  {result.accepted_d}  (~{float(result.accepted_d):.6g})")
-    print(f"lambda      {result.lambda_used}  (~{float(result.lambda_used):.6g})")
+    print("\n".join(values))
     print(f"construction {result.construction}")
     print(f"partition_by {result.partition_by}")
     print(f"iterations  {result.iterations}")
@@ -323,8 +326,11 @@ def cmd_verify(instance_path: str, schedule_path: str, contiguous: bool) -> int:
     if unknown:
         print(f"error: schedule places unknown job ids {sorted(unknown)}", file=sys.stderr)
         return 2
-    report = validate_schedule(inst, sched, require_contiguous=contiguous)
-    print(f"makespan {report.makespan}")
+    try:  # the report's exact values are written by str(), up to the digit limit
+        report = validate_schedule(inst, sched, require_contiguous=contiguous)
+        print(f"makespan {report.makespan}")
+    except ValueError as exc:
+        return _output_error(exc)
     for v in report.violations:
         where = f" machine {v.machine}" if v.machine is not None else ""
         print(f"violation: {v.kind} jobs={list(v.job_ids)}{where} {v.detail}")

@@ -351,7 +351,8 @@ def validate_instance(inst: Instance) -> list[InstanceViolation]:
     bad = np.zeros(a.shape + (3,), dtype=bool)
     bad[..., 0] = a <= 0
     bad[:, 1:, 1] = a[:, 1:] > a[:, :-1]
-    bad[:, 1:, 2] = np.arange(2, inst.m + 1) * a[:, 1:] < np.arange(1, inst.m) * a[:, :-1]
+    if len(a):  # the m-1 weights only for rows to weigh: m may be huge with no jobs
+        bad[:, 1:, 2] = np.arange(2, inst.m + 1) * a[:, 1:] < np.arange(1, inst.m) * a[:, :-1]
     kinds = ("positive", "time-monotony", "work-monotony")
     found: dict[int, list[InstanceViolation]] = {}  # grid row -> its violations
     hits = np.unravel_index(np.flatnonzero(bad), bad.shape)  # (row, k-1, kind), C order

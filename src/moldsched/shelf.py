@@ -109,7 +109,6 @@ class ShelfColumn:
     width: int
     parts: Sequence[ColumnPart]  # kept as a tuple
     split_of: Optional[int] = None
-    lane: Optional[int] = None  # 0 = lane with the partner on top, 1 = bare lane
     height: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -206,7 +205,7 @@ class ShelfSchedule:
             return ", ".join(
                 f"[w={c.width} h={ratio_str(c.height, self.scale)} "
                 f"jobs={[p.job_id for p in c.parts]}"
-                + (f" split={c.split_of}/{c.lane}" if c.split_of is not None else "")
+                + (f" split={c.split_of}" if c.split_of is not None else "")
                 + "]"
                 for c in cs
             )
@@ -300,13 +299,8 @@ def build_three_shelf(
     if leftover3 is not None and leftover1 is not None:
         t3 = ss.height(leftover3, 2)
         t1 = ss.height(leftover1, 1)
-        lane0 = ShelfColumn(
-            1,
-            [ColumnPart(leftover3, t3), ColumnPart(leftover1, t1)],
-            split_of=leftover3,
-            lane=0,
-        )
-        lane1 = ShelfColumn(1, [ColumnPart(leftover3, t3)], split_of=leftover3, lane=1)
+        lane0 = ShelfColumn(1, [ColumnPart(leftover3, t3), ColumnPart(leftover1, t1)], leftover3)
+        lane1 = ShelfColumn(1, [ColumnPart(leftover3, t3)], leftover3)
         if lane0.height > lam_d or not lane0.height > d_units:
             raise ShelfInvariantError("split column height out of range", ss)
         ss.s0.append(lane0)
@@ -418,9 +412,7 @@ def apply_transformations(ss: ShelfSchedule) -> ShelfSchedule:
                 m1_used -= 2
                 m0 += 1
                 left_s1.update((id(bottom), id(top)))
-                ss.s0.append(
-                    ShelfColumn(1, bottom.parts + top.parts, bottom.split_of, bottom.lane)
-                )
+                ss.s0.append(ShelfColumn(1, bottom.parts + top.parts, bottom.split_of))
             else:
                 q = inst.m - m0 - m1_used
                 if q < 1:
@@ -587,7 +579,7 @@ def layout_contiguous(
     inst, scale = ss.inst, ss.scale
     lam_d = ss.units(ss.lam * ss.d)
     placed: list[tuple[int, int, int, int, int]] = []
-    split_lanes: list[tuple[int, int, ColumnPart]] = []  # (lane, machine, part)
+    split_lanes: list[tuple[int, ColumnPart]] = []  # (machine, part)
     bottom = [0] * inst.m
     hung: list[Optional[int]] = [None] * inst.m  # shelf-2 start per machine
 
@@ -595,14 +587,15 @@ def layout_contiguous(
         y = 0
         for idx, part in enumerate(col.parts):
             if col.split_of is not None and idx == 0:
-                split_lanes.append((col.lane or 0, first, part))
+                split_lanes.append((first, part))
             else:
                 placed.append((part.job_id, first, col.width, y, part.height))
             y += part.height
         bottom[first:first + col.width] = [y] * col.width
 
     cursor = 0
-    for col in sorted(ss.s0, key=lambda c: (c.split_of is not None, c.lane or 0)):
+    # Stable: lane 0, built into shelf 0, stays ahead of a lane 1 stacked there later.
+    for col in sorted(ss.s0, key=lambda c: c.split_of is not None):
         emit(col, cursor)
         cursor += col.width
     if cursor != ss.m0:
@@ -616,11 +609,10 @@ def layout_contiguous(
     if ss.split_job is not None:
         if len(split_lanes) != 2:
             raise ShelfInvariantError("expected exactly two split lanes", ss)
-        split_lanes.sort()
-        (_, mach0, part0), (_, mach1, part1) = split_lanes
-        if abs(mach0 - mach1) != 1 or part0.height != part1.height:
+        (mach0, part0), (mach1, part1) = split_lanes  # emitted left to right
+        if mach1 != mach0 + 1 or part0.height != part1.height:
             raise ShelfInvariantError("split lanes are not adjacent twins", ss)
-        placed.append((ss.split_job, min(mach0, mach1), 2, 0, part0.height))
+        placed.append((ss.split_job, mach0, 2, 0, part0.height))
     elif split_lanes:
         raise ShelfInvariantError("stray split lane", ss)
 

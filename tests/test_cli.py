@@ -322,6 +322,76 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypat
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+class TestHugeValues:
+    """Valid input whose exact values pass the float range or the int-string
+    digit limit (4300) keeps the exit-code contract."""
+
+    @staticmethod
+    def _write(path, obj):
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_time_past_the_float_range_solves(self, tmp_path, capsys):
+        big = "1" + "0" * 400
+        ipath = self._write(tmp_path / "i.json", {"m": 1, "jobs": [{"id": 1, "times": [big]}]})
+        spath, gpath = tmp_path / "s.json", tmp_path / "g.svg"
+        assert run("solve", ipath, "--out", spath, "--gantt", gpath) == 0
+        assert f"makespan    {big}  (~1e+400)" in capsys.readouterr().out.splitlines()
+        sched, _, _ = schedule_from_obj(json.loads(spath.read_text()))
+        assert sched.makespan == int(big)
+        assert '<rect x="60.00" y="60.00" width="780.00"' in gpath.read_text()
+
+    @pytest.mark.parametrize("value", ["1e100000", "1e4300", "1e-4300", "2.5E+4300"])
+    def test_exponent_at_the_digit_limit_exits_2(self, tmp_path, capsys, value):
+        inst = {"m": 1, "jobs": [{"id": 1, "times": ["1"]}]}
+        sched = {"makespan": "1", "lambda": "10/7", "accepted_d": "1", "placements": [
+            {"job": 1, "first_machine": 0, "width": 1, "start": value, "duration": "1"}]}
+        ok = self._write(tmp_path / "ok.json", inst)
+        inst["jobs"][0]["times"] = [value]
+        argvs = [("solve", self._write(tmp_path / "i.json", inst)),
+                 ("verify", ok, self._write(tmp_path / "s.json", sched))]
+        for argv in argvs:
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad ") and "4300-digit" in err and err.count("\n") == 1
+
+    def test_exponent_under_the_digit_limit_reads_as_rat(self):
+        obj = {"m": 2, "jobs": [{"id": 1, "times": ["1e4299", "-1E-4299"]}]}
+        assert instance_from_obj(obj).jobs[0].times == (10**4299, Fraction(-1, 10**4299))
+
+    def test_long_exponent_is_refused_before_it_is_built(self, monkeypatch):
+        # Building 10**e alone takes seconds from e = 10**7 on.
+        monkeypatch.setattr(cli, "rat", None)  # calling it would raise TypeError
+        with pytest.raises(ValueError, match="exponent"):
+            instance_from_obj({"m": 1, "jobs": [{"id": 1, "times": ["1e999999999"]}]})
+
+    def test_makespan_too_long_to_write_exits_2(self, tmp_path, capsys):
+        # Each time is under the limit; the sum of the three has a reduced
+        # denominator of about 6000 digits, the decimal one of 4301.
+        fractions = [{"id": i, "times": [f"1/{10**2000 + k}"]} for i, k in enumerate((1, 3, 7))]
+        decimal = [{"id": 1, "times": ["0." + "1" * 4300]}]
+        spath = tmp_path / "s.json"
+        for jobs in (fractions, decimal):
+            ipath = self._write(tmp_path / "i.json", {"m": 1, "jobs": jobs})
+            for argv in (("solve", ipath), ("solve", ipath, "--out", spath)):
+                assert run(*argv) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: cannot write the output")
+                assert err.count("\n") == 1
+        assert not spath.exists()
+
+    def test_verify_report_too_long_to_write_exits_2(self, tmp_path, capsys):
+        # Start and duration are each under the limit, their sum is not.
+        ipath = self._write(tmp_path / "i.json", {"m": 1, "jobs": [{"id": 1, "times": ["1"]}]})
+        sched = {"makespan": "1", "lambda": "10/7", "accepted_d": "1", "placements": [
+            {"job": 1, "first_machine": 0, "width": 1,
+             "start": f"1/{10**2200 + 1}", "duration": f"1/{10**2200 + 3}"}]}
+        assert run("verify", ipath, self._write(tmp_path / "s.json", sched)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write the output")
+        assert err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def _solved(self, tmp_path, n=8, m=5, seed=2):
         ipath = tmp_path / "i.json"

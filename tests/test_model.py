@@ -1,6 +1,7 @@
 import collections
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -234,6 +235,17 @@ class TestValidateInstance:
         assert (1, "length") in kinds
         assert (1, "duplicate-id") in kinds
         assert (2, "positive") in kinds
+
+    def test_no_rows_to_check_builds_nothing_of_size_m(self):
+        # The work-monotony weights are m-1 long: 80 MB at m = 10**7.
+        for inst in (Instance(10**7, ()), Instance(10**7, (job(1, 1),))):
+            tracemalloc.start()
+            try:
+                kinds = [v.kind for v in validate_instance(inst)]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert kinds == ["length"] * inst.n and peak < 1 << 20
 
 
 def ref_validate_instance(inst):

@@ -119,7 +119,7 @@ class TestBuildThreeShelf:
         assert ss.split_job == 1
         (lane0,) = ss.s0
         (lane1,) = ss.s1
-        assert lane0.split_of == 1 and lane0.lane == 0
+        assert lane0.split_of == 1
         assert [p.job_id for p in lane0.parts] == [1, 2]
         assert exact(ss, lane0.height) == rat("1.25")
         assert lane1.split_of == 1 and exact(ss, lane1.parts[0].height) == rat("0.75")
@@ -280,9 +280,7 @@ def _ref_stack(ss):
     bottom, top = cands[0], cands[1]
     if top.split_of is not None:
         raise ShelfInvariantError("two split lanes on shelf 1", ss)
-    merged = ShelfColumn(
-        1, bottom.parts + top.parts, split_of=bottom.split_of, lane=bottom.lane
-    )
+    merged = ShelfColumn(1, bottom.parts + top.parts, split_of=bottom.split_of)
     ss.s1.remove(bottom)
     ss.s1.remove(top)
     ss.s0.append(merged)
@@ -310,7 +308,7 @@ def _ref_drain(ss):
 def _shelves(ss):
     def cols(cs):
         return [
-            (c.width, [(p.job_id, p.height) for p in c.parts], c.split_of, c.lane)
+            (c.width, [(p.job_id, p.height) for p in c.parts], c.split_of)
             for c in cs
         ]
 
@@ -366,8 +364,8 @@ def _hand_built_shelf(rng):
         parts = [ColumnPart(j.id, units(ss, j.times[w - 1]))]
         if rng.random() < 0.2:  # a height in (0.05, 0.4), rounded up onto the scale
             parts.append(ColumnPart(j.id + 100, -(-rng.randint(5, 40) * ss.scale // 100)))
-        split = (j.id, 1) if k < lanes else (None, None)  # a bare split lane
-        col = ShelfColumn(w, parts, *split)
+        split = j.id if k < lanes else None  # a bare split lane
+        col = ShelfColumn(w, parts, split)
         (ss.s0 if where > 0.8 and k >= lanes else ss.s1).append(col)
     return ss
 
@@ -403,14 +401,17 @@ class TestTransformationsMatchReference:
         for ss in shelves:
             error, after = _outcome(_reference_transformations, ss)
             assert _outcome(apply_transformations, ss) == (error, after), ss.summary()
-            stacks = [(parts, lane) for _, parts, _, lane in after[0] if len(parts) > 1]
+            before = _shelves(ss)
+            # Shelf 0 only grows, and a new column of more than one part is a stack.
+            stacks = [(parts, split) for _, parts, split in after[0][len(before[0]):]
+                      if len(parts) > 1]
             stacked = {jid for parts, _ in stacks for jid, _ in parts}
             seen.update(
                 raised=error is not None,
-                moved=after != _shelves(ss),
+                moved=after != before,
                 split=ss.split_job is not None,
                 drained_then_stacked=bool(stacked & {j.job_id for j in ss.s2}),
-                lane_stacked=any(lane == 1 for _, lane in stacks),
+                lane_stacked=any(split is not None for _, split in stacks),
             )
         assert seen["moved"] >= 450 and seen["raised"] >= 150
         assert seen["split"] >= 20 and seen["lane_stacked"] >= 25
@@ -603,10 +604,9 @@ def _split_large_q_fixture(j0_work):
             1,
             [ColumnPart(1, units(ss, "0.8")), ColumnPart(2, units(ss, "0.5"))],
             split_of=1,
-            lane=0,
         )
     )
-    ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1, lane=1))
+    ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1))
     ss.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss, "0.95"))]))
     ss.s2.append(S2Job(4, 9, units(ss, rat(j0_work) / 9)))
     return inst, ss
@@ -650,10 +650,9 @@ class TestSplitInLargeQRepair:
                 1,
                 [ColumnPart(1, units(ss, "0.8")), ColumnPart(2, units(ss, "0.5"))],
                 split_of=1,
-                lane=0,
             )
         )
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1, lane=1))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1))
         for jid, h in ((3, "0.95"), (4, "0.95"), (5, "0.75"), (6, "0.75")):
             ss.s1.append(ShelfColumn(1, [ColumnPart(jid, units(ss, h))]))
         ss.s2.append(S2Job(7, 13, units(ss, "0.54")))
@@ -691,10 +690,9 @@ class TestSplitInLargeQRepair:
                 1,
                 [ColumnPart(1, units(ss, "0.8")), ColumnPart(2, units(ss, "0.5"))],
                 split_of=1,
-                lane=0,
             )
         )
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1, lane=1))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1))
         ss.s1.append(ShelfColumn(2, [ColumnPart(4, units(ss, "0.9"))]))
         ss.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss, "0.95"))]))
         ss.s2.append(S2Job(5, 10, units(ss, "0.6")))
@@ -734,10 +732,9 @@ class TestSplitInLargeQRepair:
                 1,
                 [ColumnPart(1, units(ss, "0.8")), ColumnPart(2, units(ss, "0.5"))],
                 split_of=1,
-                lane=0,
             )
         )
-        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1, lane=1))
+        ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))], split_of=1))
         ss.s1.append(ShelfColumn(2, [ColumnPart(4, units(ss, "0.9"))]))
         ss.s1.append(ShelfColumn(1, [ColumnPart(6, units(ss, "0.85"))]))
         ss.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss, "0.95"))]))
@@ -950,9 +947,9 @@ def _split_state(lane1_height):
     shelf 0; the bare lane, of the given height, is returned as a run."""
     ss = _shelves_on(2, job(1, rat("1.2"), rat("0.6")), job(2, rat("0.5"), rat("0.5")))
     lane = units(ss, "0.6")
-    ss.s0.append(ShelfColumn(1, [ColumnPart(1, lane), ColumnPart(2, units(ss, "0.5"))], 1, 0))
+    ss.s0.append(ShelfColumn(1, [ColumnPart(1, lane), ColumnPart(2, units(ss, "0.5"))], 1))
     ss.split_job = 1
-    return ss, ShelfColumn(1, [ColumnPart(1, units(ss, lane1_height))], 1, 1)
+    return ss, ShelfColumn(1, [ColumnPart(1, units(ss, lane1_height))], 1)
 
 
 def _lam_out_of_range():
