@@ -207,9 +207,10 @@ def _approx(x: Fraction) -> str:  # 6 significant digits, also past the float ra
 
 
 def _epsilon(text: str) -> Fraction:
-    """Parse an accuracy; ValueError unless it is a rational in (0, 1]."""
+    """Parse an accuracy; ValueError unless it is a rational in (0, 1].  It is
+    read as a file's value is, so a huge exponent is refused before 10**e."""
     try:
-        eps = rat(text)
+        eps = Fraction(*_ratios([text])[0])
     except (ValueError, ZeroDivisionError):
         eps = None
     if eps is None or not 0 < eps <= 1:

@@ -6,10 +6,13 @@ hold by construction: given t(j,k-1) = a/Q, the next value is uniform on the
 integer range [ceil((k-1)a/k), a], the exact set of quantized values with
 t(j,k) <= t(j,k-1) and k*t(j,k) >= (k-1)*t(j,k-1).
 
-Each job draws from its own numpy Philox stream (SeedSequence spawn key =
-job index), so generation is deterministic per (seed, config) and could be
-parallelized per job without changing the output.  The numerators are the
-instance's grid (``Instance.of_grid``); each job's ``times`` views its row.
+Each job draws m 64-bit words from its own numpy Philox stream (SeedSequence
+spawn key = job index), so generation is deterministic per (seed, config).
+The chain runs as uint64 vector ops over all jobs, one step per k.  A job with
+a word that a bounded draw could reject (within hi = floor(t1_high*Q) of 2^64,
+about once per 10^11 words) takes the scalar chain, which redraws it; so does
+every job when m*hi could overflow int64.  The numerators are the instance's
+grid (``Instance.of_grid``); each job's ``times`` views its row.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Instance, Job, int_matrix, rat
+from .model import _INT64_SAFE_TOTAL, Instance, Job, int_matrix, rat
 
 
 @dataclass(frozen=True)
@@ -36,29 +39,49 @@ class GenConfig:
 def generate(cfg: GenConfig) -> Instance:
     """Sample an instance: t(j,1) uniform on [t1_low, t1_high], then a
     conditional-uniform chain for k = 2..m respecting both monotonies."""
-    if cfg.n < 0 or cfg.m < 1:
+    n, m, q = cfg.n, cfg.m, cfg.quantization_denominator
+    if n < 0 or m < 1:
         raise ValueError("need n >= 0 and m >= 1")
-    q = cfg.quantization_denominator
     lo = math.ceil(cfg.t1_low * q)
     hi = math.floor(cfg.t1_high * q)
     if lo < 1 or lo > hi:
         raise ValueError(f"empty quantized range for t(j,1): [{lo}, {hi}] / {q}")
-    rows = []
-    for idx in range(cfg.n):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(cfg.seed & (2**64 - 1), spawn_key=(idx,)))
-        )
-        # One bulk draw of raw 64-bit words per job, reduced to each bounded
-        # range without modulo bias (the rare over-limit word is redrawn).
-        words = iter(rng.integers(0, 2**64 - 1, size=cfg.m, dtype=np.uint64).tolist())
-        v = _bounded_draw(words, rng, lo, hi)
-        nums = [v]
-        for k in range(2, cfg.m + 1):
-            vlo = -((-(k - 1) * v) // k)  # ceil((k-1)*v / k)
-            v = _bounded_draw(words, rng, vlo, v)
-            nums.append(v)
-        rows.append(nums)
-    return Instance.of_grid(cfg.m, range(1, cfg.n + 1), q, int_matrix(rows, cfg.m))
+    if m * hi > _INT64_SAFE_TOTAL:  # the grid may need exact ints
+        rows = [_scalar_row(cfg.seed, idx, m, lo, hi) for idx in range(n)]
+        return Instance.of_grid(m, range(1, n + 1), q, int_matrix(rows, m))
+    w = np.empty((m, n), dtype=np.uint64)  # w[k-1]: word k of each job, then t(j,k)*Q
+    for idx in range(n):
+        w[:, idx] = _stream(cfg.seed, idx, m)[1]
+    # Every span is at most hi, so no word below 2^64 - hi is rejected.
+    redo = np.flatnonzero(w.max(axis=0) >= 2**64 - hi).tolist()
+    w[0] = lo + w[0] % (hi - lo + 1)
+    for k in range(2, m + 1):  # uniform on [v - v//k, v] = [ceil((k-1)v/k), v]
+        v, word = w[k - 2], w[k - 1]
+        drop = v // k
+        word %= drop + 1
+        word += v - drop
+    a = np.ascontiguousarray(w.T, dtype=np.int64)
+    for idx in redo:
+        a[idx] = _scalar_row(cfg.seed, idx, m, lo, hi)
+    return Instance.of_grid(m, range(1, n + 1), q, int_matrix(a, m))
+
+
+def _stream(seed: int, idx: int, m: int) -> tuple[np.random.Generator, np.ndarray]:
+    """Job idx's own Philox stream and the first m 64-bit words `integers` draws."""
+    ss = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=(idx,))
+    rng = np.random.Generator(np.random.Philox(ss))
+    return rng, rng.integers(0, 2**64 - 1, size=m, dtype=np.uint64)
+
+
+def _scalar_row(seed: int, idx: int, m: int, lo: int, hi: int) -> list[int]:
+    """Job idx's numerators, one bounded draw per k in Python ints."""
+    rng, words = _stream(seed, idx, m)
+    words = iter(words.tolist())
+    nums = [_bounded_draw(words, rng, lo, hi)]
+    for k in range(2, m + 1):
+        v = nums[-1]
+        nums.append(_bounded_draw(words, rng, v - v // k, v))
+    return nums
 
 
 def _bounded_draw(words, rng, lo: int, hi: int) -> int:

@@ -98,8 +98,13 @@ class Times(Sequence):
         """Item i as the integer pair (numerator, q), without a Fraction."""
         return self._row.item(i), self._q
 
-    def strings(self) -> list[str]:  # str() of each time, without building Fractions
-        return [ratio_str(a, self._q) for a in self._row.tolist()]
+    def strings(self) -> list[str]:  # str() of each time: one np.gcd, no Fraction
+        a, q = self._row, self._q
+        if q >> 63:  # past int64: the gcd in exact ints
+            a = a.astype(object)
+        g = np.gcd(a, q)
+        nums, dens = (a // g).tolist(), (q // g).tolist()
+        return [f"{p}/{d}" if d != 1 else str(p) for p, d in zip(nums, dens)]
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,7 @@ def int_array(values) -> np.ndarray:
     return a
 
 
-def int_matrix(rows: list[list[int]], m: int) -> np.ndarray:
+def int_matrix(rows: list[list[int]] | np.ndarray, m: int) -> np.ndarray:
     """Read-only n x m matrix: int64 while m*max|a| <= 2^59, else exact ints."""
     try:
         a = np.array(rows, dtype=np.int64).reshape(len(rows), m)
@@ -348,16 +353,18 @@ def validate_instance(inst: Instance) -> list[InstanceViolation]:
     Values are checked as array compares on the grid of the jobs of length m."""
     full = [job for job in inst.jobs if len(job.times) == inst.m]
     _, a = inst.grid if len(full) == inst.n else numerators(full, inst.m)
-    bad = np.zeros(a.shape + (3,), dtype=bool)
-    bad[..., 0] = a <= 0
-    bad[:, 1:, 1] = a[:, 1:] > a[:, :-1]
+    checks = [a <= 0, a[:, 1:] > a[:, :-1]]  # one per kind, over k = 1..m or 2..m
     if len(a):  # the m-1 weights only for rows to weigh: m may be huge with no jobs
-        bad[:, 1:, 2] = np.arange(2, inst.m + 1) * a[:, 1:] < np.arange(1, inst.m) * a[:, :-1]
+        checks.append(np.arange(2, inst.m + 1) * a[:, 1:] < np.arange(1, inst.m) * a[:, :-1])
     kinds = ("positive", "time-monotony", "work-monotony")
     found: dict[int, list[InstanceViolation]] = {}  # grid row -> its violations
-    hits = np.unravel_index(np.flatnonzero(bad), bad.shape)  # (row, k-1, kind), C order
-    for r, c, kind in zip(*(ix.tolist() for ix in hits)):
-        found.setdefault(r, []).append(InstanceViolation(full[r].id, c + 1, kinds[kind]))
+    if any(hit.any() for hit in checks):  # interleave them only when one has a hit
+        bad = np.zeros(a.shape + (3,), dtype=bool)
+        for kind, hit in enumerate(checks):
+            bad[:, a.shape[1] - hit.shape[1]:, kind] = hit
+        hits = np.unravel_index(np.flatnonzero(bad), bad.shape)  # (row, k-1, kind), C order
+        for r, c, kind in zip(*(ix.tolist() for ix in hits)):
+            found.setdefault(r, []).append(InstanceViolation(full[r].id, c + 1, kinds[kind]))
     out: list[InstanceViolation] = []
     seen: set[int] = set()
     rows = count()  # the grid row of each job of length m

@@ -1,11 +1,12 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from moldsched import GenConfig, Job, cli, generate, mckp, model, rat, solve
+from moldsched import GenConfig, Instance, Job, cli, generate, mckp, model, rat, solve
 from moldsched.cli import (
     gantt_svg,
     instance_from_obj,
@@ -168,6 +169,25 @@ class TestGenCommand:
         assert run("gen", "-n", 10, "-m", 13, "--seed", 42, "--out", a) == 0
         assert run("gen", "-n", 10, "-m", 13, "--seed", 42, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_file_bytes_equal_those_of_the_fractions(self, tmp_path):
+        # The writer reduces each row with one np.gcd; str() of each Fraction
+        # gives the same bytes, also on exact ints and on a q past int64.
+        rng = random.Random(26)
+        cases = [generate(GenConfig(n=rng.randint(0, 40), m=rng.randint(1, 40), seed=s))
+                 for s in range(6)]
+        cases.append(generate(GenConfig(n=4, m=3, t1_high=rat(10**12), seed=1)))
+        cases.append(instance_from_obj({"m": 2, "jobs": [
+            {"id": 1, "times": [f"4/{3**50}", f"2/{3**50}"]},
+            {"id": 2, "times": [f"9/{3**50}", f"5/{3**50}"]}]}))
+        assert cases[-2].grid[1].dtype == object
+        assert cases[-1].grid[0] >= 2**63 and cases[-1].grid[1].dtype == np.int64
+        for inst in cases:
+            assert all(isinstance(j.times, Times) for j in inst.jobs)
+            tuples = Instance(inst.m, tuple(Job(j.id, tuple(j.times)) for j in inst.jobs))
+            for name, obj in (("grid", inst), ("tuples", tuples)):
+                cli._dump_json(instance_to_obj(obj), tmp_path / name)
+            assert (tmp_path / "grid").read_bytes() == (tmp_path / "tuples").read_bytes()
 
     def test_gen_then_solve(self, tmp_path):
         p = tmp_path / "i.json"
@@ -364,6 +384,17 @@ class TestHugeValues:
         monkeypatch.setattr(cli, "rat", None)  # calling it would raise TypeError
         with pytest.raises(ValueError, match="exponent"):
             instance_from_obj({"m": 1, "jobs": [{"id": 1, "times": ["1e999999999"]}]})
+
+    def test_epsilon_exponent_is_refused_before_it_is_built(self, tmp_path, capsys):
+        # Building 10**(10**7) alone takes seconds.
+        p = self._write(tmp_path / "i.json", {"m": 1, "jobs": [{"id": 1, "times": ["1"]}]})
+        start = time.perf_counter()
+        assert run("solve", p, "--epsilon", "1e-10000000") == 2
+        assert time.perf_counter() - start < 0.25
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon") and err.count("\n") == 1, err
+        for eps in ("1/20", "0.05", "1e-3"):
+            assert run("solve", p, "--epsilon", eps) == 0
 
     def test_makespan_too_long_to_write_exits_2(self, tmp_path, capsys):
         # Each time is under the limit; the sum of the three has a reduced

@@ -308,6 +308,12 @@ class TestValidateMatchesReference:
         gen = generate(GenConfig(n=20, m=9, seed=3))
         assert validate_instance(gen) == []
 
+    def test_valid_input_builds_no_interleaved_mask(self, monkeypatch):
+        # np.zeros builds only the n x m x 3 mask, which valid input skips.
+        inst = generate(GenConfig(n=20, m=9, seed=3))
+        monkeypatch.setattr(np, "zeros", None)
+        assert validate_instance(inst) == []
+
     def test_broken_instances(self):
         rng = random.Random(62)
         kinds = set()
