@@ -14,11 +14,13 @@ an output that cannot be written (a path, or an exact value past int()'s
 digit limit), 3 internal invariant violation (diagnostic dumped to stderr;
 for bench, any row that failed on a valid config).
 
-An instance file is read straight onto the integer grid, one job's times at
-a time, and a schedule file one column at a time: each value in plain form
-("p" or "p/q" in ASCII digits) is split into integers, without a Fraction,
-and any other (a decimal, a sign, whitespace, a JSON number) is read exactly
-by ``rat``.  The instance is built on one (Q, A) by ``Instance.of_grid``.
+An instance file is read onto the integer grid of ``ratio_grid``: if each
+job's times pass one check of plain form ("p" or "p/q" in ASCII digits) and
+number m, one ``np.loadtxt`` parses the file.  Else, or past int64, each job
+is read as a schedule file's column is: a plain list split by int(), any
+other (a decimal, a sign, whitespace, a JSON number) exactly by ``rat``.
+``gen`` and ``solve --out`` write from templates the bytes of json.dumps(obj,
+indent=2, sort_keys=True), whose indent would take the pure-Python encoder.
 
 The bench harness runs solves in a process pool of MOLDSCHED_WORKERS workers
 (a non-negative integer; 0 or unset is one per CPU), never more than there
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import functools
 import json
@@ -44,6 +47,8 @@ from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .driver import solve
 from .gen import GenConfig, generate
@@ -90,17 +95,22 @@ _PLAIN = "[0-9]+(?:/0*[1-9][0-9]*)?"
 _PLAIN_LIST = re.compile(f"{_PLAIN}(?:,{_PLAIN})*")
 
 
+def _plain(values: list) -> Optional[str]:
+    """The values joined by commas if each is a string in plain form, else None."""
+    try:
+        text = ",".join(values)
+    except TypeError:  # a value that is not a string
+        return None
+    return text if _PLAIN_LIST.fullmatch(text) and text.count(",") == len(values) - 1 else None
+
+
 def _ratios(values: list) -> list[tuple[int, int]]:
     """Each value of a file as an exact (p, q) with q > 0.  A list of plain
     strings is split and read by int(); any other list goes value by value
     through rat, which accepts decimals and raises for what it rejects.  Both
     read digit runs under int()'s digit limit; an exponent that reaches it is
     refused before rat builds 10**e, which alone takes seconds at e = 10**7."""
-    try:
-        text = ",".join(values)
-    except TypeError:  # a value that is not a string
-        text = ""
-    if _PLAIN_LIST.fullmatch(text) and text.count(",") == len(values) - 1:
+    if _plain(values) is not None:
         parts = map(str.partition, values, repeat("/"))
         return [(int(p), int(q) if q else 1) for p, _, q in parts]
     limit = sys.get_int_max_str_digits() or float("inf")  # 0: no limit
@@ -117,13 +127,24 @@ def instance_from_obj(obj: dict) -> Instance:
     m = _json(obj["m"], int, "m")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    ids, rows = [], []
+    ids, rows, texts = [], [], []
     for j in _json(obj["jobs"], list, "jobs"):
         ids.append(_json(j["id"], int, "job id"))
-        rows.append(_ratios(_json(j["times"], list, "times")))
-    if all(len(row) == m for row in rows):
-        return Instance.of_grid(m, ids, *ratio_grid(rows, m))
-    return Instance(m, tuple(Job(i, tuple(Fraction(*t) for t in row)) for i, row in zip(ids, rows)))
+        rows.append(_json(j["times"], list, "times"))
+        texts.append(_plain(rows[-1]))
+    pairs = None
+    if texts and None not in texts and all(len(row) == m for row in rows):
+        lines = [t.replace("/", ",") if t.count("/") == m else
+                 ",".join(v.replace("/", ",") if "/" in v else v + ",1" for v in row)
+                 for t, row in zip(texts, rows)]
+        with contextlib.suppress(ValueError):  # a value past int64
+            pairs = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+    if pairs is None:
+        pairs = [_ratios(row) for row in rows]
+        if any(len(row) != m for row in pairs):
+            return Instance(m, tuple(Job(i, tuple(Fraction(*t) for t in row))
+                                     for i, row in zip(ids, pairs)))
+    return Instance.of_grid(m, ids, *ratio_grid(pairs, m))
 
 
 def schedule_to_obj(sched: Schedule, lam: Fraction, accepted_d: Fraction) -> dict:
@@ -157,8 +178,32 @@ def schedule_from_obj(obj: dict) -> tuple[Schedule, Fraction, Fraction]:
     return Schedule(placements, makespan), lam, d
 
 
-def _dump_json(obj: dict, path: str) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _layout(items: list, depth: int, quote: str = "") -> str:
+    """The items, in JSON or as strings to quote, as a list that
+    json.dumps(indent=2) writes at this depth."""
+    pad = "\n" + "  " * depth
+    sep = f"{quote},{pad}  {quote}"
+    return f"[{pad}  {quote}{sep.join(items)}{quote}{pad}]" if items else "[]"
+
+
+_JOB = '{{\n      "id": {id},\n      "times": {times}\n    }}'
+_PLACEMENT = ('{{\n      "duration": "{duration}",\n      "first_machine": {first_machine},\n'
+              '      "job": {job},\n      "start": "{start}",\n      "width": {width}\n    }}')
+
+
+def _instance_text(obj: dict) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) + "\\n" of an instance file's
+    object, from templates: with an indent, json.dumps takes its pure-Python
+    encoder.  Its strings are rationals, with no character JSON escapes."""
+    jobs = [_JOB.format(id=j["id"], times=_layout(j["times"], 3, '"')) for j in obj["jobs"]]
+    return f'{{\n  "jobs": {_layout(jobs, 1)},\n  "m": {obj["m"]}\n}}\n'
+
+
+def _schedule_text(obj: dict) -> str:
+    """The same for a schedule file's object."""
+    rows = [_PLACEMENT.format_map(p) for p in obj["placements"]]
+    return (f'{{\n  "accepted_d": "{obj["accepted_d"]}",\n  "lambda": "{obj["lambda"]}",\n'
+            f'  "makespan": "{obj["makespan"]}",\n  "placements": {_layout(rows, 1)}\n}}\n')
 
 
 def _load_json(path: str) -> dict:
@@ -287,7 +332,7 @@ def cmd_solve(
             ("lambda", result.lambda_used))]
         if out_path:
             obj = schedule_to_obj(result.schedule, result.lambda_used, result.accepted_d)
-            _dump_json(obj, out_path)
+            Path(out_path).write_text(_schedule_text(obj))
         if gantt_path:
             Path(gantt_path).write_text(gantt_svg(inst, result.schedule))
     except (OSError, ValueError) as exc:  # ValueError: str() past the digit limit
@@ -307,7 +352,7 @@ def cmd_gen(n: int, m: int, seed: int, out_path: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _dump_json(instance_to_obj(inst), out_path)
+        Path(out_path).write_text(_instance_text(instance_to_obj(inst)))
     except OSError as exc:
         return _output_error(exc)
     print(f"wrote {out_path}: n={n} m={m} seed={seed}")

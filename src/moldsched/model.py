@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count
+from itertools import count
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -157,9 +157,6 @@ class Instance:
     def row_of(self) -> dict[int, int]:  # job id -> its row in the grid
         return {job_id: i for i, job_id in enumerate(self.ids)}
 
-    def job(self, job_id: int) -> Job:
-        return self.by_id[job_id]
-
     @property
     def n(self) -> int:
         return len(self.jobs)
@@ -254,17 +251,22 @@ def numerators(jobs: Sequence[Job], m: int) -> tuple[int, np.ndarray]:
     return ratio_grid([[t.as_integer_ratio() for t in j.times] for j in jobs], m)
 
 
-def ratio_grid(rows: list[list[tuple[int, int]]], m: int) -> tuple[int, np.ndarray]:
-    """The grid of rows of times p/q, each a pair (p, q) with q > 0: Q is the
-    lcm of the reduced denominators, so unreduced pairs give the same grid."""
-    dens = {q for row in rows for _, q in row}
+def ratio_grid(rows: list | np.ndarray, m: int) -> tuple[int, np.ndarray]:
+    """The grid of n rows of m times p/q, q > 0, as rows of pairs (p, q) or an
+    int64 array of rows p1, q1, p2, ...: Q is the lcm of the reduced
+    denominators, so unreduced pairs give the same grid.  It is computed in
+    int64 when Q and every p*(Q/q) are below 2^62, else in exact ints."""
+    pairs = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    p, q = np.moveaxis(pairs.reshape(len(rows), m, 2), 2, 0)
+    dens = set(q.flat) if q.dtype == object else np.unique(q).tolist()  # np.unique sorts objects
     big = math.lcm(*dens)
-    up = {den: big // den for den in dens}
-    scaled = [[p * up[q] for p, q in row] for row in rows]
-    g = math.gcd(big, *chain.from_iterable(scaled))  # 1 when every pair is reduced
+    top = max(int(p.max(initial=0)), -int(p.min(initial=0))) * (big // min(dens, default=1))
+    dtype = object if big >> 62 or top >> 62 else np.int64
+    scaled = p.astype(dtype) * (big // q.astype(dtype))
+    g = int(np.gcd.reduce(scaled, axis=None, initial=big))  # 1 when every pair is reduced
     if g > 1:
         big //= g
-        scaled = [[a // g for a in row] for row in scaled]
+        scaled //= g
     return big, int_matrix(scaled, m)
 
 

@@ -316,7 +316,7 @@ def _mutate(inst, sched, kind: str):
     if kind == "overlap" and len(rows) >= 2:
         p0, p1 = rows[0], rows[1]
         rows[0] = PlacedJob(
-            p0.job_id, p1.first_machine, 1, p1.start, inst.job(p0.job_id).times[0]
+            p0.job_id, p1.first_machine, 1, p1.start, inst.by_id[p0.job_id].times[0]
         )
         return make_schedule(rows)
     if kind == "contiguity":
@@ -343,7 +343,7 @@ def _mutate(inst, sched, kind: str):
     if kind == "widen":
         for i, p in enumerate(rows):
             if p.first_machine + p.width + 1 <= inst.m:
-                j = inst.job(p.job_id)
+                j = inst.by_id[p.job_id]
                 # only a strict time drop makes the widened row provably bad
                 if j.times[p.width] != j.times[p.width - 1]:
                     rows[i] = PlacedJob(

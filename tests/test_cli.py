@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -16,7 +17,7 @@ from moldsched.cli import (
     schedule_from_obj,
     schedule_to_obj,
 )
-from moldsched.model import Times, numerators
+from moldsched.model import Times, int_matrix
 from util import const_work_job, fraction_schedule, grid_rows, instance, job, random_instance
 
 
@@ -41,7 +42,7 @@ class TestFormats:
             assert sched == r.schedule
             assert (lam, d) == (r.lambda_used, r.accepted_d)
 
-    def test_integer_form_writes_the_bytes_of_its_fractions(self, tmp_path):
+    def test_integer_form_writes_the_bytes_of_its_fractions(self):
         # cli-batch shapes, and times over a prime quantum (object grid)
         rng = random.Random(61)
         cases = [GenConfig(n=rng.randint(20, 120), m=rng.randint(16, 128), seed=s)
@@ -51,10 +52,9 @@ class TestFormats:
             r = solve(generate(config))
             assert r.schedule.ints is not None
             given = fraction_schedule(*grid_rows(r.schedule))
-            for name, sched in (("ints", r.schedule), ("given", given)):
-                cli._dump_json(schedule_to_obj(sched, r.lambda_used, r.accepted_d),
-                               tmp_path / name)
-            assert (tmp_path / "ints").read_bytes() == (tmp_path / "given").read_bytes()
+            ints, given = (cli._schedule_text(schedule_to_obj(s, r.lambda_used, r.accepted_d))
+                           for s in (r.schedule, given))
+            assert ints == given
 
     def test_solve_out_builds_no_placed_job(self, tmp_path, monkeypatch):
         p, out = tmp_path / "i.json", tmp_path / "s.json"
@@ -89,8 +89,46 @@ def _outcome(read, value):
 
 
 def _fraction_grid(obj):
-    """The grid the reader must give: one rat per time, then numerators."""
-    return numerators([Job(j["id"], tuple(map(rat, j["times"]))) for j in obj["jobs"]], obj["m"])
+    """The reference grid, read value by value: one rat per time, Q the lcm of
+    their denominators, A[j,k-1] = t(j,k)*Q."""
+    rows = [[rat(t).as_integer_ratio() for t in j["times"]] for j in obj["jobs"]]
+    big = math.lcm(*(q for row in rows for _, q in row))
+    return big, int_matrix([[p * (big // q) for p, q in row] for row in rows], obj["m"])
+
+
+def _file(m, *rows):
+    return {"m": m, "jobs": [{"id": i, "times": list(row)} for i, row in enumerate(rows)]}
+
+
+def _generated(**config):
+    return json.loads(json.dumps(instance_to_obj(generate(GenConfig(**config)))))
+
+
+_SHAPES, _RANDOM = random.Random(7), random.Random(101)
+_PRIMES = (1_000_003, 1_000_033, 1_000_037)
+# name -> (instance file, whether one np.loadtxt reads it; None: not asked)
+READER_FILES = {
+    **{f"random-{i}": (json.loads(json.dumps(instance_to_obj(random_instance(
+        _RANDOM, _RANDOM.randint(0, 9), _RANDOM.randint(1, 7))))), None) for i in range(12)},
+    **{f"generated-{s}": (_generated(n=15, m=11, seed=s), True) for s in range(3)},
+    **{f"cli-batch-{s}": (_generated(n=_SHAPES.randint(20, 120), m=_SHAPES.randint(16, 128),
+                                     seed=s), True) for s in range(4)},
+    "a plain p in a row of p/q": (_file(3, ["12", "13/2", "4/1"], ["7/3", "2/1", "5/3"]), True),
+    # plain but unreduced: the lcm of the written denominators is 12, Q is 4
+    "unreduced": (_file(2, ["4/2", "6/6"], ["9/6", "3/4"]), True),
+    "19 digits in int64": (_file(2, ["9223372036854775807", "1"], ["3", "2"]), True),
+    "19 digits past int64": (_file(2, ["9999999999999999999", "1"], ["3", "2"]), False),
+    "4300 digits": (_file(2, ["1" + "0" * 4299, "1"], ["3", "2"]), False),
+    "q = 3^50": (_file(2, [f"4/{3**50}", f"2/{3**50}"], [f"9/{3**50}", f"5/{3**50}"]), False),
+    "prime quantum": (_generated(n=30, m=20, seed=1, quantization_denominator=10**15 + 37), True),
+    "prime denominators": (json.loads(json.dumps(instance_to_obj(instance(24, *(
+        const_work_job(i + 1, Fraction(2 * p + 1, p), 24) for i, p in enumerate(_PRIMES)))))), True),
+    # Q = (2^62 - 1)(2^62 - 3) is past int64, though every product is 0.
+    "zero over a Q past int64": (_file(2, [f"0/{2**62 - 1}", f"0/{2**62 - 3}"]), True),
+    "a decimal in one job": (_file(4, ["6", "3", "2", "3/2"], ["6.01", "3.005", "2.01", "1.6"]), False),
+    "decimals and exponents": (_file(4, ["6.01", "3.005", "2.01", "1.6"], ["12", "6.5", "4.5", "3.5"],
+                                     ["1e1", "5", "4/1", "2.5e0"], ["4/2", "002", "3/2", "0.5"]), False),
+}
 
 
 class TestReader:
@@ -112,30 +150,27 @@ class TestReader:
             got = _outcome(read, value)
             assert got == want and type(got) is type(want), read.__name__
 
-    def test_grid_equals_the_fraction_grid(self):
-        rng = random.Random(101)
-        insts = [random_instance(rng, rng.randint(0, 9), rng.randint(1, 7)) for _ in range(12)]
-        insts += [generate(GenConfig(n=15, m=11, seed=s)) for s in range(3)]
-        primes = (1_000_003, 1_000_033, 1_000_037)
-        insts.append(instance(24, *(const_work_job(i + 1, Fraction(2 * p + 1, p), 24)
-                                    for i, p in enumerate(primes))))
-        objs = [json.loads(json.dumps(instance_to_obj(i))) for i in insts]
-        objs.append({"m": 4, "jobs": [
-            {"id": 1, "times": ["6.01", "3.005", "2.01", "1.6"]},
-            {"id": 2, "times": ["12", "6.5", "4.5", "3.5"]},
-            {"id": 3, "times": ["1e1", "5", "4/1", "2.5e0"]},
-            {"id": 4, "times": ["4/2", "002", "3/2", "0.5"]},
-        ]})
-        # plain but unreduced: the lcm of the written denominators is 12, Q is 4
-        objs.append({"m": 2, "jobs": [{"id": 1, "times": ["4/2", "6/6"]},
-                                      {"id": 2, "times": ["9/6", "3/4"]}]})
-        dtypes = set()
-        for obj in objs:
-            q, a = instance_from_obj(obj).grid
+    def test_grid_equals_the_fraction_grid(self, monkeypatch):
+        calls, real = [], cli._ratios  # _ratios reads a file that np.loadtxt does not
+        monkeypatch.setattr(cli, "_ratios", lambda v: calls.append(v) or real(v))
+        grids = {}
+        for name, (obj, one_loadtxt) in READER_FILES.items():
+            calls.clear()
+            q, a = grids[name] = instance_from_obj(obj).grid
             q_ref, a_ref = _fraction_grid(obj)
-            assert q == q_ref and a.dtype == a_ref.dtype and np.array_equal(a, a_ref)
-            dtypes.add(a.dtype)
-        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+            assert q == q_ref and a.dtype == a_ref.dtype and np.array_equal(a, a_ref), name
+            assert one_loadtxt in (None, calls == []), name
+        assert {a.dtype for _, a in grids.values()} == {np.dtype(np.int64), np.dtype(object)}
+        assert grids["prime quantum"][1].dtype == object
+        q, a = grids["q = 3^50"]
+        assert q >= 2**63 and a.dtype == np.int64
+
+    def test_zero_times_over_a_q_past_int64_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(READER_FILES["zero over a Q past int64"][0]))
+        assert run("solve", path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: job 0, k=1: positive", "error: job 0, k=2: positive"]
 
     def test_mixed_lengths_exit_2_with_one_line_each(self, tmp_path, capsys):
         obj = {"m": 3, "jobs": [
@@ -145,6 +180,7 @@ class TestReader:
             {"id": 4, "times": ["6.01", "4", "3"]},
         ]}
         inst = instance_from_obj(obj)
+        assert [j.times for j in inst.jobs] == [tuple(map(rat, j["times"])) for j in obj["jobs"]]
         assert inst.jobs[3].times == (Fraction(601, 100), Fraction(4), Fraction(3))
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(obj))
@@ -170,7 +206,7 @@ class TestGenCommand:
         assert run("gen", "-n", 10, "-m", 13, "--seed", 42, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_file_bytes_equal_those_of_the_fractions(self, tmp_path):
+    def test_file_bytes_equal_those_of_the_fractions(self):
         # The writer reduces each row with one np.gcd; str() of each Fraction
         # gives the same bytes, also on exact ints and on a q past int64.
         rng = random.Random(26)
@@ -185,9 +221,22 @@ class TestGenCommand:
         for inst in cases:
             assert all(isinstance(j.times, Times) for j in inst.jobs)
             tuples = Instance(inst.m, tuple(Job(j.id, tuple(j.times)) for j in inst.jobs))
-            for name, obj in (("grid", inst), ("tuples", tuples)):
-                cli._dump_json(instance_to_obj(obj), tmp_path / name)
-            assert (tmp_path / "grid").read_bytes() == (tmp_path / "tuples").read_bytes()
+            grid, tuples = (cli._instance_text(instance_to_obj(i)) for i in (inst, tuples))
+            assert grid == tuples
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (1, 1), (25, 40)])
+    def test_files_have_the_bytes_of_json_dumps(self, tmp_path, n, m):
+        # gen and solve --out lay their files out from templates
+        ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
+        assert run("gen", "-n", n, "-m", m, "--seed", 7, "--out", ipath) == 0
+        assert run("solve", ipath, "--out", spath) == 0
+        inst = generate(GenConfig(n=n, m=m, seed=7))
+        r = solve(inst)
+        objs = {ipath: instance_to_obj(inst),
+                spath: schedule_to_obj(r.schedule, r.lambda_used, r.accepted_d)}
+        for path, obj in objs.items():
+            assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert objs[spath]["placements"] or n == 0
 
     def test_gen_then_solve(self, tmp_path):
         p = tmp_path / "i.json"

@@ -63,7 +63,7 @@ def ref_build_items(inst, big, d):
 
     items = []
     for job_id in sorted(big):
-        job = inst.job(job_id)
+        job = inst.by_id[job_id]
         g1 = gamma(job, d)
         if g1 is None:
             return ("reject", job_id)

@@ -98,7 +98,7 @@ class TestPlacement:
         assert r.mckp_assignment and r.construction == "list"
         for job_id, cls in r.mckp_assignment.items():
             k = widths[job_id]
-            times = inst.job(job_id).times
+            times = inst.by_id[job_id].times
             assert times[k - 1] <= heights[cls] and (k == 1 or times[k - 2] > heights[cls])
         for job_id in small_ids(inst, d):
             assert widths[job_id] == 1

@@ -261,7 +261,7 @@ def _ref_shrink(ss):
         if col.width > 1 and exact(ss, col.height) <= half:
             if len(col.parts) != 1 or col.split_of is not None:
                 raise ShelfInvariantError("composite column met the shrink rule", ss)
-            job = ss.inst.job(col.parts[0].job_id)
+            job = ss.inst.by_id[col.parts[0].job_id]
             g = ss.counts[job.id][3]  # the shelves' count, m+1 where none
             if g > col.width:
                 raise ShelfInvariantError("shrink would widen a job", ss)
@@ -293,7 +293,7 @@ def _ref_drain(ss):
         return False
     lam_d = ss.lam * ss.d
     for j in ss.s2:
-        job = ss.inst.job(j.job_id)
+        job = ss.inst.by_id[j.job_id]
         if job.times[q - 1] <= lam_d:
             g = ss.counts[job.id][3]
             if g > q:
@@ -853,7 +853,7 @@ class TestForcedPartitionFuzz:
             ids = {p.job_id for p in sched.placements}
             assert ids == set(assignment), trial
             report = validate_schedule(
-                instance(inst.m, *[inst.job(j) for j in sorted(ids)]), sched
+                instance(inst.m, *[inst.by_id[j] for j in sorted(ids)]), sched
             )
             assert report.feasible and report.contiguous, (trial, report.violations)
         assert repaired >= 100
