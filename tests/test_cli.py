@@ -116,15 +116,17 @@ READER_FILES = {
     "a plain p in a row of p/q": (_file(3, ["12", "13/2", "4/1"], ["7/3", "2/1", "5/3"]), True),
     # plain but unreduced: the lcm of the written denominators is 12, Q is 4
     "unreduced": (_file(2, ["4/2", "6/6"], ["9/6", "3/4"]), True),
-    "19 digits in int64": (_file(2, ["9223372036854775807", "1"], ["3", "2"]), True),
+    "18 digits": (_file(2, ["999999999999999999", "1"], ["3", f"2/{10**17 + 3}"]), True),
+    "19 digits in int64": (_file(2, ["9223372036854775807", "1"], ["3", "2"]), False),
     "19 digits past int64": (_file(2, ["9999999999999999999", "1"], ["3", "2"]), False),
+    "20 digits over 20 digits": (_file(1, [f"{10**20 - 1}/{10**20 - 2}"]), False),
     "4300 digits": (_file(2, ["1" + "0" * 4299, "1"], ["3", "2"]), False),
     "q = 3^50": (_file(2, [f"4/{3**50}", f"2/{3**50}"], [f"9/{3**50}", f"5/{3**50}"]), False),
     "prime quantum": (_generated(n=30, m=20, seed=1, quantization_denominator=10**15 + 37), True),
     "prime denominators": (json.loads(json.dumps(instance_to_obj(instance(24, *(
         const_work_job(i + 1, Fraction(2 * p + 1, p), 24) for i, p in enumerate(_PRIMES)))))), True),
-    # Q = (2^62 - 1)(2^62 - 3) is past int64, though every product is 0.
-    "zero over a Q past int64": (_file(2, [f"0/{2**62 - 1}", f"0/{2**62 - 3}"]), True),
+    # Q = (10^18 - 1)(10^18 - 3) is past int64, though every product is 0.
+    "zero over a Q past int64": (_file(2, [f"0/{10**18 - 1}", f"0/{10**18 - 3}"]), True),
     "a decimal in one job": (_file(4, ["6", "3", "2", "3/2"], ["6.01", "3.005", "2.01", "1.6"]), False),
     "decimals and exponents": (_file(4, ["6.01", "3.005", "2.01", "1.6"], ["12", "6.5", "4.5", "3.5"],
                                      ["1e1", "5", "4/1", "2.5e0"], ["4/2", "002", "3/2", "0.5"]), False),
@@ -152,7 +154,7 @@ class TestReader:
 
     def test_grid_equals_the_fraction_grid(self, monkeypatch):
         calls, real = [], cli._ratios  # _ratios reads a file that np.loadtxt does not
-        monkeypatch.setattr(cli, "_ratios", lambda v: calls.append(v) or real(v))
+        monkeypatch.setattr(cli, "_ratios", lambda v, *a: calls.append(v) or real(v, *a))
         grids = {}
         for name, (obj, one_loadtxt) in READER_FILES.items():
             calls.clear()
@@ -164,6 +166,32 @@ class TestReader:
         assert grids["prime quantum"][1].dtype == object
         q, a = grids["q = 3^50"]
         assert q >= 2**63 and a.dtype == np.int64
+
+    def test_grid_does_not_rest_on_the_numpy_version(self, monkeypatch):
+        # numpy 1.x loadtxt may read an integer past int64 through a float and
+        # cast it, with only a DeprecationWarning: "9999999999999999999" -> -2^63
+        calls = []
+
+        def loadtxt(lines, delimiter, dtype, ndmin):
+            calls.append(lines)
+            rows = [[int(v) if int(v) < 2**63 else -2**63 for v in line.split(delimiter)]
+                    for line in lines]
+            return np.array(rows, dtype=dtype, ndmin=ndmin)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        for name, (obj, _) in READER_FILES.items():
+            q, a = instance_from_obj(obj).grid
+            q_ref, a_ref = _fraction_grid(obj)
+            assert q == q_ref and np.array_equal(a, a_ref), name
+        assert calls
+
+    def test_a_file_off_the_loadtxt_path_checks_each_plain_job_once(self, monkeypatch):
+        calls, real = [], cli._plain
+        monkeypatch.setattr(cli, "_plain", lambda v, *a: calls.append(v) or real(v, *a))
+        obj = _file(2, *[["6", "3/2"]] * 5, [f"{10**20}", "1"], ["6.01", "3"])
+        assert instance_from_obj(obj).grid[0] == 100
+        # one 18-digit check a job, then the plain-form check of the two others
+        assert calls == [j["times"] for j in obj["jobs"]] + [[f"{10**20}", "1"], ["6.01", "3"]]
 
     def test_zero_times_over_a_q_past_int64_exit_2(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
