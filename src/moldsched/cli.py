@@ -343,6 +343,7 @@ def cmd_solve(
     print(f"construction {result.construction}")
     print(f"partition_by {result.partition_by}")
     print(f"iterations  {result.iterations}")
+    print(f"decided     {result.decided}")
     print(f"wall_s      {wall:.3f}")
     return 0
 

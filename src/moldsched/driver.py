@@ -16,6 +16,26 @@ smallest of 10/7, 13/9 and ``LAMBDA_STAR_UPPER`` whose bound the returned
 schedule meets, which gives makespan <= lambda_used * (1 + eps) * OPT.
 ``try_guess`` is one round on its own: the verified shelves of the pick that
 accepts its d.
+
+The search decides a guess (``_attempt``) only when three exact facts leave
+its verdict open.  (a) A guess at which every job is small accepts: its
+knapsack is empty, and its budget m*d - W is >= 0 because d > lower >= W/m.
+(b) On time- and work-monotone instances the verdict is monotone in d, as in
+dual approximation (Hochbaum and Shmoys, J. ACM 1987): at a larger d every
+class count, cost and size is weakly smaller, and a job that turns small
+moves at least t(j,1) from cost to budget.  So every guess at or below a
+decided reject rejects, and every guess at or above a decided accept
+accepts.  (c) The returned guess is decided once, at the end, when its
+verdict was inferred; the sequential upper bound is decided only then.
+When at least m jobs are big at the lower bound, the work bound W/m is
+likely tight: the last of the probes a search in which every guess accepts
+would take is decided first.  Its accept settles every probe, and the solve
+makes one decision; its reject is the decided reject of (b), and the plain
+bisection goes on.  Correctness does not rest on (b): an inferred reject
+lies below a decided one, so ``certified_lower`` stays certified, and the
+returned guess is always decided.  Only on non-monotone input (which
+``validate_instance`` reports and ``moldsched solve`` refuses with exit 2)
+may the probes differ from those of a plain bisection.
 """
 
 from __future__ import annotations
@@ -37,6 +57,7 @@ from .model import (
     Instance,
     Schedule,
     classify_jobs,
+    small_cap,
 )
 from .verify import validate_schedule
 
@@ -56,6 +77,9 @@ class SolveResult:
     lambda_used: Fraction
     makespan: Fraction
     iterations: int
+    # The guesses decided by the knapsack (``_attempt``); the other
+    # iterations' verdicts were inferred.
+    decided: int = 0
     # Wall seconds: "mckp" is the whole search, rejected guesses and the DP
     # of every guess the bounds left open included; "list" is the accepted
     # pick's allotment and partition dict and the list schedule of that
@@ -191,6 +215,14 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
     """Binary search on d by knapsack verdicts; a schedule at the last accept:
     the list schedule of its allotment, or the shelves when that misses 10/7*d.
 
+    A probe is decided only when its verdict is not already known (see the
+    module docstring): it accepts when every job is small at it, and on
+    monotone input, which the verdict is monotone on, it rejects at or below
+    a decided reject and accepts at or above a decided accept.  So the
+    probes, and the result, are those of a bisection that decides every
+    guess; an inferred reject lies below a decided one, and the returned
+    guess is always decided.
+
     Guarantee: makespan <= lambda_used * (1 + eps) * OPT, with lambda_used the
     smallest of 10/7, 13/9 and LAMBDA_STAR_UPPER whose bound the schedule meets.
     It needs positive times non-increasing in k (``validate_instance``); on
@@ -205,24 +237,54 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
         return SolveResult(empty, Fraction(0), LAMBDA_Q0, Fraction(0), 0)
     bounds = initial_bounds(inst)
     lower, upper = bounds.lower, bounds.upper
+    q, a = inst.grid
+    longest = int(a[:, 0].max())
 
     t0 = time.perf_counter()
     search = mckp.search(inst)  # the row keys and id order of every guess
-    accepted = _attempt(inst, upper, search)
-    if isinstance(accepted, mckp.Reject):
-        raise shelf.ShelfInvariantError(
-            f"guess {upper} >= OPT was rejected ({accepted.reason}); "
-            "rejection soundness is broken"
-        )
-    iterations = 0
-    while upper > (1 + eps) * lower:
-        d = _geometric_mid(lower, upper)
-        iterations += 1
-        outcome = _attempt(inst, d, search)
+    # With at least m big jobs at lower the work bound is likely tight; the
+    # chain is then the probes of a search in which every guess accepts.
+    chain = []
+    if np.count_nonzero(a[:, 0] > small_cap(lower, q)) >= inst.m:
+        while (hi := chain[-1] if chain else upper) > (1 + eps) * lower:
+            chain.append(_geometric_mid(lower, hi))
+    accepted = None  # upper's outcome; None while its verdict is inferred
+    decided_reject = None  # the chain's last probe, when it rejected
+    decided = iterations = 0
+    if chain and longest > small_cap(chain[-1], q):  # else every probe has only small jobs
+        decided += 1
+        outcome = _attempt(inst, chain[-1], search)
         if isinstance(outcome, mckp.Reject):
-            lower = d
+            decided_reject = chain[-1]
         else:
-            upper, accepted = d, outcome
+            for d in chain[:-1]:
+                log.debug("d=%s accepted, inferred: at or above a decided accept", d)
+            upper, accepted, iterations = chain[-1], outcome, len(chain)
+    while upper > (1 + eps) * lower:
+        # The chain holds the probes until some guess rejects.
+        d = chain[iterations] if iterations < len(chain) else _geometric_mid(lower, upper)
+        iterations += 1
+        if longest <= small_cap(d, q):
+            log.debug("d=%s accepted, inferred: every job small", d)
+            upper, accepted = d, None
+        elif decided_reject is not None and d <= decided_reject:
+            log.debug("d=%s rejected, inferred: at or below a decided reject", d)
+            lower, chain = d, []
+        else:
+            decided += 1
+            outcome = _attempt(inst, d, search)
+            if isinstance(outcome, mckp.Reject):
+                lower, chain = d, []
+            else:
+                upper, accepted = d, outcome
+    if accepted is None:
+        decided += 1
+        accepted = _attempt(inst, upper, search)
+        if isinstance(accepted, mckp.Reject):
+            raise shelf.ShelfInvariantError(
+                f"guess {upper}, the sequential upper bound or one with every job "
+                f"small, was rejected ({accepted.reason}); rejection soundness is broken"
+            )
     items, verdict = accepted
     timings = {"mckp": time.perf_counter() - t0}
 
@@ -233,6 +295,7 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
         lambda_used=lam,
         makespan=schedule.makespan,
         iterations=iterations,
+        decided=decided,
         timings=timings,
         certified_lower=lower,
         mckp_assignment=assignment,

@@ -386,5 +386,11 @@ def classify_jobs(inst: Instance, d: Fraction) -> tuple[np.ndarray, Fraction]:
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     q, a = inst.grid
-    is_small = a[:, 0] <= math.floor(SMALL_THRESHOLD_FRAC * d * q)
+    is_small = a[:, 0] <= small_cap(d, q)
     return is_small, Fraction(sum(a[is_small, 0].tolist()), q)
+
+
+def small_cap(d: Fraction, q: int) -> int:
+    """floor((3/7)*d*Q): a job is small at d iff its A[j,0] is at most this."""
+    return SMALL_THRESHOLD_FRAC.numerator * d.numerator * q // (
+        SMALL_THRESHOLD_FRAC.denominator * d.denominator)

@@ -310,6 +310,8 @@ class TestSolveCommand:
         assert run("solve", p) == 0
         out = capsys.readouterr().out.splitlines()
         assert "construction list" in out and "partition_by bound" in out
+        # Five probes, each decided by the knapsack; the upper bound is not.
+        assert out.index("iterations  5") + 1 == out.index("decided     5")
 
     def test_solve_prints_a_partition_by_the_dp(self, tmp_path, capsys):
         # The knapsack bounds leave this solve's accepted guess open.

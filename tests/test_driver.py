@@ -34,6 +34,7 @@ from moldsched import (
 from moldsched.driver import SearchBounds, initial_bounds
 from util import (
     allotment,
+    bisection_solve,
     const_work_job,
     dp_assignment,
     instance,
@@ -164,8 +165,11 @@ class TestSolve:
             solve(inst, rat(2))
 
     def test_builds_one_schedule_after_the_search(self, monkeypatch):
-        # The search decides each guess by the knapsack alone; the schedule
-        # is built and verified once, at the last accepted guess.
+        # The search decides guesses by the knapsack alone; the schedule is
+        # built and verified once, at the last accepted guess.  At n=12, m=8
+        # the last probe of an all-accept search accepts, which settles all
+        # six; at n=80, m=800 each of the 13 probes is decided, and the upper
+        # bound is not.
         verdicts = []
         verified = []
         attempt, validate = driver._attempt, driver.validate_schedule
@@ -181,13 +185,20 @@ class TestSolve:
 
         monkeypatch.setattr(driver, "_attempt", counting_attempt)
         monkeypatch.setattr(driver, "validate_schedule", counting_validate)
-        inst = generate(GenConfig(n=12, m=8, seed=0))
-        r = solve(inst, rat("0.05"))
-        assert sum(verdicts) >= 2 and len(verdicts) == r.iterations + 1
-        assert len(verified) == 1
-        assert verified[0][1] is r.schedule
-        assert set(r.timings) == {"mckp", "list", "shelf", "small", "verify"}
-        assert all(t >= 0 for t in r.timings.values())
+        for n, m, seed, eps, iterations, decisions in [
+            (12, 8, 0, Fraction(1, 20), 6, [True]),
+            (80, 800, 1, Fraction(1, 1000), 13, [True, True, False, False, True, False, False,
+                                                 False, True, False, False, True, True]),
+        ]:
+            verdicts.clear()
+            verified.clear()
+            inst = generate(GenConfig(n=n, m=m, seed=seed))
+            r = solve(inst, eps)
+            assert (r.iterations, r.decided, verdicts) == (iterations, len(decisions), decisions)
+            assert len(verified) == 1
+            assert verified[0][1] is r.schedule
+            assert set(r.timings) == {"mckp", "list", "shelf", "small", "verify"}
+            assert all(t >= 0 for t in r.timings.values())
 
     def test_every_returned_schedule_is_in_integer_form(self, monkeypatch):
         # The list schedule, the shelves forced at the accepted guess (n=6,
@@ -298,7 +309,9 @@ class TestSolve:
         attempt = driver._attempt
         monkeypatch.setattr(driver, "_attempt", lambda *a: guesses.append(a) or attempt(*a))
         r = solve(generate(GenConfig(n=n, m=m, seed=seed)), eps)
-        assert r.construction == "list" and len(guesses) == r.iterations + 1
+        # One decision at n=40 and n=200, where every guess accepts; at
+        # n=80, m=800 every probe but not the upper bound.
+        assert r.construction == "list" and len(guesses) == r.decided == {40: 1, 80: 13, 200: 1}[n]
         assert callers["gammas"] == ["build_items"] * len(guesses)
         assert callers["row_keys"] == ["search"]
         assert len({id(a[2]) for a in guesses}) == 1  # every guess reads the one search
@@ -314,6 +327,81 @@ class TestSolve:
         for line in rejects:
             cost, budget = re.fullmatch(r"d=\S+ .*: cost (\S+), budget (\S+)", line).groups()
             assert Fraction(cost) > Fraction(budget)  # a lower bound above the budget
+        assert not any("inferred" in line for line in lines)  # every probe is decided
+
+    @pytest.mark.parametrize("n, m, seed, reasons", [
+        # The last probe of an all-accept search is decided first and accepts.
+        (300, 150, 1, ["accepted by bound"] + ["accepted, inferred: at or above a decided accept"] * 6),
+        # No probe has a big job; the returned guess is decided at the end.
+        (1000, 35, 1, ["accepted, inferred: every job small"] * 7 + ["accepted by bound"]),
+        # That last probe rejects; the plain bisection reaches it again.
+        (24, 16, 1, ["work-budget by bound", "accepted, inferred: every job small"]
+         + ["accepted by bound"] * 4 + ["rejected, inferred: at or below a decided reject"]),
+    ])
+    def test_debug_log_names_each_inferred_verdict(self, caplog, n, m, seed, reasons):
+        with caplog.at_level(logging.DEBUG, logger="moldsched.driver"):
+            r = solve(generate(GenConfig(n=n, m=m, seed=seed)))
+        lines = [rec.getMessage() for rec in caplog.records]
+        pattern = r"d=[^\s,]+(?:, unit 1/\d+:)? (.*?)(?:: cost \S+, budget \S+)?"
+        assert [re.fullmatch(pattern, line)[1] for line in lines] == reasons
+        assert r.decided == sum("inferred" not in line for line in lines)
+
+
+class TestInferredVerdicts:
+    """solve decides a guess only when its verdict is not already known, and
+    returns what a plain bisection that decides every guess returns."""
+
+    FIELDS = ("schedule", "accepted_d", "certified_lower", "iterations", "lambda_used",
+              "mckp_assignment", "partition_by", "construction")
+
+    @staticmethod
+    def _decided(monkeypatch):
+        guesses, attempt = [], driver._attempt
+        monkeypatch.setattr(driver, "_attempt", lambda *a: guesses.append(a[1]) or attempt(*a))
+        return guesses
+
+    def _assert_same(self, inst, eps):
+        r, ref = solve(inst, eps), bisection_solve(inst, eps)
+        for name in self.FIELDS:
+            assert getattr(r, name) == getattr(ref, name), name
+        assert r.decided <= ref.decided
+        return r
+
+    @pytest.mark.parametrize("n, m, seed, eps, decided", [
+        (300, 150, 1, Fraction(1, 20), 1),     # at least m big jobs, every probe accepts
+        (24, 16, 1, Fraction(1, 20), 5),       # at least m big jobs, the last probe rejects
+        (20, 16, 1, Fraction(1, 20), 6),       # the same, with a decided reject on the way
+        (80, 800, 1, Fraction(1, 1000), 13),   # fewer than m big jobs: every probe decided
+        (1000, 35, 1, Fraction(1, 20), 1),     # every job small at every probe
+    ])
+    def test_matches_the_plain_bisection(self, monkeypatch, n, m, seed, eps, decided):
+        inst = generate(GenConfig(n=n, m=m, seed=seed))
+        guesses = self._decided(monkeypatch)
+        r = self._assert_same(inst, eps)
+        assert r.decided == decided
+        # bisection_solve's own decisions are recorded after solve's.
+        assert len(guesses) == decided + r.iterations + 1
+
+    def test_matches_the_plain_bisection_on_tiny_instances(self):
+        rng = random.Random(29)
+        shapes = [(1, rng.randint(1, 8)) for _ in range(10)] + [(rng.randint(1, 8), 1) for _ in range(10)]
+        shapes += [(rng.randint(2, 12), rng.randint(2, 8)) for _ in range(20)]
+        for n, m in shapes:
+            inst = random_instance(rng, n, m)
+            for eps in (Fraction(1, 20), Fraction(1, 1000)):
+                self._assert_same(inst, eps)
+
+    @pytest.mark.parametrize("inst", [
+        instance(1, job(1, 5), job(2, 3)),   # m=1: lower == upper, no probe
+        instance(4, job(1, 8, 4, 3, 2)),     # n=1: every probe accepts
+        generate(GenConfig(n=300, m=150, seed=1)),
+    ])
+    def test_decides_the_upper_bound_only_when_it_is_returned(self, monkeypatch, inst):
+        guesses = self._decided(monkeypatch)
+        r = solve(inst)
+        upper = initial_bounds(inst).upper
+        assert (upper in guesses) == (r.accepted_d == upper)
+        assert guesses[-1] == r.accepted_d and len(guesses) == r.decided
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])

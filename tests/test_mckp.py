@@ -309,13 +309,14 @@ class TestDecide:
                 guesses.append((items, inst.m))
             return items
 
+        attempt, decisions = driver._attempt, []
         monkeypatch.setattr(mckp, "build_items", recording_build)
+        monkeypatch.setattr(driver, "_attempt", lambda *a: decisions.append(a) or attempt(*a))
         rng = random.Random(41)
-        tried = 0
-        for _ in range(40):
-            tried += driver.solve(random_instance(rng, rng.randint(1, 16), rng.randint(1, 10))).iterations + 1
+        for _ in range(60):
+            driver.solve(random_instance(rng, rng.randint(1, 16), rng.randint(1, 10)))
         monkeypatch.undo()
-        assert len(built) == tried  # every guess of every solve
+        assert len(built) == len(decisions)  # every decided guess of every solve
         assert len(guesses) >= 200
         by = {}
         for items, m in guesses:

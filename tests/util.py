@@ -218,3 +218,44 @@ def allotment(inst: Instance, d: Fraction, assignment: dict[int, int]) -> np.nda
     for job_id, c in assignment.items():
         width[inst.row_of[job_id]] = gamma(inst, job_id, CLASS_HEIGHTS[c - 1] * d)
     return width
+
+
+def bisection_solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> driver.SolveResult:
+    """``solve`` by a plain bisection that decides the sequential upper bound
+    and then every probe with the knapsack, each verdict by ``_attempt``:
+    the reference a solve that infers verdicts must match.  ``decided``
+    counts those decisions."""
+    eps = Fraction(eps)
+    if not inst.jobs:
+        return driver.solve(inst, eps)
+    bounds = driver.initial_bounds(inst)
+    lower, upper = bounds.lower, bounds.upper
+    search_ = search(inst)
+    accepted = driver._attempt(inst, upper, search_)
+    assert not isinstance(accepted, Reject), accepted
+    iterations = 0
+    while upper > (1 + eps) * lower:
+        d = driver._geometric_mid(lower, upper)
+        iterations += 1
+        outcome = driver._attempt(inst, d, search_)
+        if isinstance(outcome, Reject):
+            lower = d
+        else:
+            upper, accepted = d, outcome
+    items, verdict = accepted
+    timings = {"mckp": 0.0}
+    schedule, lam, construction, assignment = driver._construct(
+        inst, upper, items, verdict.pick, timings)
+    return driver.SolveResult(
+        schedule=schedule,
+        accepted_d=upper,
+        lambda_used=lam,
+        makespan=schedule.makespan,
+        iterations=iterations,
+        decided=iterations + 1,
+        timings=timings,
+        certified_lower=lower,
+        mckp_assignment=assignment,
+        construction=construction,
+        partition_by=verdict.by,
+    )
