@@ -285,16 +285,20 @@ def gantt_svg(inst: Instance, sched: Schedule) -> str:
         f'<text x="{width - margin}" y="{height - margin + 16}" '
         f'font-size="11" text-anchor="end">t = {sched.makespan}</text>',
     ]
-    for p in sched.placements:
-        x = margin + float(p.start / span) * (width - 2 * margin)
-        w = max(float(p.duration / span) * (width - 2 * margin), 1.0)
-        y = margin + p.first_machine * row
-        h = p.width * row - 2
-        hue = (p.job_id * 61) % 360
+    ints = sched.ints is not None  # int / int rounds as float(Fraction): the same bytes
+    num, den = (span.numerator * sched.scale, span.denominator) if ints else (span, 1)
+    rows = zip(*(c.tolist() for c in sched.ints)) if ints else (
+        (p.job_id, p.first_machine, p.width, p.start, p.duration) for p in sched.placements)
+    for job_id, first, k, start, duration in rows:
+        x = margin + float(start * den / num) * (width - 2 * margin)
+        w = max(float(duration * den / num) * (width - 2 * margin), 1.0)
+        y = margin + first * row
+        h = k * row - 2
+        hue = (job_id * 61) % 360
         parts.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
             f'fill="hsl({hue},65%,70%)" stroke="black" stroke-width="0.5">'
-            f"<title>job {p.job_id}</title></rect>"
+            f"<title>job {job_id}</title></rect>"
         )
     for i in range(m):
         parts.append(

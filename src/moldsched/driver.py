@@ -123,7 +123,10 @@ def _attempt(
     """The knapsack decision for d: (the items, the accepting verdict with
     its pick) or Reject (d < OPT).  Raise ShelfInvariantError unless the
     pick, recounted in exact integers, is one available class of each item,
-    fits 2m half-machines and costs the verdict's cost <= budget."""
+    fits 2m half-machines and costs the verdict's cost <= budget.  The
+    verdict reads d only through floor(d*Q), floor((4/7)d*Q),
+    floor((3/7)d*Q) and floor(m*d*Q) (ws*Q is an integer), so it is one
+    verdict on each cell [a/L, (a+1)/L), L = 12*m*Q; keep it so."""
     small, ws = classify_jobs(inst, d)
     items = mckp.build_items(inst, search, small, d)
     if isinstance(items, mckp.Reject):
@@ -310,12 +313,18 @@ def _geometric_mid(lo: Fraction, hi: Fraction) -> Fraction:
     The probe location only steers the search; correctness comes from the
     exact accept/reject decisions, so a float approximation rounded to a
     bounded denominator is fine, with the arithmetic midpoint as fallback.
+    The rounding is ``Fraction(g).limit_denominator(10**12)``, in plain ints.
     """
     try:
-        g = math.sqrt(float(lo)) * math.sqrt(float(hi))
-        mid = Fraction(g).limit_denominator(10**12)
+        n, den = (math.sqrt(float(lo)) * math.sqrt(float(hi))).as_integer_ratio()
     except (OverflowError, ValueError):
-        mid = (lo + hi) / 2
-    if not lo < mid < hi:
-        mid = (lo + hi) / 2
-    return mid
+        return (lo + hi) / 2
+    d, cap, p0, q0, p1, q1 = den, 10**12, 0, 1, 1, 0
+    while d and q0 + (a := n // d) * q1 <= cap:  # d = 0: n/den itself, den <= cap
+        p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, n - a * d
+    if d:  # the next convergent passes the cap: the closer of two bounds
+        k = (cap - q0) // q1
+        if 2 * d * (q0 + k * q1) > den:
+            p1, q1 = p0 + k * p1, q0 + k * q1
+    mid = Fraction(p1, q1)
+    return mid if lo < mid < hi else (lo + hi) / 2

@@ -5,16 +5,20 @@ driver passes the knapsack's allotment: each big job its canonical count at
 its class height, each small job one).  Jobs are placed by decreasing
 duration, ties by job id, each on the contiguous window of machines whose
 latest free time is smallest (lowest first machine on ties), starting at
-that time.  The skyline of free times is kept in grid numerators, so every
-start is an exact integer sum: int64 while the sum of the placed durations,
-which bounds every free time, is below 2^62, exact ints (numpy object dtype)
-otherwise.  The schedule is returned in that integer form
-(``Schedule.of_ints`` over the grid's q): no Fraction is made per job, only
-the makespan.
+that time.  When every width is 1, as it often is, the free times are a
+heap of the ints free*h + machine over the h = min(m, n) machines a job can
+reach, one heapreplace per job: these order as (free time, machine) pairs,
+so the heap pops the window loop's machine.  Free times are kept in grid
+numerators, so every start is an exact integer sum: int64 while the sum of
+the placed durations, which bounds every free time, is below 2^62, exact
+ints (numpy object dtype) otherwise.  The schedule is returned in that
+integer form (``Schedule.of_ints`` over the grid's q): no Fraction is made
+per job, only the makespan.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 import numpy as np
@@ -43,16 +47,22 @@ def list_schedule(inst: Instance, width: np.ndarray) -> Schedule:
     order = np.lexsort((ids, -dur))  # decreasing duration, ties by job id
     ids, width, dur = ids[order], width[order], dur[order]
     exact = a.dtype == object or sum(dur.tolist()) >= 1 << 62
-    free = np.zeros(inst.m, dtype=object if exact else np.int64)
-    first, start = [], []
-    for k, t in zip(width.tolist(), dur.tolist()):
-        w = window_max(free, k)
-        i = int(w.argmin())
-        s = w.item(i)
-        free[i : i + k] = s + t
-        first.append(i)
-        start.append(s)
-    start = np.array(start, dtype=free.dtype)
+    if width.max(initial=0) == 1:
+        h = min(inst.m, inst.n)
+        heap = list(range(h))  # every machine free at 0, in order: a heap
+        keys = int_array([heapq.heapreplace(heap, heap[0] + t * h) for t in dur.tolist()])
+        start, first = keys // h, keys % h
+    else:
+        free = np.zeros(inst.m, dtype=object if exact else np.int64)
+        first, start = [], []
+        for k, t in zip(width.tolist(), dur.tolist()):
+            w = window_max(free, k)
+            i = int(w.argmin())
+            s = w.item(i)
+            free[i : i + k] = s + t
+            first.append(i)
+            start.append(s)
+    start = np.array(start, dtype=object if exact else np.int64)
     makespan = Fraction(int((start + dur).max()) if inst.n else 0, q)
     ints = (ids, np.array(first, dtype=np.int64), width, start, dur)
     return Schedule.of_ints(q, ints, makespan)

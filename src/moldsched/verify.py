@@ -17,11 +17,13 @@ single denominator by ``_LCM_MARGIN_BITS`` the same checks run on the
 Fractions as given, whose cost does not grow with L.  Start and duration
 types other than int and Fraction take that path too.
 
-A duration is checked as t*q == p*L against t(j,k) = p/q.  Overlaps are
-found by one sort of every (machine, start, end, job) of the parts.  The
-report does not depend on the form or the path: the same violations in the
-same order, with windows and a makespan equal to the Fractions
-(``Fraction(x, L)`` on the integer path).
+A duration is checked as t*q == p*L against t(j,k) = p/q.  On the integer
+path array checks decide first: one placement per job id, starts >= 0, parts
+within [0, m), durations t(j, width); when all pass, the per-job loop, which
+only reports, is skipped.  Overlaps are found by one sort of every (machine,
+start, end, job) of the parts.  The report does not depend on the form or
+the path: the same violations in the same order, with windows and a makespan
+equal to the Fractions (``Fraction(x, L)`` on the integer path).
 
 A job may appear as several placement rows (parts on disjoint machine
 intervals with a common start) -- that is the non-contiguous reading used by
@@ -106,13 +108,13 @@ def validate_schedule(
     m = inst.m
     known = inst.by_id
     groups: dict[int, list[int]] = {}  # job id -> indices of its parts
-    for i, j in enumerate(ids):
-        groups.setdefault(j, []).append(i)
-
-    for job_id in known:
-        if job_id not in groups:
-            feas.append(Violation("missing", (job_id,)))
-    for job_id, rows in groups.items():
+    if scale is None or not _columns_pass(known, m, scale, columns, ids, width, start, dur):
+        for i, j in enumerate(ids):
+            groups.setdefault(j, []).append(i)
+        for job_id in known:
+            if job_id not in groups:
+                feas.append(Violation("missing", (job_id,)))
+    for job_id, rows in groups.items():  # none when the columns pass
         job = known.get(job_id)
         if job is None:
             feas.append(Violation("unknown-job", (job_id,)))
@@ -175,6 +177,21 @@ def validate_schedule(
         makespan=makespan,
         violations=tuple(listed),
     )
+
+
+def _columns_pass(known: dict, m: int, scale: int, columns: tuple, ids, width, start, dur) -> bool:
+    """Whether the placements, times over scale, pass every check of the
+    per-job loop (see the module docstring), which then reports nothing."""
+    f, w = int_array(columns[1]), int_array(columns[2])
+    if (len(ids) != len(known) or known.keys() != set(ids) or min(start, default=0) < 0
+            or not ((w >= 1) & (f >= 0) & (f <= m - w)).all()):
+        return False
+    for j, k, t in zip(ids, width, dur):
+        times = known[j].times
+        p, q = times.ratio(k - 1) if isinstance(times, Times) else times[k - 1].as_integer_ratio()
+        if t * q != p * scale:
+            return False
+    return True
 
 
 def _off(times, k: int, t, scale: Optional[int]) -> bool:

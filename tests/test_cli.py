@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moldsched import GenConfig, Instance, Job, cli, generate, mckp, model, rat, solve
+from moldsched import GenConfig, Instance, Job, Schedule, cli, generate, mckp, model, rat, solve
 from moldsched.cli import (
     gantt_svg,
     instance_from_obj,
@@ -18,7 +18,9 @@ from moldsched.cli import (
     schedule_to_obj,
 )
 from moldsched.model import Times, int_matrix
-from util import const_work_job, fraction_schedule, grid_rows, instance, job, random_instance
+from util import (
+    const_work_job, fraction_schedule, grid_rows, instance, int_schedule, job, random_instance,
+)
 
 
 def run(*argv) -> int:
@@ -685,6 +687,27 @@ def test_gantt_svg_counts_rects_directly():
     svg = gantt_svg(inst, r.schedule)
     assert svg.count("<rect") == len(r.schedule.placements)
     assert svg.startswith("<svg")
+
+
+def test_gantt_svg_reads_the_integer_columns_to_the_same_bytes():
+    # Solver schedules (list, shelf, an object grid, no jobs) and random
+    # integer columns over odd scales: the same SVG as from PlacedJobs, and
+    # no PlacedJob is made.
+    insts = [generate(GenConfig(n=40, m=12, seed=s)) for s in range(3)]
+    insts += [generate(GenConfig(n=20, m=10, seed=5)), Instance(3, ())]
+    insts.append(generate(GenConfig(n=25, m=9, seed=2, quantization_denominator=10**15 + 37)))
+    cases = [(inst, solve(inst).schedule) for inst in insts]
+    rng = random.Random(97)
+    for _ in range(50):
+        inst, scale = Instance(4, ()), rng.choice((1, 3, 10**6, 2**61 - 1, 10**30 + 7))
+        rows = [(rng.randint(1, 9), rng.randint(0, 3), rng.randint(1, 4),
+                 rng.randint(0, 10**40) % (5 * scale), rng.randint(1, 3 * scale)) for _ in range(6)]
+        makespan = max(s + t for *_, s, t in rows) + rng.randint(0, scale)
+        cases.append((inst, int_schedule(scale, rows, makespan)))
+    for inst, sched in cases:
+        svg = gantt_svg(inst, sched)
+        assert sched._placements is None
+        assert svg == gantt_svg(inst, Schedule(sched.placements, sched.makespan))
 
 
 def test_load_instance_helper(tmp_path):

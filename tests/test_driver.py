@@ -499,3 +499,71 @@ class TestPickRecount:
         monkeypatch.setattr(mckp, "decide", lambda items, m, budget: decide(items, m, 10**30))
         with pytest.raises(ShelfInvariantError, match="fails its recount"):
             solve(generate(GenConfig(n=80, m=800, seed=1)), Fraction(1, 1000))
+
+
+def _stdlib_mid(lo, hi):
+    """_geometric_mid with the standard library's rounding, as it was written."""
+    try:
+        mid = Fraction(math.sqrt(float(lo)) * math.sqrt(float(hi))).limit_denominator(10**12)
+    except (OverflowError, ValueError):
+        mid = (lo + hi) / 2
+    return mid if lo < mid < hi else (lo + hi) / 2
+
+
+def test_geometric_mid_rounds_as_the_standard_library():
+    rng = random.Random(61)
+    cases = [
+        (Fraction(1, 10**13), Fraction(2, 10**13)),  # the fallback cases above
+        (Fraction(1), Fraction(10**400)),
+        (Fraction(4), Fraction(9)),                  # sqrt(lo*hi) = 6 exactly
+        (Fraction(1, 4), Fraction(1)),               # 1/2, a power-of-two denominator
+        (Fraction(10**12 - 1, 10**12), Fraction(1)),
+    ]
+    for _ in range(4000):
+        lo = Fraction(10 ** rng.uniform(-12, 13)).limit_denominator(rng.choice((1, 7, 10**6, 10**15)))
+        lo = lo or Fraction(1, 10**12)
+        cases.append((lo, lo * (1 + Fraction(rng.randint(1, 10**6), rng.choice((10**3, 10**9))))))
+    for lo, hi in cases:
+        mid = driver._geometric_mid(lo, hi)
+        assert mid == _stdlib_mid(lo, hi), (lo, hi)
+        assert lo < mid < hi
+
+
+class TestVerdictLattice:
+    """_attempt reads d only through floor(d*Q), floor((4/7)d*Q),
+    floor((3/7)d*Q) and floor(m*d*Q): one verdict, pick included, on each
+    cell [a/L, (a+1)/L) with L = 12*m*Q."""
+
+    @staticmethod
+    def _verdict(inst, d, search):
+        out = driver._attempt(inst, d, search)
+        if isinstance(out, Reject):
+            return out.reason
+        items, verdict = out
+        return tuple(items.ids), verdict.by, verdict.cost, verdict.pick
+
+    def test_one_verdict_per_cell(self):
+        rng = random.Random(67)
+        insts = [generate(GenConfig(n=40, m=16, seed=s)) for s in (1, 2)]
+        insts.append(generate(GenConfig(n=30, m=60, seed=3)))
+        insts += [random_instance(rng, rng.randint(2, 12), rng.randint(1, 8)) for _ in range(9)]
+        kinds = collections.Counter()
+        for inst in insts:
+            search, big = mckp.search(inst), 12 * inst.m * inst.grid[0]
+            bounds = initial_bounds(inst)
+            lo, hi = max(math.floor(bounds.lower * big), 1), math.ceil(bounds.upper * big)
+            cells = {lo, hi}
+            while hi - lo > 1:  # the cell where the verdicts turn, by bisection
+                mid = (lo + hi) // 2
+                cells.add(mid)
+                if isinstance(self._verdict(inst, Fraction(mid, big), search), str):
+                    lo = mid
+                else:
+                    hi = mid
+            cells |= {lo - 1, hi + 1} | {rng.randint(lo - 50, hi + 50) for _ in range(8)}
+            for a in sorted(c for c in cells if c >= 1):
+                points = [Fraction(a), a + Fraction(rng.randint(1, 999), 1000), a + 1 - Fraction(1, 10**9)]
+                verdicts = {self._verdict(inst, x / big, search) for x in points}
+                assert len(verdicts) == 1, (inst.m, a, verdicts)
+                kinds[isinstance(verdicts.pop(), str)] += 1
+        assert kinds[True] > 20 and kinds[False] > 20

@@ -21,7 +21,9 @@ from moldsched import (
 from moldsched import listsched, shelf
 from moldsched.listsched import list_schedule, window_max
 from moldsched.model import Schedule, gamma
-from util import allotment, big_ids, dp_shelves, instance, job, small_ids
+from util import (
+    allotment, big_ids, dp_shelves, instance, job, random_instance, small_ids, window_list_schedule,
+)
 
 
 def _brute_window_max(x, k):
@@ -103,6 +105,46 @@ class TestPlacement:
         for job_id in small_ids(inst, d):
             assert widths[job_id] == 1
         assert r.schedule == list_schedule(inst, allotment(inst, d, r.mckp_assignment))
+
+
+def _assert_same_ints(got, want):
+    assert (got.scale, got.makespan) == (want.scale, want.makespan)
+    for g, w in zip(got.ints, want.ints, strict=True):
+        assert (g.dtype, g.tolist()) == (w.dtype, w.tolist())
+
+
+class TestOneMachineHeap:
+    """With every width 1 the heap places each job as the window loop does,
+    bit for bit: the same columns in the same dtypes, the same makespan."""
+
+    @pytest.mark.parametrize("inst", [
+        instance(3, *(job(i, 2, 1, 1) for i in range(1, 8))),  # equal durations
+        # 4 = 1 + 3 = 2 + 2: three machines free at 4 at once, then at 5
+        instance(3, *(job(i, t, t, t) for i, t in enumerate((4, 3, 2, 2, 1, 1, 1), 1))),
+        instance(1, job(3, 2), job(1, 2), job(2, 2), job(4, 5)),  # m = 1
+        instance(4),  # n = 0
+        instance(9, job(2, *[5] * 9), job(1, *[5] * 9)),  # m > n
+        instance(1, *(job(i, 2**58) for i in range(1, 41))),  # past int64 on one machine
+        instance(2, *(job(i, 2**58, 2**57) for i in range(1, 34))),  # and on two
+    ])
+    def test_matches_the_window_loop(self, inst):
+        width = np.ones(inst.n, dtype=np.int64)
+        _assert_same_ints(list_schedule(inst, width), window_list_schedule(inst, width))
+
+    def test_skyline_past_int64_is_exact(self):
+        inst = instance(2, *(job(i, 2**58, 2**57) for i in range(1, 34)))
+        sched = list_schedule(inst, np.ones(inst.n, dtype=np.int64))
+        assert sched.ints[3].dtype == object and sched.makespan == 17 * 2**58
+
+    def test_matches_the_window_loop_on_random_allotments(self):
+        rng = random.Random(41)
+        insts = [random_instance(rng, rng.randint(0, 30), rng.randint(1, 8)) for _ in range(60)]
+        insts += [generate(GenConfig(n=200, m=8, seed=s)) for s in range(3)]
+        for inst in insts:
+            one = np.ones(inst.n, dtype=np.int64)
+            wide = np.array([rng.randint(1, inst.m) for _ in range(inst.n)], dtype=np.int64)
+            for width in (one, wide):
+                _assert_same_ints(list_schedule(inst, width), window_list_schedule(inst, width))
 
 
 def test_listsched_is_independent_of_the_knapsack():

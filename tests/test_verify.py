@@ -259,6 +259,37 @@ class TestIntegerForm:
         assert kinds >= {"overlap", "width", "start", "duration", "placement", "bounds",
                          "missing", "unknown-job", "makespan"}
 
+    def test_array_checks_change_no_report(self, monkeypatch):
+        # The array checks only decide whether the per-job loop runs: forced
+        # off, every report of the mutant corpus is the same, in both forms
+        # and both contiguity settings.
+        rng = random.Random(139)
+        cases = []
+        for inst, sched in _solver_outputs():
+            scale, rows, makespan = grid_rows(sched)
+            for _, mrows, mk in _mutants(rng, rows, makespan):
+                for given in (int_schedule(scale, mrows, mk), fraction_schedule(scale, mrows, mk)):
+                    cases += [(inst, given, contiguous) for contiguous in (True, False)]
+        passed = []
+        real = verify._columns_pass
+        monkeypatch.setattr(verify, "_columns_pass", lambda *a: passed.append(real(*a)) or passed[-1])
+        on = [validate_schedule(*case) for case in cases]
+        assert True in passed and False in passed
+        monkeypatch.setattr(verify, "_columns_pass", lambda *a: False)
+        assert [validate_schedule(*case) for case in cases] == on
+
+    def test_a_valid_solver_schedule_skips_the_per_job_loop(self, monkeypatch):
+        inst = generate(GenConfig(n=60, m=12, seed=1))
+        sched = solve(inst).schedule
+        calls = []
+        real = verify._off
+        monkeypatch.setattr(verify, "_off", lambda *a: calls.append(a) or real(*a))
+        assert validate_schedule(inst, sched).ok()
+        assert validate_schedule(inst, Schedule(sched.placements, sched.makespan)).ok()
+        assert not calls
+        monkeypatch.setattr(verify, "_columns_pass", lambda *a: False)
+        assert validate_schedule(inst, sched).ok() and len(calls) == inst.n
+
     def test_integer_form_past_int64(self):
         # Starts and an id past 2^63 are compared as exact ints.
         big = 2**64

@@ -10,6 +10,7 @@ from itertools import compress
 import numpy as np
 
 from moldsched import Instance, Job, PlacedJob, Reject, Schedule, driver, rat
+from moldsched.listsched import window_max
 from moldsched.mckp import CLASS_HEIGHTS, MckpItems, _options, build_items, search, solve_mckp
 from moldsched.model import classify_jobs, gamma, int_array, int_matrix
 
@@ -259,3 +260,26 @@ def bisection_solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> driver.S
         construction=construction,
         partition_by=verdict.by,
     )
+
+
+def window_list_schedule(inst: Instance, width: np.ndarray) -> Schedule:
+    """``list_schedule`` by one ``window_max`` over the skyline per job, at
+    every allotment: the reference its one-machine heap must match."""
+    q, a = inst.grid
+    dur = a[np.arange(inst.n), width - 1]
+    ids = int_array(inst.ids)
+    order = np.lexsort((ids, -dur))
+    ids, width, dur = ids[order], width[order], dur[order]
+    exact = a.dtype == object or sum(dur.tolist()) >= 1 << 62
+    free = np.zeros(inst.m, dtype=object if exact else np.int64)
+    first, start = [], []
+    for k, t in zip(width.tolist(), dur.tolist()):
+        w = window_max(free, k)
+        i = int(w.argmin())
+        s = w.item(i)
+        free[i : i + k] = s + t
+        first.append(i)
+        start.append(s)
+    start = np.array(start, dtype=free.dtype)
+    makespan = Fraction(int((start + dur).max()) if inst.n else 0, q)
+    return Schedule.of_ints(q, (ids, np.array(first, dtype=np.int64), width, start, dur), makespan)
