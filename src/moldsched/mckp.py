@@ -23,10 +23,14 @@ the solve's ``Search``, O(n log(nm)), and only the big rows' costs are read.
 ``decide`` settles that verdict first by two exact certificates on integer
 costs: an integral greedy assignment within capacity and budget accepts, a
 Lagrangian lower bound above the budget rejects.  Both are array operations
-over all items at once.  Only a guess both leave open runs the DP.  A
-partition is a pick, one class per item in item order; an accepting verdict
-carries its own, the greedy's or the DP's, and every schedule built at that
-guess reads it.
+over all items at once.  Only a guess both leave open runs the DP, and only
+on the options whose reduced cost under the bound's multiplier could still
+be in a minimum pick (Dyer, Kayal & Walker 1984): items left one option are
+fixed, so the DP takes O(k*c) for the k items and capacity c left, not
+O(n*m), and returns the pick it would over all items.  A partition is a
+pick, one class per item in item order; an accepting verdict carries its
+own, the greedy's or the DP's, and every schedule built at that guess reads
+it.
 
 ``solve_mckp`` is that DP and returns its pick.  It divides the costs by
 their gcd and runs one suffix table over (job, capacity): one rolling row of
@@ -40,6 +44,7 @@ lowest class index per job in input order.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -53,6 +58,8 @@ from .model import _INT64_SAFE_TOTAL, Instance, RowKeys, gamma, gammas, row_keys
 # The deadline of class c as a multiple of d: a class-c job runs on
 # gamma(j, CLASS_HEIGHTS[c-1] * d) machines.
 CLASS_HEIGHTS = (Fraction(1), Fraction(4, 7), Fraction(3, 7))
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,19 +155,34 @@ def pick_totals(items: MckpItems, pick: Optional[Sequence[int]]) -> Optional[tup
     return sum(items.cost[picked].tolist()), int(items.size2[picked].sum())
 
 
-def solve_mckp(items: MckpItems, m: int) -> Optional[tuple[int, ...]]:
+def solve_mckp(
+    items: MckpItems, m: int, live: Optional[np.ndarray] = None
+) -> Optional[tuple[int, ...]]:
     """The pick of minimum total cost within total size 2m, or None when no
     pick fits (an item without options included).
 
-    One DP in O(n*m) time, holding one key row and an n x (2m+1) int8 table.
-
-    Among minimum-cost picks the one with the smallest total size is
-    returned; remaining ties resolve to the lowest class index per job,
-    scanning jobs in input order.
+    Only options in the n x 3 mask ``live`` (default ``items.avail``) are
+    picked.  An item with one live option is fixed, its size taken off 2m;
+    one DP over the k items left at the capacity c left takes O(k*c) time
+    with one key row and a k x (c+1) int8 table.  Fixed items shift every
+    cell by one constant, so ties still resolve to minimum cost, then the
+    smallest total size, then the lowest class per job in input order.
     """
-    unit = int(np.gcd.reduce(items.cost.ravel())) or 1
-    max_total = sum(items.cost.max(axis=1, initial=0).tolist())
-    return _dp(items, items.cost // unit, 2 * m, max_total // unit)
+    live = items.avail if live is None else live
+    fixed, pick = live.sum(axis=1) == 1, live.argmax(axis=1) + 1
+    if (cap := 2 * m - int(items.size2[fixed, pick[fixed] - 1].sum())) < 0:
+        return None
+    rest = np.flatnonzero(~fixed)
+    cost = np.where(live, items.cost, 0)[rest]
+    sub = MckpItems([items.ids[j] for j in rest], items.rows[rest],
+                    np.where(live, items.width, 0)[rest], cost, items.size2[rest])
+    unit = int(np.gcd.reduce(cost.ravel())) or 1
+    max_total = sum(cost.max(axis=1, initial=0).tolist())
+    log.debug("DP over %d of %d items, capacity %d of %d", len(sub), len(items), cap, 2 * m)
+    if (picked := _dp(sub, cost // unit, cap, max_total // unit)) is None:
+        return None
+    pick[rest] = picked
+    return tuple(pick.tolist())
 
 
 def _dp(
@@ -215,7 +237,8 @@ def decide(items: MckpItems, m: int, budget: int) -> Verdict:
     step's slope lam = p/r gives the Lagrangian bound sum_j min_k (c +
     lam*s) - lam*2m <= min cost, which rejects when it exceeds the budget.
     Floats only order the steps; every verdict is checked in exact integers.
-    Guesses left open run the DP, and an accept there picks its minimum.
+    Guesses left open run the DP on the options whose reduced cost keeps the
+    bound within r*total; an accept picks, a reject reports, the minimum.
     """
     cap, n = 2 * m, len(items)
     avail, cost, size = items.avail, items.cost, items.size2
@@ -257,10 +280,14 @@ def decide(items: MckpItems, m: int, budget: int) -> Verdict:
     if total <= budget:
         return Verdict(None, "bound", total, tuple((pick + 1).tolist()))
     priced = r * cost + p * size
-    lower = int(np.where(avail, priced, priced[rows, k0, None]).min(axis=1).sum()) - p * cap
+    least = np.where(avail, priced, priced[rows, k0, None]).min(axis=1)
+    lower = int(least.sum()) - p * cap
     if lower > r * budget:
         return Verdict("work-budget", "bound", Fraction(lower, r))
-    pick = solve_mckp(items, m)  # the capacity check above leaves one that fits
+    # r*cost(P) >= lower + (priced - least) of each option in a pick P that
+    # fits, so an option past r*total lies in no minimum pick.
+    live = avail & (priced - least[:, None] <= r * total - lower)
+    pick = solve_mckp(items, m, live)  # the greedy's pick fits and stays live
     dp_cost = pick_totals(items, pick)[0]
     if dp_cost > budget:
         return Verdict("work-budget", "dp", dp_cost)

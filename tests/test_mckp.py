@@ -1,11 +1,13 @@
+import logging
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from moldsched import Reject, driver, mckp, rat
+from moldsched import GenConfig, Reject, driver, generate, mckp, rat
 from moldsched.mckp import (
     MckpItems,
     decide,
@@ -482,3 +484,122 @@ class TestDecideMatchesReference:
         self._check(items_of([[(0, 2), (x, 1), (2 * x + 1, 0)], [(0, 1), None, None]]), 1, {})
         self._check(items_of([[(0, 4), (37528900141440677, 0), None],
                               [(0, 7), (65675575247521182, 0), None]]), 5, {})
+
+
+def dp_masks(items, m):
+    """The live masks decide passes the DP at budgets around the minimum
+    cost within 2m; decide's Verdict equals ref_decide's at each budget."""
+    base = cost_of(items, solve_mckp(items, m)) or 0
+    step = abs(base) // 50 + 1
+    masks, dp = [], mckp.solve_mckp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mckp, "solve_mckp", lambda *a: masks.append(a[2]) or dp(*a))
+        for budget in (base - 1, base, base + 1, base - step, base + step):
+            assert decide(items, m, budget) == ref_decide(items, m, budget)
+    return masks
+
+
+def minimum_picks(items, m):
+    """Every pick of minimum cost within 2m, by enumeration."""
+    rows = [[(cls, *o) for cls, o in enumerate(row, start=1) if o] for row in options(items)]
+    fits = [(sum(c for _, c, _ in p), tuple(cls for cls, _, _ in p))
+            for p in product(*rows) if sum(s for _, _, s in p) <= 2 * m]
+    least = min((c for c, _ in fits), default=None)
+    return [pick for c, pick in fits if c == least]
+
+
+class TestLivePruning:
+    """decide runs the DP only on the options its Lagrangian bound leaves
+    live: the mask keeps every minimum pick, and the DP's pick over it is
+    the pick over all available options."""
+
+    # Item 3 has one option: it is fixed, and its size 1 leaves 3 of 4.
+    ROWS = [[(0, 4), (10, 0), None], [(0, 3), (9, 0), None], [(5, 1), None, None]]
+
+    @staticmethod
+    def _check(items, m0, stats):
+        min_size = sum(min((o[1] for o in row if o), default=0) for row in options(items))
+        half = min_size // 2
+        for m in {m0, max(half - 1, 0), half, -(-min_size // 2), half + 2}:
+            for live in dp_masks(items, m):
+                assert live.shape == (len(items), 3) and not (live & ~items.avail).any()
+                assert solve_mckp(items, m, live) == solve_mckp(items, m)
+                if len(items) <= 8:
+                    picks = minimum_picks(items, m)
+                    assert brute_mckp(items, m) in picks
+                    rows = np.arange(len(items))
+                    assert all(live[rows, np.array(p, dtype=np.intp) - 1].all() for p in picks)
+                stats.append(live.sum() < items.avail.sum())
+
+    def test_random_items(self):
+        rng = random.Random(61)
+        stats = []
+        for _ in range(200):
+            m = rng.randint(1, 8)
+            self._check(random_items(rng, rng.randint(0, 8), m), m, stats)
+        assert len(stats) >= 300 and any(stats)
+
+    def test_object_dtype_costs(self):
+        rng = random.Random(67)
+        stats = []
+        for _ in range(80):
+            m = rng.randint(1, 6)
+            items = TestDecideMatchesReference._draw(
+                rng, rng.randint(1, 8), lambda: rng.randint(1 << 70, 1 << 90),
+                lambda: rng.randint(0, 2 * m + 1))
+            assert items.cost.dtype == object
+            self._check(items, m, stats)
+        assert len(stats) >= 100 and any(stats)
+
+    def test_solver_guesses(self, monkeypatch):
+        guesses, build = [], mckp.build_items
+
+        def recording_build(inst, *args):
+            items = build(inst, *args)
+            if not isinstance(items, Reject):
+                guesses.append((items, inst.m))
+            return items
+
+        monkeypatch.setattr(mckp, "build_items", recording_build)
+        rng = random.Random(71)
+        for _ in range(40):
+            driver.solve(random_instance(rng, rng.randint(1, 12), rng.randint(1, 10)))
+        driver.solve(generate(GenConfig(n=40, m=100, seed=1)), Fraction(1, 1000))
+        monkeypatch.undo()
+        stats = []
+        for items, m in guesses:
+            self._check(items, m, stats)
+        assert len(stats) >= 150 and any(stats)
+
+    def test_hand_masks(self):
+        items = items_of(self.ROWS)
+        every = items.avail
+        assert solve_mckp(items, 2, every) == solve_mckp(items, 2) == brute_mckp(items, 2)
+        # An item without a live option leaves no pick.
+        assert solve_mckp(items, 2, every & np.array([[True], [True], [False]])) is None
+        # Class 1 alone fixes every item, and the sizes 4 + 3 + 1 exceed 4.
+        assert solve_mckp(items, 2, every & np.array([True, False, False])) is None
+        only_wide = every & np.array([[True, False, True]] * 2 + [[True] * 3])
+        assert solve_mckp(items, 4, only_wide) == (1, 1, 1)
+
+    def test_open_guess_runs_a_smaller_dp(self, monkeypatch):
+        # The one guess the bounds leave open in this solve (see
+        # test_driver's test_one_knapsack_dp_per_solve): the DP runs over
+        # fewer items than the guess has and below the full capacity.
+        inst = generate(GenConfig(n=80, m=800, seed=5))
+        solved, ran = [], []
+        dp, inner = mckp.solve_mckp, mckp._dp
+        monkeypatch.setattr(mckp, "solve_mckp",
+                            lambda *a: solved.append((len(a[0]), 2 * a[1])) or dp(*a))
+        monkeypatch.setattr(mckp, "_dp", lambda *a: ran.append((len(a[0]), a[2])) or inner(*a))
+        driver.solve(inst, Fraction(1, 1000))
+        assert len(solved) == len(ran) == 1
+        (n, cap), (k, c) = solved[0], ran[0]
+        assert k < n and c < cap
+
+    def test_logs_the_dp_it_runs(self, caplog):
+        items = items_of(self.ROWS)
+        with caplog.at_level(logging.DEBUG, logger="moldsched.mckp"):
+            assert solve_mckp(items, 2) == (2, 1, 1) == brute_mckp(items, 2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "DP over 2 of 3 items, capacity 3 of 4"]

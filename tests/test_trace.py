@@ -68,9 +68,9 @@ def test_knapsack_counters_count_each_dp(monkeypatch):
             big_of[id(items)] = (items, int((~small).sum()))
             return items
 
-        def counting_dp(items, m):
+        def counting_dp(items, m, *rest):
             before = tracer.counts["mckp.items"], tracer.counts["mckp.dp_cells"]
-            out = dp(items, m)
+            out = dp(items, m, *rest)
             after = tracer.counts["mckp.items"], tracer.counts["mckp.dp_cells"]
             big = big_of[id(items)][1]
             per_dp.append((after[0] - before[0], after[1] - before[1], big, big * (2 * m + 1)))
