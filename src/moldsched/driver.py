@@ -55,8 +55,10 @@ from .model import (
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
     Instance,
+    RatLike,
     Schedule,
     classify_jobs,
+    rat,
     small_cap,
 )
 from .verify import validate_schedule
@@ -107,9 +109,10 @@ def initial_bounds(inst: Instance) -> SearchBounds:
     return SearchBounds(lower, total_seq)
 
 
-def try_guess(inst: Instance, d: Fraction) -> Union[Schedule, mckp.Reject]:
+def try_guess(inst: Instance, d: RatLike) -> Union[Schedule, mckp.Reject]:
     """One dual-approximation round: Reject (d < OPT), or the shelf schedule
-    of the partition that accepted d, verified within lam*d."""
+    of the partition that accepted d (read by ``rat``), verified within lam*d."""
+    d = rat(d)
     outcome = _attempt(inst, d, mckp.search(inst))
     if isinstance(outcome, mckp.Reject):
         return outcome
@@ -214,7 +217,7 @@ def _construct(
     return sched, lam, construction, assignment
 
 
-def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
+def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
     """Binary search on d by knapsack verdicts; a schedule at the last accept:
     the list schedule of its allotment, or the shelves when that misses 10/7*d.
 
@@ -232,7 +235,7 @@ def solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> SolveResult:
     others the canonical counts need not be the smallest (``model.gammas``),
     and it returns a verified schedule or raises ShelfInvariantError.
     """
-    eps = Fraction(eps)
+    eps = rat(eps)
     if not Fraction(0) < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     if not inst.jobs:

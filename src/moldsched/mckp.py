@@ -32,14 +32,15 @@ pick, one class per item in item order; an accepting verdict carries its
 own, the greedy's or the DP's, and every schedule built at that guess reads
 it.
 
-``solve_mckp`` is that DP and returns its pick.  It divides the costs by
-their gcd and runs one suffix table over (job, capacity): one rolling row of
-keys, each cell's (total cost, total size) packed into one integer, and an
-int8 table of the class chosen per cell, walked forward once to read off the
-pick.  The key row is int64 while the packed totals fit comfortably, and
-exact Python ints (numpy object dtype) otherwise, so the arithmetic never
-wraps.  Ties resolve to minimum cost, then minimum total size, then the
-lowest class index per job in input order.
+``solve_mckp`` is that DP and returns its pick.  Its input is the open
+items' live options, one list of (class, cost / gcd, size) per item, and it
+runs one suffix table over (item, capacity): one rolling row of keys, each
+cell's (total cost, total size) packed into one integer, and an int8 table
+of the class chosen per cell, walked forward once to read off the pick.  The
+key row is int64 while the packed totals fit comfortably, and exact Python
+ints (numpy object dtype) otherwise, so the arithmetic never wraps.  Ties
+resolve to minimum cost, then minimum total size, then the lowest class
+index per job in input order.
 """
 
 from __future__ import annotations
@@ -137,12 +138,6 @@ def build_items(
     return MckpItems(ids, rows, g, cost, g * np.array([2, 1, 0]))
 
 
-def _options(items: MckpItems, cost: np.ndarray) -> list[list[tuple[int, int, int]]]:
-    """(class, cost, size) of each item's available options, as Python ints."""
-    return [[(cls, c, s) for cls, (c, s, ok) in enumerate(zip(*row), start=1) if ok]
-            for row in zip(cost.tolist(), items.size2.tolist(), items.avail.tolist())]
-
-
 def pick_totals(items: MckpItems, pick: Optional[Sequence[int]]) -> Optional[tuple[int, int]]:
     """Exact (total cost, total size2) of one class per item, or None when
     the pick is not one available class of each item."""
@@ -162,11 +157,11 @@ def solve_mckp(
     pick fits (an item without options included).
 
     Only options in the n x 3 mask ``live`` (default ``items.avail``) are
-    picked.  An item with one live option is fixed, its size taken off 2m;
-    one DP over the k items left at the capacity c left takes O(k*c) time
-    with one key row and a k x (c+1) int8 table.  Fixed items shift every
-    cell by one constant, so ties still resolve to minimum cost, then the
-    smallest total size, then the lowest class per job in input order.
+    picked.  An item with one live option is fixed, its size taken off 2m.
+    ``_dp`` runs on the k items left, as lists of their live (class, cost /
+    gcd, size), at the capacity c left: O(k*c) time, one key row and a k x
+    (c+1) int8 table.  Fixed items shift every cell by one constant, so ties
+    still resolve to minimum cost, then size, then lowest class in order.
     """
     live = items.avail if live is None else live
     fixed, pick = live.sum(axis=1) == 1, live.argmax(axis=1) + 1
@@ -174,36 +169,34 @@ def solve_mckp(
         return None
     rest = np.flatnonzero(~fixed)
     cost = np.where(live, items.cost, 0)[rest]
-    sub = MckpItems([items.ids[j] for j in rest], items.rows[rest],
-                    np.where(live, items.width, 0)[rest], cost, items.size2[rest])
     unit = int(np.gcd.reduce(cost.ravel())) or 1
-    max_total = sum(cost.max(axis=1, initial=0).tolist())
-    log.debug("DP over %d of %d items, capacity %d of %d", len(sub), len(items), cap, 2 * m)
-    if (picked := _dp(sub, cost // unit, cap, max_total // unit)) is None:
+    options = [[(cls, c // unit, s) for cls, (c, s, ok) in enumerate(zip(*row), start=1) if ok]
+               for row in zip(cost.tolist(), items.size2[rest].tolist(), live[rest].tolist())]
+    log.debug("DP over %d of %d items, capacity %d of %d", len(rest), len(items), cap, 2 * m)
+    if (picked := _dp(options, cap)) is None:
         return None
     pick[rest] = picked
     return tuple(pick.tolist())
 
 
-def _dp(
-    items: MckpItems, scaled: np.ndarray, cap: int, max_total: int
-) -> Optional[tuple[int, ...]]:
-    """Suffix DP over items n-1..0 with one rolling key row and a choice table.
+def _dp(options: list[list[tuple[int, int, int]]], cap: int) -> Optional[tuple[int, ...]]:
+    """The pick of minimum (total cost, total size) within cap, one class per
+    list of (class, cost, size) options, or None when none fits: a suffix DP
+    over items n-1..0 with one rolling key row and a choice table.
 
     A key packs (total cost, total size) into cost*(cap+1) + size; sizes stay
     within cap, so integer order on keys is lexicographic (cost, size) order.
     After item j, key[c] is the minimum over picks of items j..n-1 with
     total size <= c, and choice[j, c] is the lowest class reaching it: classes
     are tried in order and one replaces the current best only when strictly
-    smaller.  The sentinel (max_total+1)*(cap+1) marks capacities no pick
-    fits; keys are int64 while it is at most 2^59, otherwise exact Python
-    ints.  The suffix orientation lets the selection walk jobs forward in
-    input order.
+    smaller.  The sentinel (sum of each item's dearest cost + 1)*(cap+1)
+    marks capacities no pick fits; keys are int64 while it is at most 2^59,
+    otherwise exact Python ints.  The suffix orientation lets the selection
+    walk items forward in input order.
     """
     width = cap + 1
-    inf = (max_total + 1) * width
+    inf = (sum(max((c for _, c, _ in o), default=0) for o in options) + 1) * width
     dtype = np.int64 if inf <= _INT64_SAFE_TOTAL else object
-    options, sizes = _options(items, scaled), items.size2.tolist()
     choice = np.zeros((len(options), width), dtype=np.int8)
     key = np.zeros(width, dtype=dtype)
     for j in range(len(options) - 1, -1, -1):
@@ -217,12 +210,10 @@ def _dp(
         key = best
     if key[cap] >= inf:
         return None
-    picks: list[int] = []
-    c = cap
-    for j in range(len(options)):
-        cls = int(choice[j, c])
-        picks.append(cls)
-        c -= sizes[j][cls - 1]
+    picks, c = [], cap
+    for o, row in zip(options, choice):
+        picks.append(cls := int(row[c]))
+        c -= next(s for k, _, s in o if k == cls)
     return tuple(picks)
 
 

@@ -8,23 +8,14 @@ it leaves no ``.hypothesis/`` directory behind.
 """
 
 import json
-import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from moldsched.cli import main
+from util import property_settings
 
-# Hypothesis caches what it reads (unicode tables, the code's constants) in
-# its home directory, ./.hypothesis unless set: here, one removed at exit.
-_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-set_hypothesis_home_dir(_HOME.name)
-
-SETTINGS = settings(
-    derandomize=True,
-    database=None,
-    deadline=None,
+SETTINGS = property_settings(
     max_examples=100,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )

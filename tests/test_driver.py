@@ -93,6 +93,17 @@ class TestTryGuess:
                 out = try_guess(inst, opt * mult)
                 assert not isinstance(out, Reject), (inst, mult)
 
+    def test_reads_d_by_rat(self):
+        # A float is read by its decimal literal: 0.35 is 7/20, not the double.
+        inst = instance(4, job(1, 8, 4, 3, 3), job(2, 5, 3, 2, 2))
+        accepted = try_guess(inst, Fraction(9, 2))
+        assert not isinstance(accepted, Reject)
+        assert try_guess(inst, 4.5) == try_guess(inst, "9/2") == accepted
+        assert try_guess(inst, 0.35) == try_guess(inst, "0.35") == Reject(
+            Fraction(7, 20), "job-exceeds-guess", 1)
+        with pytest.raises(TypeError):
+            try_guess(inst, True)
+
     def test_accept_is_monotone_in_d(self):
         # Not proven in general; monitored on a sample and flagged if it breaks.
         rng = random.Random(59)
@@ -390,6 +401,15 @@ class TestInferredVerdicts:
             inst = random_instance(rng, n, m)
             for eps in (Fraction(1, 20), Fraction(1, 1000)):
                 self._assert_same(inst, eps)
+
+    def test_reads_eps_by_rat(self):
+        # 0.05 is 1/20, not the binary double just above it; a bool is no eps.
+        inst = generate(GenConfig(n=24, m=16, seed=1))
+        r, ref = solve(inst, 0.05), solve(inst, Fraction(1, 20))
+        for name in self.FIELDS:
+            assert getattr(r, name) == getattr(ref, name), name
+        with pytest.raises(TypeError):
+            solve(inst, True)
 
     @pytest.mark.parametrize("inst", [
         instance(1, job(1, 5), job(2, 3)),   # m=1: lower == upper, no probe

@@ -207,19 +207,18 @@ class TestDpStaysOnInt64:
         totals = []
         dp = mckp._dp
 
-        def recording_dp(items, scaled, cap, max_total):
-            totals.append((sum(max(o[0] for o in row if o) for row in options(items)),
-                           max_total))
-            return dp(items, scaled, cap, max_total)
+        def recording_dp(opts, cap):
+            totals.append(sum(max(c for _, c, _ in o) for o in opts))
+            return dp(opts, cap)
 
         # The solve's bounds settle every guess; the DP runs here on the
-        # items of its accepted guess.
+        # items of its accepted guess, the ones with more than one option.
         d = solve(inst).accepted_d
+        items = items_at(inst, d)
         monkeypatch.setattr(mckp, "_dp", recording_dp)
-        assert mckp.solve_mckp(items_at(inst, d), inst.m) is not None
-        assert totals
-        for raw, reduced in totals:
-            assert raw > _INT64_SAFE_TOTAL >= reduced
+        assert mckp.solve_mckp(items, inst.m) is not None
+        raw = sum(max(o[0] for o in row if o) for row in options(items) if sum(map(bool, row)) > 1)
+        assert len(totals) == 1 and raw > _INT64_SAFE_TOTAL >= totals[0]
 
 
 class TestGridBeyondFloatRange:

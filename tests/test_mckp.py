@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moldsched import GenConfig, Reject, driver, generate, mckp, rat
 from moldsched.mckp import (
@@ -14,6 +16,7 @@ from moldsched.mckp import (
     pick_totals,
     solve_mckp,
 )
+from moldsched.model import _INT64_SAFE_TOTAL
 from util import (
     big_ids,
     brute_mckp,
@@ -23,6 +26,7 @@ from util import (
     items_of,
     job,
     options,
+    property_settings,
     random_instance,
 )
 
@@ -551,6 +555,30 @@ class TestLivePruning:
             self._check(items, m, stats)
         assert len(stats) >= 100 and any(stats)
 
+    def test_drawn_items(self):
+        # Costs c, c + 2^59/3 - 200 (across items_of's int64 limit, 3 * cost
+        # <= 2^59) or c * 2^60 for c <= 400; each class available or not.
+        stats, dtypes = [], set()
+
+        @property_settings(max_examples=150)
+        @given(st.data())
+        def check(data):
+            m = data.draw(st.integers(1, 8))
+            base, step = data.draw(st.sampled_from(
+                [(0, 1), (_INT64_SAFE_TOTAL // 3 - 200, 1), (0, 1 << 60)]))
+            cost = st.integers(0, 400).map(lambda c: base + c * step)
+            option = st.none() | st.tuples(cost, st.integers(0, 2 * m + 2))
+            items = items_of(data.draw(st.lists(st.lists(option, min_size=3, max_size=3),
+                                                max_size=8)))
+            ran = len(stats)
+            self._check(items, m, stats)
+            if len(stats) > ran:
+                dtypes.add(items.cost.dtype)
+
+        check()
+        # The DP ran on both dtypes, on masks that pruned some option.
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)} and any(stats)
+
     def test_solver_guesses(self, monkeypatch):
         guesses, build = [], mckp.build_items
 
@@ -591,7 +619,7 @@ class TestLivePruning:
         dp, inner = mckp.solve_mckp, mckp._dp
         monkeypatch.setattr(mckp, "solve_mckp",
                             lambda *a: solved.append((len(a[0]), 2 * a[1])) or dp(*a))
-        monkeypatch.setattr(mckp, "_dp", lambda *a: ran.append((len(a[0]), a[2])) or inner(*a))
+        monkeypatch.setattr(mckp, "_dp", lambda *a: ran.append((len(a[0]), a[1])) or inner(*a))
         driver.solve(inst, Fraction(1, 1000))
         assert len(solved) == len(ran) == 1
         (n, cap), (k, c) = solved[0], ran[0]

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moldsched import (
     GenConfig,
@@ -22,7 +24,8 @@ from moldsched import (
 from moldsched.driver import initial_bounds
 from moldsched.verify import _common_denominator
 from util import (
-    fraction_schedule, grid_rows, instance, int_schedule, job, make_schedule, random_instance,
+    fraction_schedule, grid_rows, instance, int_schedule, job, make_schedule, property_settings,
+    random_instance,
 )
 
 # A prime quantum: generated times over it need the object-dtype grid.
@@ -224,6 +227,28 @@ def _mutants(rng, rows, makespan):
     yield "makespan", rows, makespan + 1
 
 
+def _mutate(data, inst, rows):
+    """The placement rows (job, first, width, start, duration), times in
+    units of 1/L, after one drawn mutation of a drawn row."""
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j, f, k, s, t = rows[i]
+    kind = data.draw(st.sampled_from(
+        ("shift", "widen", "narrow", "move", "drop", "duplicate", "split", "unknown-id")))
+    if kind == "shift":  # by 1/L
+        new = [(j, f, k, s + data.draw(st.sampled_from((-1, 1))), t)]
+    elif kind in ("widen", "narrow"):
+        new = [(j, f, k + (1 if kind == "widen" else -1), s, t)]
+    elif kind == "move":
+        new = [(j, f + data.draw(st.integers(-2, 2).filter(bool)), k, s, t)]
+    elif kind == "split":  # two parts with a common start, adjacent or not
+        k1 = data.draw(st.integers(1, max(k - 1, 1)))
+        new = [(j, f, k1, s, t), (j, f + k1 + data.draw(st.integers(0, 1)), max(k - k1, 1), s, t)]
+    else:
+        new = {"drop": [], "duplicate": [rows[i]] * 2,
+               "unknown-id": [rows[i], (max(inst.ids) + 1, f, k, s, t)]}[kind]
+    return rows[:i] + new + rows[i + 1 :]
+
+
 class TestIntegerForm:
     """The verifier reports the same on a schedule in integer form as on the
     same schedule given as Fractions, field by field."""
@@ -289,6 +314,43 @@ class TestIntegerForm:
         assert not calls
         monkeypatch.setattr(verify, "_columns_pass", lambda *a: False)
         assert validate_schedule(inst, sched).ok() and len(calls) == inst.n
+
+    def test_drawn_mutants_report_the_same_on_every_path(self):
+        # A drawn solver schedule with 1-3 drawn mutations: the same report
+        # in integer form, as PlacedJobs over L and as PlacedJobs compared as
+        # Fractions (no L), with the array checks on and forced off.
+        feasible, kinds = [], set()
+
+        @property_settings(max_examples=150)
+        @given(st.data())
+        def check(data):
+            inst = generate(GenConfig(n=data.draw(st.integers(1, 12)),
+                                      m=data.draw(st.integers(1, 8)),
+                                      seed=data.draw(st.integers(0, 2**32 - 1))))
+            scale, rows, makespan = grid_rows(solve(inst).schedule)
+            for _ in range(data.draw(st.integers(1, 3))):
+                if rows:
+                    rows = _mutate(data, inst, rows)
+            forms = (int_schedule(scale, rows, makespan), fraction_schedule(scale, rows, makespan))
+
+            def reports():
+                return [validate_schedule(inst, sched, contiguous)
+                        for sched in forms for contiguous in (True, False)]
+
+            want = reports()
+            assert want[:2] == want[2:]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verify, "_columns_pass", lambda *a: False)
+                assert reports() == want
+                mp.setattr(verify, "_common_denominator", lambda placements: None)
+                assert reports() == want
+            feasible.append(want[0].feasible)
+            kinds.update(v.kind for v in want[0].violations)
+
+        check()
+        assert True in feasible and False in feasible
+        assert kinds >= {"overlap", "width", "start", "duration", "placement", "bounds",
+                         "missing", "unknown-job", "contiguity"}
 
     def test_integer_form_past_int64(self):
         # Starts and an id past 2^63 are compared as exact ints.

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import tempfile
 from fractions import Fraction
 from itertools import compress
 
@@ -11,8 +13,26 @@ import numpy as np
 
 from moldsched import Instance, Job, PlacedJob, Reject, Schedule, driver, rat
 from moldsched.listsched import window_max
-from moldsched.mckp import CLASS_HEIGHTS, MckpItems, _options, build_items, search, solve_mckp
+from moldsched.mckp import CLASS_HEIGHTS, MckpItems, build_items, search, solve_mckp
 from moldsched.model import classify_jobs, gamma, int_array, int_matrix
+
+
+@functools.cache
+def _hypothesis_home() -> tempfile.TemporaryDirectory:
+    return tempfile.TemporaryDirectory(prefix="hypothesis-")
+
+
+def property_settings(**overrides):
+    """Settings of a deterministic Hypothesis test: derandomized, with no
+    example database and no deadline.  Hypothesis caches what it reads
+    (unicode tables, the code's constants) in its home directory,
+    ./.hypothesis unless set: here one temporary directory, removed at exit,
+    so a run leaves no .hypothesis/ behind."""
+    from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    set_hypothesis_home_dir(_hypothesis_home().name)
+    return settings(derandomize=True, database=None, deadline=None, **overrides)
 
 
 def job(job_id, *times) -> Job:
@@ -109,15 +129,15 @@ def brute_mckp(items: MckpItems, m: int) -> tuple[int, ...] | None:
     """
     if len(items) > 14:
         raise ValueError(f"brute_mckp is capped at 14 items, got {len(items)}")
-    options = _options(items, items.cost)
-    if not all(options):
+    opts = [[(cls, *o) for cls, o in enumerate(row, start=1) if o] for row in options(items)]
+    if not all(opts):
         return None
     cap, n = 2 * m, len(items)
     # Admissible per-item lower bounds on the remaining cost let the DFS prune
     # without ever cutting an equal-cost branch (ties matter for size/lex).
     suffix_min = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
-        suffix_min[j] = suffix_min[j + 1] + min(c for _, c, _ in options[j])
+        suffix_min[j] = suffix_min[j + 1] + min(c for _, c, _ in opts[j])
 
     best: tuple[int, int] | None = None
     best_choice: list[int] | None = None
@@ -135,7 +155,7 @@ def brute_mckp(items: MckpItems, m: int) -> tuple[int, ...] | None:
                 best = cand
                 best_choice = choice.copy()
             return
-        for cls, c, s in options[j]:
+        for cls, c, s in opts[j]:
             choice[j] = cls
             dfs(j + 1, cost + c, size + s)
 
@@ -226,7 +246,7 @@ def bisection_solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> driver.S
     and then every probe with the knapsack, each verdict by ``_attempt``:
     the reference a solve that infers verdicts must match.  ``decided``
     counts those decisions."""
-    eps = Fraction(eps)
+    eps = rat(eps)
     if not inst.jobs:
         return driver.solve(inst, eps)
     bounds = driver.initial_bounds(inst)
