@@ -28,14 +28,13 @@ decided reject rejects, and every guess at or above a decided accept
 accepts.  (c) The returned guess is decided once, at the end, when its
 verdict was inferred; the sequential upper bound is decided only then.
 When at least m jobs are big at the lower bound, the work bound W/m is
-likely tight: the last of the probes a search in which every guess accepts
-would take is decided first.  Its accept settles every probe, and the solve
-makes one decision; its reject is the decided reject of (b), and the plain
-bisection goes on.  Correctness does not rest on (b): an inferred reject
-lies below a decided one, so ``certified_lower`` stays certified, and the
-returned guess is always decided.  Only on non-monotone input (which
-``validate_instance`` reports and ``moldsched solve`` refuses with exit 2)
-may the probes differ from those of a plain bisection.
+likely tight: the last probe of a search in which every guess accepts is
+decided first.  Its accept settles every probe, and the solve makes one
+decision; its reject is the decided reject of (b), and the plain bisection
+goes on.  Correctness does not rest on (b): an inferred reject lies below a
+decided one, so ``certified_lower`` stays certified.  Only on non-monotone
+input (which ``validate_instance`` reports and ``moldsched solve`` refuses
+with exit 2) may the probes differ from those of a plain bisection.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -66,8 +65,7 @@ from .verify import validate_schedule
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(NamedTuple):
     lower: Fraction  # certified lower bound on OPT
     upper: Fraction  # guess with a known-feasible schedule
 
@@ -101,11 +99,9 @@ LAMBDAS = (LAMBDA_Q0, LAMBDA_SMALL_Q, LAMBDA_STAR_UPPER)
 def initial_bounds(inst: Instance) -> SearchBounds:
     """Trivial certified bounds: work/m and the fastest full-width job from
     below, the length of the one-machine sequential schedule from above."""
-    if not inst.jobs:
-        return SearchBounds(Fraction(0), Fraction(0))
     q, a = inst.grid
     total_seq = Fraction(sum(a[:, 0].tolist()), q)
-    lower = max(total_seq / inst.m, Fraction(max(a[:, inst.m - 1].tolist()), q))
+    lower = max(total_seq / inst.m, Fraction(max(a[:, inst.m - 1].tolist(), default=0), q))
     return SearchBounds(lower, total_seq)
 
 
@@ -190,8 +186,8 @@ def _construct(
     pick: tuple[int, ...],
     timings: dict[str, float],
 ) -> tuple[Schedule, Fraction, str, dict[int, int]]:
-    """The returned schedule at the accepted d, its stretch, construction
-    and partition (job id -> class).
+    """The returned schedule at the accepted d, its stretch (the first of
+    ``LAMBDAS`` it meets), construction and partition (job id -> class).
 
     The list schedule of the pick's allotment (item i on width[i, pick[i]-1]
     machines, every other row on one) is returned when it ends by 10/7*d;
@@ -206,13 +202,12 @@ def _construct(
     t1 = time.perf_counter()
     _verify(inst, sched, d, "list schedule")
     timings.update(list=t1 - t0, shelf=0.0, small=0.0, verify=time.perf_counter() - t1)
-    if sched.makespan <= LAMBDA_Q0 * d:
-        return sched, LAMBDA_Q0, "list", assignment
-    shelf_sched, _ = _shelves(inst, d, assignment, timings)
-    log.debug("list schedule %s past 10/7*d, shelves %s", sched.makespan, shelf_sched.makespan)
     construction = "list"
-    if shelf_sched.makespan < sched.makespan:
-        sched, construction = shelf_sched, "shelf"
+    if sched.makespan > LAMBDA_Q0 * d:
+        shelf_sched, _ = _shelves(inst, d, assignment, timings)
+        log.debug("list schedule %s past 10/7*d, shelves %s", sched.makespan, shelf_sched.makespan)
+        if shelf_sched.makespan < sched.makespan:
+            sched, construction = shelf_sched, "shelf"
     lam = next(lam for lam in LAMBDAS if sched.makespan <= lam * d)
     return sched, lam, construction, assignment
 
@@ -223,11 +218,12 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
 
     A probe is decided only when its verdict is not already known (see the
     module docstring): it accepts when every job is small at it, and on
-    monotone input, which the verdict is monotone on, it rejects at or below
-    a decided reject and accepts at or above a decided accept.  So the
-    probes, and the result, are those of a bisection that decides every
-    guess; an inferred reject lies below a decided one, and the returned
-    guess is always decided.
+    monotone input it rejects at or below a decided reject and accepts at or
+    above a decided accept.  The all-accept chain serves only the first
+    decision and the accepts it infers; every probe of the loop is
+    ``_geometric_mid(lower, upper)``, after an accept the chain's next one.
+    So the probes and the result are those of a bisection that decides every
+    guess, and the returned guess is always decided.
 
     Guarantee: makespan <= lambda_used * (1 + eps) * OPT, with lambda_used the
     smallest of 10/7, 13/9 and LAMBDA_STAR_UPPER whose bound the schedule meets.
@@ -241,46 +237,44 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
     if not inst.jobs:
         empty = Schedule.of_ints(1, (np.zeros(0, dtype=np.int64),) * 5, Fraction(0))
         return SolveResult(empty, Fraction(0), LAMBDA_Q0, Fraction(0), 0)
-    bounds = initial_bounds(inst)
-    lower, upper = bounds.lower, bounds.upper
+    lower, upper = initial_bounds(inst)
     q, a = inst.grid
     longest = int(a[:, 0].max())
 
     t0 = time.perf_counter()
     search = mckp.search(inst)  # the row keys and id order of every guess
     # With at least m big jobs at lower the work bound is likely tight; the
-    # chain is then the probes of a search in which every guess accepts.
-    chain = []
+    # chain is then upper and the probes of a search in which every guess accepts.
+    chain = [upper]
     if np.count_nonzero(a[:, 0] > small_cap(lower, q)) >= inst.m:
-        while (hi := chain[-1] if chain else upper) > (1 + eps) * lower:
-            chain.append(_geometric_mid(lower, hi))
+        while chain[-1] > (1 + eps) * lower:
+            chain.append(_geometric_mid(lower, chain[-1]))
     accepted = None  # upper's outcome; None while its verdict is inferred
     decided_reject = None  # the chain's last probe, when it rejected
     decided = iterations = 0
-    if chain and longest > small_cap(chain[-1], q):  # else every probe has only small jobs
+    if len(chain) > 1 and longest > small_cap(chain[-1], q):  # else every probe has only small jobs
         decided += 1
         outcome = _attempt(inst, chain[-1], search)
         if isinstance(outcome, mckp.Reject):
             decided_reject = chain[-1]
         else:
-            for d in chain[:-1]:
+            for d in chain[1:-1]:
                 log.debug("d=%s accepted, inferred: at or above a decided accept", d)
-            upper, accepted, iterations = chain[-1], outcome, len(chain)
+            upper, accepted, iterations = chain[-1], outcome, len(chain) - 1
     while upper > (1 + eps) * lower:
-        # The chain holds the probes until some guess rejects.
-        d = chain[iterations] if iterations < len(chain) else _geometric_mid(lower, upper)
+        d = _geometric_mid(lower, upper)  # after an accept, the chain's next probe
         iterations += 1
         if longest <= small_cap(d, q):
             log.debug("d=%s accepted, inferred: every job small", d)
             upper, accepted = d, None
         elif decided_reject is not None and d <= decided_reject:
             log.debug("d=%s rejected, inferred: at or below a decided reject", d)
-            lower, chain = d, []
+            lower = d
         else:
             decided += 1
             outcome = _attempt(inst, d, search)
             if isinstance(outcome, mckp.Reject):
-                lower, chain = d, []
+                lower = d
             else:
                 upper, accepted = d, outcome
     if accepted is None:

@@ -121,12 +121,16 @@ class Instance:
 
     Jobs are expected to satisfy time monotony (t non-increasing in k) and
     work monotony (k*t(j,k) non-decreasing in k); use :func:`validate_instance`
-    to check, construction does not enforce it.  ``of_grid`` builds one on a
-    given grid; else the grid is derived from the jobs' times on first read.
+    to check; construction refuses only m < 1.  The grid is the one
+    ``of_grid`` seeded, else ``ratio_grid`` of the jobs' times.
     """
 
     m: int
     jobs: tuple[Job, ...]
+
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"m must be at least 1, got {self.m}")
 
     @classmethod
     def of_grid(cls, m: int, ids: Sequence[int], q: int, a: np.ndarray) -> Instance:
@@ -142,8 +146,11 @@ class Instance:
 
     @cached_property
     def grid(self) -> tuple[int, np.ndarray]:
-        """(Q, A) with t(j,k) = A[j,k-1]/Q exactly, rows in job order."""
-        return numerators(self.jobs, self.m)
+        """(Q, A) with t(j,k) = A[j,k-1]/Q, rows in job order: ``of_grid``'s or
+        ``ratio_grid``'s of the times; ValueError names a job not m times long."""
+        if bad := next((j for j in self.jobs if len(j.times) != self.m), None):
+            raise ValueError(f"job {bad.id} has {len(bad.times)} times, not m = {self.m}")
+        return ratio_grid([[t.as_integer_ratio() for t in j.times] for j in self.jobs], self.m)
 
     @cached_property
     def by_id(self) -> dict[int, Job]:
@@ -241,14 +248,6 @@ class Schedule:
 
     def __repr__(self) -> str:
         return f"Schedule(placements={self.placements!r}, makespan={self.makespan!r})"
-
-
-def numerators(jobs: Sequence[Job], m: int) -> tuple[int, np.ndarray]:
-    """The grid of the jobs' times: the rows of their Times views when these
-    share one q, else Q is the lcm of every denominator."""
-    if len(qs := {getattr(j.times, "_q", None) for j in jobs}) == 1 and None not in qs:
-        return qs.pop(), int_matrix([j.times._row for j in jobs], m)
-    return ratio_grid([[t.as_integer_ratio() for t in j.times] for j in jobs], m)
 
 
 def ratio_grid(rows: list | np.ndarray, m: int) -> tuple[int, np.ndarray]:
@@ -354,7 +353,7 @@ def validate_instance(inst: Instance) -> list[InstanceViolation]:
     """Collect every monotony / positivity / shape violation; empty means ok.
     Values are checked as array compares on the grid of the jobs of length m."""
     full = [job for job in inst.jobs if len(job.times) == inst.m]
-    _, a = inst.grid if len(full) == inst.n else numerators(full, inst.m)
+    _, a = (inst if len(full) == inst.n else Instance(inst.m, tuple(full))).grid
     checks = [a <= 0, a[:, 1:] > a[:, :-1]]  # one per kind, over k = 1..m or 2..m
     if len(a):  # the m-1 weights only for rows to weigh: m may be huge with no jobs
         checks.append(np.arange(2, inst.m + 1) * a[:, 1:] < np.arange(1, inst.m) * a[:, :-1])

@@ -76,9 +76,9 @@ def test_generated_and_loaded_instances_never_derive_their_grid(monkeypatch):
     loaded = cli.instance_from_obj(cli.instance_to_obj(gen))
 
     def derive(*args):
-        raise AssertionError("numerators called")
+        raise AssertionError("ratio_grid called")
 
-    monkeypatch.setattr(model, "numerators", derive)
+    monkeypatch.setattr(model, "ratio_grid", derive)
     for inst in (gen, loaded):
         q, a = inst.grid
         assert q == 10**6 and a.shape == (12, 8)

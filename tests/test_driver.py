@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import logging
 import math
 import operator
@@ -7,11 +8,15 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moldsched import (
     GenConfig,
     Instance,
+    Job,
     LAMBDA_Q0,
     LAMBDA_SMALL_Q,
     LAMBDA_STAR_UPPER,
@@ -40,6 +45,7 @@ from util import (
     instance,
     items_at,
     job,
+    property_settings,
     random_instance,
 )
 
@@ -587,3 +593,115 @@ class TestVerdictLattice:
                 assert len(verdicts) == 1, (inst.m, a, verdicts)
                 kinds[isinstance(verdicts.pop(), str)] += 1
         assert kinds[True] > 20 and kinds[False] > 20
+
+
+# Denominators of drawn times: small primes, a prime just past 10^6, and the
+# primes 10^16 + 61 and 2^61 - 1, whose grids are exact ints (object dtype).
+PRIMES = (2, 3, 7, 101, 1_000_003)
+HUGE_PRIMES = (10**16 + 61, 2**61 - 1)
+
+
+def _monotone_times(draw, m: int, den: int) -> tuple[Fraction, ...]:
+    """m drawn numerators over den, each next one in [ceil((k-1)v/k), v]:
+    the exact range that keeps both monotonies."""
+    nums = [draw(st.integers(1, 400))]
+    for k in range(2, m + 1):
+        v = nums[-1]
+        nums.append(draw(st.integers(-(-(k - 1) * v // k), v)))
+    return tuple(Fraction(x, den) for x in nums)
+
+
+@st.composite
+def monotone_instances(draw, max_n: int, max_m: int) -> tuple[str, Instance]:
+    """(kind, instance) of n <= max_n time- and work-monotone jobs on
+    m <= max_m machines: generated (at Q = 10^6, 10^6 + 3 or 10^16 + 61),
+    copies of one job, or jobs each of constant work, constant time or a
+    drawn chain over a prime denominator."""
+    n, m = draw(st.integers(1, max_n)), draw(st.integers(1, max_m))
+    kind = draw(st.sampled_from(("gen", "copies", "mixed")))
+    if kind == "gen":
+        q = draw(st.sampled_from((10**6, 1_000_003, HUGE_PRIMES[0])))
+        cfg = GenConfig(n=n, m=m, seed=draw(st.integers(0, 2**32 - 1)), quantization_denominator=q)
+        return kind, generate(cfg)
+    if kind == "copies":
+        times = _monotone_times(draw, m, draw(st.sampled_from(PRIMES)))
+        return kind, Instance(m, tuple(Job(i, times) for i in range(1, n + 1)))
+    jobs = []
+    for i in range(1, n + 1):
+        shape = draw(st.sampled_from(("const-work", "const-time", "chain")))
+        den = draw(st.sampled_from(PRIMES + HUGE_PRIMES))
+        if shape == "chain":
+            jobs.append(Job(i, _monotone_times(draw, m, den)))
+        else:
+            t = Fraction(draw(st.integers(1, 400)), den)
+            jobs.append(const_work_job(i, t, m) if shape == "const-work" else Job(i, (t,) * m))
+    return kind, Instance(m, tuple(jobs))
+
+
+EPSILONS = (Fraction(1, 20), Fraction(1, 3), Fraction(1, 1000))
+
+
+class TestSolveProperty:
+    """On drawn monotone instances a solve returns a verified contiguous
+    schedule within its stated bounds, the plain bisection's result, the
+    same bits on a repeat, and a guess that try_guess accepts."""
+
+    @staticmethod
+    def _bits(r):
+        ints = tuple((c.dtype.str, c.tolist()) for c in r.schedule.ints)
+        return dataclasses.replace(r, timings={}), r.schedule.scale, ints
+
+    def test_drawn_solves(self):
+        seen = collections.Counter()
+
+        @property_settings(max_examples=300)
+        @given(monotone_instances(max_n=10, max_m=8), st.sampled_from(EPSILONS))
+        def check(drawn, eps):
+            kind, inst = drawn
+            assert validate_instance(inst) == []
+            r = solve(inst, eps)
+            assert validate_schedule(inst, r.schedule, require_contiguous=True).ok()
+            assert r.makespan == r.schedule.makespan <= r.lambda_used * r.accepted_d
+            assert r.accepted_d <= (1 + eps) * r.certified_lower
+            assert initial_bounds(inst).lower <= r.certified_lower <= r.makespan
+            ref = bisection_solve(inst, eps)
+            for name in TestInferredVerdicts.FIELDS:
+                assert getattr(r, name) == getattr(ref, name), name
+            assert self._bits(solve(inst, eps)) == self._bits(r)
+            assert not isinstance(try_guess(inst, r.accepted_d), Reject)
+            seen.update({kind, ("m", inst.m), ("n", inst.n), ("eps", eps), inst.grid[1].dtype})
+            seen.update(("den", t.denominator) for j in inst.jobs for t in j.times[:1])
+
+        check()
+        assert {"gen", "copies", "mixed", ("m", 1), ("n", 1), np.dtype(object)} <= set(seen)
+        assert all(("eps", eps) in seen for eps in EPSILONS)
+        assert all(("den", p) in seen for p in PRIMES + HUGE_PRIMES)
+
+
+class TestRejectionSoundness:
+    """try_guess never rejects at or above the exhaustive optimum, and a
+    solve's certified lower bound never passes it."""
+
+    def test_drawn_tiny_instances(self):
+        shapes = set()
+
+        @property_settings(max_examples=200)
+        @given(monotone_instances(max_n=4, max_m=3), st.integers(0, 1000))
+        def check(drawn, k):
+            _, inst = drawn
+            opt = brute_force_opt(inst)
+            for d in (opt, opt * (1 + Fraction(1, 1000)), opt * (1 + Fraction(k, 1000))):
+                assert not isinstance(try_guess(inst, d), Reject), d
+            assert solve(inst).certified_lower <= opt
+            shapes.add((inst.n, inst.m))
+
+        check()
+        assert (4, 3) in shapes
+
+
+def test_a_job_of_other_than_m_times_is_named():
+    inst = instance(2, job(1, 4, 2), job(2, 3))
+    for call in (lambda: solve(inst), lambda: try_guess(inst, 4)):
+        with pytest.raises(ValueError, match=r"^job 2 has 1 times, not m = 2$"):
+            call()
+    assert [(v.job_id, v.k, v.kind) for v in validate_instance(inst)] == [(2, 1, "length")]

@@ -19,7 +19,6 @@ from moldsched.model import (
     Times,
     classify_jobs,
     gamma,
-    numerators,
     validate_instance,
 )
 from moldsched.verify import validate_schedule
@@ -351,8 +350,8 @@ class TestTimesView:
         back = cli.instance_from_obj(obj)
         assert back == inst and all(isinstance(j.times, Times) for j in back.jobs)
         # The grid read from the strings is the grid of their Fractions.
-        (q, a), (q_ref, a_ref) = back.grid, numerators(
-            [Job(j.id, tuple(j.times)) for j in back.jobs], back.m)
+        (q, a), (q_ref, a_ref) = back.grid, Instance(
+            back.m, tuple(Job(j.id, tuple(j.times)) for j in back.jobs)).grid
         assert q == q_ref and np.array_equal(a, a_ref) and a.dtype == a_ref.dtype
         assert cli.instance_to_obj(back) == obj
         assert solve(back).makespan == solve(inst).makespan

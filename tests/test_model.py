@@ -218,6 +218,12 @@ class TestGammas:
 
 
 class TestValidateInstance:
+    def test_m_below_one_raises(self):
+        for make in (lambda: Instance(0, ()), lambda: Instance(-1, ()),
+                     lambda: Instance.of_grid(0, [], 1, np.zeros((0, 0), np.int64))):
+            with pytest.raises(ValueError, match="m must be at least 1"):
+                make()
+
     def test_ok(self):
         assert validate_instance(instance(2, job(1, 5, 3))) == []
 
