@@ -59,7 +59,7 @@ from .model import (
     Times,
     rat,
     ratio_grid,
-    ratio_str,
+    ratio_strings,
     validate_instance,
 )
 from .shelf import ShelfInvariantError
@@ -149,15 +149,12 @@ def instance_from_obj(obj: dict) -> Instance:
 
 
 def schedule_to_obj(sched: Schedule, lam: Fraction, accepted_d: Fraction) -> dict:
-    """The schedule file's object; a schedule in integer form is written
-    straight from its integers, with no PlacedJob."""
-    if sched.ints is None:
-        rows = [(p.job_id, p.first_machine, p.width, str(p.start), str(p.duration))
-                for p in sched.placements]
-    else:
-        q = sched.scale
-        rows = [(j, i, k, ratio_str(s, q), ratio_str(t, q))
-                for j, i, k, s, t in zip(*(c.tolist() for c in sched.ints))]
+    """The schedule file's object, written from ``Schedule.columns``: a
+    schedule in integer form straight from its integers, with no PlacedJob."""
+    scale, columns = sched.columns()
+    texts = ([str(x) for x in c.tolist()] if scale is None else ratio_strings(c, scale)
+             for c in columns[3:])
+    rows = zip(*(c.tolist() for c in columns[:3]), *texts)
     return {
         "makespan": str(sched.makespan),
         "lambda": str(lam),
@@ -285,11 +282,9 @@ def gantt_svg(inst: Instance, sched: Schedule) -> str:
         f'<text x="{width - margin}" y="{height - margin + 16}" '
         f'font-size="11" text-anchor="end">t = {sched.makespan}</text>',
     ]
-    ints = sched.ints is not None  # int / int rounds as float(Fraction): the same bytes
-    num, den = (span.numerator * sched.scale, span.denominator) if ints else (span, 1)
-    rows = zip(*(c.tolist() for c in sched.ints)) if ints else (
-        (p.job_id, p.first_machine, p.width, p.start, p.duration) for p in sched.placements)
-    for job_id, first, k, start, duration in rows:
+    scale, columns = sched.columns()  # int / int rounds as float(Fraction): the same bytes
+    num, den = (span, 1) if scale is None else (span.numerator * scale, span.denominator)
+    for job_id, first, k, start, duration in zip(*(c.tolist() for c in columns)):
         x = margin + float(start * den / num) * (width - 2 * margin)
         w = max(float(duration * den / num) * (width - 2 * margin), 1.0)
         y = margin + first * row

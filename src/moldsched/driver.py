@@ -229,7 +229,8 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
     smallest of 10/7, 13/9 and LAMBDA_STAR_UPPER whose bound the schedule meets.
     It needs positive times non-increasing in k (``validate_instance``); on
     others the canonical counts need not be the smallest (``model.gammas``),
-    and it returns a verified schedule or raises ShelfInvariantError.
+    and it returns a verified schedule or raises ShelfInvariantError.  A
+    repeated job id raises ValueError before any guess (``mckp.search``).
     """
     eps = rat(eps)
     if not Fraction(0) < eps <= 1:

@@ -46,6 +46,11 @@ def generate(cfg: GenConfig) -> Instance:
     hi = math.floor(cfg.t1_high * q)
     if lo < 1 or lo > hi:
         raise ValueError(f"empty quantized range for t(j,1): [{lo}, {hi}] / {q}")
+    # A draw reads one 64-bit word, so no range may hold more than 2^64 values:
+    # t(j,1)'s, and k=2's from hi, the widest of the chain after it.
+    for k, low in ((1, lo), (2, hi - hi // 2)):
+        if k <= m and hi - low >= 2**64:
+            raise ValueError(f"range of t(j,{k}) [{low}, {hi}] / {q} has more than 2^64 values")
     if m * hi > _INT64_SAFE_TOTAL:  # the grid may need exact ints
         rows = [_scalar_row(cfg.seed, idx, m, lo, hi) for idx in range(n)]
         return Instance.of_grid(m, range(1, n + 1), q, int_matrix(rows, m))

@@ -115,9 +115,11 @@ class Search(NamedTuple):
     ids: np.ndarray
 
 
-def search(inst: Instance) -> Search:
+def search(inst: Instance) -> Search:  # ValueError names a repeated job id
     rows = np.argsort(ids := np.array(inst.ids), kind="stable")
-    return Search(row_keys(inst.grid[1]), rows, ids[rows])
+    if (twice := np.flatnonzero((ids := ids[rows])[1:] == ids[:-1])).size:
+        raise ValueError(f"job id {ids[twice[0]]} appears more than once")
+    return Search(row_keys(inst.grid[1]), rows, ids)
 
 
 def build_items(

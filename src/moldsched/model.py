@@ -8,8 +8,10 @@ A[j,k-1]/Q.  The solver reads times only from the grid, by integers, as t
 grid's row keys (``gammas``; ``gamma`` counts one job).  A ``Schedule`` is
 given as PlacedJobs with Fraction times, or in integer form (one denominator
 and integer columns, the form of every solver schedule), whose PlacedJobs are
-made on first read.  Fractions appear at the API boundary (``Job.times``,
-guesses, placements); floats only in timing and plots.
+made on first read; ``Schedule.columns`` reads both as integers over one
+scale (``common_scale``), and ``ratio_strings`` writes such integers as "p/q".
+Fractions appear at the API boundary (``Job.times``, guesses, placements);
+floats only in timing and plots.
 
 The stretch constant ``LAMBDA_STAR_UPPER`` is a Fraction literal: a strict
 upper bracket of the root of ln(x) = 3x - 4 near 1.4593, within 10^-6.
@@ -63,6 +65,8 @@ LAMBDA_STAR_UPPER = Fraction(956383, 655360)
 
 # Totals up to 2^59 keep every int64 sum of the knapsack DP below 2^61.
 _INT64_SAFE_TOTAL = 1 << 59
+# A schedule's L may be this many bits wider than its widest denominator.
+_LCM_MARGIN_BITS = 64
 
 
 class Times(Sequence):
@@ -98,13 +102,8 @@ class Times(Sequence):
         """Item i as the integer pair (numerator, q), without a Fraction."""
         return self._row.item(i), self._q
 
-    def strings(self) -> list[str]:  # str() of each time: one np.gcd, no Fraction
-        a, q = self._row, self._q
-        if q >> 63:  # past int64: the gcd in exact ints
-            a = a.astype(object)
-        g = np.gcd(a, q)
-        nums, dens = (a // g).tolist(), (q // g).tolist()
-        return [f"{p}/{d}" if d != 1 else str(p) for p, d in zip(nums, dens)]
+    def strings(self) -> list[str]:  # str() of each time
+        return ratio_strings(self._row, self._q)
 
 
 @dataclass(frozen=True)
@@ -201,8 +200,9 @@ class Schedule:
     The integer form (``Schedule.of_ints``) is one denominator ``scale`` and
     the columns ``ints`` = (job_id, first_machine, width, start, duration),
     one entry per placement, with start and duration in units of 1/scale;
-    its PlacedJobs are built on the first read of ``placements``.  Equality,
-    hash and repr are those of (placements, makespan) in either form.
+    its PlacedJobs are built on the first read of ``placements``.  ``columns``
+    reads either form one way.  Equality, hash and repr are those of
+    (placements, makespan) in either form.
     """
 
     __slots__ = ("_placements", "makespan", "scale", "ints")
@@ -227,6 +227,21 @@ class Schedule:
 
     def __reduce__(self):  # pickled as given by its placements
         return Schedule, (self.placements, self.makespan)
+
+    def columns(self) -> tuple[Optional[int], tuple[np.ndarray, ...]]:
+        """(L, (job_id, first_machine, width, start, duration)) as arrays,
+        times in units of 1/L: the integer form's scale and ints, else L =
+        ``common_scale`` of the times, and when it is None the times as given."""
+        if self.ints is not None:
+            return self.scale, self.ints
+        ps = self.placements
+        starts, durations = [p.start for p in ps], [p.duration for p in ps]
+        scale = common_scale(starts + durations)
+        times = (np.array(xs, dtype=object) if scale is None else
+                 int_array([x.numerator * (scale // x.denominator) for x in xs])
+                 for xs in (starts, durations))
+        return scale, (int_array([p.job_id for p in ps]), int_array([p.first_machine for p in ps]),
+                       int_array([p.width for p in ps]), *times)
 
     @property
     def placements(self) -> tuple[PlacedJob, ...]:
@@ -293,10 +308,31 @@ def int_matrix(rows: list[list[int]] | np.ndarray, m: int) -> np.ndarray:
     return a
 
 
-def ratio_str(p: int, q: int) -> str:
-    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
-    g = math.gcd(p, q)
-    return f"{p // g}/{q // g}" if g != q else str(p // g)
+def ratio_strings(a: np.ndarray, q: int) -> list[str]:
+    """str(Fraction(x, q)) of each x of the integer array a, q > 0, by one np.gcd."""
+    if q >> 63:  # past int64: the gcd in exact ints
+        a = a.astype(object)
+    g = np.gcd(a, q)
+    nums, dens = (a // g).tolist(), (q // g).tolist()
+    return [f"{p}/{d}" if d != 1 else str(p) for p, d in zip(nums, dens)]
+
+
+def common_scale(times: Sequence) -> Optional[int]:
+    """L, the lcm of the times' denominators, or None when a time is not an
+    int or a Fraction, or when L would be more than _LCM_MARGIN_BITS wider
+    than the widest denominator.  L is built one denominator at a time,
+    widest first, so a cap that is passed stops it early."""
+    if not {type(x) for x in times} <= {int, Fraction}:
+        return None
+    dens = sorted({x.denominator for x in times}, reverse=True)
+    scale = dens[0] if dens else 1
+    cap = scale.bit_length() + _LCM_MARGIN_BITS
+    for den in dens:
+        if scale % den:
+            scale = math.lcm(scale, den)
+            if scale.bit_length() > cap:
+                return None
+    return scale
 
 
 def gamma(inst: Instance, job_id: int, h: Fraction) -> Optional[int]:

@@ -66,7 +66,6 @@ from .model import (  # noqa: F401
     gamma,
     gammas,
     int_array,
-    ratio_str,
     row_keys,
 )
 
@@ -203,7 +202,7 @@ class ShelfSchedule:
     def summary(self) -> str:
         def cols(cs: list[ShelfColumn]) -> str:
             return ", ".join(
-                f"[w={c.width} h={ratio_str(c.height, self.scale)} "
+                f"[w={c.width} h={Fraction(c.height, self.scale)} "
                 f"jobs={[p.job_id for p in c.parts]}"
                 + (f" split={c.split_of}" if c.split_of is not None else "")
                 + "]"
@@ -214,7 +213,7 @@ class ShelfSchedule:
             f"shelf schedule: m={self.inst.m} d={self.d} lam={self.lam} "
             f"m0={self.m0} m1_used={self.m1_used} q={self.q} m2={self.m2}\n"
             f"  s0: {cols(self.s0)}\n  s1: {cols(self.s1)}\n"
-            f"  s2: {[(j.job_id, j.width, ratio_str(j.height, self.scale)) for j in self.s2]}\n"
+            f"  s2: {[(j.job_id, j.width, str(Fraction(j.height, self.scale))) for j in self.s2]}\n"
             f"  split_job={self.split_job}"
         )
 
@@ -270,7 +269,7 @@ def build_three_shelf(
     def drop(col: ShelfColumn) -> None:
         if col.height > lam_d:
             raise ShelfInvariantError(
-                f"column height {ratio_str(col.height, ss.scale)} exceeds lam*d = {lam * d}", ss
+                f"column height {Fraction(col.height, ss.scale)} exceeds lam*d = {lam * d}", ss
             )
         (ss.s0 if col.height > d_units else ss.s1).append(col)
 
@@ -630,8 +629,8 @@ def layout_contiguous(
     for mach in range(inst.m):
         if bottom[mach] > top[mach]:
             raise ShelfInvariantError(
-                f"machine {mach}: columns end at {ratio_str(bottom[mach], scale)} "
-                f"past {ratio_str(top[mach], scale)}", ss
+                f"machine {mach}: columns end at {Fraction(bottom[mach], scale)} "
+                f"past {Fraction(top[mach], scale)}", ss
             )
     return Layout(scale, placed, bottom, top)
 
@@ -657,7 +656,7 @@ def add_small_jobs(layout: Layout, inst: Instance, small: Iterable[int]) -> Sche
         start = bottom[i]
         if start + t1 > top[i]:
             raise ShelfInvariantError(
-                f"small job {job_id} would end at {ratio_str(start + t1, scale)} past the gap"
+                f"small job {job_id} would end at {Fraction(start + t1, scale)} past the gap"
             )
         placed.append((job_id, i, 1, start, t1))
         bottom[i] = start + t1

@@ -4,18 +4,17 @@ The validator re-derives everything from the instance and the raw placements;
 it shares no code with the construction pipeline beyond the domain types, so
 it can serve as the second route of the correctness argument.  It reads a
 job's times only through ``Job.times`` (a view's ``Times.ratio`` gives one
-as an integer pair), never the instance's integer grid.
+as an integer pair), never the instance's integer grid, and a schedule
+only through ``Schedule.columns``, which no construction module calls.
 
 Times are compared as exact integers over a scale L that comes with the
 schedule: a start s is the integer s*L, an end (s + t)*L.  A schedule in
 integer form (every solver schedule) brings its own L and numerators.  For
-one given as PlacedJobs (a schedule file, an API caller), L is the lcm of
-the denominators of every start and duration.  A schedule file can make L
-grow with its length (one distinct prime denominator per placement); L is built
-one denominator at a time, widest first, and once it outgrows the widest
-single denominator by ``_LCM_MARGIN_BITS`` the same checks run on the
-Fractions as given, whose cost does not grow with L.  Start and duration
-types other than int and Fraction take that path too.
+one given as PlacedJobs (a schedule file, an API caller), L is
+``model.common_scale`` of every start and duration: their lcm, or None past
+a cap, as a file can make L grow with its length (one distinct prime
+denominator per placement).  With no L (also for a time not an int or a
+Fraction) the same checks run on the times as given, at a cost free of L.
 
 A duration is checked as t*q == p*L against t(j,k) = p/q.  On the integer
 path array checks decide first: one placement per job id, starts >= 0, parts
@@ -33,23 +32,17 @@ intervals to be one run of machines.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .model import Instance, PlacedJob, Schedule, Times, int_array
+from .model import Instance, Schedule, Times, int_array
 
 _ORACLE_MAX_N = 4
 _ORACLE_MAX_M = 4
-
-# L may be this many bits wider than the widest denominator before the
-# integer pass gives way to Fractions.
-_LCM_MARGIN_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -82,22 +75,8 @@ def validate_schedule(
     ``contiguous`` flag and are listed among the violations only when
     ``require_contiguous`` is set.
     """
-    if sched.ints is not None:  # integer form: its own L and numerators
-        scale, columns = sched.scale, sched.ints
-        ids, first, width, start, dur = (c.tolist() for c in columns)
-    else:
-        placements = sched.placements
-        scale = _common_denominator(placements)
-        ids = [p.job_id for p in placements]
-        first = [p.first_machine for p in placements]
-        width = [p.width for p in placements]
-        if scale is None:  # compare the times as given
-            start = [p.start for p in placements]
-            dur = [p.duration for p in placements]
-        else:  # numerators over L
-            start = [p.start.numerator * (scale // p.start.denominator) for p in placements]
-            dur = [p.duration.numerator * (scale // p.duration.denominator) for p in placements]
-        columns = (ids, first, width, start, dur)
+    scale, columns = sched.columns()  # times over L, or as given when L is None
+    ids, first, width, start, dur = (c.tolist() for c in columns)
     end = [s + t for s, t in zip(start, dur)]
 
     def exact(x):  # the time a start, duration or end stands for
@@ -205,10 +184,10 @@ def _off(times, k: int, t, scale: Optional[int]) -> bool:
 
 def _overlaps(m: int, columns: tuple, integer: bool) -> list[tuple[int, int, int]]:
     """(row a, row b, machine) for each overlap among the placements given as
-    columns (job id, first machine, width, start, duration), lists or arrays
-    of ints, of any time when not integer: the machines in the order of their
-    first placement (parts clipped to [0, m)), on each the parts sorted by
-    (start, end, job id), and b overlapping a, the part before it."""
+    the arrays of ``Schedule.columns``, with times as given when not integer:
+    the machines in the order of their first placement (parts clipped to
+    [0, m)), on each the parts sorted by (start, end, job id), and b
+    overlapping a, the part before it."""
     ids, first, width, start, dur = columns
     f, w = int_array(first), int_array(width)
     lo = np.minimum(np.maximum(f, 0), m)
@@ -220,31 +199,12 @@ def _overlaps(m: int, columns: tuple, integer: bool) -> list[tuple[int, int, int
     mach = lo.astype(np.int64)[row] + np.arange(len(row)) - offset
     _, at, inv = np.unique(mach, return_index=True, return_inverse=True)
     key = at[inv]  # the first index of the part's machine
-    times = int_array if integer else functools.partial(np.array, dtype=object)
-    s, t = times(start), times(dur)
+    s, t = (int_array(c) if integer else c for c in (start, dur))
     s, e = s[row], (s + t)[row]
     o = np.lexsort((int_array(ids)[row], e, s, key))
     key, s, e = key[o], s[o], e[o]
     hit = np.flatnonzero((key[1:] == key[:-1]) & (s[1:] < e[:-1]).astype(bool))
     return list(zip(row[o[hit]].tolist(), row[o[hit + 1]].tolist(), mach[o[hit]].tolist()))
-
-
-def _common_denominator(placements: tuple[PlacedJob, ...]) -> Optional[int]:
-    """L, the lcm of every start and duration denominator, or None when
-    there is a time that is not an int or a Fraction, or when L would be
-    more than _LCM_MARGIN_BITS wider than the widest denominator."""
-    times = [x for p in placements for x in (p.start, p.duration)]
-    if not {type(x) for x in times} <= {int, Fraction}:
-        return None
-    dens = sorted({x.denominator for x in times}, reverse=True)
-    scale = dens[0] if dens else 1
-    cap = scale.bit_length() + _LCM_MARGIN_BITS
-    for den in dens:
-        if scale % den:
-            scale = math.lcm(scale, den)
-            if scale.bit_length() > cap:
-                return None
-    return scale
 
 
 def brute_force_opt(inst: Instance) -> Fraction:

@@ -705,3 +705,18 @@ def test_a_job_of_other_than_m_times_is_named():
         with pytest.raises(ValueError, match=r"^job 2 has 1 times, not m = 2$"):
             call()
     assert [(v.job_id, v.k, v.kind) for v in validate_instance(inst)] == [(2, 1, "length")]
+
+
+class TestRepeatedJobId:
+    # validate_instance reports the repeated id; the API refuses it before any
+    # guess, where by_id would keep only the last job 1.
+    INST = Instance(2, (Job(1, (2, 1)), Job(1, (3, 2)), Job(2, (1, 1))))
+
+    def test_try_guess_refuses_it(self):
+        with pytest.raises(ValueError, match=r"^job id 1 appears more than once$"):
+            try_guess(self.INST, 3)
+
+    def test_solve_refuses_it(self):
+        with pytest.raises(ValueError, match=r"^job id 1 appears more than once$"):
+            solve(self.INST)
+        assert [(v.job_id, v.kind) for v in validate_instance(self.INST)] == [(1, "duplicate-id")]

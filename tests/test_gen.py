@@ -78,6 +78,21 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(GenConfig(n=1, m=1, t1_low=rat(5), t1_high=rat(4)))
 
+    @pytest.mark.parametrize("cfg, k", [
+        (GenConfig(n=1, m=1, quantization_denominator=2**61 - 1), 1),  # t(j,1) ~ 100 * 2^61
+        (GenConfig(n=1, m=2, t1_low=1, t1_high=1, quantization_denominator=2**70), 2),  # 2^69 + 1
+    ])
+    def test_range_past_one_word_is_refused(self, cfg, k):
+        # A draw reads one 64-bit word: a wider range would reject every word.
+        with pytest.raises(ValueError, match=rf"^range of t\(j,{k}\) .* more than 2\^64 values$"):
+            generate(cfg)
+
+    def test_ranges_of_one_word_generate(self):
+        inst = generate(GenConfig(n=3, m=4, quantization_denominator=2**57))
+        assert inst.grid[0] == 2**57 and not validate_instance(inst)
+        widest = generate(GenConfig(n=2, m=1, t1_high=2**64, quantization_denominator=1))
+        assert 1 <= widest.grid[1].min() and widest.grid[1].max() <= 2**64  # 2^64 values
+
 
 def ref_rows(cfg: GenConfig, patch=None) -> list[list[int]]:
     """The scalar chain, step by step in Python ints: each job's words from its

@@ -2,6 +2,7 @@ import ast
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from moldsched import (
     Violation,
     brute_force_opt,
     generate,
+    model,
     rat,
     ratio_report,
     solve,
@@ -22,7 +24,6 @@ from moldsched import (
     verify,
 )
 from moldsched.driver import initial_bounds
-from moldsched.verify import _common_denominator
 from util import (
     fraction_schedule, grid_rows, instance, int_schedule, job, make_schedule, property_settings,
     random_instance,
@@ -114,18 +115,9 @@ class TestValidateSchedule:
 
 
     def test_overlap_windows_over_mixed_denominators(self):
-        # Starts 1/3 and 2/7 and durations over 3, 7 and 21: L = 21.  Overlaps
-        # are listed by machine in order of first use, and by start within one.
-        inst = instance(2, job(1, "2/3", 1), job(2, "1/7", 1), job(3, 1, 1), job(4, "2/21", 1))
-        sched = make_schedule(
-            [
-                PlacedJob(3, 1, 1, rat(0), rat(1)),
-                PlacedJob(1, 0, 1, rat("1/3"), rat("2/3")),
-                PlacedJob(2, 0, 1, rat("2/7"), rat("1/7")),
-                PlacedJob(4, 1, 1, rat("5/7"), rat("2/21")),
-            ]
-        )
-        assert _common_denominator(sched.placements) == 21
+        # Overlaps are listed by machine in order of first use, and by start
+        # within one.
+        inst, sched = _mixed_denominators()
         rep = validate_schedule(inst, sched)
         assert rep.violations == (
             Violation("overlap", (3, 4), machine=1, window=(Fraction(5, 7), Fraction(17, 21))),
@@ -135,12 +127,8 @@ class TestValidateSchedule:
         assert not rep.feasible and rep.contiguous and rep.makespan == 1
 
     def test_common_denominator_beyond_64_bits(self):
-        tiny = Fraction(1, 3**41)  # 3**41 > 2**64
-        inst = instance(1, job(1, 2 * tiny), job(2, "1/2"))
-        sched = make_schedule(
-            [PlacedJob(1, 0, 1, rat(0), 2 * tiny), PlacedJob(2, 0, 1, tiny, rat("1/2"))]
-        )
-        assert _common_denominator(sched.placements) == 2 * 3**41
+        tiny = Fraction(1, 3**41)
+        inst, sched = _beyond_64_bits()
         rep = validate_schedule(inst, sched)
         assert rep.violations == (
             Violation("overlap", (1, 2), machine=0, window=(tiny, 2 * tiny)),
@@ -162,33 +150,88 @@ class TestValidateSchedule:
 
     def test_float_times_compare_as_given(self):
         # A float has no denominator: its schedule takes the Fraction path.
-        inst = instance(1, job(1, "1/2"), job(2, "1/2"))
-        sched = make_schedule(
-            [PlacedJob(1, 0, 1, 0.25, rat("1/2")), PlacedJob(2, 0, 1, rat("1/2"), rat("1/2"))]
-        )
-        assert _common_denominator(sched.placements) is None
+        inst, sched = _float_times()
         rep = validate_schedule(inst, sched)
         assert rep.violations == (
             Violation("overlap", (1, 2), machine=0, window=(Fraction(1, 2), Fraction(3, 4))),
         )
 
     def test_prime_denominators_compare_as_fractions(self):
-        # Job i takes 1/p_i on one machine from start i-1, and job 20 also
-        # starts at 18, under job 19.  The lcm of the first 20 primes is 89
-        # bits against the widest denominator's 7: the Fractions are compared.
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
-        inst = Instance(1, tuple(Job(i, (Fraction(1, p),)) for i, p in enumerate(primes, 1)))
-        starts = list(range(19)) + [18]
-        sched = make_schedule(
-            PlacedJob(i, 0, 1, Fraction(s), Fraction(1, p))
-            for i, (s, p) in enumerate(zip(starts, primes), 1)
-        )
-        assert _common_denominator(sched.placements) is None
+        inst, sched = _twenty_primes()
         rep = validate_schedule(inst, sched)
         assert rep.violations == (
             Violation("overlap", (20, 19), machine=0, window=(Fraction(18), Fraction(1279, 71))),
         )
         assert not rep.feasible and rep.contiguous and rep.makespan == Fraction(1207, 67)
+
+
+def _mixed_denominators():
+    """Starts 1/3 and 2/7 and durations over 3, 7 and 21: L = 21."""
+    inst = instance(2, job(1, "2/3", 1), job(2, "1/7", 1), job(3, 1, 1), job(4, "2/21", 1))
+    return inst, make_schedule([
+        PlacedJob(3, 1, 1, rat(0), rat(1)),
+        PlacedJob(1, 0, 1, rat("1/3"), rat("2/3")),
+        PlacedJob(2, 0, 1, rat("2/7"), rat("1/7")),
+        PlacedJob(4, 1, 1, rat("5/7"), rat("2/21")),
+    ])
+
+
+def _beyond_64_bits():
+    """Times over 2 and 3**41 > 2**64: L = 2 * 3**41."""
+    tiny = Fraction(1, 3**41)
+    inst = instance(1, job(1, 2 * tiny), job(2, "1/2"))
+    return inst, make_schedule(
+        [PlacedJob(1, 0, 1, rat(0), 2 * tiny), PlacedJob(2, 0, 1, tiny, rat("1/2"))]
+    )
+
+
+def _float_times():
+    """A float start, which has no denominator: no L."""
+    inst = instance(1, job(1, "1/2"), job(2, "1/2"))
+    return inst, make_schedule(
+        [PlacedJob(1, 0, 1, 0.25, rat("1/2")), PlacedJob(2, 0, 1, rat("1/2"), rat("1/2"))]
+    )
+
+
+def _twenty_primes():
+    """Job i takes 1/p_i on one machine from start i-1, and job 20 also
+    starts at 18, under job 19.  The lcm of the first 20 primes is 89 bits
+    against the widest denominator's 7: no L, the Fractions are compared."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+    inst = Instance(1, tuple(Job(i, (Fraction(1, p),)) for i, p in enumerate(primes, 1)))
+    starts = list(range(19)) + [18]
+    return inst, make_schedule(
+        PlacedJob(i, 0, 1, Fraction(s), Fraction(1, p))
+        for i, (s, p) in enumerate(zip(starts, primes), 1)
+    )
+
+
+class TestColumns:
+    """Schedule.columns, the one read of a schedule that the verifier and
+    the writers share."""
+
+    @pytest.mark.parametrize("case, scale", [
+        (_mixed_denominators, 21), (_beyond_64_bits, 2 * 3**41),
+        (_float_times, None), (_twenty_primes, None),
+    ])
+    def test_scale(self, case, scale):
+        assert case()[1].columns()[0] == scale
+
+    def test_columns_give_back_each_placement(self):
+        sched = solve(generate(GenConfig(n=30, m=12, seed=1))).schedule
+        twin = Schedule(sched.placements, sched.makespan)
+        scale, columns = sched.columns()
+        assert scale == sched.scale and columns is sched.ints  # passed through
+        primes = _twenty_primes()[1]
+        for given in (sched, twin, primes):
+            scale, columns = given.columns()
+            assert (scale is None) == (given is primes)
+            assert all(c.dtype == (object if given is primes else np.int64) for c in columns[3:])
+            rows = zip(*(c.tolist() for c in columns))
+            for (j, i, k, s, t), p in zip(rows, given.placements, strict=True):
+                assert (j, i, k) == (p.job_id, p.first_machine, p.width)
+                exact = (s, t) if scale is None else (Fraction(s, scale), Fraction(t, scale))
+                assert exact == (p.start, p.duration)
 
 
 def _solver_results():
@@ -342,7 +385,7 @@ class TestIntegerForm:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(verify, "_columns_pass", lambda *a: False)
                 assert reports() == want
-                mp.setattr(verify, "_common_denominator", lambda placements: None)
+                mp.setattr(model, "common_scale", lambda times: None)
                 assert reports() == want
             feasible.append(want[0].feasible)
             kinds.update(v.kind for v in want[0].violations)
@@ -361,6 +404,19 @@ class TestIntegerForm:
             for r in (rows, rows[::-1], [rows[0], (2, 0, 1, 3 * big - 1, 2 * big)]):
                 want = validate_schedule(inst, fraction_schedule(big, r, mk))
                 assert validate_schedule(inst, int_schedule(big, r, mk)) == want
+
+
+def test_construction_does_not_read_schedules_as_the_verifier_does():
+    """No construction module calls Schedule.columns or common_scale, so the
+    verifier's reading of a schedule stays a second route."""
+    for name in ("driver", "mckp", "shelf", "listsched", "gen"):
+        path = verify.__file__.replace("verify.py", f"{name}.py")
+        for node in ast.walk(ast.parse(open(path).read())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr != "columns", (name, ast.unparse(node))
+            if isinstance(node, ast.ImportFrom):
+                assert "common_scale" not in {a.name for a in node.names}, (name, ast.unparse(node))
+            assert getattr(node, "attr", getattr(node, "id", None)) != "common_scale", name
 
 
 def test_verify_is_independent_of_the_construction():
