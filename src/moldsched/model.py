@@ -71,12 +71,14 @@ _LCM_MARGIN_BITS = 64
 
 class Times(Sequence):
     """Read-only view of a grid row: item k-1 is Fraction(row[k-1], q).
-    It compares and hashes like the tuple of those Fractions."""
+    It compares and hashes like the tuple of those Fractions.  A view that
+    ``Instance.of_grid`` made also knows its grid and row, so ``numerators``
+    reads one time of each of many views by one fancy index."""
 
-    __slots__ = ("_row", "_q")
+    __slots__ = ("_row", "_q", "_grid", "_at")
 
-    def __init__(self, row: np.ndarray, q: int) -> None:
-        self._row, self._q = row, q
+    def __init__(self, row: np.ndarray, q: int, grid: Optional[np.ndarray] = None, at=0) -> None:
+        self._row, self._q, self._grid, self._at = row, q, grid, at
 
     def __len__(self) -> int:
         return len(self._row)
@@ -101,6 +103,16 @@ class Times(Sequence):
     def ratio(self, i: int) -> tuple[int, int]:
         """Item i as the integer pair (numerator, q), without a Fraction."""
         return self._row.item(i), self._q
+
+    @staticmethod
+    def numerators(views: Sequence, k: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
+        """(numerators of views[i][k[i] - 1], q) when every view is a row of one grid, else None."""
+        try:  # AttributeError: a view that is not a Times
+            grid = views[0]._grid if len(views) else None
+            rows = np.array([v._at for v in views if v._grid is grid], dtype=np.intp)
+        except AttributeError:
+            return None
+        return None if grid is None or len(rows) < len(views) else (grid[rows, k - 1], views[0]._q)
 
     def strings(self) -> list[str]:  # str() of each time
         return ratio_strings(self._row, self._q)
@@ -139,7 +151,7 @@ class Instance:
             raise ValueError(f"grid shape {a.shape} is not (n, m) = {(len(ids), m)}")
         a = a.view()
         a.setflags(write=False)
-        inst = cls(m, tuple(Job(i, Times(row, q)) for i, row in zip(ids, a)))
+        inst = cls(m, tuple(Job(i, Times(row, q, a, r)) for r, (i, row) in enumerate(zip(ids, a))))
         inst.__dict__["grid"] = (q, a)  # seeds the cached property
         return inst
 
@@ -200,7 +212,9 @@ class Schedule:
     The integer form (``Schedule.of_ints``) is one denominator ``scale`` and
     the columns ``ints`` = (job_id, first_machine, width, start, duration),
     one entry per placement, with start and duration in units of 1/scale;
-    its PlacedJobs are built on the first read of ``placements``.  ``columns``
+    each column is int64 with every |x| < 2^62, so that the sum of two stays
+    exact (as ``int_array`` builds them), or object dtype holding ints; its
+    PlacedJobs are built on the first read of ``placements``.  ``columns``
     reads either form one way.  Equality, hash and repr are those of
     (placements, makespan) in either form.
     """
@@ -212,6 +226,8 @@ class Schedule:
 
     @classmethod
     def of_ints(cls, scale: int, ints: tuple[np.ndarray, ...], makespan: Fraction) -> Schedule:
+        if any(c.dtype not in (np.int64, object) for c in ints):  # the bound is the caller's
+            raise TypeError(f"columns must be int64 or object, got {[c.dtype for c in ints]}")
         for column in ints:
             column.setflags(write=False)
         sched = cls.__new__(cls)

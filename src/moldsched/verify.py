@@ -3,8 +3,8 @@
 The validator re-derives everything from the instance and the raw placements;
 it shares no code with the construction pipeline beyond the domain types, so
 it can serve as the second route of the correctness argument.  It reads a
-job's times only through ``Job.times`` (a view's ``Times.ratio`` gives one
-as an integer pair), never the instance's integer grid, and a schedule
+job's times only through ``Job.times`` (``Times.numerators`` reads the views
+of one grid at once), never the instance's integer grid, and a schedule
 only through ``Schedule.columns``, which no construction module calls.
 
 Times are compared as exact integers over a scale L that comes with the
@@ -16,12 +16,16 @@ a cap, as a file can make L grow with its length (one distinct prime
 denominator per placement).  With no L (also for a time not an int or a
 Fraction) the same checks run on the times as given, at a cost free of L.
 
-A duration is checked as t*q == p*L against t(j,k) = p/q.  On the integer
-path array checks decide first: one placement per job id, starts >= 0, parts
-within [0, m), durations t(j, width); when all pass, the per-job loop, which
-only reports, is skipped.  Overlaps are found by one sort of every (machine,
-start, end, job) of the parts.  The report does not depend on the form or
-the path: the same violations in the same order, with windows and a makespan
+On the integer path array passes decide first (``_columns_pass``): one
+placement per job id, by one sort against the instance's ids; starts >= 0
+and parts within [0, m); every duration t(j, width) = p/q as t*q == p*L,
+in int64 only where no product can wrap; and no overlap, by one sort of
+the key machine*(latest end + 1) + start of every part (with a zero-length
+part, or a key past int64, ``_overlaps`` decides).  When all pass, the
+makespan is one array max and nothing else runs.  Otherwise the per-job
+loop and ``_overlaps``, one sort of every (machine, start, end, job) of the
+parts, write the report.  The report does not depend on the form or the
+path: the same violations in the same order, with windows and a makespan
 equal to the Fractions (``Fraction(x, L)`` on the integer path).
 
 A job may appear as several placement rows (parts on disjoint machine
@@ -73,10 +77,16 @@ def validate_schedule(
 
     Feasibility violations are always reported; contiguity breaks set the
     ``contiguous`` flag and are listed among the violations only when
-    ``require_contiguous`` is set.
+    ``require_contiguous`` is set.  A repeated job id in the instance, of
+    which ``by_id`` keeps one job, raises ValueError.
     """
+    if len(inst.by_id) < inst.n:
+        ordered = sorted(inst.ids)
+        twice = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+        raise ValueError(f"job id {twice} appears more than once")
     scale, columns = sched.columns()  # times over L, or as given when L is None
-    ids, first, width, start, dur = (c.tolist() for c in columns)
+    passed = scale is not None and _columns_pass(inst, scale, columns)
+    ids, first, width, start, dur = ([] if passed else c.tolist() for c in columns)
     end = [s + t for s, t in zip(start, dur)]
 
     def exact(x):  # the time a start, duration or end stands for
@@ -87,7 +97,7 @@ def validate_schedule(
     m = inst.m
     known = inst.by_id
     groups: dict[int, list[int]] = {}  # job id -> indices of its parts
-    if scale is None or not _columns_pass(known, m, scale, columns, ids, width, start, dur):
+    if not passed:
         for i, j in enumerate(ids):
             groups.setdefault(j, []).append(i)
         for job_id in known:
@@ -102,9 +112,8 @@ def validate_schedule(
         if len(rows) > 1 and (
             len({start[r] for r in rows}) > 1 or len({dur[r] for r in rows}) > 1
         ):
-            feas.append(
-                Violation("placement", (job_id,), detail="parts disagree on start/duration")
-            )
+            detail = "parts disagree on start/duration"
+            feas.append(Violation("placement", (job_id,), detail=detail))
             continue
         if start[i] < 0:
             feas.append(Violation("start", (job_id,), detail=f"start {exact(start[i])} < 0"))
@@ -125,52 +134,62 @@ def validate_schedule(
         if not 1 <= k <= m:
             feas.append(Violation("width", (job_id,), detail=f"total width {k}"))
         elif _off(job.times, k, dur[i], scale):
-            feas.append(
-                Violation(
-                    "duration",
-                    (job_id,),
-                    detail=f"duration {exact(dur[i])} != t(j,{k}) = {job.times[k - 1]}",
-                )
-            )
+            detail = f"duration {exact(dur[i])} != t(j,{k}) = {job.times[k - 1]}"
+            feas.append(Violation("duration", (job_id,), detail=detail))
         if not one_run:
             contig.append(Violation("contiguity", (job_id,)))
 
-    for a, b, mach in _overlaps(m, columns, scale is not None):
+    for a, b, mach in [] if passed else _overlaps(m, columns):
         window = (exact(start[b]), exact(min(end[a], end[b])))
         feas.append(Violation("overlap", (ids[a], ids[b]), machine=mach, window=window))
 
-    makespan = exact(max(end, default=0))
+    latest = int((columns[3] + columns[4]).max(initial=0)) if passed else max(end, default=0)
+    makespan = exact(latest)
     if makespan != sched.makespan:
-        feas.append(
-            Violation(
-                "makespan",
-                (),
-                detail=f"recorded {sched.makespan}, recomputed {makespan}",
-            )
-        )
-
+        detail = f"recorded {sched.makespan}, recomputed {makespan}"
+        feas.append(Violation("makespan", (), detail=detail))
     listed = feas + contig if require_contiguous else feas
-    return VerificationReport(
-        feasible=not feas,
-        contiguous=not contig,
-        makespan=makespan,
-        violations=tuple(listed),
-    )
+    return VerificationReport(not feas, not contig, makespan, tuple(listed))
 
 
-def _columns_pass(known: dict, m: int, scale: int, columns: tuple, ids, width, start, dur) -> bool:
+def _columns_pass(inst: Instance, scale: int, columns: tuple) -> bool:
     """Whether the placements, times over scale, pass every check of the
-    per-job loop (see the module docstring), which then reports nothing."""
-    f, w = int_array(columns[1]), int_array(columns[2])
-    if (len(ids) != len(known) or known.keys() != set(ids) or min(start, default=0) < 0
-            or not ((w >= 1) & (f >= 0) & (f <= m - w)).all()):
+    per-job loop and of ``_overlaps``, which then report nothing."""
+    ids, first, width, start, dur = columns
+    if len(ids) != inst.n or not len(ids):
+        return len(ids) == inst.n
+    if start.min() < 0 or width.min() < 1 or first.min() < 0 or (first + width).max() > inst.m:
         return False
-    for j, k, t in zip(ids, width, dur):
-        times = known[j].times
-        p, q = times.ratio(k - 1) if isinstance(times, Times) else times[k - 1].as_integer_ratio()
-        if t * q != p * scale:
-            return False
-    return True
+    own = int_array(inst.ids)
+    placed, rows = ids.argsort(kind="stable"), own.argsort(kind="stable")  # both by job id
+    if not (ids[placed] == own[rows]).all():
+        return False
+    at = np.empty(len(ids), dtype=np.intp)  # each job's placement, in job order
+    at[rows] = placed
+    views, k, t = [j.times for j in inst.jobs], width[at], dur[at]
+    p, q = Times.numerators(views, k) or (  # else each time's own (p, q)
+        int_array(c) for c in zip(*[v[i - 1].as_integer_ratio() for v, i in zip(views, k.tolist())])
+    )
+    q_top = q if isinstance(q, int) else int(q.max())
+    if max(int(np.abs(t).max()) * q_top, int(np.abs(p).max()) * scale, q_top, scale) >> 63:
+        t, p = t.astype(object), p.astype(object)  # an int64 product could wrap
+    if not (t * q == p * scale).all():
+        return False
+    span = int((start + dur).max()) + 1  # machine*span + time packs the times of a machine
+    if dur.min() <= 0 or inst.m * span > 1 << 63:  # else _overlaps decides, in its own order
+        return not _overlaps(inst.m, columns)
+    if width.max() > 1:
+        part, first = _parts(first, width)
+        start, dur = start[part], dur[part]
+    key = first * span + start
+    o = key.argsort()
+    return not (key[o[1:]] < (key + dur)[o[:-1]]).any()
+
+
+def _parts(first: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(placement row, machine) of each machine that each placement takes."""
+    row = np.repeat(np.arange(len(width)), width)
+    return row, first[row] + np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
 
 
 def _off(times, k: int, t, scale: Optional[int]) -> bool:
@@ -182,26 +201,20 @@ def _off(times, k: int, t, scale: Optional[int]) -> bool:
     return t * q != p * scale
 
 
-def _overlaps(m: int, columns: tuple, integer: bool) -> list[tuple[int, int, int]]:
+def _overlaps(m: int, columns: tuple) -> list[tuple[int, int, int]]:
     """(row a, row b, machine) for each overlap among the placements given as
-    the arrays of ``Schedule.columns``, with times as given when not integer:
-    the machines in the order of their first placement (parts clipped to
-    [0, m)), on each the parts sorted by (start, end, job id), and b
-    overlapping a, the part before it."""
-    ids, first, width, start, dur = columns
-    f, w = int_array(first), int_array(width)
-    lo = np.minimum(np.maximum(f, 0), m)
-    count = np.maximum(np.minimum(f + w, m) - lo, 0).astype(np.int64)
-    row = np.repeat(np.arange(len(f)), count)
+    the arrays of ``Schedule.columns``: the machines in the order of their
+    first placement (parts clipped to [0, m)), on each the parts sorted by
+    (start, end, job id), and b overlapping a, the part before it."""
+    ids, f, w, start, dur = columns
+    lo = np.minimum(np.maximum(f, 0), m).astype(np.int64)
+    row, mach = _parts(lo, np.maximum(np.minimum(f + w, m) - lo, 0).astype(np.int64))
     if len(row) < 2:
         return []
-    offset = np.repeat(np.cumsum(count) - count, count)
-    mach = lo.astype(np.int64)[row] + np.arange(len(row)) - offset
     _, at, inv = np.unique(mach, return_index=True, return_inverse=True)
     key = at[inv]  # the first index of the part's machine
-    s, t = (int_array(c) if integer else c for c in (start, dur))
-    s, e = s[row], (s + t)[row]
-    o = np.lexsort((int_array(ids)[row], e, s, key))
+    s, e = start[row], (start + dur)[row]
+    o = np.lexsort((ids[row], e, s, key))
     key, s, e = key[o], s[o], e[o]
     hit = np.flatnonzero((key[1:] == key[:-1]) & (s[1:] < e[:-1]).astype(bool))
     return list(zip(row[o[hit]].tolist(), row[o[hit + 1]].tolist(), mach[o[hit]].tolist()))

@@ -57,9 +57,10 @@ def test_import_does_not_load_mpmath():
 
 
 def test_only_the_model_looks_behind_a_times_view():
-    """Outside model.py no module makes a Times view or reads its row, its q
-    or an array's base: instances are built on their grid by of_grid."""
-    private = {"_row", "_q", "_i", "base"}
+    """Outside model.py no module makes a Times view or reads its row, its q,
+    its grid and row index or an array's base: instances are built on their
+    grid by of_grid."""
+    private = {"_row", "_q", "_grid", "_at", "_i", "base"}
     for path in Path(moldsched.__file__).parent.glob("*.py"):
         if path.name == "model.py":
             continue

@@ -298,6 +298,16 @@ class TestTimesView:
         assert q1 == 10**6 and q1 % q2 == 0
         assert np.array_equal(a1, a2 * (q1 // q2))
 
+    def test_numerators_read_the_rows_of_one_grid_at_once(self):
+        gen, other = (generate(GenConfig(n=8, m=6, seed=s)) for s in (5, 6))
+        q, a = gen.grid
+        views, k = [j.times for j in gen.jobs[5:1:-1]], np.array([1, 6, 2, 3])  # rows 5, 4, 3, 2
+        p, got = Times.numerators(views, k)
+        assert got == q and p.tolist() == [a[r, i - 1] for r, i in zip((5, 4, 3, 2), k.tolist())]
+        for mixed in (views + [other.jobs[0].times], views + [tuple(gen.jobs[0].times)],
+                      [self.view()], []):
+            assert Times.numerators(mixed, np.ones(len(mixed), dtype=np.int64)) is None
+
     def test_strings_match_fractions(self):
         assert self.view().strings() == [str(t) for t in self.REF] == ["3", "3/2", "1", "3/4"]
 

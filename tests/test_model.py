@@ -445,6 +445,11 @@ class TestScheduleForms:
             sched.makespan = Fraction(0)
         assert pickle.loads(pickle.dumps(sched)) == sched
 
+    def test_integer_columns_are_int64_or_object(self):
+        for dtype in (np.int32, np.float64, np.uint64):
+            with pytest.raises(TypeError, match="must be int64 or object"):
+                Schedule.of_ints(1, (np.zeros(0, dtype=dtype),) * 5, Fraction(0))
+
     def test_empty_schedule_in_both_forms(self):
         ints = Schedule.of_ints(7, tuple(np.zeros(0, dtype=np.int64) for _ in range(5)), Fraction(0))
         for sched in (ints, Schedule((), Fraction(0)), make_schedule([])):

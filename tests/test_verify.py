@@ -107,6 +107,24 @@ class TestValidateSchedule:
         assert ("bounds", 0) in {(v.kind, v.machine) for v in rep.violations}
         assert not rep.feasible
 
+    def test_zero_length_parts(self):
+        # A zero-length part strictly inside another part overlaps it; one
+        # at the other's start does not.
+        inst = Instance(1, (Job(1, (Fraction(2),)), Job(2, (Fraction(0),))))
+        for start, want in ((1, (Violation("overlap", (1, 2), machine=0,
+                                           window=(Fraction(1), Fraction(1))),)), (0, ())):
+            sched = make_schedule([PlacedJob(1, 0, 1, rat(0), rat(2)),
+                                   PlacedJob(2, 0, 1, rat(start), rat(0))])
+            rep = validate_schedule(inst, sched)
+            assert rep.violations == want and rep.feasible == (not want)
+
+    def test_a_repeated_job_id_raises(self):
+        # by_id keeps one of the two jobs 1: the other one would go missing.
+        inst = Instance(2, (Job(1, (2, 1)), Job(1, (2, 1))))
+        sched = make_schedule([PlacedJob(1, 0, 1, rat(0), rat(2))])
+        with pytest.raises(ValueError, match=r"^job id 1 appears more than once$"):
+            validate_schedule(inst, sched)
+
     def test_makespan_field_checked(self):
         inst = instance(1, job(1, 2))
         sched = Schedule((PlacedJob(1, 0, 1, rat(0), rat(2)),), rat(99))
@@ -305,13 +323,17 @@ class TestIntegerForm:
         assert results[-1][1].schedule.ints[3].dtype == object
 
     def test_solver_outputs_and_mutants(self):
+        # Each case also on the instance's tuple-of-Fractions twin, whose
+        # times the verifier reads one by one instead of from one grid.
         rng = random.Random(137)
         kinds = set()
         for inst, sched in _solver_outputs():
+            twin = Instance(inst.m, tuple(Job(j.id, tuple(j.times)) for j in inst.jobs))
             given = Schedule(sched.placements, sched.makespan)
             for contiguous in (True, False):
                 rep = validate_schedule(inst, sched, contiguous)
                 assert rep.ok() and rep == validate_schedule(inst, given, contiguous)
+                assert rep == validate_schedule(twin, sched, contiguous)
             scale, rows, makespan = grid_rows(sched)
             for name, mrows, mk in _mutants(rng, rows, makespan):
                 ints = int_schedule(scale, mrows, mk)
@@ -319,6 +341,8 @@ class TestIntegerForm:
                 for contiguous in (True, False):
                     rep = validate_schedule(inst, ints, contiguous)
                     assert rep == validate_schedule(inst, fractions, contiguous), name
+                    assert rep == validate_schedule(twin, ints, contiguous), name
+                    assert rep == validate_schedule(twin, fractions, contiguous), name
                     kinds.update(v.kind for v in rep.violations)
                     if name == "as-built":
                         assert rep.ok()
@@ -357,6 +381,31 @@ class TestIntegerForm:
         assert not calls
         monkeypatch.setattr(verify, "_columns_pass", lambda *a: False)
         assert validate_schedule(inst, sched).ok() and len(calls) == inst.n
+
+    def test_a_valid_solver_schedule_reads_no_time_one_by_one(self, monkeypatch):
+        # The durations of a generated instance are read from its grid at once.
+        inst = generate(GenConfig(n=1000, m=35, seed=1))
+        sched = solve(inst).schedule
+        calls = []
+        for name in ("ratio", "__getitem__"):
+            real = getattr(model.Times, name)
+            monkeypatch.setattr(model.Times, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        assert validate_schedule(inst, sched).ok()
+        assert not calls
+
+    def test_a_duration_off_by_a_wrapping_amount(self):
+        # Over Q = 2^40 a duration times q passes 2^63: shortened by 2^24 it
+        # differs by 2^64 in the product, which an int64 compare would miss.
+        inst = generate(GenConfig(n=20, m=6, seed=1, quantization_denominator=2**40))
+        scale, rows, makespan = grid_rows(solve(inst).schedule)
+        j, f, k, s, t = rows[0]
+        rows[0] = (j, f, k, s, t - 2**24)
+        ints = int_schedule(scale, rows, makespan)
+        assert ints.ints[4].dtype == np.int64 and inst.grid[1].dtype == np.int64
+        rep = validate_schedule(inst, ints)
+        assert [(v.kind, v.job_ids) for v in rep.violations] == [("duration", (j,))]
+        assert rep == validate_schedule(inst, fraction_schedule(scale, rows, makespan))
 
     def test_drawn_mutants_report_the_same_on_every_path(self):
         # A drawn solver schedule with 1-3 drawn mutations: the same report
