@@ -89,22 +89,20 @@ def _json(value, kind: type, what: str):
     return value
 
 
-# A rational in plain form: ASCII digits "p", or "p/q" with q > 0.
-_PLAIN = "[0-9]+(?:/0*[1-9][0-9]*)?"
-_PLAIN_LIST = re.compile(f"{_PLAIN}(?:,{_PLAIN})*")
-# The same with at most 18 digits to p and to q, which every int64 parser reads
-# exactly: numpy 1.x loadtxt may read a longer integer through a float.
+# A rational in plain form: ASCII digits "p", or "p/q" with q > 0, with at
+# most 18 digits to p and to q, which every int64 parser reads exactly: numpy
+# 1.x loadtxt may read a longer integer through a float.
 _SHORT = "[0-9]{1,18}(?:/0*[1-9][0-9]{0,17})?"
 _SHORT_LIST = re.compile(f"{_SHORT}(?:,{_SHORT})*")
 
 
-def _plain(values: list, form: re.Pattern = _PLAIN_LIST) -> Optional[str]:
-    """The values joined by commas if each is a string of this form, else None."""
+def _plain(values: list) -> Optional[str]:
+    """The values joined by commas if each is a string in plain form, else None."""
     try:
         text = ",".join(values)
     except TypeError:  # a value that is not a string
         return None
-    return text if form.fullmatch(text) and text.count(",") == len(values) - 1 else None
+    return text if _SHORT_LIST.fullmatch(text) and text.count(",") == len(values) - 1 else None
 
 
 def _ratios(values: list, plain: bool = False) -> list[tuple[int, int]]:
@@ -134,7 +132,7 @@ def instance_from_obj(obj: dict) -> Instance:
     for j in _json(obj["jobs"], list, "jobs"):
         ids.append(_json(j["id"], int, "job id"))
         rows.append(_json(j["times"], list, "times"))
-        texts.append(_plain(rows[-1], _SHORT_LIST))
+        texts.append(_plain(rows[-1]))
     if texts and None not in texts and all(len(row) == m for row in rows):
         lines = [t.replace("/", ",") if t.count("/") == m else
                  ",".join(v.replace("/", ",") if "/" in v else v + ",1" for v in row)

@@ -51,8 +51,7 @@ import numpy as np
 from . import listsched, mckp, shelf
 from .model import (
     LAMBDA_Q0,
-    LAMBDA_SMALL_Q,
-    LAMBDA_STAR_UPPER,
+    LAMBDAS,
     Instance,
     RatLike,
     Schedule,
@@ -91,9 +90,6 @@ class SolveResult:
     construction: str = "list"  # the returned schedule's: "list" or "shelf"
     # The certificate whose partition was built: "bound" (greedy) or "dp".
     partition_by: str = "bound"
-
-
-LAMBDAS = (LAMBDA_Q0, LAMBDA_SMALL_Q, LAMBDA_STAR_UPPER)
 
 
 def initial_bounds(inst: Instance) -> SearchBounds:

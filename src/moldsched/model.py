@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
+from itertools import count, product
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -61,6 +61,7 @@ SMALL_THRESHOLD_FRAC = Fraction(3, 7)
 # in (1.4, 1.5); this upper bracket of it (by bisection to within 10^-6) is
 # strictly above the root, so that repair is guaranteed to succeed at it.
 LAMBDA_STAR_UPPER = Fraction(956383, 655360)
+LAMBDAS = (LAMBDA_Q0, LAMBDA_SMALL_Q, LAMBDA_STAR_UPPER)  # the stretch of each repair regime
 
 
 # Totals up to 2^59 keep every int64 sum of the knapsack DP below 2^61.
@@ -99,10 +100,6 @@ class Times(Sequence):
 
     def __repr__(self) -> str:
         return repr(tuple(self))
-
-    def ratio(self, i: int) -> tuple[int, int]:
-        """Item i as the integer pair (numerator, q), without a Fraction."""
-        return self._row.item(i), self._q
 
     @staticmethod
     def numerators(views: Sequence, k: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
@@ -247,10 +244,15 @@ class Schedule:
     def columns(self) -> tuple[Optional[int], tuple[np.ndarray, ...]]:
         """(L, (job_id, first_machine, width, start, duration)) as arrays,
         times in units of 1/L: the integer form's scale and ints, else L =
-        ``common_scale`` of the times, and when it is None the times as given."""
+        ``common_scale`` of the times, and when it is None the times as given.
+        A job id, first machine or width that is not an int raises TypeError."""
         if self.ints is not None:
             return self.scale, self.ints
         ps = self.placements
+        for p, name in product(ps, ("job_id", "first_machine", "width")):
+            x = getattr(p, name)
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise TypeError(f"placement of job {p.job_id!r}: {name} {x!r} is not an int")
         starts, durations = [p.start for p in ps], [p.duration for p in ps]
         scale = common_scale(starts + durations)
         times = (np.array(xs, dtype=object) if scale is None else

@@ -59,8 +59,7 @@ import numpy as np
 # gamma stays bound here for the benchmark tracer, which wraps shelf.gamma.
 from .model import (  # noqa: F401
     LAMBDA_Q0,
-    LAMBDA_SMALL_Q,
-    LAMBDA_STAR_UPPER,
+    LAMBDAS,
     Instance,
     Schedule,
     gamma,
@@ -223,21 +222,19 @@ def shelf_layout(
 ) -> tuple[Layout, Fraction]:
     """The shelf layout of a class partition at d and its stretch lam.
 
-    Build and transform at 10/7, then escalate the stretch by the regime:
-    q == 0 keeps 10/7; 0 < q <= m'/6 rebuilds at 13/9; q > m'/6 rebuilds at
-    the Lambert-W stretch.  If the regime shifts after the 13/9 rebuild, the
-    final rebuild at the largest stretch covers both repairs.
+    Build and transform at 10/7, then climb the ladder ``model.LAMBDAS`` by
+    the regime, rebuilding at ``LAMBDAS[regime]`` while the regime is above
+    the current rung: q == 0 keeps 10/7; 0 < q <= m'/6 rebuilds at 13/9; q >
+    m'/6 rebuilds at the Lambert-W stretch.  If the regime rises after the
+    13/9 rebuild, the rebuild at the largest stretch covers both repairs.
     """
-    lam = LAMBDA_Q0
-    ss = apply_transformations(build_three_shelf(inst, assignment, d, lam))
-    if ss.regime == 1:
-        lam = LAMBDA_SMALL_Q
-        ss = apply_transformations(build_three_shelf(inst, assignment, d, lam))
-    if ss.regime == 2:
-        lam = LAMBDA_STAR_UPPER
-        ss = apply_transformations(build_three_shelf(inst, assignment, d, lam))
+    rung = 0
+    ss = apply_transformations(build_three_shelf(inst, assignment, d, LAMBDAS[rung]))
+    while ss.regime > rung:
+        rung = ss.regime
+        ss = apply_transformations(build_three_shelf(inst, assignment, d, LAMBDAS[rung]))
     repair = repair_s2_large_q if ss.regime == 2 else repair_s2_small_q
-    return repair(ss), lam
+    return repair(ss), LAMBDAS[rung]
 
 
 def build_three_shelf(

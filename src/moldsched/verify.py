@@ -7,26 +7,26 @@ job's times only through ``Job.times`` (``Times.numerators`` reads the views
 of one grid at once), never the instance's integer grid, and a schedule
 only through ``Schedule.columns``, which no construction module calls.
 
-Times are compared as exact integers over a scale L that comes with the
-schedule: a start s is the integer s*L, an end (s + t)*L.  A schedule in
-integer form (every solver schedule) brings its own L and numerators.  For
-one given as PlacedJobs (a schedule file, an API caller), L is
-``model.common_scale`` of every start and duration: their lcm, or None past
-a cap, as a file can make L grow with its length (one distinct prime
-denominator per placement).  With no L (also for a time not an int or a
-Fraction) the same checks run on the times as given, at a cost free of L.
+A schedule's times are read as integers over a scale L that comes with it:
+a start s is the integer s*L.  A schedule in integer form (every solver
+schedule) brings its own L and numerators.  For one given as PlacedJobs (a
+schedule file, an API caller), L is ``model.common_scale`` of every start
+and duration: their lcm, or None past a cap, as a file can make L grow with
+its length (one distinct prime denominator per placement), or for a time
+not an int or a Fraction.
 
-On the integer path array passes decide first (``_columns_pass``): one
-placement per job id, by one sort against the instance's ids; starts >= 0
-and parts within [0, m); every duration t(j, width) = p/q as t*q == p*L,
-in int64 only where no product can wrap; and no overlap, by one sort of
-the key machine*(latest end + 1) + start of every part (with a zero-length
-part, or a key past int64, ``_overlaps`` decides).  When all pass, the
-makespan is one array max and nothing else runs.  Otherwise the per-job
-loop and ``_overlaps``, one sort of every (machine, start, end, job) of the
-parts, write the report.  The report does not depend on the form or the
-path: the same violations in the same order, with windows and a makespan
-equal to the Fractions (``Fraction(x, L)`` on the integer path).
+With an L, array passes decide (``_columns_pass``): one placement per job
+id, by one sort against the instance's ids; starts >= 0 and parts within
+[0, m); every duration t(j, width) = p/q as t*q == p*L, in int64 only where
+no product can wrap; and no overlap, by one sort of the key
+machine*(latest end + 1) + start of every part (with a zero-length part, or
+a key past int64, ``_overlaps`` decides).  When all pass, the makespan is
+one array max and nothing else runs.  Otherwise, or with no L,
+``_job_checks`` writes the report from exact values: each start, duration
+and end is read once, as ``Fraction(x, L)`` or as given, and the per-job
+loop, ``_overlaps`` (one sort of every (machine, start, end, job) of the
+parts) and the makespan run on them.  The report does not depend on the
+form or the path: the same violations in the same order.
 
 A job may appear as several placement rows (parts on disjoint machine
 intervals with a common start) -- that is the non-contiguous reading used by
@@ -78,45 +78,51 @@ def validate_schedule(
     Feasibility violations are always reported; contiguity breaks set the
     ``contiguous`` flag and are listed among the violations only when
     ``require_contiguous`` is set.  A repeated job id in the instance, of
-    which ``by_id`` keeps one job, raises ValueError.
+    which ``by_id`` keeps one job, raises ValueError, and a placement's job
+    id, first machine or width that is not an int raises TypeError.
     """
     if len(inst.by_id) < inst.n:
         ordered = sorted(inst.ids)
         twice = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
         raise ValueError(f"job id {twice} appears more than once")
     scale, columns = sched.columns()  # times over L, or as given when L is None
-    passed = scale is not None and _columns_pass(inst, scale, columns)
-    ids, first, width, start, dur = ([] if passed else c.tolist() for c in columns)
-    end = [s + t for s, t in zip(start, dur)]
+    if scale is not None and _columns_pass(inst, scale, columns):
+        feas, contig = [], []
+        makespan = Fraction(int((columns[3] + columns[4]).max(initial=0)), scale)
+    else:
+        feas, contig, makespan = _job_checks(inst, scale, columns)
+    if makespan != sched.makespan:
+        detail = f"recorded {sched.makespan}, recomputed {makespan}"
+        feas.append(Violation("makespan", (), detail=detail))
+    listed = feas + contig if require_contiguous else feas
+    return VerificationReport(not feas, not contig, makespan, tuple(listed))
 
-    def exact(x):  # the time a start, duration or end stands for
-        return x if scale is None else Fraction(x, scale)
 
-    feas: list[Violation] = []
-    contig: list[Violation] = []
-    m = inst.m
-    known = inst.by_id
+def _job_checks(inst: Instance, scale: Optional[int], columns: tuple) -> tuple:
+    """(feasibility violations, contiguity breaks, makespan) of the placements
+    given as the arrays of ``Schedule.columns``, job by job, with each start,
+    duration and end read once as the time it stands for."""
+    ids, first, width = (c.tolist() for c in columns[:3])
+    times = (columns[3], columns[4], columns[3] + columns[4])
+    start, dur, end = ([x if scale is None else Fraction(x, scale) for x in c.tolist()]
+                       for c in times)
+    m, known = inst.m, inst.by_id
     groups: dict[int, list[int]] = {}  # job id -> indices of its parts
-    if not passed:
-        for i, j in enumerate(ids):
-            groups.setdefault(j, []).append(i)
-        for job_id in known:
-            if job_id not in groups:
-                feas.append(Violation("missing", (job_id,)))
-    for job_id, rows in groups.items():  # none when the columns pass
+    for i, j in enumerate(ids):
+        groups.setdefault(j, []).append(i)
+    feas = [Violation("missing", (job_id,)) for job_id in known if job_id not in groups]
+    contig: list[Violation] = []
+    for job_id, rows in groups.items():
         job = known.get(job_id)
         if job is None:
             feas.append(Violation("unknown-job", (job_id,)))
             continue
         i = rows[0]
-        if len(rows) > 1 and (
-            len({start[r] for r in rows}) > 1 or len({dur[r] for r in rows}) > 1
-        ):
-            detail = "parts disagree on start/duration"
-            feas.append(Violation("placement", (job_id,), detail=detail))
+        if len(rows) > 1 and len({(start[r], dur[r]) for r in rows}) > 1:
+            feas.append(Violation("placement", (job_id,), detail="parts disagree on start/duration"))
             continue
         if start[i] < 0:
-            feas.append(Violation("start", (job_id,), detail=f"start {exact(start[i])} < 0"))
+            feas.append(Violation("start", (job_id,), detail=f"start {start[i]} < 0"))
         k, one_run = width[i], True  # one in-bounds part: no machine set needed
         if len(rows) > 1 or not (1 <= k and 0 <= first[i] <= m - k):
             machines: set[int] = set()
@@ -133,23 +139,16 @@ def validate_schedule(
             one_run = not machines or max(machines) - min(machines) + 1 == k
         if not 1 <= k <= m:
             feas.append(Violation("width", (job_id,), detail=f"total width {k}"))
-        elif _off(job.times, k, dur[i], scale):
-            detail = f"duration {exact(dur[i])} != t(j,{k}) = {job.times[k - 1]}"
+        elif dur[i] != job.times[k - 1]:
+            detail = f"duration {dur[i]} != t(j,{k}) = {job.times[k - 1]}"
             feas.append(Violation("duration", (job_id,), detail=detail))
         if not one_run:
             contig.append(Violation("contiguity", (job_id,)))
 
-    for a, b, mach in [] if passed else _overlaps(m, columns):
-        window = (exact(start[b]), exact(min(end[a], end[b])))
+    for a, b, mach in _overlaps(m, columns):
+        window = (start[b], min(end[a], end[b]))
         feas.append(Violation("overlap", (ids[a], ids[b]), machine=mach, window=window))
-
-    latest = int((columns[3] + columns[4]).max(initial=0)) if passed else max(end, default=0)
-    makespan = exact(latest)
-    if makespan != sched.makespan:
-        detail = f"recorded {sched.makespan}, recomputed {makespan}"
-        feas.append(Violation("makespan", (), detail=detail))
-    listed = feas + contig if require_contiguous else feas
-    return VerificationReport(not feas, not contig, makespan, tuple(listed))
+    return feas, contig, max(end, default=Fraction(0))
 
 
 def _columns_pass(inst: Instance, scale: int, columns: tuple) -> bool:
@@ -190,15 +189,6 @@ def _parts(first: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """(placement row, machine) of each machine that each placement takes."""
     row = np.repeat(np.arange(len(width)), width)
     return row, first[row] + np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
-
-
-def _off(times, k: int, t, scale: Optional[int]) -> bool:
-    """Whether duration t, over scale or as given when scale is None, differs
-    from t(j,k) = times[k-1]; compared as integers unless scale is None."""
-    if scale is None:
-        return t != times[k - 1]
-    p, q = times.ratio(k - 1) if isinstance(times, Times) else times[k - 1].as_integer_ratio()
-    return t * q != p * scale
 
 
 def _overlaps(m: int, columns: tuple) -> list[tuple[int, int, int]]:

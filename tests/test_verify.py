@@ -125,6 +125,25 @@ class TestValidateSchedule:
         with pytest.raises(ValueError, match=r"^job id 1 appears more than once$"):
             validate_schedule(inst, sched)
 
+    @pytest.mark.parametrize("bad, field", [
+        (PlacedJob(1, 0.5, 1, 0, 2), "first_machine"),
+        (PlacedJob(1, 0, 1.5, 0, 2), "width"),
+        (PlacedJob(1, True, 1, 0, 2), "first_machine"),
+        (PlacedJob(1.0, 0, 1, 0, 2), "job_id"),
+        (PlacedJob(1, 0.5, 1, 0.0, 2.0), "first_machine"),  # float times: no L
+    ])
+    def test_a_machine_field_that_is_not_an_int_raises(self, bad, field):
+        # An int64 column would truncate 0.5 to 0 and call the schedule feasible.
+        inst = Instance(2, (Job(1, (2, 1)), Job(2, (1, 1))))
+        sched = Schedule((bad, PlacedJob(2, 1, 1, 0, 1)), Fraction(2))
+        with pytest.raises(TypeError, match=rf"job {bad.job_id}\b.*{field}"):
+            validate_schedule(inst, sched)
+
+    def test_numpy_int_machine_fields_are_ints(self):
+        inst = Instance(2, (Job(1, (2, 1)), Job(2, (1, 1))))
+        placed = PlacedJob(np.int64(1), np.int32(0), np.int64(1), 0, 2)
+        assert validate_schedule(inst, Schedule((placed, PlacedJob(2, 1, 1, 0, 1)), Fraction(2))).ok()
+
     def test_makespan_field_checked(self):
         inst = instance(1, job(1, 2))
         sched = Schedule((PlacedJob(1, 0, 1, rat(0), rat(2)),), rat(99))
@@ -374,8 +393,8 @@ class TestIntegerForm:
         inst = generate(GenConfig(n=60, m=12, seed=1))
         sched = solve(inst).schedule
         calls = []
-        real = verify._off
-        monkeypatch.setattr(verify, "_off", lambda *a: calls.append(a) or real(*a))
+        real = model.Times.__getitem__
+        monkeypatch.setattr(model.Times, "__getitem__", lambda *a: calls.append(a) or real(*a))
         assert validate_schedule(inst, sched).ok()
         assert validate_schedule(inst, Schedule(sched.placements, sched.makespan)).ok()
         assert not calls
@@ -387,7 +406,7 @@ class TestIntegerForm:
         inst = generate(GenConfig(n=1000, m=35, seed=1))
         sched = solve(inst).schedule
         calls = []
-        for name in ("ratio", "__getitem__"):
+        for name in ("__getitem__",):
             real = getattr(model.Times, name)
             monkeypatch.setattr(model.Times, name,
                                 lambda *a, name=name, real=real: calls.append(name) or real(*a))
