@@ -9,8 +9,8 @@ knapsack options per job, and the stretch constant that caps the worst case.
 from fractions import Fraction
 
 from moldsched import LAMBDA_STAR_UPPER, Instance, Job, rat
-from moldsched.mckp import build_items, search, solve_mckp
-from moldsched.model import classify_jobs, gamma
+from moldsched.mckp import build_items, solve_mckp
+from moldsched.model import classify_jobs, gamma, row_keys
 
 # A job that runs in 1 on one machine, 0.5 on two, 0.34 on three.
 job = Job(1, (rat(1), rat("0.5"), rat("0.34")))
@@ -25,7 +25,7 @@ print(" ", [str(k * job.times[k - 1]) for k in (1, 2, 3)])
 
 d = rat(1)
 small, _ = classify_jobs(inst, d)  # the small-job row mask, and their work
-items = build_items(inst, search(inst), small, d)
+items = build_items(inst, row_keys(inst.grid[1]), small, d)  # keys: built once per solve
 q, a = inst.grid
 print(f"\nthe instance's integer grid: t(j,k) = A[j,k-1]/Q with Q = {q}, A = {a.tolist()}")
 print(f"knapsack options at guess d = {d} (integer cost = work * Q, half-machine size):")

@@ -54,9 +54,11 @@ from .model import (
     LAMBDAS,
     Instance,
     RatLike,
+    RowKeys,
     Schedule,
     classify_jobs,
     rat,
+    row_keys,
     small_cap,
 )
 from .verify import validate_schedule
@@ -104,16 +106,16 @@ def initial_bounds(inst: Instance) -> SearchBounds:
 def try_guess(inst: Instance, d: RatLike) -> Union[Schedule, mckp.Reject]:
     """One dual-approximation round: Reject (d < OPT), or the shelf schedule
     of the partition that accepted d (read by ``rat``), verified within lam*d."""
-    d = rat(d)
-    outcome = _attempt(inst, d, mckp.search(inst))
+    d, keys = rat(d), row_keys(inst.grid[1])
+    outcome = _attempt(inst, d, keys)
     if isinstance(outcome, mckp.Reject):
         return outcome
     items, verdict = outcome
-    return _shelves(inst, d, dict(zip(items.ids, verdict.pick)), {"verify": 0.0})[0]
+    return _shelves(inst, keys, d, dict(zip(items.ids, verdict.pick)), {"verify": 0.0})[0]
 
 
 def _attempt(
-    inst: Instance, d: Fraction, search: mckp.Search
+    inst: Instance, d: Fraction, keys: RowKeys
 ) -> Union[tuple[mckp.MckpItems, mckp.Verdict], mckp.Reject]:
     """The knapsack decision for d: (the items, the accepting verdict with
     its pick) or Reject (d < OPT).  Raise ShelfInvariantError unless the
@@ -123,7 +125,7 @@ def _attempt(
     floor((3/7)d*Q) and floor(m*d*Q) (ws*Q is an integer), so it is one
     verdict on each cell [a/L, (a+1)/L), L = 12*m*Q; keep it so."""
     small, ws = classify_jobs(inst, d)
-    items = mckp.build_items(inst, search, small, d)
+    items = mckp.build_items(inst, keys, small, d)
     if isinstance(items, mckp.Reject):
         log.debug("d=%s rejected: %s (job %s)", d, items.reason, items.job_id)
         return items
@@ -145,13 +147,14 @@ def _attempt(
 
 
 def _shelves(
-    inst: Instance, d: Fraction, assignment: dict[int, int], timings: dict[str, float]
+    inst: Instance, keys: RowKeys, d: Fraction, assignment: dict[int, int],
+    timings: dict[str, float],
 ) -> tuple[Schedule, Fraction]:
     """The shelf schedule of a partition and its stretch lam, verified within
     lam*d; the small jobs are the jobs outside the partition.  Adds its
     phase times to timings."""
     t0 = time.perf_counter()
-    layout, lam = shelf.shelf_layout(inst, assignment, d)
+    layout, lam = shelf.shelf_layout(inst, keys, assignment, d)
     t1 = time.perf_counter()
     small = [j for j in inst.ids if j not in assignment]
     sched = shelf.add_small_jobs(layout, inst, small)
@@ -176,10 +179,7 @@ def _verify(
 
 
 def _construct(
-    inst: Instance,
-    d: Fraction,
-    items: mckp.MckpItems,
-    pick: tuple[int, ...],
+    inst: Instance, keys: RowKeys, d: Fraction, items: mckp.MckpItems, pick: tuple[int, ...],
     timings: dict[str, float],
 ) -> tuple[Schedule, Fraction, str, dict[int, int]]:
     """The returned schedule at the accepted d, its stretch (the first of
@@ -200,7 +200,7 @@ def _construct(
     timings.update(list=t1 - t0, shelf=0.0, small=0.0, verify=time.perf_counter() - t1)
     construction = "list"
     if sched.makespan > LAMBDA_Q0 * d:
-        shelf_sched, _ = _shelves(inst, d, assignment, timings)
+        shelf_sched, _ = _shelves(inst, keys, d, assignment, timings)
         log.debug("list schedule %s past 10/7*d, shelves %s", sched.makespan, shelf_sched.makespan)
         if shelf_sched.makespan < sched.makespan:
             sched, construction = shelf_sched, "shelf"
@@ -226,7 +226,7 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
     It needs positive times non-increasing in k (``validate_instance``); on
     others the canonical counts need not be the smallest (``model.gammas``),
     and it returns a verified schedule or raises ShelfInvariantError.  A
-    repeated job id raises ValueError before any guess (``mckp.search``).
+    repeated job id raises ValueError before any guess (``Instance.id_order``).
     """
     eps = rat(eps)
     if not Fraction(0) < eps <= 1:
@@ -239,7 +239,8 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
     longest = int(a[:, 0].max())
 
     t0 = time.perf_counter()
-    search = mckp.search(inst)  # the row keys and id order of every guess
+    inst.id_order  # a repeated job id raises ValueError before any guess
+    keys = row_keys(a)  # every guess's and the shelves' canonical counts search these
     # With at least m big jobs at lower the work bound is likely tight; the
     # chain is then upper and the probes of a search in which every guess accepts.
     chain = [upper]
@@ -251,7 +252,7 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
     decided = iterations = 0
     if len(chain) > 1 and longest > small_cap(chain[-1], q):  # else every probe has only small jobs
         decided += 1
-        outcome = _attempt(inst, chain[-1], search)
+        outcome = _attempt(inst, chain[-1], keys)
         if isinstance(outcome, mckp.Reject):
             decided_reject = chain[-1]
         else:
@@ -269,14 +270,14 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
             lower = d
         else:
             decided += 1
-            outcome = _attempt(inst, d, search)
+            outcome = _attempt(inst, d, keys)
             if isinstance(outcome, mckp.Reject):
                 lower = d
             else:
                 upper, accepted = d, outcome
     if accepted is None:
         decided += 1
-        accepted = _attempt(inst, upper, search)
+        accepted = _attempt(inst, upper, keys)
         if isinstance(accepted, mckp.Reject):
             raise shelf.ShelfInvariantError(
                 f"guess {upper}, the sequential upper bound or one with every job "
@@ -285,7 +286,8 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
     items, verdict = accepted
     timings = {"mckp": time.perf_counter() - t0}
 
-    schedule, lam, construction, assignment = _construct(inst, upper, items, verdict.pick, timings)
+    schedule, lam, construction, assignment = _construct(
+        inst, keys, upper, items, verdict.pick, timings)
     return SolveResult(
         schedule=schedule,
         accepted_d=upper,

@@ -16,9 +16,10 @@ canonical count g at the class height, which the driver's allotment reads
 back), ``cost`` (the exact integers g*A[j,g-1], work at the grid scale Q, in
 the grid's dtype) and ``size2``; a class a job cannot meet has width, cost
 and size 0 (``avail`` is width > 0).  The budget is floor((m*d - W_S)*Q).
-The items keep ascending job id, the order the DP's tie-break reads.  A
-guess's canonical counts are one ``gammas`` searchsorted over the row keys of
-the solve's ``Search``, O(n log(nm)), and only the big rows' costs are read.
+The items keep ascending job id (``Instance.id_order``), the order the DP's
+tie-break reads.  A guess's canonical counts are one ``gammas`` searchsorted
+over the row keys the solve built once, O(n log(nm)), and only the big rows'
+costs are read.
 
 ``decide`` settles that verdict first by two exact certificates on integer
 costs: an integral greedy assignment within capacity and budget accepts, a
@@ -48,12 +49,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 # gamma stays bound here for the benchmark tracer, which wraps mckp.gamma.
-from .model import _INT64_SAFE_TOTAL, Instance, RowKeys, gamma, gammas, row_keys  # noqa: F401
+from .model import _INT64_SAFE_TOTAL, Instance, RowKeys, gamma, gammas  # noqa: F401
 
 
 # The deadline of class c as a multiple of d: a class-c job runs on
@@ -106,32 +107,17 @@ class Verdict:
     pick: Optional[tuple[int, ...]] = None
 
 
-class Search(NamedTuple):
-    """What every guess of one solve reads (``search``): the grid's row keys,
-    and the grid rows in ascending job id with their ids."""
-
-    keys: RowKeys
-    rows: np.ndarray  # intp
-    ids: np.ndarray
-
-
-def search(inst: Instance) -> Search:  # ValueError names a repeated job id
-    rows = np.argsort(ids := np.array(inst.ids), kind="stable")
-    if (twice := np.flatnonzero((ids := ids[rows])[1:] == ids[:-1])).size:
-        raise ValueError(f"job id {ids[twice[0]]} appears more than once")
-    return Search(row_keys(inst.grid[1]), rows, ids)
-
-
 def build_items(
-    inst: Instance, search: Search, small: np.ndarray, d: Fraction
+    inst: Instance, keys: RowKeys, small: np.ndarray, d: Fraction
 ) -> Union[MckpItems, Reject]:
     """The options of the jobs outside the small row mask, in ascending job
     id, or Reject when some gamma(j, d) is infinite.  Their three gammas are
-    one ``gammas`` count; m+1 is none."""
-    big = ~small[search.rows]
-    rows, ids = search.rows[big], search.ids[big].tolist()
+    one ``gammas`` count over the grid's row keys; m+1 is none."""
+    rows, ids = inst.id_order
+    big = ~small[rows]
+    rows, ids = rows[big], ids[big].tolist()
     q, a = inst.grid
-    g = gammas(search.keys, rows, [f * d for f in CLASS_HEIGHTS], q)
+    g = gammas(keys, rows, [f * d for f in CLASS_HEIGHTS], q)
     avail = g <= inst.m
     if not avail[:, 0].all():
         return Reject(d, "job-exceeds-guess", ids[int(avail[:, 0].argmin())])

@@ -5,11 +5,13 @@ holds its times as integers over a common denominator Q, the n x m matrix A
 of ``Instance.grid`` (int64 while it fits, else Python ints): t(j,k) =
 A[j,k-1]/Q.  The solver reads times only from the grid, by integers, as t
 <= h iff A <= floor(h*Q): each canonical machine count is one search over the
-grid's row keys (``gammas``; ``gamma`` counts one job).  A ``Schedule`` is
-given as PlacedJobs with Fraction times, or in integer form (one denominator
-and integer columns, the form of every solver schedule), whose PlacedJobs are
-made on first read; ``Schedule.columns`` reads both as integers over one
-scale (``common_scale``), and ``ratio_strings`` writes such integers as "p/q".
+grid's row keys, built once per solve (``row_keys``, ``gammas``; ``gamma``
+counts one job).  ``Instance.id_order``, the rows in ascending job id,
+refuses a repeated id.  A ``Schedule`` is given as PlacedJobs with Fraction
+times, or in integer form (one denominator and integer columns, the form of
+every solver schedule), whose PlacedJobs are made on first read;
+``Schedule.columns`` reads both as integers over one scale
+(``common_scale``), and ``ratio_strings`` writes such integers as "p/q".
 Fractions appear at the API boundary (``Job.times``, guesses, placements);
 floats only in timing and plots.
 
@@ -171,6 +173,17 @@ class Instance:
     @cached_property
     def row_of(self) -> dict[int, int]:  # job id -> its row in the grid
         return {job_id: i for i, job_id in enumerate(self.ids)}
+
+    @cached_property
+    def id_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, ids), read-only: the grid rows in ascending job id and their
+        ids; ValueError names the smallest repeated id."""
+        rows = np.argsort(ids := np.array(self.ids), kind="stable")
+        if (twice := np.flatnonzero((ids := ids[rows])[1:] == ids[:-1])).size:
+            raise ValueError(f"job id {ids[twice[0]]} appears more than once")
+        rows.setflags(write=False)
+        ids.setflags(write=False)
+        return rows, ids
 
     @property
     def n(self) -> int:

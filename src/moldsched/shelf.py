@@ -39,8 +39,8 @@ shelf-2 width vs m') are taken relative to m'.
 Heights are integers over one scale per build, L = lcm(Q, den(d), den(lam*d)):
 t(j,k)*L = A[j,k-1]*L/Q, so every stack, gap and shelf-2 start is an exact
 integer sum.  A build counts its machine numbers with one ``gammas`` search
-at d, (4/7)d, (lam-1)d and lam*d, the knapsack's own count, and
-``add_small_jobs`` returns the schedule in integer form (``Schedule.of_ints``).
+at d, (4/7)d, (lam-1)d and lam*d over the knapsack's row keys (``keys``),
+and ``add_small_jobs`` returns the schedule in integer form (``Schedule.of_ints``).
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ from .model import (  # noqa: F401
     LAMBDA_Q0,
     LAMBDAS,
     Instance,
+    RowKeys,
     Schedule,
     gamma,
     gammas,
     int_array,
-    row_keys,
 )
 
 
@@ -139,6 +139,7 @@ class Layout:
 @dataclass
 class ShelfSchedule:
     inst: Instance
+    keys: RowKeys = field(compare=False, repr=False)  # the grid's row keys ``counts`` searches
     d: Fraction
     lam: Fraction
     s0: list[ShelfColumn] = field(default_factory=list)
@@ -191,11 +192,10 @@ class ShelfSchedule:
     @cached_property
     def counts(self) -> dict[int, list[int]]:
         """Each job's canonical machine counts at d, (4/7)d, (lam-1)d and
-        lam*d, m+1 where there is none: one search over the grid's rows."""
-        q, a = self.inst.grid
+        lam*d, m+1 where there is none: one search over ``keys``."""
         d, lam = self.d, self.lam
         heights = (d, Fraction(4, 7) * d, (lam - 1) * d, lam * d)
-        g = gammas(row_keys(a), np.arange(self.inst.n), heights, q)
+        g = gammas(self.keys, np.arange(self.inst.n), heights, self.inst.grid[0])
         return dict(zip(self.inst.ids, g.tolist()))
 
     def summary(self) -> str:
@@ -218,7 +218,7 @@ class ShelfSchedule:
 
 
 def shelf_layout(
-    inst: Instance, assignment: dict[int, int], d: Fraction
+    inst: Instance, keys: RowKeys, assignment: dict[int, int], d: Fraction
 ) -> tuple[Layout, Fraction]:
     """The shelf layout of a class partition at d and its stretch lam.
 
@@ -229,19 +229,16 @@ def shelf_layout(
     13/9 rebuild, the rebuild at the largest stretch covers both repairs.
     """
     rung = 0
-    ss = apply_transformations(build_three_shelf(inst, assignment, d, LAMBDAS[rung]))
+    ss = apply_transformations(build_three_shelf(inst, keys, assignment, d, LAMBDAS[rung]))
     while ss.regime > rung:
         rung = ss.regime
-        ss = apply_transformations(build_three_shelf(inst, assignment, d, LAMBDAS[rung]))
+        ss = apply_transformations(build_three_shelf(inst, keys, assignment, d, LAMBDAS[rung]))
     repair = repair_s2_large_q if ss.regime == 2 else repair_s2_small_q
     return repair(ss), LAMBDAS[rung]
 
 
 def build_three_shelf(
-    inst: Instance,
-    assignment: dict[int, int],
-    d: Fraction,
-    lam: Fraction,
+    inst: Instance, keys: RowKeys, assignment: dict[int, int], d: Fraction, lam: Fraction
 ) -> ShelfSchedule:
     """Place the big jobs, by class (job id -> 1..3), onto shelves 0/1/2.
 
@@ -260,7 +257,7 @@ def build_three_shelf(
     """
     if not LAMBDA_Q0 <= lam < Fraction(3, 2):
         raise ValueError(f"lam must be in [10/7, 3/2), got {lam}")
-    ss = ShelfSchedule(inst, d, lam)
+    ss = ShelfSchedule(inst, keys, d, lam)
     d_units, lam_d = ss.units(d), ss.units(lam * d)
 
     def drop(col: ShelfColumn) -> None:

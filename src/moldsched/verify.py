@@ -20,13 +20,14 @@ id, by one sort against the instance's ids; starts >= 0 and parts within
 [0, m); every duration t(j, width) = p/q as t*q == p*L, in int64 only where
 no product can wrap; and no overlap, by one sort of the key
 machine*(latest end + 1) + start of every part (with a zero-length part, or
-a key past int64, ``_overlaps`` decides).  When all pass, the makespan is
-one array max and nothing else runs.  Otherwise, or with no L,
-``_job_checks`` writes the report from exact values: each start, duration
-and end is read once, as ``Fraction(x, L)`` or as given, and the per-job
-loop, ``_overlaps`` (one sort of every (machine, start, end, job) of the
-parts) and the makespan run on them.  The report does not depend on the
-form or the path: the same violations in the same order.
+a key past int64, ``_overlaps`` decides).  When all pass, nothing else
+runs.  Otherwise, or with no L, ``_job_checks`` writes the report from exact
+values: each start, duration and end is read once, as ``Fraction(x, L)`` or
+as given, and the per-job loop and ``_overlaps`` (one sort of every
+(machine, start, end, job) of the parts) run on them.  The makespan is one
+array max over the ends before the paths split, 0 when no part ends after
+0.  The report does not depend on the form or the path: the same violations
+in the same order.
 
 A job may appear as several placement rows (parts on disjoint machine
 intervals with a common start) -- that is the non-contiguous reading used by
@@ -81,16 +82,14 @@ def validate_schedule(
     which ``by_id`` keeps one job, raises ValueError, and a placement's job
     id, first machine or width that is not an int raises TypeError.
     """
-    if len(inst.by_id) < inst.n:
-        ordered = sorted(inst.ids)
-        twice = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
-        raise ValueError(f"job id {twice} appears more than once")
+    inst.id_order  # ValueError names a repeated job id
     scale, columns = sched.columns()  # times over L, or as given when L is None
+    end = (columns[3] + columns[4]).max(initial=0)  # 0 when no part ends after 0
+    makespan = end if scale is None else Fraction(int(end), scale)
     if scale is not None and _columns_pass(inst, scale, columns):
         feas, contig = [], []
-        makespan = Fraction(int((columns[3] + columns[4]).max(initial=0)), scale)
     else:
-        feas, contig, makespan = _job_checks(inst, scale, columns)
+        feas, contig = _job_checks(inst, scale, columns)
     if makespan != sched.makespan:
         detail = f"recorded {sched.makespan}, recomputed {makespan}"
         feas.append(Violation("makespan", (), detail=detail))
@@ -99,7 +98,7 @@ def validate_schedule(
 
 
 def _job_checks(inst: Instance, scale: Optional[int], columns: tuple) -> tuple:
-    """(feasibility violations, contiguity breaks, makespan) of the placements
+    """(feasibility violations, contiguity breaks) of the placements
     given as the arrays of ``Schedule.columns``, job by job, with each start,
     duration and end read once as the time it stands for."""
     ids, first, width = (c.tolist() for c in columns[:3])
@@ -148,7 +147,7 @@ def _job_checks(inst: Instance, scale: Optional[int], columns: tuple) -> tuple:
     for a, b, mach in _overlaps(m, columns):
         window = (start[b], min(end[a], end[b]))
         feas.append(Violation("overlap", (ids[a], ids[b]), machine=mach, window=window))
-    return feas, contig, max(end, default=Fraction(0))
+    return feas, contig
 
 
 def _columns_pass(inst: Instance, scale: int, columns: tuple) -> bool:

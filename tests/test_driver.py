@@ -5,7 +5,6 @@ import math
 import operator
 import random
 import re
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +27,6 @@ from moldsched import (
     generate,
     listsched,
     mckp,
-    model,
     rat,
     shelf,
     solve,
@@ -42,11 +40,13 @@ from util import (
     bisection_solve,
     const_work_job,
     dp_assignment,
+    grid_keys,
     instance,
     items_at,
     job,
     property_settings,
     random_instance,
+    record_callers,
 )
 
 RATIO_CAP = rat("1.4594") * rat("1.05")
@@ -234,7 +234,7 @@ class TestSolve:
         for seed in (2, 1):
             inst = generate(GenConfig(n=6, m=4, seed=seed))
             r = solve(inst)
-            forced, _ = driver._shelves(inst, r.accepted_d, r.mckp_assignment, {"verify": 0.0})
+            forced, _ = driver._shelves(inst, grid_keys(inst), r.accepted_d, r.mckp_assignment, {"verify": 0.0})
             for sched in (r.schedule, forced, try_guess(inst, r.accepted_d)):
                 assert sched.ints is not None and validate_schedule(inst, sched).ok()
         assert repairs["repair_s2_small_q"] and repairs["repair_s2_large_q"]
@@ -278,7 +278,7 @@ class TestSolve:
         # The bounds leave the last accepted guess of these solves open.
         inst = generate(GenConfig(n=n, m=m, seed=seed))
         r = solve(inst, Fraction(1, 1000))
-        items, verdict = driver._attempt(inst, r.accepted_d, mckp.search(inst))
+        items, verdict = driver._attempt(inst, r.accepted_d, grid_keys(inst))
         assignment = dict(zip(items.ids, verdict.pick))
         assert r.partition_by == verdict.by == "dp"
         assert r.mckp_assignment == assignment == dp_assignment(inst, r.accepted_d)
@@ -289,7 +289,7 @@ class TestSolve:
     def test_bound_accepted_guess_builds_from_the_greedy_pick(self):
         inst = generate(GenConfig(n=80, m=800, seed=1))
         r = solve(inst, Fraction(1, 1000))
-        attempted, verdict = driver._attempt(inst, r.accepted_d, mckp.search(inst))
+        attempted, verdict = driver._attempt(inst, r.accepted_d, grid_keys(inst))
         assert r.partition_by == verdict.by == "bound"
         items = items_at(inst, r.accepted_d)
         assert r.mckp_assignment == dict(zip(attempted.ids, verdict.pick))
@@ -305,24 +305,7 @@ class TestSolve:
         # one gammas search per guess, made by build_items over row keys
         # built once per solve: the allotment at the accepted guess reuses
         # the accepting items' widths and is not recounted.
-        callers = {"gammas": [], "row_keys": []}
-        guesses = []
-
-        def recording(name, real):
-            def wrapped(*args):
-                frame = sys._getframe(1)
-                while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
-                    frame = frame.f_back
-                callers[name].append(frame.f_code.co_name)
-                return real(*args)
-            return wrapped
-
-        for name in callers:
-            real = getattr(model, name)
-            for module in [sys.modules[mod] for mod in list(sys.modules)
-                           if mod.startswith("moldsched.")]:
-                if getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, recording(name, real))
+        callers, guesses = record_callers(monkeypatch, "gammas", "row_keys"), []
         attempt = driver._attempt
         monkeypatch.setattr(driver, "_attempt", lambda *a: guesses.append(a) or attempt(*a))
         r = solve(generate(GenConfig(n=n, m=m, seed=seed)), eps)
@@ -330,8 +313,23 @@ class TestSolve:
         # n=80, m=800 every probe but not the upper bound.
         assert r.construction == "list" and len(guesses) == r.decided == {40: 1, 80: 13, 200: 1}[n]
         assert callers["gammas"] == ["build_items"] * len(guesses)
-        assert callers["row_keys"] == ["search"]
-        assert len({id(a[2]) for a in guesses}) == 1  # every guess reads the one search
+        assert callers["row_keys"] == ["solve"]
+        assert len({id(a[2]) for a in guesses}) == 1  # every guess reads the one key build
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_try_guess_builds_the_row_keys_once(self, monkeypatch, seed):
+        # n=6, m=4 at the accepted guess: the knapsack and every shelf build
+        # (seed 2's shelves rebuild at the Lambert-W stretch) count with the
+        # keys try_guess built.
+        inst = generate(GenConfig(n=6, m=4, seed=seed))
+        d = solve(inst).accepted_d
+        callers = record_callers(monkeypatch, "row_keys")
+        builds = []
+        build = shelf.build_three_shelf
+        monkeypatch.setattr(shelf, "build_three_shelf", lambda *a: builds.append(a) or build(*a))
+        assert not isinstance(try_guess(inst, d), Reject)
+        assert len(builds) == {1: 1, 2: 2}[seed]
+        assert callers["row_keys"] == ["try_guess"]
 
     def test_debug_log_names_the_certificate(self, caplog):
         inst = generate(GenConfig(n=80, m=800, seed=1))
@@ -501,7 +499,7 @@ class TestPickRecount:
     def _attempt(self, monkeypatch, pick, cost):
         monkeypatch.setattr(
             mckp, "decide", lambda items, m, budget: mckp.Verdict(None, "bound", cost, pick))
-        return driver._attempt(self.INST, Fraction(6), mckp.search(self.INST))
+        return driver._attempt(self.INST, Fraction(6), grid_keys(self.INST))
 
     @pytest.mark.parametrize("pick", [(3, 3, 1), (3, 1, 1)])
     def test_a_sound_pick_passes(self, monkeypatch, pick):
@@ -561,8 +559,8 @@ class TestVerdictLattice:
     cell [a/L, (a+1)/L) with L = 12*m*Q."""
 
     @staticmethod
-    def _verdict(inst, d, search):
-        out = driver._attempt(inst, d, search)
+    def _verdict(inst, d, keys):
+        out = driver._attempt(inst, d, keys)
         if isinstance(out, Reject):
             return out.reason
         items, verdict = out
@@ -575,21 +573,21 @@ class TestVerdictLattice:
         insts += [random_instance(rng, rng.randint(2, 12), rng.randint(1, 8)) for _ in range(9)]
         kinds = collections.Counter()
         for inst in insts:
-            search, big = mckp.search(inst), 12 * inst.m * inst.grid[0]
+            keys, big = grid_keys(inst), 12 * inst.m * inst.grid[0]
             bounds = initial_bounds(inst)
             lo, hi = max(math.floor(bounds.lower * big), 1), math.ceil(bounds.upper * big)
             cells = {lo, hi}
             while hi - lo > 1:  # the cell where the verdicts turn, by bisection
                 mid = (lo + hi) // 2
                 cells.add(mid)
-                if isinstance(self._verdict(inst, Fraction(mid, big), search), str):
+                if isinstance(self._verdict(inst, Fraction(mid, big), keys), str):
                     lo = mid
                 else:
                     hi = mid
             cells |= {lo - 1, hi + 1} | {rng.randint(lo - 50, hi + 50) for _ in range(8)}
             for a in sorted(c for c in cells if c >= 1):
                 points = [Fraction(a), a + Fraction(rng.randint(1, 999), 1000), a + 1 - Fraction(1, 10**9)]
-                verdicts = {self._verdict(inst, x / big, search) for x in points}
+                verdicts = {self._verdict(inst, x / big, keys) for x in points}
                 assert len(verdicts) == 1, (inst.m, a, verdicts)
                 kinds[isinstance(verdicts.pop(), str)] += 1
         assert kinds[True] > 20 and kinds[False] > 20

@@ -34,7 +34,8 @@ from pathlib import Path
 
 from moldsched import Instance, Reject, adversarial_instance, driver, rat, solve, try_guess
 from util import (
-    big_ids, const_work_job, dp_shelves, instance, items_for, job, options, random_instance,
+    big_ids, const_work_job, dp_shelves, grid_keys, instance, items_for, job, options,
+    random_instance,
 )
 
 GOLDEN = Path(__file__).with_name("golden_hashes.json")
@@ -159,7 +160,7 @@ def test_try_guess_builds_from_the_solves_partition():
         if not inst.jobs:
             continue
         d = result.accepted_d
-        own, _ = driver._shelves(inst, d, result.mckp_assignment, {"verify": 0.0})
+        own, _ = driver._shelves(inst, grid_keys(inst), d, result.mckp_assignment, {"verify": 0.0})
         sched = try_guess(inst, d)
         assert sched == own, name
         if sched != dp_shelves(inst, d)[0]:

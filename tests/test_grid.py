@@ -27,6 +27,7 @@ from util import (
     const_work_job,
     dp_assignment,
     dp_shelves,
+    grid_keys,
     instance,
     items_at,
     items_for,
@@ -414,7 +415,7 @@ class TestTimesView:
                         mp.setattr(module, name, counting(getattr(module, name), counts, name))
                 mp.setattr(shelf, "build_three_shelf",
                            counting(shelf.build_three_shelf, counts, "builds"))
-                layout, lam = shelf.shelf_layout(inst, assignment, d)
+                layout, lam = shelf.shelf_layout(inst, grid_keys(inst), assignment, d)
                 sched = shelf.add_small_jobs(layout, inst, small_ids(inst, d))
             assert (sched, lam) == dp_shelves(inst, d)
         assert reads == {}

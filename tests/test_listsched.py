@@ -22,7 +22,8 @@ from moldsched import listsched, shelf
 from moldsched.listsched import list_schedule, window_max
 from moldsched.model import Schedule, gamma
 from util import (
-    allotment, big_ids, dp_shelves, instance, job, random_instance, small_ids, window_list_schedule,
+    allotment, big_ids, dp_shelves, instance, job, random_instance, record_callers, small_ids,
+    window_list_schedule,
 )
 
 
@@ -200,9 +201,11 @@ class TestFallback:
         d0 = solve(inst).accepted_d
         _delayed_list(monkeypatch, 2 * d0)
         builds = _counting(monkeypatch, shelf, "build_three_shelf")
+        callers = record_callers(monkeypatch, "row_keys")
         r = solve(inst)
         assert r.accepted_d == d0
-        assert builds and r.construction == "shelf"
+        assert len(builds) == 2 and r.construction == "shelf"  # rebuilt at the Lambert-W stretch
+        assert callers["row_keys"] == ["solve"]  # the search and both builds count with one
         assert r.schedule == self._shelf(inst, r.accepted_d)
         # the smallest bound the schedule meets, below the shelves' own stretch
         assert r.lambda_used == LAMBDA_SMALL_Q

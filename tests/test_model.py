@@ -412,6 +412,44 @@ class TestClassifyJobs:
             classify_jobs(instance(1, job(1, 3)), d)
 
 
+class TestIdOrder:
+    """Instance.id_order: the grid rows in ascending job id, the knapsack's
+    item order, on an instance whose rows are not in id order."""
+
+    @staticmethod
+    def _shuffled():
+        inst = generate(GenConfig(n=40, m=100, seed=1))
+        jobs = list(inst.jobs)
+        random.Random(5).shuffle(jobs)
+        return Instance(inst.m, tuple(jobs))
+
+    def test_rows_and_ids_ascend_by_id(self):
+        inst = self._shuffled()
+        assert inst.ids != tuple(sorted(inst.ids))
+        rows, ids = inst.id_order
+        assert ids.tolist() == sorted(inst.ids)
+        assert [inst.ids[r] for r in rows.tolist()] == ids.tolist()
+
+    def test_read_only_and_cached(self):
+        inst = self._shuffled()
+        rows, ids = inst.id_order
+        for a in (rows, ids):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+        again = inst.id_order
+        assert again[0] is rows and again[1] is ids
+
+    def test_a_repeated_id_names_the_smallest(self):
+        inst = self._shuffled()
+        times = inst.jobs[0].times
+        # Ids 9 and 4 each appear twice; a scan in row order meets 9's repeat first.
+        inst = Instance(inst.m, (Job(9, times), *inst.jobs, Job(4, times)))
+        assert {4, 9} <= set(inst.ids[1:-1])
+        with pytest.raises(ValueError, match=r"^job id 4 appears more than once$"):
+            inst.id_order
+
+
 class TestScheduleForms:
     def _list_schedule(self):
         sched = solve(generate(GenConfig(n=40, m=16, seed=3))).schedule

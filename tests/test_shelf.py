@@ -38,7 +38,8 @@ from moldsched.shelf import (
     shelf_layout,
 )
 from util import (
-    big_ids, const_work_job, dp_assignment, instance, items_for, job, options, random_instance,
+    big_ids, const_work_job, dp_assignment, grid_keys, instance, items_for, job, options,
+    random_instance,
 )
 
 D1 = rat(1)
@@ -74,21 +75,21 @@ class TestBuildThreeShelf:
     def test_class2_canonical4_compresses_to_half(self):
         # gamma(j, 4/7) = 4 with constant work 2: lands on 2 machines, t(j,2)=1.
         inst = instance(4, const_work_job(1, 2, 4))
-        ss = build_three_shelf(inst, {1: 2}, D1, LAMBDA_Q0)
+        ss = build_three_shelf(inst, grid_keys(inst), {1: 2}, D1, LAMBDA_Q0)
         (col,) = ss.s1
         assert col.width == 2
         assert exact(ss, col.height) == 1  # exactly d: shelf 1
 
     def test_class2_canonical4_tall_goes_to_shelf0(self):
         inst = instance(4, const_work_job(1, rat("2.2"), 4))
-        ss = build_three_shelf(inst, {1: 2}, D1, LAMBDA_Q0)
+        ss = build_three_shelf(inst, grid_keys(inst), {1: 2}, D1, LAMBDA_Q0)
         (col,) = ss.s0
         assert col.width == 2 and exact(ss, col.height) == rat("1.1")
         assert not ss.s1
 
     def test_class2_pair_of_singles_stacks(self):
         inst = instance(3, const_work_job(1, rat("0.5"), 3), const_work_job(2, rat("0.55"), 3))
-        ss = build_three_shelf(inst, {1: 2, 2: 2}, D1, LAMBDA_Q0)
+        ss = build_three_shelf(inst, grid_keys(inst), {1: 2, 2: 2}, D1, LAMBDA_Q0)
         (col,) = ss.s0
         assert col.width == 1
         assert [p.job_id for p in col.parts] == [2, 1]  # taller at the bottom
@@ -97,7 +98,7 @@ class TestBuildThreeShelf:
     def test_class2_canonical2_runs_on_one_machine(self):
         # gamma(j, 4/7) = 2: t(j,1) in (4/7, 8/7] by monotony; one machine.
         inst = instance(2, const_work_job(1, rat("1.1"), 2))
-        ss = build_three_shelf(inst, {1: 2}, D1, LAMBDA_Q0)
+        ss = build_three_shelf(inst, grid_keys(inst), {1: 2}, D1, LAMBDA_Q0)
         (col,) = ss.s0
         assert col.width == 1 and exact(ss, col.height) == rat("1.1")
 
@@ -105,7 +106,7 @@ class TestBuildThreeShelf:
         d = rat("1.08")
         inst = instance(13, const_work_job(1, rat("6.01"), 13))
         assert rat("6.01") / 13 <= Fraction(3, 7) * d
-        ss = build_three_shelf(inst, {1: 3}, d, LAMBDA_Q0)
+        ss = build_three_shelf(inst, grid_keys(inst), {1: 3}, d, LAMBDA_Q0)
         (j,) = ss.s2
         assert j.width == 13
         assert exact(ss, j.height) == rat("6.01") / 13
@@ -115,7 +116,7 @@ class TestBuildThreeShelf:
         # (work 0.5) remain unpaired: the first takes two machines with the
         # second stacked on one of them.
         inst = instance(4, const_work_job(1, rat("1.5"), 4), const_work_job(2, rat("0.5"), 4))
-        ss = build_three_shelf(inst, {1: 2, 2: 2}, D1, LAMBDA_Q0)
+        ss = build_three_shelf(inst, grid_keys(inst), {1: 2, 2: 2}, D1, LAMBDA_Q0)
         assert ss.split_job == 1
         (lane0,) = ss.s0
         (lane1,) = ss.s1
@@ -126,7 +127,7 @@ class TestBuildThreeShelf:
 
     def test_leftover_three_alone(self):
         inst = instance(4, const_work_job(1, rat("1.5"), 4))
-        ss = build_three_shelf(inst, {1: 2}, D1, LAMBDA_Q0)
+        ss = build_three_shelf(inst, grid_keys(inst), {1: 2}, D1, LAMBDA_Q0)
         (col,) = ss.s1
         assert col.width == 2 and exact(ss, col.height) == rat("0.75")
         assert ss.split_job is None
@@ -134,7 +135,14 @@ class TestBuildThreeShelf:
     def test_machine_overflow_is_loud(self):
         inst = instance(2, job(1, rat("1.5"), 1), job(2, rat("1.5"), 1))
         with pytest.raises(ShelfInvariantError):
-            build_three_shelf(inst, {1: 1, 2: 1}, D1, LAMBDA_Q0)
+            build_three_shelf(inst, grid_keys(inst), {1: 1, 2: 1}, D1, LAMBDA_Q0)
+
+    def test_builds_compare_by_their_shelves_not_their_keys(self):
+        # Two builds of one partition from separate key arrays are equal.
+        inst = instance(4, const_work_job(1, 2, 4), const_work_job(2, 2, 4))
+        one, two = (build_three_shelf(inst, grid_keys(inst), {1: 2, 2: 1}, D1, LAMBDA_Q0)
+                    for _ in range(2))
+        assert one.keys is not two.keys and one == two and "keys" not in repr(one)
 
     def test_overflow_diagnostic_lists_the_attached_shelves(self):
         # Every big job of this solve's accepted guess forced into class 1
@@ -144,7 +152,7 @@ class TestBuildThreeShelf:
         d = solve(inst).accepted_d
         big = big_ids(inst, d)
         with pytest.raises(ShelfInvariantError) as info:
-            build_three_shelf(inst, dict.fromkeys(big, 1), d, LAMBDA_Q0)
+            build_three_shelf(inst, grid_keys(inst), dict.fromkeys(big, 1), d, LAMBDA_Q0)
         assert info.value.shelf is not None
         message, *lines = info.value.diagnostic().splitlines()
         assert message == str(info.value) == "shelves 0+1 need 7 > m = 6 machines"
@@ -164,7 +172,7 @@ class TestBuildThreeShelf:
             budget = inst.m * d - classify_jobs(inst, d)[1]
             total_cost = Fraction(pick_totals(items, sol)[0], inst.grid[0])  # costs are work * Q
             assert total_cost <= budget
-            ss = build_three_shelf(inst, dict(zip(items.ids, sol)), d, LAMBDA_Q0)
+            ss = build_three_shelf(inst, grid_keys(inst), dict(zip(items.ids, sol)), d, LAMBDA_Q0)
             w_built = total_work(ss)
             assert w_built <= total_cost <= budget
             apply_transformations(ss)
@@ -174,7 +182,7 @@ class TestBuildThreeShelf:
 class TestTransformations:
     def test_wide_short_job_drops_to_shelf0(self):
         inst = instance(3, job(1, rat("1.1"), rat("0.6"), rat("0.5")))
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s1.append(ShelfColumn(2, [ColumnPart(1, units(ss, "0.6"))]))
         apply_transformations(ss)
         assert not ss.s1
@@ -185,7 +193,7 @@ class TestTransformations:
         inst = instance(
             2, job(1, rat("0.6"), rat("0.35")), job(2, rat("0.55"), rat("0.3"))
         )
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.6"))]))
         ss.s1.append(ShelfColumn(1, [ColumnPart(2, units(ss, "0.55"))]))
         assert ss.q == 0
@@ -200,7 +208,7 @@ class TestTransformations:
             job(1, rat("1.3"), rat("0.9"), rat("0.8"), rat("0.7")),
             job(2, rat("1.5"), rat("1.3"), rat("1.2"), rat("1.1")),
         )
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.8"))]))
         ss.s2.append(S2Job(2, 3, units(ss, "1.2")))
         # q = 3 and t(2, 3) = 1.2 <= (10/7)d, so the job leaves shelf 2 for
@@ -218,7 +226,7 @@ class TestTransformations:
             job(1, rat("0.55"), rat("0.3"), rat("0.2")),
             job(2, rat("0.6"), rat("0.3"), rat("0.2")),
         )
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.55"))]))
         ss.s2.append(S2Job(2, 2, units(ss, "0.3")))
         assert ss.q == 2
@@ -233,7 +241,7 @@ class TestTransformations:
 
     def test_leftover_short_is_at_most_one(self):
         inst = instance(1, job(1, rat("0.6")))
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.6"))]))
         apply_transformations(ss)  # single short job: nothing to stack, no error
         assert len(ss.s1) == 1
@@ -351,7 +359,7 @@ def _hand_built_shelf(rng):
         for i in range(1, rng.randint(3, 9))
     ]
     inst = instance(m, *jobs)
-    ss = ShelfSchedule(inst, D1, rng.choice(_STRETCHES))
+    ss = ShelfSchedule(inst, grid_keys(inst), D1, rng.choice(_STRETCHES))
     lanes = rng.choice((0, 0, 1, 2))
     free = m + rng.randint(0, 1)  # now and then one machine too many
     for k, j in enumerate(jobs):
@@ -392,7 +400,7 @@ class TestTransformationsMatchReference:
                     continue
                 for lam in _STRETCHES:
                     try:
-                        shelves.append(build_three_shelf(inst, partition, d, lam))
+                        shelves.append(build_three_shelf(inst, grid_keys(inst), partition, d, lam))
                     except ShelfInvariantError:
                         pass  # over the build's 2m capacity
         shelves += [_hand_built_shelf(rng) for _ in range(600)]
@@ -432,7 +440,7 @@ class TestMovesKeepTheirInputs:
             inst = random_instance(rng, rng.randint(2, 14), rng.randint(2, 12))
             d = solve(inst).accepted_d
             assignment = dp_assignment(inst, d)
-            shelves += [build_three_shelf(inst, assignment, d, lam) for lam in _STRETCHES]
+            shelves += [build_three_shelf(inst, grid_keys(inst), assignment, d, lam) for lam in _STRETCHES]
         shelves += [_hand_built_shelf(rng) for _ in range(300)]
         cases = [(ss, True) for ss in shelves]
         cases += [(_large_q_fixture(1)[1], False), (_split_large_q_fixture(4)[1], False)]
@@ -471,7 +479,7 @@ def _compression_fixture():
     jobs = [const_work_job(i, rat("0.73"), 7) for i in range(1, 8)]
     jobs += [const_work_job(i, rat("0.44"), 7) for i in range(8, 12)]
     inst = instance(7, *jobs)
-    ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+    ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
     for i in range(1, 8):
         ss.s1.append(ShelfColumn(1, [ColumnPart(i, units(ss, "0.73"))]))
     for i in range(8, 12):
@@ -482,7 +490,7 @@ def _compression_fixture():
 class TestRepairSmallQ:
     def test_no_shelf2_is_descending_shelf1(self):
         inst = instance(2, job(1, rat("0.9"), rat("0.5")), job(2, rat("0.8"), rat("0.45")))
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.9"))]))
         ss.s1.append(ShelfColumn(1, [ColumnPart(2, units(ss, "0.8"))]))
         sched = placed(repair_s2_small_q(ss), inst)
@@ -506,7 +514,7 @@ class TestRepairSmallQ:
 
     def test_rejects_wrong_regime(self):
         inst = instance(6, job(1, *([rat("0.9")] + [rat("0.9")] * 5)))
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.9"))]))
         assert ss.q == 5  # way above m'/6
         with pytest.raises(ShelfInvariantError):
@@ -521,7 +529,7 @@ def _large_q_fixture(j0_work):
         const_work_job(4, j0_work, 5),
     ]
     inst = instance(5, *jobs)
-    ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER)
+    ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_STAR_UPPER)
     ss.s0.append(ShelfColumn(1, [ColumnPart(1, units(ss, "1.2"))]))
     ss.s1.append(ShelfColumn(1, [ColumnPart(2, units(ss, "0.9"))]))
     ss.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss, "0.8"))]))
@@ -532,7 +540,7 @@ def _large_q_fixture(j0_work):
 class TestRepairLargeQ:
     def test_no_shelf2_is_descending_shelf1(self):
         inst = instance(4, job(1, rat("0.9"), *[rat("0.5")] * 3))
-        ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_STAR_UPPER)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.9"))]))
         assert ss.q == 3
         sched = placed(repair_s2_large_q(ss), inst)
@@ -563,7 +571,7 @@ class TestRepairLargeQ:
             const_work_job(4, rat("2.25"), 5),
         ]
         inst2 = instance(5, *jobs)
-        ss2 = ShelfSchedule(inst2, D1, LAMBDA_STAR_UPPER)
+        ss2 = ShelfSchedule(inst2, grid_keys(inst2), D1, LAMBDA_STAR_UPPER)
         ss2.s0.append(ShelfColumn(1, [ColumnPart(1, units(ss2, "1.2"))]))
         ss2.s1.append(ShelfColumn(1, [ColumnPart(2, units(ss2, 1))]))
         ss2.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss2, 1))]))
@@ -578,7 +586,7 @@ class TestRepairLargeQ:
             const_work_job(2, rat(2), 5),
             const_work_job(3, rat("0.9"), 5),
         )
-        ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_STAR_UPPER)
         ss.s1.append(ShelfColumn(1, [ColumnPart(3, units(ss, "0.9"))]))
         ss.s2.append(S2Job(1, 5, units(ss, "0.4")))
         ss.s2.append(S2Job(2, 5, units(ss, "0.4")))
@@ -598,7 +606,7 @@ def _split_large_q_fixture(j0_work):
         const_work_job(4, j0_work, 9),      # the single shelf-2 job
     ]
     inst = instance(9, *jobs)
-    ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER, split_job=1)
+    ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_STAR_UPPER, split_job=1)
     ss.s0.append(
         ShelfColumn(
             1,
@@ -644,7 +652,7 @@ class TestSplitInLargeQRepair:
             job(7, *j0_times),
         ]
         inst = instance(13, *jobs)
-        ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER, split_job=1)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_STAR_UPPER, split_job=1)
         ss.s0.append(
             ShelfColumn(
                 1,
@@ -684,7 +692,7 @@ class TestSplitInLargeQRepair:
             job(5, *j5_times),
         ]
         inst = instance(10, *jobs)
-        ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER, split_job=1)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_STAR_UPPER, split_job=1)
         ss.s0.append(
             ShelfColumn(
                 1,
@@ -726,7 +734,7 @@ class TestSplitInLargeQRepair:
             const_work_job(6, rat("0.85"), 11),
         ]
         inst = instance(11, *jobs)
-        ss = ShelfSchedule(inst, D1, LAMBDA_STAR_UPPER, split_job=1)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_STAR_UPPER, split_job=1)
         ss.s0.append(
             ShelfColumn(
                 1,
@@ -759,7 +767,7 @@ class TestSplitContiguity:
         inst = instance(
             4, const_work_job(1, rat("1.5"), 4), const_work_job(2, rat("0.5"), 4)
         )
-        ss = build_three_shelf(inst, {1: 2, 2: 2}, D1, LAMBDA_Q0)
+        ss = build_three_shelf(inst, grid_keys(inst), {1: 2, 2: 2}, D1, LAMBDA_Q0)
         apply_transformations(ss)
         repair = repair_s2_small_q if 6 * ss.q <= 4 - ss.m0 else repair_s2_large_q
         sched = placed(repair(ss), inst)
@@ -828,7 +836,7 @@ class TestForcedPartitionFuzz:
                         for job_id, row in zip(items.ids, options(items)))
             if size2 > 2 * inst.m:
                 continue
-            ss = build_three_shelf(inst, assignment, d, LAMBDA_Q0)
+            ss = build_three_shelf(inst, grid_keys(inst), assignment, d, LAMBDA_Q0)
             if ss.split_job is not None:
                 splits += 1
             apply_transformations(ss)
@@ -838,7 +846,7 @@ class TestForcedPartitionFuzz:
             if 6 * ss.q <= m_eff:
                 layout = repair_s2_small_q(ss)
             else:
-                ss = build_three_shelf(inst, assignment, d, LAMBDA_STAR_UPPER)
+                ss = build_three_shelf(inst, grid_keys(inst), assignment, d, LAMBDA_STAR_UPPER)
                 apply_transformations(ss)
                 m_eff = inst.m - ss.m0
                 if total_work(ss) > inst.m * d - ws:
@@ -871,7 +879,7 @@ class TestLayout:
         for _ in range(200):
             inst = random_instance(rng, rng.randint(2, 14), rng.randint(2, 12))
             d = solve(inst).accepted_d
-            layout, lam = shelf_layout(inst, dp_assignment(inst, d), d)
+            layout, lam = shelf_layout(inst, grid_keys(inst), dp_assignment(inst, d), d)
             _assert_gaps_are_exact(layout, inst.m, lam * d)
             hung += any(t < lam * d * layout.scale for t in layout.top)
         assert hung >= 15
@@ -884,26 +892,26 @@ class TestLayout:
 
     def test_shelf2_job_hanging_into_a_column(self):
         inst = instance(2, job(1, rat("0.9"), rat("0.5")), job(2, rat("0.6"), rat("0.3")))
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s1.append(ShelfColumn(1, [ColumnPart(1, units(ss, "0.9"))]))
         ss.s2.append(S2Job(2, 1, units(ss, "0.6")))  # starts at 10/7 - 0.6 < 0.9
         self._raises(ss, ss.s1, [(ss.s2[0], 0)])
 
     def test_two_shelf2_jobs_on_one_machine(self):
         inst = instance(3, *(const_work_job(i, rat("0.6"), 3) for i in (1, 2)))
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s2 += [S2Job(1, 2, units(ss, "0.3")), S2Job(2, 2, units(ss, "0.3"))]
         self._raises(ss, [], [(ss.s2[0], 0), (ss.s2[1], 1)])
 
     def test_column_taller_than_lam_d(self):
         inst = instance(2, job(1, rat("1.5"), rat("0.75")))
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s0.append(ShelfColumn(1, [ColumnPart(1, units(ss, "1.5"))]))
         self._raises(ss, [], [])
 
     def test_shelf2_job_starting_before_zero(self):
         inst = instance(2, job(1, rat(3), rat("1.5")))
-        ss = ShelfSchedule(inst, D1, LAMBDA_Q0)
+        ss = ShelfSchedule(inst, grid_keys(inst), D1, LAMBDA_Q0)
         ss.s2.append(S2Job(1, 2, units(ss, "1.5")))
         self._raises(ss, [], [(ss.s2[0], 0)])
 
@@ -939,7 +947,8 @@ class TestAddSmallJobs:
 
 
 def _shelves_on(m, *jobs, lam=LAMBDA_Q0):
-    return ShelfSchedule(instance(m, *jobs), D1, lam)
+    inst = instance(m, *jobs)
+    return ShelfSchedule(inst, grid_keys(inst), D1, lam)
 
 
 def _split_state(lane1_height):
@@ -953,15 +962,18 @@ def _split_state(lane1_height):
 
 
 def _lam_out_of_range():
-    build_three_shelf(instance(2, job(1, 1, rat("0.5"))), {1: 1}, D1, Fraction(3, 2))
+    inst = instance(2, job(1, 1, rat("0.5")))
+    build_three_shelf(inst, grid_keys(inst), {1: 1}, D1, Fraction(3, 2))
 
 
 def _class_out_of_range():
-    build_three_shelf(instance(2, job(1, 1, rat("0.5"))), {1: 4}, D1, LAMBDA_Q0)
+    inst = instance(2, job(1, 1, rat("0.5")))
+    build_three_shelf(inst, grid_keys(inst), {1: 4}, D1, LAMBDA_Q0)
 
 
 def _class1_misses_d():
-    build_three_shelf(instance(2, job(1, 3, 2)), {1: 1}, D1, LAMBDA_Q0)
+    inst = instance(2, job(1, 3, 2))
+    build_three_shelf(inst, grid_keys(inst), {1: 1}, D1, LAMBDA_Q0)
 
 
 def _small_q_shelf2_too_wide():

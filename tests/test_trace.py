@@ -63,8 +63,8 @@ def test_knapsack_counters_count_each_dp(monkeypatch):
     with tracer.patched(), monkeypatch.context() as mp:
         build, dp = mckp.build_items, mckp.solve_mckp
 
-        def recording_build(inst, search, small, d):
-            items = build(inst, search, small, d)
+        def recording_build(inst, keys, small, d):
+            items = build(inst, keys, small, d)
             big_of[id(items)] = (items, int((~small).sum()))
             return items
 

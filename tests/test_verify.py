@@ -389,6 +389,18 @@ class TestIntegerForm:
         monkeypatch.setattr(verify, "_columns_pass", lambda *a: False)
         assert [validate_schedule(*case) for case in cases] == on
 
+    def test_a_negative_end_reads_makespan_zero_on_both_paths(self, monkeypatch):
+        # A negative time makes the only end -1: the makespan is the latest
+        # end or 0, whichever path writes the report.
+        inst = Instance(1, (Job(1, (Fraction(-1),)),))
+        sched = Schedule((PlacedJob(1, 0, 1, Fraction(0), Fraction(-1)),), Fraction(-1))
+        on = validate_schedule(inst, sched)
+        assert (on.feasible, on.makespan) == (False, 0)
+        assert [(v.kind, v.detail) for v in on.violations] == [
+            ("makespan", "recorded -1, recomputed 0")]
+        monkeypatch.setattr(verify, "_columns_pass", lambda *a: False)
+        assert validate_schedule(inst, sched) == on
+
     def test_a_valid_solver_schedule_skips_the_per_job_loop(self, monkeypatch):
         inst = generate(GenConfig(n=60, m=12, seed=1))
         sched = solve(inst).schedule

@@ -5,16 +5,17 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 import tempfile
 from fractions import Fraction
 from itertools import compress
 
 import numpy as np
 
-from moldsched import Instance, Job, PlacedJob, Reject, Schedule, driver, rat
+from moldsched import Instance, Job, PlacedJob, Reject, Schedule, driver, model, rat
 from moldsched.listsched import window_max
-from moldsched.mckp import CLASS_HEIGHTS, MckpItems, build_items, search, solve_mckp
-from moldsched.model import classify_jobs, gamma, int_array, int_matrix
+from moldsched.mckp import CLASS_HEIGHTS, MckpItems, build_items, solve_mckp
+from moldsched.model import RowKeys, classify_jobs, gamma, int_array, int_matrix, row_keys
 
 
 @functools.cache
@@ -163,10 +164,38 @@ def brute_mckp(items: MckpItems, m: int) -> tuple[int, ...] | None:
     return None if best_choice is None else tuple(best_choice)
 
 
+def record_callers(monkeypatch, *names: str) -> dict[str, list[str]]:
+    """Spy on the ``model`` functions of the given names wherever a package
+    module binds them: each name's list gets the name of the function that
+    called it, per call (a comprehension's frame counts as its function's)."""
+    callers: dict[str, list[str]] = {name: [] for name in names}
+
+    def recording(name, real):
+        def wrapped(*args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+                frame = frame.f_back
+            callers[name].append(frame.f_code.co_name)
+            return real(*args)
+        return wrapped
+
+    for name in names:
+        real = getattr(model, name)
+        for module in [sys.modules[mod] for mod in list(sys.modules) if mod.startswith("moldsched.")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, recording(name, real))
+    return callers
+
+
+def grid_keys(inst: Instance) -> RowKeys:
+    """The row keys of the instance's grid, as a solve builds them."""
+    return row_keys(inst.grid[1])
+
+
 def items_for(inst: Instance, big, d: Fraction) -> MckpItems | Reject:
     """build_items over the jobs whose ids are in big, at a guess d."""
     small = np.array([job_id not in big for job_id in inst.ids], dtype=bool)
-    return build_items(inst, search(inst), small, d)
+    return build_items(inst, grid_keys(inst), small, d)
 
 
 def items_at(inst: Instance, d: Fraction) -> MckpItems:
@@ -185,7 +214,7 @@ def dp_assignment(inst: Instance, d: Fraction) -> dict[int, int]:
 def dp_shelves(inst: Instance, d: Fraction) -> tuple[Schedule, Fraction]:
     """The verified shelf schedule and stretch of the DP's minimum-cost
     partition at an accepted d, built as try_guess builds the accepting one."""
-    return driver._shelves(inst, d, dp_assignment(inst, d), {"verify": 0.0})
+    return driver._shelves(inst, grid_keys(inst), d, dp_assignment(inst, d), {"verify": 0.0})
 
 
 def small_ids(inst: Instance, d: Fraction) -> frozenset[int]:
@@ -251,14 +280,14 @@ def bisection_solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> driver.S
         return driver.solve(inst, eps)
     bounds = driver.initial_bounds(inst)
     lower, upper = bounds.lower, bounds.upper
-    search_ = search(inst)
-    accepted = driver._attempt(inst, upper, search_)
+    keys = grid_keys(inst)
+    accepted = driver._attempt(inst, upper, keys)
     assert not isinstance(accepted, Reject), accepted
     iterations = 0
     while upper > (1 + eps) * lower:
         d = driver._geometric_mid(lower, upper)
         iterations += 1
-        outcome = driver._attempt(inst, d, search_)
+        outcome = driver._attempt(inst, d, keys)
         if isinstance(outcome, Reject):
             lower = d
         else:
@@ -266,7 +295,7 @@ def bisection_solve(inst: Instance, eps: Fraction = Fraction(1, 20)) -> driver.S
     items, verdict = accepted
     timings = {"mckp": 0.0}
     schedule, lam, construction, assignment = driver._construct(
-        inst, upper, items, verdict.pick, timings)
+        inst, keys, upper, items, verdict.pick, timings)
     return driver.SolveResult(
         schedule=schedule,
         accepted_d=upper,
