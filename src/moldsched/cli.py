@@ -14,11 +14,13 @@ an output that cannot be written (a path, or an exact value past int()'s
 digit limit), 3 internal invariant violation (diagnostic dumped to stderr;
 for bench, any row that failed on a valid config).
 
-An instance file is read onto the integer grid of ``ratio_grid``: if each
-job's times pass one check of plain form ("p" or "p/q", ASCII digits, at
-most 18 to a number) and number m, one ``np.loadtxt`` parses the file.  Else
-each job is read as a schedule file's column is: a plain list split by int(),
-any other (a decimal, a sign, whitespace, a JSON number) exactly by ``rat``.
+An instance file is read onto the integer grid of ``ratio_grid``: if every
+job has m times and all of them, joined into one text, pass one check of
+plain form ("p" or "p/q", q > 0, ASCII digits, 1 to 18 to a number), one
+``np.fromstring`` parses the file.  Else each job is read as a schedule
+file's column is: a plain list by the same check and parse, any other (a
+decimal, a sign, whitespace, a JSON number, a longer number) exactly by
+``rat``.
 ``gen`` and ``solve --out`` write from templates the bytes of json.dumps(obj,
 indent=2, sort_keys=True), whose indent would take the pure-Python encoder.
 
@@ -43,7 +45,6 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -89,31 +90,43 @@ def _json(value, kind: type, what: str):
     return value
 
 
-# A rational in plain form: ASCII digits "p", or "p/q" with q > 0, with at
-# most 18 digits to p and to q, which every int64 parser reads exactly: numpy
-# 1.x loadtxt may read a longer integer through a float.
-_SHORT = "[0-9]{1,18}(?:/0*[1-9][0-9]{0,17})?"
-_SHORT_LIST = re.compile(f"{_SHORT}(?:,{_SHORT})*")
-
-
-def _plain(values: list) -> Optional[str]:
-    """The values joined by commas if each is a string in plain form, else None."""
+# A rational in plain form: ASCII digits "p", or "p/q" with q > 0, with 1 to
+# 18 digits to p and to q.  np.fromstring reads an int64 by strtol, with no
+# float between, and saturates past int64, which no such number reaches.
+def _plain(rows: list[list]) -> Optional[np.ndarray]:
+    """The int64 (p, q) of every value of the rows, in order, if each is a
+    string in plain form, else None: the values joined into one text, one
+    byte check, one scan of its separators and one np.fromstring."""
     try:
-        text = ",".join(values)
+        text = ",".join(map(",".join, rows))
     except TypeError:  # a value that is not a string
         return None
-    return text if _SHORT_LIST.fullmatch(text) and text.count(",") == len(values) - 1 else None
+    if not text.isascii() or (raw := text.encode()).translate(None, b"0123456789,/"):
+        return None
+    chars = np.frombuffer(b"," + raw + b",", dtype=np.uint8)
+    cut = np.flatnonzero(chars <= ord("/"))  # each "," and "/", and a "," at each end
+    slash, count = chars[cut] == ord("/"), sum(map(len, rows))
+    digits = cut[1:] - cut[:-1] - 1
+    if (len(cut) - np.count_nonzero(slash) != count + 1 or digits.min() < 1
+            or digits.max() > 18 or (slash[1:] & slash[:-1]).any()):
+        return None
+    nums = np.fromstring(raw.replace(b"/", b","), dtype=np.int64, sep=",")
+    if len(nums) == 2 * count:  # every value p/q
+        pairs = nums.reshape(count, 2)
+    else:  # a bare p has q = 1; number i follows separator i, of value (commas to it) - 1
+        pairs = np.ones((count, 2), dtype=np.int64)
+        pairs[np.cumsum(~slash[:-1]) - 1, slash[:-1].astype(np.intp)] = nums
+    return None if (pairs[:, 1] == 0).any() else pairs
 
 
-def _ratios(values: list, plain: bool = False) -> list[tuple[int, int]]:
-    """Each value of a file as an exact (p, q) with q > 0.  A list of plain
-    strings (plain: known to be one) is split and read by int(); any other
-    goes value by value through rat, which raises for what it rejects.  Both
-    read digit runs under int()'s digit limit; an exponent that reaches it is
-    refused before rat builds 10**e, which alone takes seconds at e = 10**7."""
-    if plain or _plain(values) is not None:
-        parts = map(str.partition, values, repeat("/"))
-        return [(int(p), int(q) if q else 1) for p, _, q in parts]
+def _ratios(values: list) -> list:
+    """Each value of a file as an exact (p, q) with q > 0: a list of plain
+    strings by ``_plain``, any other value by value through rat, which
+    raises for what it rejects.  Both read digit runs under int()'s digit
+    limit; an exponent that reaches it is refused before rat builds 10**e,
+    which alone takes seconds at e = 10**7."""
+    if (pairs := _plain([values])) is not None:
+        return pairs.tolist()
     limit = sys.get_int_max_str_digits() or float("inf")  # 0: no limit
     strings = ",".join(v for v in values if isinstance(v, str))
     if any(abs(int(e)) >= limit for e in re.findall(r"[eE]([-+]?\d+(?:_\d+)*)", strings)):
@@ -128,18 +141,13 @@ def instance_from_obj(obj: dict) -> Instance:
     m = _json(obj["m"], int, "m")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    ids, rows, texts = [], [], []
+    ids, rows = [], []
     for j in _json(obj["jobs"], list, "jobs"):
         ids.append(_json(j["id"], int, "job id"))
         rows.append(_json(j["times"], list, "times"))
-        texts.append(_plain(rows[-1]))
-    if texts and None not in texts and all(len(row) == m for row in rows):
-        lines = [t.replace("/", ",") if t.count("/") == m else
-                 ",".join(v.replace("/", ",") if "/" in v else v + ",1" for v in row)
-                 for t, row in zip(texts, rows)]
-        pairs = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
-        return Instance.of_grid(m, ids, *ratio_grid(pairs, m))
-    pairs = [_ratios(row, text is not None) for row, text in zip(rows, texts)]
+    if all(len(row) == m for row in rows) and (pairs := _plain(rows)) is not None:
+        return Instance.of_grid(m, ids, *ratio_grid(pairs.reshape(len(rows), 2 * m), m))
+    pairs = [_ratios(row) for row in rows]
     if any(len(row) != m for row in pairs):
         return Instance(m, tuple(Job(i, tuple(Fraction(*t) for t in row))
                                  for i, row in zip(ids, pairs)))

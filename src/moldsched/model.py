@@ -178,7 +178,7 @@ class Instance:
     def id_order(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, ids), read-only: the grid rows in ascending job id and their
         ids; ValueError names the smallest repeated id."""
-        rows = np.argsort(ids := np.array(self.ids), kind="stable")
+        rows = np.argsort(ids := int_array(self.ids), kind="stable")
         if (twice := np.flatnonzero((ids := ids[rows])[1:] == ids[:-1])).size:
             raise ValueError(f"job id {ids[twice[0]]} appears more than once")
         rows.setflags(write=False)

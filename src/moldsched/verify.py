@@ -16,18 +16,18 @@ its length (one distinct prime denominator per placement), or for a time
 not an int or a Fraction.
 
 With an L, array passes decide (``_columns_pass``): one placement per job
-id, by one sort against the instance's ids; starts >= 0 and parts within
-[0, m); every duration t(j, width) = p/q as t*q == p*L, in int64 only where
-no product can wrap; and no overlap, by one sort of the key
-machine*(latest end + 1) + start of every part (with a zero-length part, or
-a key past int64, ``_overlaps`` decides).  When all pass, nothing else
-runs.  Otherwise, or with no L, ``_job_checks`` writes the report from exact
-values: each start, duration and end is read once, as ``Fraction(x, L)`` or
-as given, and the per-job loop and ``_overlaps`` (one sort of every
-(machine, start, end, job) of the parts) run on them.  The makespan is one
-array max over the ends before the paths split, 0 when no part ends after
-0.  The report does not depend on the form or the path: the same violations
-in the same order.
+id, by one sort of the placed ids against ``Instance.id_order``; starts >=
+0 and parts within [0, m); every duration t(j, width) = p/q as t*q == p*L,
+in int64 only where no product can wrap; and no overlap, by one sort of
+the key machine*(latest end + 1) + start of every part (with a zero-length
+part, or a key past int64, ``_overlaps`` decides).  When all pass, nothing
+else runs.  Otherwise, or with no L, ``_job_checks`` writes the report from
+exact values: each start, duration and end is read once, as
+``Fraction(x, L)`` or as given, and the per-job loop and ``_overlaps`` (one
+sort of every (machine, start, end, job) of the parts) run on them.  The
+makespan is one array max over the ends before the paths split, 0 when no
+part ends after 0.  The report does not depend on the form or the path: the
+same violations in the same order.
 
 A job may appear as several placement rows (parts on disjoint machine
 intervals with a common start) -- that is the non-contiguous reading used by
@@ -158,9 +158,9 @@ def _columns_pass(inst: Instance, scale: int, columns: tuple) -> bool:
         return len(ids) == inst.n
     if start.min() < 0 or width.min() < 1 or first.min() < 0 or (first + width).max() > inst.m:
         return False
-    own = int_array(inst.ids)
-    placed, rows = ids.argsort(kind="stable"), own.argsort(kind="stable")  # both by job id
-    if not (ids[placed] == own[rows]).all():
+    rows, own = inst.id_order  # the instance's rows and ids by job id
+    placed = ids.argsort(kind="stable")
+    if not (ids[placed] == own).all():
         return False
     at = np.empty(len(ids), dtype=np.intp)  # each job's placement, in job order
     at[rows] = placed

@@ -1,5 +1,4 @@
 import json
-import math
 import random
 import time
 from fractions import Fraction
@@ -17,9 +16,10 @@ from moldsched.cli import (
     schedule_from_obj,
     schedule_to_obj,
 )
-from moldsched.model import Times, int_matrix
+from moldsched.model import Times
 from util import (
-    const_work_job, fraction_schedule, grid_rows, instance, int_schedule, job, random_instance,
+    const_work_job, fraction_grid, fraction_schedule, grid_rows, instance, int_schedule, job,
+    random_instance,
 )
 
 
@@ -90,14 +90,6 @@ def _outcome(read, value):
         return type(exc)
 
 
-def _fraction_grid(obj):
-    """The reference grid, read value by value: one rat per time, Q the lcm of
-    their denominators, A[j,k-1] = t(j,k)*Q."""
-    rows = [[rat(t).as_integer_ratio() for t in j["times"]] for j in obj["jobs"]]
-    big = math.lcm(*(q for row in rows for _, q in row))
-    return big, int_matrix([[p * (big // q) for p, q in row] for row in rows], obj["m"])
-
-
 def _file(m, *rows):
     return {"m": m, "jobs": [{"id": i, "times": list(row)} for i, row in enumerate(rows)]}
 
@@ -108,7 +100,8 @@ def _generated(**config):
 
 _SHAPES, _RANDOM = random.Random(7), random.Random(101)
 _PRIMES = (1_000_003, 1_000_033, 1_000_037)
-# name -> (instance file, whether one np.loadtxt reads it; None: not asked)
+# name -> (instance file, whether the fast path, one np.fromstring, reads it;
+# None: not asked)
 READER_FILES = {
     **{f"random-{i}": (json.loads(json.dumps(instance_to_obj(random_instance(
         _RANDOM, _RANDOM.randint(0, 9), _RANDOM.randint(1, 7))))), None) for i in range(12)},
@@ -135,6 +128,19 @@ READER_FILES = {
 }
 
 
+# Values the plain-form gate refuses, beside a plain job, each read by rat
+# -> the stderr line of solve (exit 2), or None (exit 0)
+GATE_REFUSES = {
+    "1/0": "error: bad instance file: Fraction(1, 0)",
+    **{v: f"error: bad instance file: Invalid literal for Fraction: {v!r}"
+       for v in ("/1", "1/", "1//2", "1/2/3", "", "1,2")},
+    " 1": None, "+1": None, "-1": "error: job 1, k=1: positive", "1e3": None,
+    "\u0663": None, 7: None, 1.5: None,  # a JSON number
+    "9999999999999999999": None, "1000000000000000000": None,  # 19 digits
+    "1/" + "0" * 30 + "1": None, "0" * 19 + "1": None,  # leading zeros past 18 digits
+}
+
+
 class TestReader:
     @pytest.mark.parametrize("value", READER_INPUTS, ids=repr)
     def test_value_reads_as_rat(self, value):
@@ -155,45 +161,75 @@ class TestReader:
             assert got == want and type(got) is type(want), read.__name__
 
     def test_grid_equals_the_fraction_grid(self, monkeypatch):
-        calls, real = [], cli._ratios  # _ratios reads a file that np.loadtxt does not
-        monkeypatch.setattr(cli, "_ratios", lambda v, *a: calls.append(v) or real(v, *a))
+        calls, real = [], cli._ratios  # _ratios reads a file off the fast path
+        monkeypatch.setattr(cli, "_ratios", lambda v: calls.append(v) or real(v))
         grids = {}
-        for name, (obj, one_loadtxt) in READER_FILES.items():
+        for name, (obj, fast) in READER_FILES.items():
             calls.clear()
             q, a = grids[name] = instance_from_obj(obj).grid
-            q_ref, a_ref = _fraction_grid(obj)
+            q_ref, a_ref = fraction_grid(obj)
             assert q == q_ref and a.dtype == a_ref.dtype and np.array_equal(a, a_ref), name
-            assert one_loadtxt in (None, calls == []), name
+            assert fast in (None, calls == []), name
         assert {a.dtype for _, a in grids.values()} == {np.dtype(np.int64), np.dtype(object)}
         assert grids["prime quantum"][1].dtype == object
         q, a = grids["q = 3^50"]
         assert q >= 2**63 and a.dtype == np.int64
 
     def test_grid_does_not_rest_on_the_numpy_version(self, monkeypatch):
-        # numpy 1.x loadtxt may read an integer past int64 through a float and
-        # cast it, with only a DeprecationWarning: "9999999999999999999" -> -2^63
+        # numpy 1.x may read an integer past int64 wrong with at most a
+        # DeprecationWarning; emulate the worst: "9999999999999999999" -> -2^63
         calls = []
 
-        def loadtxt(lines, delimiter, dtype, ndmin):
-            calls.append(lines)
-            rows = [[int(v) if int(v) < 2**63 else -2**63 for v in line.split(delimiter)]
-                    for line in lines]
-            return np.array(rows, dtype=dtype, ndmin=ndmin)
+        def fromstring(raw, dtype, sep):
+            calls.append(raw)
+            values = [int(v) for v in raw.split(sep.encode())]
+            return np.array([v if v < 2**63 else -2**63 for v in values], dtype=dtype)
 
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.setattr(np, "fromstring", fromstring)
         for name, (obj, _) in READER_FILES.items():
             q, a = instance_from_obj(obj).grid
-            q_ref, a_ref = _fraction_grid(obj)
+            q_ref, a_ref = fraction_grid(obj)
             assert q == q_ref and np.array_equal(a, a_ref), name
         assert calls
 
-    def test_a_file_off_the_loadtxt_path_checks_each_plain_job_once(self, monkeypatch):
+    def test_a_file_off_the_fast_path_checks_each_job_once(self, monkeypatch):
         calls, real = [], cli._plain
-        monkeypatch.setattr(cli, "_plain", lambda v, *a: calls.append(v) or real(v, *a))
+        monkeypatch.setattr(cli, "_plain", lambda rows: calls.append(rows) or real(rows))
         obj = _file(2, *[["6", "3/2"]] * 5, [f"{10**20}", "1"], ["6.01", "3"])
         assert instance_from_obj(obj).grid[0] == 100
-        # one 18-digit check a job, then the plain-form check of the two others
-        assert calls == [j["times"] for j in obj["jobs"]] + [[f"{10**20}", "1"], ["6.01", "3"]]
+        # one check of the whole file, then the plain-form check of each job
+        rows = [j["times"] for j in obj["jobs"]]
+        assert calls == [rows] + [[row] for row in rows]
+
+    @pytest.mark.parametrize("value, err", GATE_REFUSES.items(), ids=repr)
+    def test_a_value_the_gate_refuses_reads_exactly(self, tmp_path, capsys, monkeypatch,
+                                                     value, err):
+        obj = _file(1, ["3"], [value])
+        calls, real = [], cli._ratios
+        monkeypatch.setattr(cli, "_ratios", lambda v: calls.append(v) or real(v))
+        def grid(read):
+            q, a = read(obj)
+            return q, a.dtype, a.tolist()
+
+        got, want = (_outcome(grid, f) for f in (lambda o: instance_from_obj(o).grid, fraction_grid))
+        assert got == want and calls == [["3"], [value]]
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(obj))
+        assert run("solve", path) == (2 if err else 0)
+        assert capsys.readouterr().err.splitlines() == ([err] if err else [])
+
+    def test_18_digits_and_a_mixed_job_take_the_fast_path(self, monkeypatch):
+        parsed, real = [], np.fromstring
+        monkeypatch.setattr(np, "fromstring",
+                            lambda *a, **k: parsed.append(real(*a, **k)) or parsed[-1])
+        monkeypatch.setattr(cli, "_ratios", None)  # calling it would raise
+        top = "9" * 18
+        for rows, count in ([[f"{top}/{top}", f"{top}/{top[1:]}7"]], 4), ([["6", "3/2"]], 3):
+            obj = _file(2, *rows)
+            q, a = instance_from_obj(obj).grid
+            q_ref, a_ref = fraction_grid(obj)
+            assert q == q_ref and np.array_equal(a, a_ref)
+            assert len(parsed[-1]) == count  # 4 = 2 * 2: every value p/q; else mixed
 
     def test_zero_times_over_a_q_past_int64_exit_2(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

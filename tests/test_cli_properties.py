@@ -12,8 +12,8 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from moldsched.cli import main
-from util import property_settings
+from moldsched.cli import instance_from_obj, main
+from util import fraction_grid, property_settings
 
 SETTINGS = property_settings(
     max_examples=100,
@@ -68,7 +68,30 @@ def const_work_files(draw):
     return {"m": m, "jobs": jobs}
 
 
-INSTANCES = st.one_of(VALUES, SHAPED, const_work_files())
+# Numbers in and just out of the plain form's reach (1 to 18 digits): short
+# and 18-digit ones, then 19 digits, 0 (as q) and leading zeros, which take a
+# short number past 18 digits only now and then.
+SHORT = st.integers(1, 10**6).map(str)
+EIGHTEEN = st.integers(10**17, 10**18 - 1).map(str)
+ZEROS = st.builds("{}{}".format, st.sampled_from(["0", "00"]), st.one_of(SHORT, EIGHTEEN))
+WIDE = st.one_of(st.just("0"), st.integers(10**18, 10**19 - 1).map(str), ZEROS)
+PLAIN_NUMBERS = [SHORT, st.one_of(SHORT, EIGHTEEN), st.one_of(SHORT, EIGHTEEN, WIDE)]
+
+
+@st.composite
+def plain_files(draw):
+    """Instance files of m strings "p" or "p/q" a job: every value p/q, every
+    value bare, or bare p beside p/q in one job, so that both parse branches
+    and the exact path are reached."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    forms = draw(st.sampled_from([["{}/{}"], ["{}"], ["{}", "{}/{}"]]))
+    numbers = draw(st.sampled_from(PLAIN_NUMBERS))
+    return {"m": m, "jobs": [{"id": i, "times": [
+        draw(st.sampled_from(forms)).format(draw(numbers), draw(numbers))
+        for _ in range(m)]} for i in range(n)]}
+
+
+INSTANCES = st.one_of(VALUES, SHAPED, const_work_files(), plain_files())
 FIELD = st.one_of(NUMBER_TEXT, SCALARS)
 PLACEMENT = st.fixed_dictionaries({
     "job": st.one_of(st.integers(0, 3), SCALARS),
@@ -101,6 +124,20 @@ def _write(path, obj):
 @given(obj=INSTANCES)
 def test_any_instance_file_solves_or_exits_2(tmp_path, obj):
     assert main(["solve", _write(tmp_path / "i.json", obj)]) in (0, 2)
+
+
+def _grid(read, obj):
+    try:
+        q, a = read(obj)
+    except ZeroDivisionError as exc:  # a q of 0
+        return type(exc)
+    return q, a.dtype, a.tolist()
+
+
+@SETTINGS
+@given(obj=plain_files())
+def test_plain_files_read_onto_the_fraction_grid(obj):
+    assert _grid(lambda o: instance_from_obj(o).grid, obj) == _grid(fraction_grid, obj)
 
 
 @SETTINGS

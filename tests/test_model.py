@@ -449,6 +449,15 @@ class TestIdOrder:
         with pytest.raises(ValueError, match=r"^job id 4 appears more than once$"):
             inst.id_order
 
+    def test_ids_past_int64_are_read_exactly(self):
+        # read through one float, 2^63 and 2^63 + 1 would be one repeated id
+        inst = generate(GenConfig(n=4, m=6, seed=1))
+        given = [2**63 + 1, -1, 2**63, 5]
+        inst = Instance(inst.m, tuple(Job(i, j.times) for i, j in zip(given, inst.jobs)))
+        rows, ids = inst.id_order
+        assert ids.tolist() == sorted(given) == [given[r] for r in rows.tolist()]
+        assert validate_schedule(inst, solve(inst).schedule).ok()
+
 
 class TestScheduleForms:
     def _list_schedule(self):

@@ -65,6 +65,14 @@ def random_instance(rng: random.Random, n: int, m: int) -> Instance:
     return Instance(m, tuple(random_monotone_job(rng, i + 1, m) for i in range(n)))
 
 
+def fraction_grid(obj: dict) -> tuple[int, np.ndarray]:
+    """The reference grid of an instance file, read value by value: one rat
+    per time, Q the lcm of their denominators, A[j,k-1] = t(j,k)*Q."""
+    rows = [[rat(t).as_integer_ratio() for t in j["times"]] for j in obj["jobs"]]
+    big = math.lcm(*(q for row in rows for _, q in row))
+    return big, int_matrix([[p * (big // q) for p, q in row] for row in rows], obj["m"])
+
+
 def int_schedule(scale: int, rows, makespan: int) -> Schedule:
     """A schedule in integer form: rows of (job, first machine, width, start,
     duration) with start, duration and makespan in units of 1/scale."""
