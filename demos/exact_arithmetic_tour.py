@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from moldsched import LAMBDA_STAR_UPPER, Instance, Job, rat
 from moldsched.mckp import build_items, solve_mckp
-from moldsched.model import classify_jobs, gamma, row_keys
+from moldsched.model import classify_jobs, gamma, guess_caps, row_keys
 
 # A job that runs in 1 on one machine, 0.5 on two, 0.34 on three.
 job = Job(1, (rat(1), rat("0.5"), rat("0.34")))
@@ -24,9 +24,10 @@ print("\nwork is time * machines and never shrinks with more machines:")
 print(" ", [str(k * job.times[k - 1]) for k in (1, 2, 3)])
 
 d = rat(1)
-small, _ = classify_jobs(inst, d)  # the small-job row mask, and their work
-items = build_items(inst, row_keys(inst.grid[1]), small, d)  # keys: built once per solve
 q, a = inst.grid
+caps = guess_caps(d, q, inst.m)  # floor(h*Q) at d, (4/7)d, (3/7)d, then floor(m*d*Q)
+small, _ = classify_jobs(inst, caps[2])  # the small-job row mask, and their work times Q
+items = build_items(inst, row_keys(a), small, d)  # keys: built once per solve
 print(f"\nthe instance's integer grid: t(j,k) = A[j,k-1]/Q with Q = {q}, A = {a.tolist()}")
 print(f"knapsack options at guess d = {d} (integer cost = work * Q, half-machine size):")
 labels = ("full height", "4/7 height", "3/7 height")

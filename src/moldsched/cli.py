@@ -17,10 +17,11 @@ for bench, any row that failed on a valid config).
 An instance file is read onto the integer grid of ``ratio_grid``: if every
 job has m times and all of them, joined into one text, pass one check of
 plain form ("p" or "p/q", q > 0, ASCII digits, 1 to 18 to a number), one
-``np.fromstring`` parses the file.  Else each job is read as a schedule
-file's column is: a plain list by the same check and parse, any other (a
-decimal, a sign, whitespace, a JSON number, a longer number) exactly by
-``rat``.
+``np.fromstring`` parses the file; a refused file is halved down to single
+jobs (``_halves``).  Each such job, and each of a file with a job of other
+than m times, is read as a schedule file's column is: a plain list by the
+same check and parse, any other (a decimal, a sign, whitespace, a JSON
+number, a longer number) exactly by ``rat``.
 ``gen`` and ``solve --out`` write from templates the bytes of json.dumps(obj,
 indent=2, sort_keys=True), whose indent would take the pure-Python encoder.
 
@@ -145,13 +146,25 @@ def instance_from_obj(obj: dict) -> Instance:
     for j in _json(obj["jobs"], list, "jobs"):
         ids.append(_json(j["id"], int, "job id"))
         rows.append(_json(j["times"], list, "times"))
-    if all(len(row) == m for row in rows) and (pairs := _plain(rows)) is not None:
-        return Instance.of_grid(m, ids, *ratio_grid(pairs.reshape(len(rows), 2 * m), m))
-    pairs = [_ratios(row) for row in rows]
-    if any(len(row) != m for row in pairs):
-        return Instance(m, tuple(Job(i, tuple(Fraction(*t) for t in row))
-                                 for i, row in zip(ids, pairs)))
-    return Instance.of_grid(m, ids, *ratio_grid(pairs, m))
+    if any(len(row) != m for row in rows):
+        return Instance(m, tuple(Job(i, tuple(Fraction(*t) for t in _ratios(row)))
+                                 for i, row in zip(ids, rows)))
+    pairs = _plain(rows)
+    return Instance.of_grid(m, ids, *ratio_grid(
+        _halves(rows) if pairs is None else pairs.reshape(len(rows), 2 * m), m))
+
+
+def _halves(rows: list[list]) -> list:
+    """The (p, q) pairs of equal-length rows ``_plain`` refused: each half by
+    one ``_plain`` call or halved again, down to single rows read by ``_ratios``.
+    In row order, so the first bad value raises; k bad rows: O(k log n) calls."""
+    if len(rows) <= 1:
+        return [_ratios(row) for row in rows]
+    out = []
+    for run in (rows[: len(rows) // 2], rows[len(rows) // 2 :]):
+        pairs = _plain(run) if len(run) > 1 else None
+        out += _halves(run) if pairs is None else pairs.reshape(len(run), -1, 2).tolist()
+    return out
 
 
 def schedule_to_obj(sched: Schedule, lam: Fraction, accepted_d: Fraction) -> dict:

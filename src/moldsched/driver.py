@@ -57,9 +57,9 @@ from .model import (
     RowKeys,
     Schedule,
     classify_jobs,
+    guess_caps,
     rat,
     row_keys,
-    small_cap,
 )
 from .verify import validate_schedule
 
@@ -98,8 +98,10 @@ def initial_bounds(inst: Instance) -> SearchBounds:
     """Trivial certified bounds: work/m and the fastest full-width job from
     below, the length of the one-machine sequential schedule from above."""
     q, a = inst.grid
-    total_seq = Fraction(sum(a[:, 0].tolist()), q)
-    lower = max(total_seq / inst.m, Fraction(max(a[:, inst.m - 1].tolist(), default=0), q))
+    first = a[:, 0]  # an int64 sum is exact while n*max|A| < 2^63 (an object sum always)
+    wide = len(first) * max(int(first.max(initial=0)), -int(first.min(initial=0))) >> 63
+    total_seq = Fraction(sum(first.tolist()) if wide else int(first.sum()), q)
+    lower = max(total_seq / inst.m, Fraction(int(a[:, inst.m - 1].max(initial=0)), q))
     return SearchBounds(lower, total_seq)
 
 
@@ -120,16 +122,18 @@ def _attempt(
     """The knapsack decision for d: (the items, the accepting verdict with
     its pick) or Reject (d < OPT).  Raise ShelfInvariantError unless the
     pick, recounted in exact integers, is one available class of each item,
-    fits 2m half-machines and costs the verdict's cost <= budget.  The
-    verdict reads d only through floor(d*Q), floor((4/7)d*Q),
-    floor((3/7)d*Q) and floor(m*d*Q) (ws*Q is an integer), so it is one
-    verdict on each cell [a/L, (a+1)/L), L = 12*m*Q; keep it so."""
-    small, ws = classify_jobs(inst, d)
+    fits 2m half-machines and costs the verdict's cost <= budget.  It reads
+    d only as the integers of ``guess_caps`` (here and in ``build_items``):
+    floor(d*Q), floor((4/7)d*Q), floor((3/7)d*Q) and floor(m*d*Q), less W_S*Q
+    for the budget.  So no Fraction arithmetic is done, and it is one verdict
+    on each cell [a/L, (a+1)/L), L = 12*m*Q; keep it so."""
+    caps = guess_caps(d, inst.grid[0], inst.m)
+    small, ws = classify_jobs(inst, caps[2])
     items = mckp.build_items(inst, keys, small, d)
     if isinstance(items, mckp.Reject):
         log.debug("d=%s rejected: %s (job %s)", d, items.reason, items.job_id)
         return items
-    budget = math.floor((inst.m * d - ws) * inst.grid[0])  # costs: work * Q
+    budget = caps[3] - ws  # floor((m*d - W_S)*Q): costs are work * Q
     verdict = mckp.decide(items, inst.m, budget)
     log.debug(
         "d=%s, unit 1/%d: %s by %s: cost %s, budget %s",
@@ -235,7 +239,7 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
         empty = Schedule.of_ints(1, (np.zeros(0, dtype=np.int64),) * 5, Fraction(0))
         return SolveResult(empty, Fraction(0), LAMBDA_Q0, Fraction(0), 0)
     lower, upper = initial_bounds(inst)
-    q, a = inst.grid
+    (q, a), stretch = inst.grid, 1 + eps
     longest = int(a[:, 0].max())
 
     t0 = time.perf_counter()
@@ -244,13 +248,13 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
     # With at least m big jobs at lower the work bound is likely tight; the
     # chain is then upper and the probes of a search in which every guess accepts.
     chain = [upper]
-    if np.count_nonzero(a[:, 0] > small_cap(lower, q)) >= inst.m:
-        while chain[-1] > (1 + eps) * lower:
+    if np.count_nonzero(a[:, 0] > guess_caps(lower, q, inst.m)[2]) >= inst.m:
+        while chain[-1] > stretch * lower:
             chain.append(_geometric_mid(lower, chain[-1]))
     accepted = None  # upper's outcome; None while its verdict is inferred
     decided_reject = None  # the chain's last probe, when it rejected
     decided = iterations = 0
-    if len(chain) > 1 and longest > small_cap(chain[-1], q):  # else every probe has only small jobs
+    if len(chain) > 1 and longest > guess_caps(chain[-1], q, inst.m)[2]:  # else all small
         decided += 1
         outcome = _attempt(inst, chain[-1], keys)
         if isinstance(outcome, mckp.Reject):
@@ -259,10 +263,10 @@ def solve(inst: Instance, eps: RatLike = Fraction(1, 20)) -> SolveResult:
             for d in chain[1:-1]:
                 log.debug("d=%s accepted, inferred: at or above a decided accept", d)
             upper, accepted, iterations = chain[-1], outcome, len(chain) - 1
-    while upper > (1 + eps) * lower:
+    while upper > stretch * lower:
         d = _geometric_mid(lower, upper)  # after an accept, the chain's next probe
         iterations += 1
-        if longest <= small_cap(d, q):
+        if longest <= guess_caps(d, q, inst.m)[2]:
             log.debug("d=%s accepted, inferred: every job small", d)
             upper, accepted = d, None
         elif decided_reject is not None and d <= decided_reject:

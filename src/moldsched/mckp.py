@@ -21,17 +21,17 @@ tie-break reads.  A guess's canonical counts are one ``gammas`` searchsorted
 over the row keys the solve built once, O(n log(nm)), and only the big rows'
 costs are read.
 
-``decide`` settles that verdict first by two exact certificates on integer
-costs: an integral greedy assignment within capacity and budget accepts, a
-Lagrangian lower bound above the budget rejects.  Both are array operations
-over all items at once.  Only a guess both leave open runs the DP, and only
-on the options whose reduced cost under the bound's multiplier could still
-be in a minimum pick (Dyer, Kayal & Walker 1984): items left one option are
-fixed, so the DP takes O(k*c) for the k items and capacity c left, not
-O(n*m), and returns the pick it would over all items.  A partition is a
-pick, one class per item in item order; an accepting verdict carries its
-own, the greedy's or the DP's, and every schedule built at that guess reads
-it.
+``decide`` settles that verdict first by exact certificates on integer
+costs, array operations over all items, in this order: smallest options past
+capacity reject, cheapest options costing more than the budget reject, an
+integral greedy assignment within capacity and budget accepts, and the
+Lagrangian lower bound at the greedy's slope above the budget rejects.  Only
+a guess they all leave open runs the DP, on the options whose reduced cost
+under that multiplier could still be in a minimum pick (Dyer, Kayal & Walker
+1984): items left one option are fixed, so the DP takes O(k*c) for the k
+items and capacity c left, not O(n*m), and returns the pick it would over
+all items.  A partition is a pick, one class per item in item order; an
+accept carries its own, the greedy's or the DP's, which schedules read.
 
 ``solve_mckp`` is that DP and returns its pick.  Its input is the open
 items' live options, one list of (class, cost / gcd, size) per item, and it
@@ -54,12 +54,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 # gamma stays bound here for the benchmark tracer, which wraps mckp.gamma.
-from .model import _INT64_SAFE_TOTAL, Instance, RowKeys, gamma, gammas  # noqa: F401
+from .model import _INT64_SAFE_TOTAL, Instance, RowKeys, gamma, gammas, guess_caps  # noqa: F401
 
-
-# The deadline of class c as a multiple of d: a class-c job runs on
-# gamma(j, CLASS_HEIGHTS[c-1] * d) machines.
-CLASS_HEIGHTS = (Fraction(1), Fraction(4, 7), Fraction(3, 7))
 
 log = logging.getLogger(__name__)
 
@@ -112,17 +108,16 @@ def build_items(
 ) -> Union[MckpItems, Reject]:
     """The options of the jobs outside the small row mask, in ascending job
     id, or Reject when some gamma(j, d) is infinite.  Their three gammas are
-    one ``gammas`` count over the grid's row keys; m+1 is none."""
+    one ``gammas`` count over the row keys at ``guess_caps``; m+1 is none."""
     rows, ids = inst.id_order
     big = ~small[rows]
     rows, ids = rows[big], ids[big].tolist()
-    q, a = inst.grid
-    g = gammas(keys, rows, [f * d for f in CLASS_HEIGHTS], q)
+    g = gammas(keys, rows, guess_caps(d, inst.grid[0], inst.m)[:3])
     avail = g <= inst.m
     if not avail[:, 0].all():
         return Reject(d, "job-exceeds-guess", ids[int(avail[:, 0].argmin())])
     g = np.where(avail, g, 0)
-    cost = a[rows[:, None], np.maximum(g, 1) - 1] * g
+    cost = inst.grid[1][rows[:, None], np.maximum(g, 1) - 1] * g
     return MckpItems(ids, rows, g, cost, g * np.array([2, 1, 0]))
 
 
@@ -208,13 +203,14 @@ def _dp(options: list[list[tuple[int, int, int]]], cap: int) -> Optional[tuple[i
 def decide(items: MckpItems, m: int, budget: int) -> Verdict:
     """Is the minimum cost within size 2m at most budget?  solve_mckp's verdict.
 
-    The budget is in the items' integer cost unit.  Each item's lower convex
-    hull in (size, cost) leads from its cheapest option to its smallest; the
-    greedy takes hull steps by ascending cost per half-machine saved until the
-    total fits.  An integral result within budget accepts; its pick puts
-    each item at the hull point its taken steps reach.  Otherwise the last
-    step's slope lam = p/r gives the Lagrangian bound sum_j min_k (c +
-    lam*s) - lam*2m <= min cost, which rejects when it exceeds the budget.
+    The budget is in the items' integer cost unit.  Smallest options past 2m
+    reject, and so does a cheapest options' sum above the budget (the bound
+    below at lam = 0).  Each item's lower convex hull in (size, cost) leads
+    from its cheapest option to its smallest; the greedy takes hull steps by
+    ascending cost per half-machine saved until the total fits.  An integral
+    result within budget accepts, its pick each item's hull point its steps
+    reach.  Else the last step's slope lam = p/r gives the Lagrangian bound
+    sum_j min_k (c + lam*s) - lam*2m <= min cost, rejecting above the budget.
     Floats only order the steps; every verdict is checked in exact integers.
     Guesses left open run the DP on the options whose reduced cost keeps the
     bound within r*total; an accept picks, a reject reports, the minimum.
@@ -232,8 +228,9 @@ def decide(items: MckpItems, m: int, budget: int) -> Verdict:
     k0 = np.lexsort((size, cost, ~avail), axis=1)[:, 0]  # lexicographic min of (cost, size)
     c0, s0 = cost[rows, k0], size[rows, k0]
     total, over = int(c0.sum()), int(s0.sum()) - cap
-    p, r = 0, 1  # lam = 0 when the cheapest options fit: then cost is the minimum
-    pick = k0  # and the pick is the DP's, each item's tie-broken minimum
+    if total > budget:  # the bound at lam = 0, never above the bound at the greedy's slope
+        return Verdict("work-budget", "bound", Fraction(total))
+    pick = k0  # when the cheapest options fit, the DP's pick: each item's tie-broken minimum
     if over > 0:
         # Each hull has at most 3 points: k0, then, of the options smaller
         # than it taken by (-size, cost), a and b, where a stays only when it

@@ -54,10 +54,6 @@ def rat(value: RatLike) -> Fraction:
 LAMBDA_Q0 = Fraction(10, 7)        # q == 0
 LAMBDA_SMALL_Q = Fraction(13, 9)   # 0 < q <= m/6
 
-# Jobs with t(j,1) <= SMALL_THRESHOLD_FRAC * d are "small" and scheduled
-# greedily at the end; everything else goes through the knapsack partition.
-SMALL_THRESHOLD_FRAC = Fraction(3, 7)
-
 
 # The worst-case stretch of the q > m/6 repair is the root of ln(x) = 3x - 4
 # in (1.4, 1.5); this upper bracket of it (by bisection to within 10^-6) is
@@ -376,8 +372,8 @@ def gamma(inst: Instance, job_id: int, h: Fraction) -> Optional[int]:
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     q, a = inst.grid
-    row = inst.row_of[job_id]
-    g = int(gammas(row_keys(a[row : row + 1]), np.zeros(1, dtype=np.intp), (h,), q)[0, 0])
+    row, cap = inst.row_of[job_id], h.numerator * q // h.denominator
+    g = int(gammas(row_keys(a[row : row + 1]), np.zeros(1, dtype=np.intp), (cap,))[0, 0])
     return g if g <= inst.m else None
 
 
@@ -399,19 +395,20 @@ def row_keys(a: np.ndarray) -> RowKeys:
     return RowKeys((first[:, None] - a).astype(dtype, copy=False).ravel(), top + 1, m)
 
 
-def gammas(keys: RowKeys, rows: np.ndarray, heights: Sequence[Fraction], q: int) -> np.ndarray:
-    """gamma(j, h) of each grid row in rows (intp) at each height over Q = q,
-    a len(rows) x len(heights) array, m+1 where there is none.
+def gammas(keys: RowKeys, rows: np.ndarray, caps: Sequence[int]) -> np.ndarray:
+    """gamma(j, h) of each grid row in rows (intp) at each height h, given
+    as its cap floor(h*Q), a len(rows) x len(caps) array, m+1 for none.
 
     One searchsorted counts them all: the first key of row r at or above
-    r*span + top - min(floor(h*Q), top) is at the smallest k with t(j,k) <=
-    h when the times are non-increasing in k.  On other rows a k <= m still
-    has t(j,k) <= h (binary search ends only on a key at or above its
-    query), though not always the smallest.  Later rows' keys exceed every
-    query of row r, so no search passes the next row's first key: k <= m+1.
+    r*span + top - min(cap, top) is at the smallest k with A[j,k-1] <= cap,
+    t(j,k) <= h, when the times are non-increasing in k.  On other rows a
+    k <= m still has A[j,k-1] <= cap (binary search ends only on a key at or
+    above its query), though not always the smallest.  Later rows' keys
+    exceed every query of row r, so no search passes the next row's first
+    key: k <= m+1.
     """
     top, dtype = keys.span - 1, keys.keys.dtype
-    thr = np.array([top - min(h.numerator * q // h.denominator, top) for h in heights], dtype=dtype)
+    thr = np.array([top - min(cap, top) for cap in caps], dtype=dtype)
     at = np.searchsorted(keys.keys, (rows.astype(dtype) * keys.span)[:, None] + thr)
     return at - rows[:, None] * keys.m + 1
 
@@ -447,16 +444,17 @@ def validate_instance(inst: Instance) -> list[InstanceViolation]:
     return out
 
 
-def classify_jobs(inst: Instance, d: Fraction) -> tuple[np.ndarray, Fraction]:
-    """The small rows' mask, t(j,1) <= (3/7)*d (ties small), and their work ws."""
+def classify_jobs(inst: Instance, cap: int) -> tuple[np.ndarray, int]:
+    """The small rows' mask, A[j,0] <= cap, and their work W_S*Q; at a guess
+    d the cap is floor((3/7)*d*Q) (``guess_caps``), so ties are small."""
+    a = inst.grid[1][:, 0]
+    return (is_small := a <= cap), sum(a[is_small].tolist())
+
+
+def guess_caps(d: Fraction, q: int, m: int) -> tuple[int, int, int, int]:
+    """A guess d > 0 read as integers: floor(h*Q) at the class heights h = d,
+    (4/7)d and (3/7)d (job j is small iff A[j,0] <= the third), floor(m*d*Q)."""
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    q, a = inst.grid
-    is_small = a[:, 0] <= small_cap(d, q)
-    return is_small, Fraction(sum(a[is_small, 0].tolist()), q)
-
-
-def small_cap(d: Fraction, q: int) -> int:
-    """floor((3/7)*d*Q): a job is small at d iff its A[j,0] is at most this."""
-    return SMALL_THRESHOLD_FRAC.numerator * d.numerator * q // (
-        SMALL_THRESHOLD_FRAC.denominator * d.denominator)
+    num, den = d.numerator * q, d.denominator
+    return num // den, 4 * num // (7 * den), 3 * num // (7 * den), m * num // den

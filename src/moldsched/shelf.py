@@ -193,9 +193,9 @@ class ShelfSchedule:
     def counts(self) -> dict[int, list[int]]:
         """Each job's canonical machine counts at d, (4/7)d, (lam-1)d and
         lam*d, m+1 where there is none: one search over ``keys``."""
-        d, lam = self.d, self.lam
-        heights = (d, Fraction(4, 7) * d, (lam - 1) * d, lam * d)
-        g = gammas(self.keys, np.arange(self.inst.n), heights, self.inst.grid[0])
+        d, lam, q, rows = self.d, self.lam, self.inst.grid[0], np.arange(self.inst.n)
+        hs = (d, Fraction(4, 7) * d, (lam - 1) * d, lam * d)
+        g = gammas(self.keys, rows, [h.numerator * q // h.denominator for h in hs])
         return dict(zip(self.inst.ids, g.tolist()))
 
     def summary(self) -> str:

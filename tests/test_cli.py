@@ -192,14 +192,43 @@ class TestReader:
             assert q == q_ref and np.array_equal(a, a_ref), name
         assert calls
 
-    def test_a_file_off_the_fast_path_checks_each_job_once(self, monkeypatch):
+    def test_a_file_off_the_fast_path_halves_its_refused_runs(self, monkeypatch):
         calls, real = [], cli._plain
         monkeypatch.setattr(cli, "_plain", lambda rows: calls.append(rows) or real(rows))
+        read, ratios = [], cli._ratios
+        monkeypatch.setattr(cli, "_ratios", lambda v: read.append(v) or ratios(v))
         obj = _file(2, *[["6", "3/2"]] * 5, [f"{10**20}", "1"], ["6.01", "3"])
         assert instance_from_obj(obj).grid[0] == 100
-        # one check of the whole file, then the plain-form check of each job
+        # the whole file, then halves of the refused runs; single rows by _ratios
         rows = [j["times"] for j in obj["jobs"]]
-        assert calls == [rows] + [[row] for row in rows]
+        assert calls == [rows, rows[:3], rows[3:], rows[3:5], rows[5:], rows[5:6], rows[6:]]
+        assert read == rows[5:]
+
+    @pytest.mark.parametrize("bad", [[1234], [0, 1999], [10, 500, 501, 1500]])
+    def test_refused_rows_cost_log_n_checks(self, monkeypatch, bad):
+        # n = 2000 rows of m = 4; a value with a trailing space is refused.
+        rng = random.Random(len(bad))
+        rows = [[f"{rng.randint(1, 99)}/{rng.randint(1, 9)}" for _ in range(4)]
+                for _ in range(2000)]
+        for i in bad:
+            rows[i][i % 4] += " "
+        obj = _file(4, *rows)
+        rows = [j["times"] for j in obj["jobs"]]
+        calls, real = [], cli._plain
+        monkeypatch.setattr(cli, "_plain", lambda r: calls.append(len(r)) or real(r))
+        read, ratios = [], cli._ratios
+        monkeypatch.setattr(cli, "_ratios", lambda v: read.append(v) or ratios(v))
+        q, a = instance_from_obj(obj).grid
+        q_ref, a_ref = fraction_grid(obj)
+        assert q == q_ref and np.array_equal(a, a_ref)
+        at = {id(row): i for i, row in enumerate(rows)}
+        got = [at[id(row)] for row in read]  # each refused row, and at most its sibling
+        assert set(bad) <= set(got) and got == sorted(got) and len(got) <= 2 * len(bad)
+        assert len(calls) <= 1 + 2 * len(bad) * 11  # 2^11 >= 2000
+        # the first bad value in row order raises
+        rows[bad[0]][0], rows[bad[-1]][1] = "y", "x"
+        with pytest.raises(ValueError, match="'y'"):
+            instance_from_obj(obj)
 
     @pytest.mark.parametrize("value, err", GATE_REFUSES.items(), ids=repr)
     def test_a_value_the_gate_refuses_reads_exactly(self, tmp_path, capsys, monkeypatch,

@@ -35,6 +35,7 @@ from moldsched import (
     validate_schedule,
 )
 from moldsched.driver import SearchBounds, initial_bounds
+from moldsched.model import int_matrix
 from util import (
     allotment,
     bisection_solve,
@@ -70,6 +71,14 @@ class TestInitialBounds:
 
     def test_no_jobs(self):
         assert initial_bounds(Instance(3, ())) == SearchBounds(0, 0)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_work_past_int64_is_summed_exactly(self, sign):
+        # 17 rows of 2^59 fit an int64 grid (m*max <= 2^59); their sum does not fit int64.
+        a = int_matrix([[sign * 2**59]] * 17, 1)
+        assert a.dtype == np.int64
+        b = initial_bounds(Instance.of_grid(1, range(17), 3, a))
+        assert b.upper == Fraction(sign * 17 * 2**59, 3)
 
 
 class TestTryGuess:

@@ -13,17 +13,17 @@ import pytest
 from moldsched import GenConfig, Instance, Job, Reject, adversarial_instance, generate, solve
 from moldsched import cli, driver, mckp, model, shelf
 from moldsched.driver import SearchBounds, initial_bounds
-from moldsched.mckp import CLASS_HEIGHTS
 from moldsched.model import (
     _INT64_SAFE_TOTAL,
     Times,
-    classify_jobs,
     gamma,
     validate_instance,
 )
 from moldsched.verify import validate_schedule
 from util import (
+    CLASS_HEIGHTS,
     big_ids,
+    classify_at,
     const_work_job,
     dp_assignment,
     dp_shelves,
@@ -154,7 +154,7 @@ class TestDecisionPathMatchesFractions:
         for name, inst in corpus():
             assert initial_bounds(inst) == SearchBounds(*ref_initial_bounds(inst))
             for d in guesses(rng, inst):
-                small, ws = classify_jobs(inst, d)
+                small, ws = classify_at(inst, d)
                 big = big_ids(inst, d)
                 assert (small_ids(inst, d), big, ws) == ref_classify(inst, d), (name, d)
                 assert small.tolist() == [j.id not in big for j in inst.jobs]

@@ -4,6 +4,7 @@ import ast
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ class TestOneMachineHeap:
 def test_listsched_is_independent_of_the_knapsack():
     """listsched places a given rigid allotment: it imports nothing from
     mckp and counts no machine number."""
-    tree = ast.parse(open(listsched.__file__).read())
+    tree = ast.parse(Path(listsched.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").rsplit(".", 1)[-1]

@@ -355,6 +355,46 @@ class TestDecide:
         assert decide(items, 2, 7) == mckp.Verdict("work-budget", "bound", rat("7.5"))
         assert len(calls) == 3
 
+    def test_cheapest_options_over_budget_reject_before_the_greedy(self, monkeypatch):
+        # Cap 4; the cheapest options (5, 4) and (6, 3) cost 11 and overflow
+        # it by 3.  Budget 10 rejects on their cost alone, the Lagrangian
+        # bound at lam = 0; the bound at the greedy's slope 3/3 is 14, the
+        # DP minimum (item 1 at full size, item 2 at size 0).
+        items = items_of([[(5, 4), (10, 0), None], [(6, 3), (9, 0), None]])
+        monkeypatch.setattr(mckp, "solve_mckp", None)  # calling it would raise
+        assert decide(items, 2, 10) == mckp.Verdict("work-budget", "bound", Fraction(11))
+        assert decide(items, 2, 13) == mckp.Verdict("work-budget", "bound", Fraction(14))
+        monkeypatch.undo()
+        assert cost_of(items, solve_mckp(items, 2)) == 14
+
+    def test_bound_rejects_report_a_lower_bound(self):
+        # A bound reject's cost lies above the budget and at or below the DP
+        # minimum; a capacity reject has no cost and no pick fits.
+        seen = set()
+
+        @property_settings(max_examples=300)
+        @given(st.data())
+        def check(data):
+            m = data.draw(st.integers(0, 6))
+            option = st.none() | st.tuples(st.integers(0, 60), st.integers(0, 2 * m + 2))
+            items = items_of(data.draw(st.lists(st.lists(option, min_size=3, max_size=3),
+                                                max_size=8)))
+            budget = data.draw(st.integers(-1, 300))
+            got = decide(items, m, budget)
+            if got.by != "bound" or got.reason is None:
+                return
+            pick = solve_mckp(items, m)
+            if got.cost is None:
+                assert got.reason == "mckp-infeasible" and pick is None
+                seen.add("capacity")
+                return
+            assert budget < got.cost <= cost_of(items, pick), (options(items), m, budget)
+            cheapest = sum(min(o for o in row if o)[0] for row in options(items))
+            seen.add("cheapest" if got.cost == cheapest else "slope")
+
+        check()
+        assert seen == {"capacity", "cheapest", "slope"}
+
 
 def ref_decide(items, m, budget):
     """decide as it was on per-item lists of the available (cost, size,
@@ -383,6 +423,8 @@ def ref_decide(items, m, budget):
         cost, size = cost + hull[0][0], size + hull[0][1]
         for k, ((ca, sa, _), (cb, sb, _)) in enumerate(zip(hull, hull[1:])):
             steps.append(((cb - ca) / ((sa - sb) << shift), j, k, cb - ca, sa - sb))
+    if cost > budget:  # the bound at lam = 0: the cheapest options' sum
+        return mckp.Verdict("work-budget", "bound", Fraction(cost))
     p, r = 0, 1
     reached = [0] * len(opts)
     ordered = iter(sorted(steps))

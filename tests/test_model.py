@@ -1,4 +1,5 @@
 import collections
+import math
 import pickle
 import random
 import tracemalloc
@@ -24,16 +25,17 @@ from moldsched import (
     validate_schedule,
 )
 from moldsched.model import (
-    SMALL_THRESHOLD_FRAC,
     InstanceViolation,
     classify_jobs,
     Times,
     gamma,
     gammas,
+    guess_caps,
     int_matrix,
     row_keys,
 )
 from util import (
+    classify_at,
     const_work_job,
     fraction_schedule,
     grid_rows,
@@ -146,6 +148,11 @@ def _heights(rng, a, q):
     return sorted(hs)
 
 
+def _caps(hs, q):
+    """Each height h as the integer cap gammas reads, floor(h*Q)."""
+    return [math.floor(h * q) for h in hs]
+
+
 def _row_orders(rng, n):
     """Grid rows as build_items passes them, ascending, and in other orders."""
     subset = sorted(rng.sample(range(n), rng.randint(0, n)))
@@ -161,8 +168,8 @@ def _smallest_k(row, h, q):
 
 class TestGammas:
     """One searchsorted over a grid's row keys gives every row's gamma at
-    every height: the smallest k on time-monotone rows, and a sound k on
-    any row of positive times."""
+    every height h, given as its cap floor(h*Q): the smallest k on
+    time-monotone rows, and a sound k on any row of positive times."""
 
     @pytest.mark.parametrize("top, keys_dtype", [
         (10**6, np.int64),        # an int64 grid
@@ -179,7 +186,7 @@ class TestGammas:
             assert keys.keys.dtype == keys_dtype
             hs = _heights(rng, a, q)
             for rows in _row_orders(rng, n):
-                g = gammas(keys, rows, hs, q)
+                g = gammas(keys, rows, _caps(hs, q))
                 assert g.shape == (len(rows), len(hs))
                 want = [[_smallest_k(a[r].tolist(), h, q) for h in hs] for r in rows.tolist()]
                 assert g.tolist() == want, (n, m, q, rows)
@@ -198,7 +205,7 @@ class TestGammas:
             a = int_matrix([[rng.randint(1, top) for _ in range(m)] for _ in range(n)], m)
             hs = _heights(rng, a, q)
             for rows in _row_orders(rng, n):
-                for r, row_g in zip(rows.tolist(), gammas(row_keys(a), rows, hs, q).tolist()):
+                for r, row_g in zip(rows.tolist(), gammas(row_keys(a), rows, _caps(hs, q)).tolist()):
                     row = a[r].tolist()
                     for h, k in zip(hs, row_g):
                         assert 1 <= k <= m + 1
@@ -212,7 +219,7 @@ class TestGammas:
         inst = random_instance(rng, 6, 9)
         q, a = inst.grid
         hs = _heights(rng, a, q)
-        g = gammas(row_keys(a), np.arange(inst.n, dtype=np.intp), hs, q)
+        g = gammas(row_keys(a), np.arange(inst.n, dtype=np.intp), _caps(hs, q))
         for j, row in zip(inst.jobs, g.tolist()):
             assert [gamma(inst, j.id, h) or inst.m + 1 for h in hs] == row
 
@@ -375,7 +382,6 @@ class TestLambdaStar:
     def test_constant_ladder(self):
         assert LAMBDA_Q0 < LAMBDA_SMALL_Q < LAMBDA_STAR_UPPER < Fraction(3, 2)
         assert LAMBDA_Q0 - 1 == Fraction(3, 7)
-        assert SMALL_THRESHOLD_FRAC == Fraction(3, 7)
 
 
 class TestClassifyJobs:
@@ -384,9 +390,11 @@ class TestClassifyJobs:
         inst = instance(
             1, job(1, 3), job(2, rat("3.5")), job(3, 10)
         )
-        small, ws = classify_jobs(inst, rat(7))
+        q = inst.grid[0]
+        assert guess_caps(rat(7), q, 1)[2] == 3 * q
+        small, ws = classify_jobs(inst, 3 * q)
         assert small.tolist() == [True, False, False]
-        assert ws == rat(3)
+        assert ws == 3 * q  # the small jobs' work at the grid scale
 
     def test_tie_is_small_and_just_above_is_big(self):
         inst = instance(1, job(1, rat("3.0001")))
@@ -397,19 +405,29 @@ class TestClassifyJobs:
     def test_small_fractions(self):
         inst = instance(1, job(1, rat("0.3")), job(2, rat("0.3")))
         assert small_ids(inst, rat("0.7")) == {1, 2}
-        assert classify_jobs(inst, rat("0.7"))[1] == rat("0.6")
+        assert classify_at(inst, rat("0.7"))[1] == rat("0.6")
 
     def test_a_guess_is_a_row_mask_and_ws(self):
         # No id set per guess: the mask is in row order, whatever the ids.
         inst = instance(1, job(5, 3), job(2, 10), job(9, 1))
-        small, ws = classify_jobs(inst, rat(7))
+        small, ws = classify_at(inst, rat(7))
         assert small.dtype == bool and small.tolist() == [True, False, True]
         assert ws == 4
 
     @pytest.mark.parametrize("d", [0, rat("-1/2")])
     def test_guess_must_be_positive(self, d):
         with pytest.raises(ValueError, match="d must be positive"):
-            classify_jobs(instance(1, job(1, 3)), d)
+            guess_caps(d, 1, 1)
+
+    def test_guess_caps_are_the_floors(self):
+        # A guess is read once as floor(h*Q) at d, (4/7)d, (3/7)d, then floor(m*d*Q).
+        rng = random.Random(23)
+        for _ in range(300):
+            den = rng.randint(1, rng.choice([9, 10**6]))  # small ones reach exact floors
+            d = Fraction(rng.randint(1, 10**rng.randint(1, 30)), den)
+            q, m = rng.choice([1, 7, 100, 10**20 + 3]), rng.randint(1, 2000)
+            want = [math.floor(f * d * q) for f in (1, Fraction(4, 7), Fraction(3, 7), m)]
+            assert list(guess_caps(d, q, m)) == want, (d, q, m)
 
 
 class TestIdOrder:

@@ -20,7 +20,7 @@ from moldsched import (
     validate_schedule,
 )
 from moldsched.mckp import pick_totals, solve_mckp
-from moldsched.model import classify_jobs, gamma
+from moldsched.model import gamma
 from moldsched.shelf import (
     ColumnPart,
     Layout,
@@ -38,8 +38,8 @@ from moldsched.shelf import (
     shelf_layout,
 )
 from util import (
-    big_ids, const_work_job, dp_assignment, grid_keys, instance, items_for, job, options,
-    random_instance,
+    big_ids, classify_at, const_work_job, dp_assignment, grid_keys, instance, items_for, job,
+    options, random_instance,
 )
 
 D1 = rat(1)
@@ -169,7 +169,7 @@ class TestBuildThreeShelf:
             assert not isinstance(items, Reject)
             sol = solve_mckp(items, inst.m)
             assert sol is not None
-            budget = inst.m * d - classify_jobs(inst, d)[1]
+            budget = inst.m * d - classify_at(inst, d)[1]
             total_cost = Fraction(pick_totals(items, sol)[0], inst.grid[0])  # costs are work * Q
             assert total_cost <= budget
             ss = build_three_shelf(inst, grid_keys(inst), dict(zip(items.ids, sol)), d, LAMBDA_Q0)
@@ -815,7 +815,7 @@ class TestForcedPartitionFuzz:
             inst = random_instance(rng, rng.randint(2, 14), rng.randint(2, 12))
             cls_d = sorted(j.times[0] for j in inst.jobs)[len(inst.jobs) // 2]
             d = cls_d * Fraction(7, 3) + Fraction(rng.randint(0, 100), 100)
-            big, (_, ws) = big_ids(inst, d), classify_jobs(inst, d)
+            big, (_, ws) = big_ids(inst, d), classify_at(inst, d)
             if not big:
                 continue
             assignment = {}

@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -491,7 +492,7 @@ def test_construction_does_not_read_schedules_as_the_verifier_does():
     verifier's reading of a schedule stays a second route."""
     for name in ("driver", "mckp", "shelf", "listsched", "gen"):
         path = verify.__file__.replace("verify.py", f"{name}.py")
-        for node in ast.walk(ast.parse(open(path).read())):
+        for node in ast.walk(ast.parse(Path(path).read_text())):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 assert node.func.attr != "columns", (name, ast.unparse(node))
             if isinstance(node, ast.ImportFrom):
@@ -501,7 +502,7 @@ def test_construction_does_not_read_schedules_as_the_verifier_does():
 
 def test_verify_is_independent_of_the_construction():
     """verify.py imports no construction module and never reads the grid."""
-    tree = ast.parse(open(verify.__file__).read())
+    tree = ast.parse(Path(verify.__file__).read_text())
     construction = {"driver", "mckp", "shelf", "listsched", "gen"}
     grid_readers = {"grid", "row_of", "t", "gamma", "gammas", "ratio_grid"}
     for node in ast.walk(tree):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import atexit
 import functools
 import math
 import random
@@ -14,13 +15,21 @@ import numpy as np
 
 from moldsched import Instance, Job, PlacedJob, Reject, Schedule, driver, model, rat
 from moldsched.listsched import window_max
-from moldsched.mckp import CLASS_HEIGHTS, MckpItems, build_items, solve_mckp
-from moldsched.model import RowKeys, classify_jobs, gamma, int_array, int_matrix, row_keys
+from moldsched.mckp import MckpItems, build_items, solve_mckp
+from moldsched.model import (
+    RowKeys, classify_jobs, gamma, guess_caps, int_array, int_matrix, row_keys,
+)
+
+# The deadline of class c as a multiple of d: a class-c job runs on
+# gamma(j, CLASS_HEIGHTS[c-1] * d) machines (``guess_caps`` reads them as caps).
+CLASS_HEIGHTS = (Fraction(1), Fraction(4, 7), Fraction(3, 7))
 
 
 @functools.cache
 def _hypothesis_home() -> tempfile.TemporaryDirectory:
-    return tempfile.TemporaryDirectory(prefix="hypothesis-")
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    atexit.register(home.cleanup)  # removed at exit, not by its finalizer's ResourceWarning
+    return home
 
 
 def property_settings(**overrides):
@@ -227,7 +236,14 @@ def dp_shelves(inst: Instance, d: Fraction) -> tuple[Schedule, Fraction]:
 
 def small_ids(inst: Instance, d: Fraction) -> frozenset[int]:
     """The ids of the small jobs at d, from classify_jobs' row mask."""
-    return frozenset(compress(inst.ids, classify_jobs(inst, d)[0].tolist()))
+    return frozenset(compress(inst.ids, classify_at(inst, d)[0].tolist()))
+
+
+def classify_at(inst: Instance, d: Fraction) -> tuple[np.ndarray, Fraction]:
+    """classify_jobs at a guess d: the small rows' mask and their work W_S."""
+    q = inst.grid[0]
+    small, ws = classify_jobs(inst, guess_caps(d, q, inst.m)[2])
+    return small, Fraction(ws, q)
 
 
 def big_ids(inst: Instance, d: Fraction) -> frozenset[int]:
